@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .netgraph import NetworkError, PathSpec, TreeSpec, load_network
-from .oracle import CompareReport, compare, data_layout, oracle_apply
+from .oracle import CompareReport, OracleError, compare, data_layout, oracle_apply
 from .protocols import (
     GATE_LIBRARY,
     CompiledProtocol,
@@ -148,7 +148,7 @@ def parse_script(text: str) -> Script:
                 raise ScriptError("network takes exactly one file path", lineno)
             network = args[0]
         elif name == "walkers":
-            if len(args) != 1 or not args[0].isdigit() or int(args[0]) < 1:
+            if len(args) != 1 or not args[0].isdecimal() or int(args[0]) < 1:
                 raise ScriptError("walkers takes one positive integer", lineno)
             walkers = int(args[0])
         elif name == "init":
@@ -164,7 +164,7 @@ def parse_script(text: str) -> Script:
         elif name == "place":
             if len(args) not in (2, 3):
                 raise ScriptError("place takes WALKER NODE [COIN]", lineno)
-            if not args[0].isdigit() or (len(args) == 3 and not args[2].isdigit()):
+            if not args[0].isdecimal() or (len(args) == 3 and not args[2].isdecimal()):
                 raise ScriptError("place walker/coin must be integers", lineno)
             places.append((int(args[0]), args[1], int(args[2]) if len(args) == 3 else 0))
         elif name in PROTOCOL_COMMANDS or name == "step":
@@ -212,14 +212,17 @@ def _parse_gate(text: str, line: int) -> np.ndarray:
     if text.startswith("U[") and text.endswith("]"):
         cols = []
         for col_text in text[2:-1].split(";"):
-            nums = [float(x) for x in col_text.split(",") if x]
+            try:
+                nums = [float(x) for x in col_text.split(",") if x]
+            except ValueError:
+                msg = f"gate entries must be numbers, got {col_text!r}"
+                raise ScriptError(msg, line) from None
             if len(nums) % 2:
                 raise ScriptError("gate entries must be re,im pairs", line)
             cols.append([complex(nums[i], nums[i + 1]) for i in range(0, len(nums), 2)])
-        mat = np.array(cols, dtype=complex).T
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        if len({len(col) for col in cols}) != 1 or len(cols) != len(cols[0]):
             raise ScriptError("custom gate must be square", line)
-        return mat
+        return np.array(cols, dtype=complex).T
     if text in GATE_LIBRARY:
         return GATE_LIBRARY[text]
     raise ScriptError(f"unknown gate {text!r}", line)
@@ -255,6 +258,13 @@ def _controls_with_bits(refs, string, line):
     if len(string) != len(refs) or any(ch not in "01" for ch in string):
         raise ScriptError("string= must be a bit per control qubit", line)
     return [(n, q, int(b)) for (n, q), b in zip(refs, string)]
+
+
+def _int(text, line):
+    try:
+        return int(text)
+    except ValueError:
+        raise ScriptError(f"expected integer, got {text!r}", line) from None
 
 
 def _int_list(text, line):
@@ -517,7 +527,8 @@ def _compile_step(graph, layout, args, line, builder_state):
             required=("node", "c1", "c2", "walker"),
         )
         op = make_coin_perm(
-            graph, layout, kv["node"], int(kv["c1"]), int(kv["c2"]), int(kv["walker"])
+            graph, layout, kv["node"], _int(kv["c1"], line), _int(kv["c2"], line),
+            _int(kv["walker"], line),
         )
     elif op_name == "coinblock":
         kv = _kv_dict(
@@ -527,7 +538,7 @@ def _compile_step(graph, layout, args, line, builder_state):
         op = make_coin_block(
             graph, layout,
             {kv["node"]: (_int_list(kv["coins"], line), _parse_gate(kv["gate"], line))},
-            int(kv["walker"]),
+            _int(kv["walker"], line),
         )
     elif op_name == "datactrl":
         kv = _kv_dict(
@@ -537,7 +548,7 @@ def _compile_step(graph, layout, args, line, builder_state):
         c1, c2 = _int_list(kv["swap"], line)
         op = make_data_controlled_coin(
             graph, layout, kv["node"], kv["controls"].split(","), kv["string"],
-            ("swap", c1, c2), int(kv["walker"]),
+            ("swap", c1, c2), _int(kv["walker"], line),
         )
     elif op_name == "coindata":
         kv = _kv_dict(
@@ -546,8 +557,8 @@ def _compile_step(graph, layout, args, line, builder_state):
         )
         op = make_coin_controlled_data(
             graph, layout, kv["node"], kv["qubits"].split(","),
-            _parse_gate(kv["gate"], line), int(kv["walker"]),
-            coin=int(kv["coin"]) if "coin" in kv else None,
+            _parse_gate(kv["gate"], line), _int(kv["walker"], line),
+            coin=_int(kv["coin"], line) if "coin" in kv else None,
         )
     elif op_name == "interact":
         kv = _kv_dict(
@@ -556,8 +567,8 @@ def _compile_step(graph, layout, args, line, builder_state):
         )
         c1, c2 = _int_list(kv["swap"], line)
         op = make_walk_interaction(
-            graph, layout, kv["node"], int(kv["coin"]), ("swap", c1, c2),
-            int(kv["control"]), int(kv["target"]),
+            graph, layout, kv["node"], _int(kv["coin"], line), ("swap", c1, c2),
+            _int(kv["control"], line), _int(kv["target"], line),
         )
     else:
         raise ScriptError(f"unknown step operator {op_name!r}", line)
@@ -742,7 +753,7 @@ def main(argv=None) -> int:
     except (ScriptError, NetworkError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ProtocolError, OperatorError, StateError) as exc:
+    except (ProtocolError, OperatorError, StateError, OracleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

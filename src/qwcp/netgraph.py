@@ -171,11 +171,16 @@ def load_network(text: str) -> NetworkGraph:
     nodes = tuple(sorted(labels))
     node_set = set(nodes)
 
+    raw_edges = doc.get("edges", [])
+    if not isinstance(raw_edges, list):
+        raise NetworkError('"edges" must be a list of [u, v] pairs')
     edges = set()
-    for pair in doc.get("edges", []):
+    for pair in raw_edges:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise NetworkError(f"edge entries must be [u, v] pairs, got {pair!r}")
         u, v = pair
+        if not (isinstance(u, str) and isinstance(v, str)):
+            raise NetworkError(f"edge endpoints must be node labels, got {pair!r}")
         if u not in node_set or v not in node_set:
             raise NetworkError(f"edge ({u!r}, {v!r}) references an unknown node")
         if u == v:
@@ -192,17 +197,20 @@ def load_network(text: str) -> NetworkGraph:
     }
     ports = {v: (v,) + adjacency[v] for v in nodes}
 
+    raw_data = doc.get("data_qubits") or {}
+    if not isinstance(raw_data, dict):
+        raise NetworkError('"data_qubits" must map node labels to name lists')
     data_qubits: dict[str, tuple[str, ...]] = {}
-    for v, names in (doc.get("data_qubits") or {}).items():
+    for v, names in raw_data.items():
         if v not in node_set:
             raise NetworkError(f"data_qubits references unknown node {v!r}")
         if not isinstance(names, list):
             raise NetworkError(f"data_qubits[{v!r}] must be a list of names")
-        if len(set(names)) != len(names):
-            raise NetworkError(f"duplicate data qubit name at node {v!r}")
         for name in names:
             if not isinstance(name, str) or not name:
                 raise NetworkError(f"bad qubit name {name!r} at node {v!r}")
+        if len(set(names)) != len(names):
+            raise NetworkError(f"duplicate data qubit name at node {v!r}")
         data_qubits[v] = tuple(names)
 
     return NetworkGraph(nodes, adjacency, ports, data_qubits)

@@ -737,6 +737,7 @@ def schedule_linklevel(graph, layout, couple: dict | None = None) -> CompiledPro
             f"walker budget {layout.k} insufficient for {len(edges)} edges"
         )
     couple = dict(couple or {})
+    coupled_qubits = set()
     for edge, (qu, qv) in couple.items():
         edge = tuple(edge)
         if edge not in edges:
@@ -744,6 +745,10 @@ def schedule_linklevel(graph, layout, couple: dict | None = None) -> CompiledPro
         u, v = edge
         if qu not in graph.qubits_at(u) or qv not in graph.qubits_at(v):
             raise ProtocolError(f"coupling qubits for edge {edge!r} are not local")
+        for qubit in ((u, qu), (v, qv)):
+            if qubit in coupled_qubits:
+                raise ProtocolError(f"data qubit {qubit!r} is in two couplings")
+            coupled_qubits.add(qubit)
 
     hmat = GATE_LIBRARY["H"]
     x1 = GATE_LIBRARY["X"]

@@ -1,10 +1,16 @@
 """Joint state of k walker registers and the data plane.
 
-Amplitudes are a dense complex array over 2^total_bits basis states.
-Bit order, most significant first: walker 0 vertex bits, walker 0 coin
-bits, walker 1 vertex bits, ... , then data qubits in layout order.
-Operators are never materialized as full matrices; they act through
-register permutations and small controlled blocks.
+A state is stored sparsely, as the pair (indices, amplitudes): the
+sorted basis indices that carry a nonzero amplitude, and those
+amplitudes. Walkers sit in near-basis positions, so a 25-bit run holds a
+few dozen nonzeros rather than 2^25 slots, and every operation costs time
+in the number of nonzeros, not in 2^total_bits. Only exact zeros are left
+out, so the stored values are the ones a dense vector would hold.
+
+Bit order of a basis index, most significant first: walker 0 vertex bits,
+walker 0 coin bits, walker 1 vertex bits, ... , then data qubits in layout
+order. Operators are never materialized as full matrices; they act
+through register permutations and small controlled blocks.
 """
 from __future__ import annotations
 
@@ -93,8 +99,26 @@ class RegisterLayout:
 
 @dataclass(frozen=True)
 class StateVector:
+    """Sparse state: `indices` is a sorted, unique int64 array of basis
+    indices and `amplitudes` the complex128 values there. Every basis
+    index not listed has amplitude exactly zero."""
+
     layout: RegisterLayout
+    indices: np.ndarray
     amplitudes: np.ndarray
+
+    @classmethod
+    def from_dense(cls, layout: RegisterLayout, vec) -> "StateVector":
+        vec = np.asarray(vec, dtype=complex)
+        if vec.shape != (1 << layout.total_bits,):
+            raise StateError(f"dense state must have {1 << layout.total_bits} entries")
+        indices = np.flatnonzero(vec).astype(np.int64)
+        return cls(layout, indices, vec[indices])
+
+    def to_dense(self) -> np.ndarray:
+        vec = np.zeros(1 << self.layout.total_bits, dtype=complex)
+        vec[self.indices] = self.amplitudes
+        return vec
 
     @property
     def norm(self) -> float:
@@ -132,48 +156,91 @@ class BlockAction:
     conditions: tuple[tuple[tuple[int, ...], int], ...] = ()
 
 
-def _apply_perm(amps: np.ndarray, layout: RegisterLayout, act: PermAction) -> np.ndarray:
-    reg = 1 << layout.walker_bits
-    pre = 1 << (act.walker * layout.walker_bits)
-    arr = amps.reshape(pre, reg, -1)
-    inverse = np.argsort(np.asarray(act.perm))
-    return np.take(arr, inverse, axis=1).reshape(-1)
+def _bit_mask(n: int, positions) -> int:
+    """Index mask of the given bit positions (position 0 is the top bit)."""
+    mask = 0
+    for pos in positions:
+        mask |= 1 << (n - 1 - pos)
+    return mask
 
 
-def _apply_block(amps: np.ndarray, layout: RegisterLayout, act: BlockAction) -> np.ndarray:
+def _gather(indices: np.ndarray, n: int, positions) -> np.ndarray:
+    """Value of the given bits of each index, first position most significant."""
+    key = np.zeros(len(indices), dtype=np.int64)
+    for pos in positions:
+        key = (key << 1) | ((indices >> (n - 1 - pos)) & 1)
+    return key
+
+
+def _walker_field(state: "StateVector", walker: int, width: int) -> np.ndarray:
+    """Top `width` bits of one walker's register, for every stored index."""
+    layout = state.layout
+    shift = layout.total_bits - walker * layout.walker_bits - width
+    return (state.indices >> shift) & ((1 << width) - 1)
+
+
+def _sorted(indices: np.ndarray, amps: np.ndarray):
+    order = np.argsort(indices)
+    return indices[order], amps[order]
+
+
+def _apply_perm(layout: RegisterLayout, indices, amps, act: PermAction):
+    shift = layout.total_bits - (act.walker + 1) * layout.walker_bits
+    mask = (1 << layout.walker_bits) - 1
+    table = np.asarray(act.perm, dtype=np.int64)
+    reg = (indices >> shift) & mask
+    moved = (indices & ~(mask << shift)) | (table[reg] << shift)
+    return _sorted(moved, amps)
+
+
+def _apply_block(layout: RegisterLayout, indices, amps, act: BlockAction):
     n = layout.total_bits
-    out = amps.copy().reshape((2,) * n)
-    index: list[object] = [slice(None)] * n
+    fixed: dict[int, int] = {}
     for bits, value in act.conditions:
         for offset, pos in enumerate(bits):
             bit = (value >> (len(bits) - 1 - offset)) & 1
-            if isinstance(index[pos], int) and index[pos] != bit:
-                return amps  # contradictory conditions select nothing
-            index[pos] = bit
+            if fixed.setdefault(pos, bit) != bit:
+                return indices, amps  # contradictory conditions select nothing
     for pos in act.target_bits:
-        if isinstance(index[pos], int):
+        if pos in fixed:
             raise StateError("operator targets one of its own control bits")
-    sub = out[tuple(index)]
-    free = [p for p in range(n) if isinstance(index[p], slice)]
-    axes = [free.index(p) for p in act.target_bits]
-    t = len(axes)
-    moved = np.moveaxis(sub, axes, range(t))
-    shape = moved.shape
-    res = act.matrix @ moved.reshape(1 << t, -1)
-    out[tuple(index)] = np.moveaxis(res.reshape(shape), range(t), axes)
-    return out.reshape(-1)
+    cond_mask = _bit_mask(n, fixed)
+    cond_value = _bit_mask(n, [pos for pos, bit in fixed.items() if bit])
+    selected = (indices & cond_mask) == cond_value
+    if not selected.any():
+        return indices, amps
+    sel_indices = indices[selected]
+
+    # one row per setting of the non-target bits, one column per target value
+    t = len(act.target_bits)
+    target_mask = _bit_mask(n, act.target_bits)
+    bases, row = np.unique(sel_indices & ~target_mask, return_inverse=True)
+    block = np.zeros((len(bases), 1 << t), dtype=complex)
+    block[row, _gather(sel_indices, n, act.target_bits)] = amps[selected]
+    block = block @ act.matrix.T
+    spread = np.zeros(1 << t, dtype=np.int64)
+    for j, pos in enumerate(act.target_bits):
+        spread |= ((np.arange(1 << t) >> (t - 1 - j)) & 1) << (n - 1 - pos)
+    new_indices = (bases[:, None] | spread[None, :]).ravel()
+    new_amps = block.ravel()
+    nonzero = new_amps != 0
+    return _sorted(
+        np.concatenate((indices[~selected], new_indices[nonzero])),
+        np.concatenate((amps[~selected], new_amps[nonzero])),
+    )
 
 
 def apply_actions(state: StateVector, actions) -> StateVector:
-    amps = state.amplitudes
+    layout = state.layout
+    indices, amps = state.indices, state.amplitudes
     for act in actions:
         if isinstance(act, PermAction):
-            amps = _apply_perm(amps, state.layout, act)
+            indices, amps = _apply_perm(layout, indices, amps, act)
         elif isinstance(act, BlockAction):
-            amps = _apply_block(amps, state.layout, act)
+            indices, amps = _apply_block(layout, indices, amps, act)
         else:
             raise StateError(f"unknown action {act!r}")
-    return StateVector(state.layout, amps)
+    return StateVector(layout, indices, amps)
 
 
 def apply_operator(state: StateVector, op) -> StateVector:
@@ -213,35 +280,38 @@ def init_state(
             raise StateError(f"coin {coin} invalid at node {node!r}")
         widx = (widx << layout.walker_bits) | (vid << layout.nc) | coin
 
-    data_vec = np.ones(1, dtype=complex)
     inits = dict(data_inits or {})
     for key in inits:
         if tuple(key) not in layout.data_order:
             raise StateError(f"data init references unknown qubit {key!r}")
+    # Kronecker product over the data qubits, keeping only nonzero terms
+    data_idx = np.zeros(1, dtype=np.int64)
+    data_amps = np.ones(1, dtype=complex)
     for node, name in layout.data_order:
         q = np.asarray(inits.get((node, name), (1.0, 0.0)), dtype=complex)
         if q.shape != (2,):
             raise StateError(f"data state for {(node, name)!r} must have 2 amplitudes")
         if abs(np.linalg.norm(q) - 1.0) > NORM_TOL:
             raise StateError(f"data state for {(node, name)!r} is not normalized")
-        data_vec = np.kron(data_vec, q)
-
-    amps = np.zeros(1 << layout.total_bits, dtype=complex)
-    nd = layout.data_bits
-    amps[widx << nd : (widx + 1) << nd] = data_vec
-    return StateVector(layout, amps)
+        bits = np.flatnonzero(q)
+        data_idx = ((data_idx[:, None] << 1) | bits[None, :]).ravel()
+        data_amps = (data_amps[:, None] * q[bits][None, :]).ravel()
+    nonzero = data_amps != 0
+    indices = (widx << layout.data_bits) | data_idx[nonzero]
+    return StateVector(layout, indices, data_amps[nonzero])
 
 
 # -- measurement ----------------------------------------------------------
 
 
-def _rotate_basis(amps: np.ndarray, layout: RegisterLayout, qubits, bases) -> np.ndarray:
+def _rotate_basis(layout: RegisterLayout, indices, amps, qubits, bases):
     for pos, basis in zip(qubits, bases):
         if basis == "X":
-            amps = _apply_block(amps, layout, BlockAction((pos,), HADAMARD))
+            act = BlockAction((pos,), HADAMARD)
+            indices, amps = _apply_block(layout, indices, amps, act)
         elif basis != "Z":
             raise StateError(f"unsupported basis {basis!r}")
-    return amps
+    return indices, amps
 
 
 def measure(
@@ -261,19 +331,18 @@ def measure(
     qubits = tuple(qubits)
     if len(qubits) != len(bases):
         raise StateError("one basis letter per measured qubit required")
-    n = state.layout.total_bits
+    layout = state.layout
+    n = layout.total_bits
     for pos in qubits:
         if not 0 <= pos < n:
             raise StateError(f"bit {pos} outside layout")
     if len(set(qubits)) != len(qubits):
         raise StateError("duplicate measured qubit")
 
-    amps = _rotate_basis(state.amplitudes, state.layout, qubits, bases)
+    indices, amps = _rotate_basis(layout, state.indices, state.amplitudes, qubits, bases)
     m = len(qubits)
-    arr = np.moveaxis(amps.reshape((2,) * n), qubits, range(m))
-    tail_shape = arr.shape[m:]
-    flat = arr.reshape(1 << m, -1)
-    probs = (np.abs(flat) ** 2).sum(axis=1)
+    outcome = _gather(indices, n, qubits)
+    probs = np.bincount(outcome, weights=np.abs(amps) ** 2, minlength=1 << m)
 
     if mode == "sample":
         if rng is None:
@@ -281,20 +350,20 @@ def measure(
         choice = int(rng.choice(len(probs), p=probs / probs.sum()))
         outcomes = [choice]
     elif mode == "branch":
-        outcomes = [o for o in range(1 << m) if probs[o] > 1e-12]
+        outcomes = [int(o) for o in np.flatnonzero(probs > 1e-12)]
     else:
         raise StateError(f"unknown measurement mode {mode!r}")
 
     branches = []
     for o in outcomes:
         p = float(probs[o])
-        collapsed = np.zeros_like(flat)
-        collapsed[o] = flat[o] / math.sqrt(p)
-        back = np.moveaxis(collapsed.reshape((2,) * m + tail_shape), range(m), qubits)
-        new_amps = _rotate_basis(back.reshape(-1), state.layout, qubits, bases)
+        kept = outcome == o
+        new_indices, new_amps = _rotate_basis(
+            layout, indices[kept], amps[kept] / math.sqrt(p), qubits, bases
+        )
         bits = tuple((o >> (m - 1 - i)) & 1 for i in range(m))
         record = MeasurementRecord(qubits, bases, bits, p)
-        branches.append((record, StateVector(state.layout, new_amps)))
+        branches.append((record, StateVector(layout, new_indices, new_amps)))
     return branches
 
 
@@ -304,7 +373,28 @@ def measure(
 def fidelity(s1: StateVector, s2: StateVector) -> float:
     if s1.layout != s2.layout:
         raise StateError("states have different layouts")
-    return float(abs(np.vdot(s1.amplitudes, s2.amplitudes)) ** 2)
+    _, i1, i2 = np.intersect1d(
+        s1.indices, s2.indices, assume_unique=True, return_indices=True
+    )
+    return float(abs(np.vdot(s1.amplitudes[i1], s2.amplitudes[i2])) ** 2)
+
+
+def cut_matrix(state: StateVector, bits):
+    """The amplitudes as a matrix whose rows are indexed by the given bits
+    (first bit most significant) and columns by the remaining bits.
+
+    Only rows and columns holding a nonzero entry are kept. Returns
+    (row_keys, col_keys, matrix): the sorted row values of `bits`, the
+    sorted column indices (the stored indices with `bits` cleared), and
+    the compressed matrix."""
+    n = state.layout.total_bits
+    rows = _gather(state.indices, n, bits)
+    cols = state.indices & ~_bit_mask(n, bits)
+    row_keys, r = np.unique(rows, return_inverse=True)
+    col_keys, c = np.unique(cols, return_inverse=True)
+    mat = np.zeros((len(row_keys), len(col_keys)), dtype=complex)
+    mat[r, c] = state.amplitudes
+    return row_keys, col_keys, mat
 
 
 def purity_across_cut(state: StateVector, subsystem) -> float:
@@ -315,8 +405,7 @@ def purity_across_cut(state: StateVector, subsystem) -> float:
         raise StateError("subsystem must be a nonempty proper subset of bits")
     if len(set(bits)) != len(bits) or not all(0 <= b < n for b in bits):
         raise StateError("invalid subsystem bit set")
-    arr = np.moveaxis(state.amplitudes.reshape((2,) * n), bits, range(len(bits)))
-    mat = arr.reshape(1 << len(bits), -1)
+    mat = cut_matrix(state, bits)[2]
     if mat.shape[0] <= mat.shape[1]:
         gram = mat @ mat.conj().T
     else:
@@ -330,19 +419,20 @@ def walker_vertex_support(
     """Vertex ids whose marginal probability for the walker exceeds tolerance."""
     layout = state.layout
     layout._check_walker(walker)
-    pre = 1 << (walker * layout.walker_bits)
-    arr = state.amplitudes.reshape(pre, 1 << layout.nv, -1)
-    probs = (np.abs(arr) ** 2).sum(axis=(0, 2))
-    return {int(v) for v in np.nonzero(probs > tolerance)[0]}
+    vertex = _walker_field(state, walker, layout.nv)
+    probs = np.bincount(
+        vertex, weights=np.abs(state.amplitudes) ** 2, minlength=1 << layout.nv
+    )
+    return {int(v) for v in np.flatnonzero(probs > tolerance)}
 
 
 def reduced_density(state: StateVector, keep_bits) -> np.ndarray:
     """Reduced density matrix over the given bit positions (in given order)."""
     bits = tuple(keep_bits)
-    n = state.layout.total_bits
-    arr = np.moveaxis(state.amplitudes.reshape((2,) * n), bits, range(len(bits)))
-    mat = arr.reshape(1 << len(bits), -1)
-    return np.einsum("ia,ja->ij", mat, mat.conj())
+    keys, _, mat = cut_matrix(state, bits)
+    rho = np.zeros((1 << len(bits),) * 2, dtype=complex)
+    rho[np.ix_(keys, keys)] = mat @ mat.conj().T
+    return rho
 
 
 def check_no_invalid_amplitude(
@@ -358,10 +448,10 @@ def check_no_invalid_amplitude(
         coin = r & ((1 << layout.nc) - 1)
         if vid >= nvert or coin >= graph.port_count(graph.nodes[vid]):
             bad[r] = True
+    weights = np.abs(state.amplitudes) ** 2
     for j in range(layout.k):
-        pre = 1 << (j * layout.walker_bits)
-        arr = state.amplitudes.reshape(pre, reg, -1)
-        probs = (np.abs(arr) ** 2).sum(axis=(0, 2))
+        code = _walker_field(state, j, layout.walker_bits)
+        probs = np.bincount(code, weights=weights, minlength=reg)
         if probs[bad].sum() > tolerance:
             raise StateError(f"walker {j} has amplitude on invalid basis vectors")
 
@@ -369,8 +459,10 @@ def check_no_invalid_amplitude(
 def dump_state(state: StateVector, threshold: float = DUMP_TOL) -> str:
     """One line per nonzero amplitude: `index_bits  re  im`, ascending."""
     n = state.layout.total_bits
-    lines = []
-    for idx in np.nonzero(np.abs(state.amplitudes) >= threshold)[0]:
-        a = state.amplitudes[idx]
-        lines.append(f"{idx:0{n}b}  {float(a.real)!r}  {float(a.imag)!r}")
-    return "\n".join(lines)
+    shown = np.abs(state.amplitudes) >= threshold
+    return "\n".join(
+        f"{idx:0{n}b}  {a.real!r}  {a.imag!r}"
+        for idx, a in zip(
+            state.indices[shown].tolist(), state.amplitudes[shown].tolist()
+        )
+    )

@@ -96,7 +96,7 @@ def random_state(layout: RegisterLayout, rng: np.random.Generator) -> StateVecto
         size=1 << layout.total_bits
     )
     amps /= np.linalg.norm(amps)
-    return StateVector(layout, amps)
+    return StateVector.from_dense(layout, amps)
 
 
 def random_qubit(rng: np.random.Generator) -> tuple[complex, complex]:
@@ -107,11 +107,11 @@ def random_qubit(rng: np.random.Generator) -> tuple[complex, complex]:
 
 def state_with_data(graph, layout, walker_inits, data_vec) -> StateVector:
     """Walker basis product with an arbitrary (possibly entangled) data state."""
-    base = init_state(graph, layout, walker_inits)
-    widx = int(np.flatnonzero(np.abs(base.amplitudes) > 0.5)[0]) >> layout.data_bits
+    base = init_state(graph, layout, walker_inits).to_dense()
+    widx = int(np.flatnonzero(np.abs(base) > 0.5)[0]) >> layout.data_bits
     data_vec = np.asarray(data_vec, dtype=complex)
     data_vec = data_vec / np.linalg.norm(data_vec)
-    amps = np.zeros_like(base.amplitudes)
+    amps = np.zeros_like(base)
     nd = layout.data_bits
     amps[widx << nd : (widx + 1) << nd] = data_vec
-    return StateVector(layout, amps)
+    return StateVector.from_dense(layout, amps)

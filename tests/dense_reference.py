@@ -1,0 +1,160 @@
+"""Dense reference engine, kept for differential tests only.
+
+These are the dense 2^total_bits implementations that `qwcp.statevec`
+used before it stored only the nonzero amplitudes. They act on a plain
+complex vector `amps` indexed like `StateVector.to_dense()`, and the
+sparse engine is checked against them.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from qwcp.statevec import (
+    HADAMARD,
+    SUPPORT_TOL,
+    BlockAction,
+    MeasurementRecord,
+    PermAction,
+    RegisterLayout,
+    StateError,
+)
+
+
+def _apply_perm(amps: np.ndarray, layout: RegisterLayout, act: PermAction) -> np.ndarray:
+    reg = 1 << layout.walker_bits
+    pre = 1 << (act.walker * layout.walker_bits)
+    arr = amps.reshape(pre, reg, -1)
+    inverse = np.argsort(np.asarray(act.perm))
+    return np.take(arr, inverse, axis=1).reshape(-1)
+
+
+def _apply_block(amps: np.ndarray, layout: RegisterLayout, act: BlockAction) -> np.ndarray:
+    n = layout.total_bits
+    out = amps.copy().reshape((2,) * n)
+    index: list[object] = [slice(None)] * n
+    for bits, value in act.conditions:
+        for offset, pos in enumerate(bits):
+            bit = (value >> (len(bits) - 1 - offset)) & 1
+            if isinstance(index[pos], int) and index[pos] != bit:
+                return amps  # contradictory conditions select nothing
+            index[pos] = bit
+    for pos in act.target_bits:
+        if isinstance(index[pos], int):
+            raise StateError("operator targets one of its own control bits")
+    sub = out[tuple(index)]
+    free = [p for p in range(n) if isinstance(index[p], slice)]
+    axes = [free.index(p) for p in act.target_bits]
+    t = len(axes)
+    moved = np.moveaxis(sub, axes, range(t))
+    shape = moved.shape
+    res = act.matrix @ moved.reshape(1 << t, -1)
+    out[tuple(index)] = np.moveaxis(res.reshape(shape), range(t), axes)
+    return out.reshape(-1)
+
+
+def apply_actions(amps: np.ndarray, layout: RegisterLayout, actions) -> np.ndarray:
+    for act in actions:
+        if isinstance(act, PermAction):
+            amps = _apply_perm(amps, layout, act)
+        elif isinstance(act, BlockAction):
+            amps = _apply_block(amps, layout, act)
+        else:
+            raise StateError(f"unknown action {act!r}")
+    return amps
+
+
+def _rotate_basis(amps: np.ndarray, layout: RegisterLayout, qubits, bases) -> np.ndarray:
+    for pos, basis in zip(qubits, bases):
+        if basis == "X":
+            amps = _apply_block(amps, layout, BlockAction((pos,), HADAMARD))
+        elif basis != "Z":
+            raise StateError(f"unsupported basis {basis!r}")
+    return amps
+
+
+def measure(
+    amps: np.ndarray,
+    layout: RegisterLayout,
+    qubits,
+    bases: str,
+    mode: str = "branch",
+    rng: np.random.Generator | None = None,
+) -> list[tuple[MeasurementRecord, np.ndarray]]:
+    """Projective measurement; returns (record, collapsed dense vector) pairs."""
+    qubits = tuple(qubits)
+    if len(qubits) != len(bases):
+        raise StateError("one basis letter per measured qubit required")
+    n = layout.total_bits
+    for pos in qubits:
+        if not 0 <= pos < n:
+            raise StateError(f"bit {pos} outside layout")
+    if len(set(qubits)) != len(qubits):
+        raise StateError("duplicate measured qubit")
+
+    amps = _rotate_basis(amps, layout, qubits, bases)
+    m = len(qubits)
+    arr = np.moveaxis(amps.reshape((2,) * n), qubits, range(m))
+    tail_shape = arr.shape[m:]
+    flat = arr.reshape(1 << m, -1)
+    probs = (np.abs(flat) ** 2).sum(axis=1)
+
+    if mode == "sample":
+        if rng is None:
+            raise StateError("sample mode needs a seeded rng")
+        choice = int(rng.choice(len(probs), p=probs / probs.sum()))
+        outcomes = [choice]
+    elif mode == "branch":
+        outcomes = [o for o in range(1 << m) if probs[o] > 1e-12]
+    else:
+        raise StateError(f"unknown measurement mode {mode!r}")
+
+    branches = []
+    for o in outcomes:
+        p = float(probs[o])
+        collapsed = np.zeros_like(flat)
+        collapsed[o] = flat[o] / math.sqrt(p)
+        back = np.moveaxis(collapsed.reshape((2,) * m + tail_shape), range(m), qubits)
+        new_amps = _rotate_basis(back.reshape(-1), layout, qubits, bases)
+        bits = tuple((o >> (m - 1 - i)) & 1 for i in range(m))
+        record = MeasurementRecord(qubits, bases, bits, p)
+        branches.append((record, new_amps))
+    return branches
+
+
+def purity_across_cut(amps: np.ndarray, layout: RegisterLayout, subsystem) -> float:
+    """Tr(rho^2) of the reduced state on the given bit positions."""
+    bits = tuple(subsystem)
+    n = layout.total_bits
+    if not bits or len(bits) >= n:
+        raise StateError("subsystem must be a nonempty proper subset of bits")
+    if len(set(bits)) != len(bits) or not all(0 <= b < n for b in bits):
+        raise StateError("invalid subsystem bit set")
+    arr = np.moveaxis(amps.reshape((2,) * n), bits, range(len(bits)))
+    mat = arr.reshape(1 << len(bits), -1)
+    if mat.shape[0] <= mat.shape[1]:
+        gram = mat @ mat.conj().T
+    else:
+        gram = mat.conj().T @ mat
+    return float(np.vdot(gram, gram).real)
+
+
+def walker_vertex_support(
+    amps: np.ndarray, layout: RegisterLayout, walker: int, tolerance: float = SUPPORT_TOL
+) -> set[int]:
+    """Vertex ids whose marginal probability for the walker exceeds tolerance."""
+    layout._check_walker(walker)
+    pre = 1 << (walker * layout.walker_bits)
+    arr = amps.reshape(pre, 1 << layout.nv, -1)
+    probs = (np.abs(arr) ** 2).sum(axis=(0, 2))
+    return {int(v) for v in np.nonzero(probs > tolerance)[0]}
+
+
+def reduced_density(amps: np.ndarray, layout: RegisterLayout, keep_bits) -> np.ndarray:
+    """Reduced density matrix over the given bit positions (in given order)."""
+    bits = tuple(keep_bits)
+    n = layout.total_bits
+    arr = np.moveaxis(amps.reshape((2,) * n), bits, range(len(bits)))
+    mat = arr.reshape(1 << len(bits), -1)
+    return np.einsum("ia,ja->ij", mat, mat.conj())

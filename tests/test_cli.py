@@ -63,6 +63,7 @@ def test_parse_round_trips(path3_file):
         "init Aa",
         "remote_cu control=A.a target=B.b path=A,u,B gate=",
         "place x A",
+        "walkers \u00b2",
     ],
 )
 def test_parse_rejects_bad_lines(line):
@@ -162,7 +163,7 @@ def test_execute_step_script_gate_sequence(path3_file):
     )
     report, final, _ = execute(script)
     assert report["supports"]["timesteps"][-1]["0"] == ["B"]
-    idx = int(np.flatnonzero(np.abs(final.amplitudes) > 0.5)[0])
+    idx = int(np.flatnonzero(np.abs(final.to_dense()) > 0.5)[0])
     assert idx & 1 == 1  # B.b is the lowest bit and got flipped
 
 
@@ -210,10 +211,36 @@ def test_main_missing_script_exit_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.qws")]) == 2
 
 
-def test_main_bad_network_exit_2(tmp_path):
-    net = write_script(tmp_path, "{broken", name="net.json")
-    script = write_script(tmp_path, f"network {net}\nlinklevel\n")
+PATH3_NET = line_json(["A", "u", "B"], {"A": ["a"], "B": ["b"]})
+CNOT_LINE = "remote_cu control=A.a target=B.b path=A,u,B gate=X\n"
+
+
+@pytest.mark.parametrize(
+    "network, commands",
+    [
+        ("{broken", "linklevel\n"),
+        ('{"nodes": ["A", "B"], "data_qubits": [1]}', "linklevel\n"),
+        ('{"nodes": ["A", "B"], "edges": 5}', "linklevel\n"),
+        ('{"nodes": ["A", "B"], "edges": [[["A"], "B"]]}', "linklevel\n"),
+        (PATH3_NET, "step coinperm node=A c1=x c2=1 walker=0\n"),
+        (PATH3_NET, CNOT_LINE.replace("gate=X", "gate=U[a,b]")),
+        (PATH3_NET, CNOT_LINE.replace("gate=X", "gate=U[1,0;0,0,1,0]")),
+    ],
+    ids=[
+        "broken_json",
+        "data_qubits_not_object",
+        "edges_not_list",
+        "edge_endpoint_not_label",
+        "step_int_not_integer",
+        "gate_entry_not_number",
+        "gate_columns_ragged",
+    ],
+)
+def test_main_bad_input_exit_2(tmp_path, capsys, network, commands):
+    net = write_script(tmp_path, network, name="net.json")
+    script = write_script(tmp_path, f"network {net}\n{commands}")
     assert main(["run", str(script)]) == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_main_precondition_error_exit_3(path3_file, tmp_path):
@@ -223,6 +250,17 @@ def test_main_precondition_error_exit_3(path3_file, tmp_path):
         f"network {path3_file}\nwalkers 26\n"
         "remote_cu control=A.a target=B.b path=A,u,B gate=X\n",
     )
+    assert main(["run", str(script)]) == 3
+
+
+def test_main_oracle_error_exit_3(path3_file, tmp_path, monkeypatch):
+    from qwcp.oracle import OracleError
+
+    def broken_oracle(*args, **kwargs):
+        raise OracleError("oracle lost norm")
+
+    script = write_script(tmp_path, cnot_script(path3_file))
+    monkeypatch.setattr(cli, "oracle_apply", broken_oracle)
     assert main(["run", str(script)]) == 3
 
 

@@ -506,6 +506,14 @@ def test_linklevel_rejects_noncoupling_edge(triangle):
         schedule_linklevel(triangle, lay, {("A", "Z"): ("p", "p")})
 
 
+def test_linklevel_rejects_qubit_in_two_couplings(triangle):
+    lay = RegisterLayout.for_network(triangle, 3)
+    with pytest.raises(ProtocolError):
+        schedule_linklevel(
+            triangle, lay, {("A", "B"): ("p", "p"), ("A", "C"): ("p", "q")}
+        )
+
+
 # -- locality -------------------------------------------------------------
 
 

@@ -1,0 +1,241 @@
+"""Differential test: the sparse engine against the dense reference.
+
+Random operator sequences, built with every walkops constructor (and with
+inverted operators), run through `qwcp.statevec` and through the dense
+implementations in dense_reference.py. Amplitudes, measurement branches,
+walker supports, purities, reduced densities and the oracle comparison
+must agree.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dense_reference as dense
+from qwcp import (
+    RegisterLayout,
+    StateVector,
+    compare,
+    data_layout,
+    fidelity,
+    init_state,
+    invert_operator,
+    load_network,
+    make_coin_block,
+    make_coin_controlled_data,
+    make_coin_perm,
+    make_data_controlled_coin,
+    make_fanout,
+    make_flipflop_shift,
+    make_identity_shift,
+    make_walk_interaction,
+    measure,
+    purity_across_cut,
+    reduced_density,
+    walker_vertex_support,
+)
+from qwcp.cli import DATA_INIT_STATES
+from qwcp.statevec import BlockAction, PermAction, apply_actions
+
+from conftest import line_json, network_json, random_state
+
+TOL = 1e-12
+
+# (network, walker count): 6, 10 and 12 bits
+NETWORKS = [
+    (line_json(["A", "u", "B"], {"A": ["a"], "B": ["b"]}), 1),
+    (line_json(["A", "u", "B"], {"A": ["a"], "B": ["b"]}), 2),
+    (
+        network_json(
+            ["A", "B", "C"], [("A", "B"), ("B", "C"), ("A", "C")],
+            {"A": ["a", "b"], "B": ["b"], "C": ["c"]},
+        ),
+        2,
+    ),
+]
+
+OP_KINDS = (
+    "flipflop", "identity", "coinperm", "coinblock", "datactrl", "coindata",
+    "interact", "fanout", "perm", "block",
+)
+
+
+def random_unitary(rng, dim):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def subset(data, items, min_size=1, max_size=None):
+    return data.draw(
+        st.lists(st.sampled_from(items), min_size=min_size, max_size=max_size, unique=True)
+    )
+
+
+def draw_coin_action(data, g, v, rng):
+    if data.draw(st.booleans()):
+        ports = range(g.port_count(v))
+        return ("swap", data.draw(st.sampled_from(ports)), data.draw(st.sampled_from(ports)))
+    coins = subset(data, list(range(g.port_count(v))))
+    return ("block", coins, random_unitary(rng, len(coins)))
+
+
+def draw_actions(data, g, lay, rng):
+    """Primitive actions of one random operator. Besides the walkops
+    constructors, `perm` and `block` give a PermAction with an arbitrary
+    register permutation (walkops builds only involutions) and a
+    BlockAction on arbitrary bits under arbitrary conditions."""
+    kinds = [
+        k for k in OP_KINDS
+        if lay.k >= 2 or k not in ("interact", "fanout")
+    ]
+    kind = data.draw(st.sampled_from(kinds))
+    walker = data.draw(st.integers(0, lay.k - 1))
+    with_data = [v for v in g.nodes if g.qubits_at(v)]
+    v = data.draw(st.sampled_from(with_data if kind in ("datactrl", "coindata") else g.nodes))
+    ports = list(range(g.port_count(v)))
+    if kind == "perm":
+        return [PermAction(walker, tuple(rng.permutation(1 << lay.walker_bits)))]
+    if kind == "block":
+        targets = subset(data, list(range(lay.total_bits)), max_size=2)
+        others = [pos for pos in range(lay.total_bits) if pos not in targets]
+        controls = data.draw(st.lists(st.sampled_from(others), max_size=3))
+        conditions = [((pos,), data.draw(st.integers(0, 1))) for pos in controls]
+        if conditions and data.draw(st.booleans()):
+            # one bit asked for both values: the action selects nothing
+            (pos,), bit = conditions[0]
+            conditions.append(((pos,), 1 - bit))
+        matrix = random_unitary(rng, 1 << len(targets))
+        return [BlockAction(tuple(targets), matrix, tuple(conditions))]
+    if kind == "flipflop":
+        op = make_flipflop_shift(g, lay, subset(data, list(range(lay.k)), min_size=0))
+    elif kind == "identity":
+        op = make_identity_shift(lay)
+    elif kind == "coinperm":
+        op = make_coin_perm(
+            g, lay, v, data.draw(st.sampled_from(ports)), data.draw(st.sampled_from(ports)),
+            walker,
+        )
+    elif kind == "coinblock":
+        coins = subset(data, ports)
+        op = make_coin_block(g, lay, {v: (coins, random_unitary(rng, len(coins)))}, walker)
+    elif kind == "datactrl":
+        controls = subset(data, list(g.qubits_at(v)))
+        pattern = "".join(data.draw(st.sampled_from("01")) for _ in controls)
+        op = make_data_controlled_coin(
+            g, lay, v, controls, pattern, draw_coin_action(data, g, v, rng), walker
+        )
+    elif kind == "coindata":
+        qubits = subset(data, list(g.qubits_at(v)))
+        coin = data.draw(st.one_of(st.none(), st.sampled_from(ports)))
+        coin_block = None
+        if data.draw(st.booleans()):
+            coins = subset(data, ports)
+            coin_block = (coins, random_unitary(rng, len(coins)))
+        op = make_coin_controlled_data(
+            g, lay, v, qubits, random_unitary(rng, 1 << len(qubits)), walker,
+            coin=coin, coin_block=coin_block,
+        )
+    elif kind == "interact":
+        control, target = subset(data, list(range(lay.k)), min_size=2, max_size=2)
+        op = make_walk_interaction(
+            g, lay, v, data.draw(st.sampled_from(ports)),
+            draw_coin_action(data, g, v, rng), control, target,
+        )
+    else:
+        size = min(lay.k, g.degree(v))
+        successors = subset(data, list(g.neighbors(v)), max_size=size)
+        walkers = subset(data, list(range(lay.k)), min_size=len(successors),
+                         max_size=len(successors))
+        op = make_fanout(g, lay, v, data.draw(st.sampled_from(ports)), successors, walkers)
+    if data.draw(st.booleans()):
+        op = invert_operator(op)
+    return list(op.iter_actions())
+
+
+def draw_state(data, g, lay, rng):
+    shape = data.draw(st.sampled_from(["random", "basis", "init"]))
+    if shape == "random":
+        return random_state(lay, rng)
+    if shape == "basis":
+        vec = np.zeros(1 << lay.total_bits, dtype=complex)
+        vec[data.draw(st.integers(0, len(vec) - 1))] = 1.0
+        return StateVector.from_dense(lay, vec)
+    walkers = []
+    for _ in range(lay.k):
+        v = data.draw(st.sampled_from(g.nodes))
+        walkers.append((v, data.draw(st.integers(0, g.port_count(v) - 1))))
+    inits = {q: DATA_INIT_STATES[data.draw(st.sampled_from("01+-"))] for q in lay.data_order}
+    return init_state(g, lay, walkers, inits)
+
+
+def assert_sparse_invariants(state):
+    assert state.indices.dtype == np.int64
+    assert state.amplitudes.dtype == np.complex128
+    assert np.all(np.diff(state.indices) > 0)
+    assert np.all(state.amplitudes != 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_engine_matches_dense_reference(data):
+    network, k = data.draw(st.sampled_from(NETWORKS))
+    g = load_network(network)
+    lay = RegisterLayout.for_network(g, k)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    state = draw_state(data, g, lay, rng)
+    ref = state.to_dense()
+    assert_sparse_invariants(state)
+
+    for _ in range(data.draw(st.integers(1, 8))):
+        actions = draw_actions(data, g, lay, rng)
+        state = apply_actions(state, actions)
+        ref = dense.apply_actions(ref, lay, actions)
+        assert_sparse_invariants(state)
+        assert np.abs(state.to_dense() - ref).max() <= TOL
+        assert state.norm == pytest.approx(np.linalg.norm(ref), abs=TOL)
+
+    for j in range(lay.k):
+        assert walker_vertex_support(state, j) == dense.walker_vertex_support(ref, lay, j)
+
+    all_bits = list(range(lay.total_bits))
+    cut = subset(data, all_bits, max_size=lay.total_bits - 1)
+    assert purity_across_cut(state, cut) == pytest.approx(
+        dense.purity_across_cut(ref, lay, cut), abs=TOL
+    )
+    keep = subset(data, all_bits, max_size=3)
+    rho = dense.reduced_density(ref, lay, keep)
+    assert np.abs(reduced_density(state, keep) - rho).max() <= TOL
+
+    qubits = subset(data, all_bits, max_size=3)
+    bases = "".join(data.draw(st.sampled_from("ZX")) for _ in qubits)
+    branches = measure(state, qubits, bases)
+    ref_branches = dense.measure(ref, lay, qubits, bases)
+    assert [r.outcome for r, _ in branches] == [r.outcome for r, _ in ref_branches]
+    for (record, branch), (ref_record, ref_branch) in zip(branches, ref_branches):
+        assert record.probability == pytest.approx(ref_record.probability, abs=TOL)
+        assert_sparse_invariants(branch)
+        assert np.abs(branch.to_dense() - ref_branch).max() <= TOL
+        assert fidelity(state, branch) == pytest.approx(
+            abs(np.vdot(ref, ref_branch)) ** 2, abs=TOL
+        )
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    (record, _), = measure(state, qubits, bases, "sample", np.random.default_rng(seed))
+    (ref_record, _), = dense.measure(
+        ref, lay, qubits, bases, "sample", np.random.default_rng(seed)
+    )
+    assert record.outcome == ref_record.outcome
+
+    # oracle comparison: fidelity against a random data-plane state and the
+    # walker purity, against the dense reduced-density formulas
+    dlay = data_layout(g)
+    phi = random_state(dlay, rng)
+    report = compare(state, phi)
+    rho = dense.reduced_density(ref, lay, lay.data_bit_positions())
+    phi_vec = phi.to_dense()
+    assert report.data_fidelity == pytest.approx(
+        float(np.vdot(phi_vec, rho @ phi_vec).real), abs=TOL
+    )
+    assert report.walker_purity == pytest.approx(
+        dense.purity_across_cut(ref, lay, lay.walker_bit_positions()), abs=TOL
+    )

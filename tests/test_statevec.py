@@ -55,7 +55,7 @@ def test_init_state_places_walker_and_data(path3):
     idx = (((2 << 2) | 2) << 2) | 0b01
     expect = np.zeros(1 << lay.total_bits, dtype=complex)
     expect[idx] = 1.0
-    assert np.array_equal(s.amplitudes, expect)
+    assert np.array_equal(s.to_dense(), expect)
     assert walker_vertex_support(s, 0) == {2}
 
 
@@ -79,8 +79,8 @@ def test_perm_action_moves_one_walker_only(path3):
     perm = tuple(np.roll(np.arange(reg), 3))
     moved = apply_actions(s, [PermAction(1, perm)])
     # walker 0 marginal unchanged
-    a0 = s.amplitudes.reshape(reg, reg, -1)
-    b0 = moved.amplitudes.reshape(reg, reg, -1)
+    a0 = s.to_dense().reshape(reg, reg, -1)
+    b0 = moved.to_dense().reshape(reg, reg, -1)
     assert np.allclose(
         (np.abs(a0) ** 2).sum(axis=(1, 2)), (np.abs(b0) ** 2).sum(axis=(1, 2))
     )
@@ -97,11 +97,11 @@ def test_block_action_conditions(path3):
     # condition on walker at vertex id 2 (u): A-walker state untouched
     cond_u = ((lay.vertex_bit_positions(0), 2),)
     same = apply_actions(s, [BlockAction((bit_a,), x, cond_u)])
-    assert np.array_equal(same.amplitudes, s.amplitudes)
+    assert np.array_equal(same.to_dense(), s.to_dense())
     # condition on vertex id 0 (A): data qubit flips
     cond_a = ((lay.vertex_bit_positions(0), 0),)
     flipped = apply_actions(s, [BlockAction((bit_a,), x, cond_a)])
-    probs = np.abs(flipped.amplitudes) ** 2
+    probs = np.abs(flipped.to_dense()) ** 2
     idx = int(np.flatnonzero(probs > 0.5)[0])
     assert (idx >> (lay.total_bits - 1 - bit_a)) & 1 == 1
 
@@ -122,7 +122,7 @@ def test_measure_z_branches(path3):
     for record, st_b in branches:
         assert record.probability == pytest.approx(0.5)
         assert st_b.norm == pytest.approx(1.0)
-        probs = np.abs(st_b.amplitudes) ** 2
+        probs = np.abs(st_b.to_dense()) ** 2
         idx = int(np.flatnonzero(probs > 0.5)[0])
         bit = (idx >> (lay.total_bits - 1 - lay.data_bit("A", "a"))) & 1
         assert bit == record.outcome[0]
@@ -178,9 +178,9 @@ def test_purity_matches_dense_reduced_density(path3):
 def test_walker_vertex_support_ignores_tiny_amplitude(path3):
     lay = RegisterLayout.for_network(path3, 1)
     s = init_state(path3, lay, [("A", 0)])
-    amps = s.amplitudes.copy()
+    amps = s.to_dense()
     amps[-1] = 1e-8  # below support tolerance in probability
-    s2 = StateVector(lay, amps / np.linalg.norm(amps))
+    s2 = StateVector.from_dense(lay, amps / np.linalg.norm(amps))
     assert walker_vertex_support(s2, 0) == {0}
 
 
@@ -188,10 +188,10 @@ def test_check_no_invalid_amplitude(path3):
     lay = RegisterLayout.for_network(path3, 1)
     s = init_state(path3, lay, [("A", 0)])
     check_no_invalid_amplitude(s, path3)
-    bad = np.zeros_like(s.amplitudes)
+    bad = np.zeros_like(s.to_dense())
     bad[-1] = 1.0  # vertex code 3 does not exist
     with pytest.raises(StateError):
-        check_no_invalid_amplitude(StateVector(lay, bad), path3)
+        check_no_invalid_amplitude(StateVector.from_dense(lay, bad), path3)
 
 
 def test_dump_state_format(path3):
