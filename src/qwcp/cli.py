@@ -274,6 +274,13 @@ def _int_list(text, line):
         raise ScriptError(f"expected integer list, got {text!r}", line) from None
 
 
+def _int_pair(text, line):
+    values = _int_list(text, line)
+    if len(values) != 2:
+        raise ScriptError(f"expected two integers, got {text!r}", line)
+    return values
+
+
 # -- compilation ----------------------------------------------------------
 
 
@@ -545,7 +552,7 @@ def _compile_step(graph, layout, args, line, builder_state):
             rest, line, allowed={"node", "controls", "string", "swap", "walker"},
             required=("node", "controls", "string", "swap", "walker"),
         )
-        c1, c2 = _int_list(kv["swap"], line)
+        c1, c2 = _int_pair(kv["swap"], line)
         op = make_data_controlled_coin(
             graph, layout, kv["node"], kv["controls"].split(","), kv["string"],
             ("swap", c1, c2), _int(kv["walker"], line),
@@ -565,7 +572,7 @@ def _compile_step(graph, layout, args, line, builder_state):
             rest, line, allowed={"node", "coin", "swap", "control", "target"},
             required=("node", "coin", "swap", "control", "target"),
         )
-        c1, c2 = _int_list(kv["swap"], line)
+        c1, c2 = _int_pair(kv["swap"], line)
         op = make_walk_interaction(
             graph, layout, kv["node"], _int(kv["coin"], line), ("swap", c1, c2),
             _int(kv["control"], line), _int(kv["target"], line),
@@ -635,6 +642,8 @@ def execute(
             meta={},
         )
         placed = {w: (node, coin) for w, node, coin in script.places}
+        if placed and max(placed) >= k:
+            raise ScriptError(f"place names walker {max(placed)} outside 0..{k - 1}")
         walker_inits = [placed.get(w, (graph.nodes[0], 0)) for w in range(k)]
 
     data_inits = {}

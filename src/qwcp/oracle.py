@@ -17,7 +17,7 @@ from .statevec import (
     StateVector,
     apply_actions,
     cut_matrix,
-    purity_across_cut,
+    cut_purity,
 )
 
 PASS_TOL = 1e-9
@@ -81,8 +81,8 @@ def compare(protocol_output: StateVector, oracle_output: StateVector) -> Compare
     if p_layout.data_order != oracle_output.layout.data_order:
         raise OracleError("protocol and oracle states disagree on data qubits")
     walker_bits = p_layout.walker_bit_positions()
-    purity = purity_across_cut(protocol_output, walker_bits) if p_layout.k > 0 else 1.0
     _, data_keys, slices = cut_matrix(protocol_output, walker_bits)
+    purity = cut_purity(slices) if p_layout.k > 0 else 1.0
     _, cols, hits = np.intersect1d(
         data_keys, oracle_output.indices, assume_unique=True, return_indices=True
     )

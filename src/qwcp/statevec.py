@@ -327,6 +327,12 @@ def measure(
     probability; sample mode draws a single branch with Born statistics
     (an rng is then required). Collapsed branches are renormalized and
     X-measured qubits are left in the corresponding |+>/|-> state.
+
+    The state is rotated into the measured bases once. Each branch is then
+    built directly from its kept entries: the X-measured bits are cleared
+    and every such qubit, in `qubits` order, doubles the entries with the
+    amplitudes of the Hadamard column its outcome bit selects, so a branch
+    costs time in its own nonzeros.
     """
     qubits = tuple(qubits)
     if len(qubits) != len(bases):
@@ -354,14 +360,26 @@ def measure(
     else:
         raise StateError(f"unknown measurement mode {mode!r}")
 
+    x_measured = [i for i, basis in enumerate(bases) if basis == "X"]
+    x_clear = ~_bit_mask(n, [qubits[i] for i in x_measured])
     branches = []
     for o in outcomes:
         p = float(probs[o])
         kept = outcome == o
-        new_indices, new_amps = _rotate_basis(
-            layout, indices[kept], amps[kept] / math.sqrt(p), qubits, bases
-        )
         bits = tuple((o >> (m - 1 - i)) & 1 for i in range(m))
+        new_indices = indices[kept] & x_clear
+        new_amps = amps[kept] / math.sqrt(p)
+        for i in x_measured:
+            # the product _apply_block computes, so signed zeros match it
+            block = np.zeros((len(new_amps), 2), dtype=complex)
+            block[:, bits[i]] = new_amps
+            block = block @ HADAMARD.T
+            set_bit = 1 << (n - 1 - qubits[i])
+            new_indices = np.concatenate((new_indices, new_indices | set_bit))
+            new_amps = np.concatenate((block[:, 0], block[:, 1]))
+        # no exact zeros to drop: the kept amplitudes are nonzero and every
+        # Hadamard entry has magnitude above 1/2, so no product rounds to zero
+        new_indices, new_amps = _sorted(new_indices, new_amps)
         record = MeasurementRecord(qubits, bases, bits, p)
         branches.append((record, StateVector(layout, new_indices, new_amps)))
     return branches
@@ -405,7 +423,12 @@ def purity_across_cut(state: StateVector, subsystem) -> float:
         raise StateError("subsystem must be a nonempty proper subset of bits")
     if len(set(bits)) != len(bits) or not all(0 <= b < n for b in bits):
         raise StateError("invalid subsystem bit set")
-    mat = cut_matrix(state, bits)[2]
+    return cut_purity(cut_matrix(state, bits)[2])
+
+
+def cut_purity(mat: np.ndarray) -> float:
+    """Tr(rho^2) of the reduced state on the rows of a `cut_matrix`,
+    through the Gram matrix on the smaller side."""
     if mat.shape[0] <= mat.shape[1]:
         gram = mat @ mat.conj().T
     else:
@@ -457,12 +480,22 @@ def check_no_invalid_amplitude(
 
 
 def dump_state(state: StateVector, threshold: float = DUMP_TOL) -> str:
-    """One line per nonzero amplitude: `index_bits  re  im`, ascending."""
+    """One line per nonzero amplitude: `index_bits  re  im`, ascending.
+
+    Amplitudes repeat heavily, so each distinct float (told apart by its
+    bit pattern, which keeps -0.0 and 0.0 apart) is formatted with `repr`
+    once and its text reused on every line that holds it."""
     n = state.layout.total_bits
     shown = np.abs(state.amplitudes) >= threshold
+    parts = state.amplitudes[shown].view(np.float64)  # re, im, re, im, ...
+    _, first, which = np.unique(
+        parts.view(np.int64), return_index=True, return_inverse=True
+    )
+    text = [repr(x) for x in parts[first].tolist()]
+    which = which.tolist()
     return "\n".join(
-        f"{idx:0{n}b}  {a.real!r}  {a.imag!r}"
-        for idx, a in zip(
-            state.indices[shown].tolist(), state.amplitudes[shown].tolist()
+        f"{idx:0{n}b}  {text[re]}  {text[im]}"
+        for idx, re, im in zip(
+            state.indices[shown].tolist(), which[0::2], which[1::2]
         )
     )

@@ -81,7 +81,11 @@ def _check_unitary(matrix: np.ndarray, what: str) -> None:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise OperatorError(f"{what} must be a square matrix")
     eye = np.eye(matrix.shape[0])
-    if np.abs(matrix.conj().T @ matrix - eye).max() > UNITARY_TOL:
+    with np.errstate(invalid="ignore", over="ignore"):
+        error = np.abs(matrix.conj().T @ matrix - eye).max()
+    # `not <=` so that a NaN error (from a NaN or infinite entry), which
+    # compares false against any tolerance, is rejected too
+    if not error <= UNITARY_TOL:
         raise OperatorError(f"{what} is not unitary")
 
 

@@ -225,6 +225,8 @@ CNOT_LINE = "remote_cu control=A.a target=B.b path=A,u,B gate=X\n"
         (PATH3_NET, "step coinperm node=A c1=x c2=1 walker=0\n"),
         (PATH3_NET, CNOT_LINE.replace("gate=X", "gate=U[a,b]")),
         (PATH3_NET, CNOT_LINE.replace("gate=X", "gate=U[1,0;0,0,1,0]")),
+        (PATH3_NET, "walkers 1\nplace 5 A\nstep coinperm node=u c1=1 c2=2 walker=0\n"),
+        (PATH3_NET, "step datactrl node=A controls=a string=1 swap=1 walker=0\n"),
     ],
     ids=[
         "broken_json",
@@ -234,6 +236,8 @@ CNOT_LINE = "remote_cu control=A.a target=B.b path=A,u,B gate=X\n"
         "step_int_not_integer",
         "gate_entry_not_number",
         "gate_columns_ragged",
+        "place_walker_out_of_range",
+        "step_swap_not_a_pair",
     ],
 )
 def test_main_bad_input_exit_2(tmp_path, capsys, network, commands):
@@ -251,6 +255,32 @@ def test_main_precondition_error_exit_3(path3_file, tmp_path):
         "remote_cu control=A.a target=B.b path=A,u,B gate=X\n",
     )
     assert main(["run", str(script)]) == 3
+
+
+@pytest.mark.parametrize("init", ["init A.a=+\n", ""], ids=["control_plus", "control_zero"])
+@pytest.mark.parametrize("entry", ["nan", "inf"])
+def test_main_non_finite_gate_exit_3(tmp_path, init, entry):
+    # the unitarity error is NaN here, which compares false against any
+    # tolerance; the gate must still be rejected
+    net = write_script(tmp_path, PATH3_NET, name="net.json")
+    gate_line = CNOT_LINE.replace("gate=X", f"gate=U[{entry},0,0,0;0,0,1,0]")
+    script = write_script(tmp_path, f"network {net}\n{init}{gate_line}")
+    assert main(["run", str(script)]) == 3
+
+
+def test_main_linklevel_without_data_qubits_passes(tmp_path):
+    from qwcp.oracle import PASS_TOL
+
+    net = write_script(
+        tmp_path, '{"nodes": ["A", "B"], "edges": [["A", "B"], ["B", "A"]]}',
+        name="net.json",
+    )
+    script = write_script(tmp_path, f"network {net}\nlinklevel\n")
+    out = tmp_path / "r.json"
+    assert main(["run", str(script), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["passed"] is True
+    assert report["fidelity_vs_oracle"] == pytest.approx(1.0, abs=PASS_TOL)
 
 
 def test_main_oracle_error_exit_3(path3_file, tmp_path, monkeypatch):

@@ -17,9 +17,13 @@ from qwcp import (
 )
 from qwcp.statevec import (
     BlockAction,
+    DUMP_TOL,
     HADAMARD,
     MAX_TOTAL_BITS,
+    SQRT1_2,
     PermAction,
+    _gather,
+    _rotate_basis,
     apply_actions,
     check_no_invalid_amplitude,
 )
@@ -204,6 +208,88 @@ def test_dump_state_format(path3):
     assert len(bits) == lay.total_bits
     assert int(bits, 2) == (((2 << 2) | 1) << 2) | 1
     assert float(re_s) == 1.0 and float(im_s) == 0.0
+
+
+SMALL_LAYOUT = RegisterLayout(2, 2, 1, (("A", "a"), ("B", "b"), ("B", "c")))  # 7 bits
+
+# repeated values, signed zeros and both sides of DUMP_TOL, so that equal
+# floats recur within and across the real and imaginary parts
+PART_POOL = [
+    0.0, -0.0, 0.5, -0.5, SQRT1_2, -SQRT1_2, 1.0, 1e-13,
+    DUMP_TOL, -DUMP_TOL,
+    np.nextafter(DUMP_TOL, 0.0), np.nextafter(DUMP_TOL, 1.0),
+]
+parts = st.one_of(st.sampled_from(PART_POOL), st.floats(width=64))
+
+
+@st.composite
+def pool_states(draw, part=parts):
+    """StateVectors on SMALL_LAYOUT whose parts come from `part`."""
+    idx = sorted(draw(st.sets(st.integers(0, (1 << SMALL_LAYOUT.total_bits) - 1),
+                              max_size=40)))
+    amps = np.empty(len(idx), dtype=complex)
+    amps.real = draw(st.lists(part, min_size=len(idx), max_size=len(idx)))
+    amps.imag = draw(st.lists(part, min_size=len(idx), max_size=len(idx)))
+    return StateVector(SMALL_LAYOUT, np.array(idx, dtype=np.int64), amps)
+
+
+def dump_reference(state, threshold=DUMP_TOL):
+    """dump_state as one f-string per amplitude."""
+    n = state.layout.total_bits
+    shown = np.abs(state.amplitudes) >= threshold
+    return "\n".join(
+        f"{idx:0{n}b}  {a.real!r}  {a.imag!r}"
+        for idx, a in zip(
+            state.indices[shown].tolist(), state.amplitudes[shown].tolist()
+        )
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool_states())
+def test_dump_state_matches_reference(state):
+    assert dump_state(state) == dump_reference(state)
+
+
+def measure_reference(state, qubits, bases):
+    """Branch-mode measure that rotates each collapsed branch back with
+    one Hadamard block per X-measured qubit."""
+    layout, n, m = state.layout, state.layout.total_bits, len(qubits)
+    indices, amps = _rotate_basis(layout, state.indices, state.amplitudes, qubits, bases)
+    outcome = _gather(indices, n, qubits)
+    probs = np.bincount(outcome, weights=np.abs(amps) ** 2, minlength=1 << m)
+    branches = []
+    for o in np.flatnonzero(probs > 1e-12).tolist():
+        p = float(probs[o])
+        kept = outcome == o
+        branch = _rotate_basis(
+            layout, indices[kept], amps[kept] / np.sqrt(p), qubits, bases
+        )
+        bits = tuple((o >> (m - 1 - i)) & 1 for i in range(m))
+        branches.append(((qubits, bases, bits, p), branch))
+    return branches
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pool_states(st.sampled_from([0.0, -0.0, 0.5, -0.5, SQRT1_2, -SQRT1_2, 1e-3])),
+    st.lists(st.integers(0, SMALL_LAYOUT.total_bits - 1), min_size=1, max_size=4,
+             unique=True),
+    st.data(),
+)
+def test_measure_branches_match_reference_bitwise(state, qubits, data):
+    qubits = tuple(qubits)
+    bases = data.draw(st.text("XZ", min_size=len(qubits), max_size=len(qubits)))
+    got = measure(state, qubits, bases)
+    want = measure_reference(state, qubits, bases)
+    assert len(got) == len(want)
+    for (record, branch), (fields, (indices, amps)) in zip(got, want):
+        assert (record.qubits, record.bases, record.outcome, record.probability) == fields
+        assert np.array_equal(branch.indices, indices)
+        # bit patterns, so that a flipped signed zero counts as a difference
+        assert np.array_equal(
+            branch.amplitudes.view(np.int64), np.asarray(amps).view(np.int64)
+        )
 
 
 @settings(max_examples=40, deadline=None)
