@@ -17,12 +17,10 @@ import numpy as np
 from .netgraph import NetworkGraph, PathSpec, TreeSpec
 from .oracle import OracleGate
 from .statevec import (
-    BlockAction,
-    PAULI_Z,
     RegisterLayout,
     StateVector,
-    apply_actions,
     apply_operator,
+    apply_z,
     measure,
     walker_vertex_support,
 )
@@ -812,7 +810,12 @@ def run_schedule(
     rng=None,
 ) -> tuple[StateVector, RunTrace]:
     """Apply each timestep (coins/interactions, then the shift), then the
-    terminal measurement if present. Records per-step walker supports."""
+    terminal measurement if present. Records per-step walker supports.
+
+    A measured branch whose outcome parity is odd gets the classical Z
+    correction through `apply_z`, which changes the signs of the entries
+    with the corrected bit set where they are: the indices and their
+    order stay, so nothing is grouped or re-sorted."""
     layout = state.layout
 
     def supports(s):
@@ -846,10 +849,7 @@ def run_schedule(
             for pos in params["parity_positions"]:
                 parity ^= record.outcome[pos]
             if parity:
-                branch_state = apply_actions(
-                    branch_state,
-                    [BlockAction((params["correct_bit"],), PAULI_Z)],
-                )
+                branch_state = apply_z(branch_state, params["correct_bit"])
             corrected.append((record, branch_state))
             trace.records.append(record)
             trace.classical_messages.append(

@@ -24,6 +24,7 @@ from .netgraph import NetworkGraph
 NORM_TOL = 1e-10
 SUPPORT_TOL = 1e-9
 DUMP_TOL = 1e-12
+DUMP_CHUNK = 1024  # dump lines whose index bits are built in one array
 MAX_TOTAL_BITS = 26
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -165,10 +166,18 @@ def _bit_mask(n: int, positions) -> int:
 
 
 def _gather(indices: np.ndarray, n: int, positions) -> np.ndarray:
-    """Value of the given bits of each index, first position most significant."""
+    """Value of the given bits of each index, first position most significant.
+
+    Each run of consecutive positions is taken with one shift and mask."""
     key = np.zeros(len(indices), dtype=np.int64)
-    for pos in positions:
-        key = (key << 1) | ((indices >> (n - 1 - pos)) & 1)
+    positions = tuple(positions)
+    start = 0
+    for end in range(1, len(positions) + 1):
+        if end == len(positions) or positions[end] != positions[end - 1] + 1:
+            width = end - start
+            field = (indices >> (n - 1 - positions[end - 1])) & ((1 << width) - 1)
+            key = (key << width) | field
+            start = end
     return key
 
 
@@ -180,8 +189,27 @@ def _walker_field(state: "StateVector", walker: int, width: int) -> np.ndarray:
 
 
 def _sorted(indices: np.ndarray, amps: np.ndarray):
-    order = np.argsort(indices)
+    """Both arrays in ascending index order.
+
+    Every primitive hands over a few sorted runs (the entries it kept and
+    the ones it rebuilt, each run in index order), and the stable sort is a
+    timsort for int64, which merges such runs in near-linear time where a
+    quicksort starts over. Indices are unique, so the order is the same."""
+    order = np.argsort(indices, kind="stable")
     return indices[order], amps[order]
+
+
+def _unique_inverse(keys: np.ndarray):
+    """`np.unique(keys, return_inverse=True)` through the same stable sort
+    as `_sorted`, for keys that come as a few sorted runs."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
 
 
 def _apply_perm(layout: RegisterLayout, indices, amps, act: PermAction):
@@ -214,15 +242,16 @@ def _apply_block(layout: RegisterLayout, indices, amps, act: BlockAction):
     # one row per setting of the non-target bits, one column per target value
     t = len(act.target_bits)
     target_mask = _bit_mask(n, act.target_bits)
-    bases, row = np.unique(sel_indices & ~target_mask, return_inverse=True)
+    bases, row = _unique_inverse(sel_indices & ~target_mask)
     block = np.zeros((len(bases), 1 << t), dtype=complex)
     block[row, _gather(sel_indices, n, act.target_bits)] = amps[selected]
     block = block @ act.matrix.T
     spread = np.zeros(1 << t, dtype=np.int64)
     for j, pos in enumerate(act.target_bits):
         spread |= ((np.arange(1 << t) >> (t - 1 - j)) & 1) << (n - 1 - pos)
-    new_indices = (bases[:, None] | spread[None, :]).ravel()
-    new_amps = block.ravel()
+    # column by column: one sorted run per target value
+    new_indices = (spread[:, None] | bases[None, :]).ravel()
+    new_amps = block.T.ravel()
     nonzero = new_amps != 0
     return _sorted(
         np.concatenate((indices[~selected], new_indices[nonzero])),
@@ -251,6 +280,36 @@ def apply_operator(state: StateVector, op) -> StateVector:
     if abs(result.norm - 1.0) > NORM_TOL:
         raise StateError(f"norm drifted to {result.norm!r}")
     return result
+
+
+def apply_z(state: StateVector, bit: int) -> StateVector:
+    """Pauli Z on one bit; the indices and their order stay as they are.
+
+    The amplitudes come from the `(rows, 2) @ PAULI_Z.T` product that a
+    `BlockAction` on `bit` computes, with the same rows: one per entry with
+    the bit clear, holding its partner with the bit set if there is one,
+    then one per remaining entry with the bit set. The partner's zero terms
+    decide some signed zeros, so the product is kept; the partners are
+    found by binary search, and nothing is grouped or re-sorted."""
+    t = 1 << (state.layout.total_bits - 1 - bit)
+    indices, amps = state.indices, state.amplitudes
+    is_set = (indices & t) != 0
+    clear_at, set_at = np.flatnonzero(~is_set), np.flatnonzero(is_set)
+    clear_idx = indices[clear_at]
+    partner = indices[set_at] ^ t
+    row = np.searchsorted(clear_idx, partner)
+    paired = row < len(clear_idx)
+    paired[paired] = clear_idx[row[paired]] == partner[paired]
+    alone = np.count_nonzero(~paired)
+    row[~paired] = len(clear_idx) + np.arange(alone)
+    block = np.zeros((len(clear_idx) + alone, 2), dtype=complex)
+    block[: len(clear_idx), 0] = amps[clear_at]
+    block[row, 1] = amps[set_at]
+    block = block @ PAULI_Z.T
+    new_amps = np.empty_like(amps)
+    new_amps[clear_at] = block[: len(clear_idx), 0]
+    new_amps[set_at] = block[row, 1]
+    return StateVector(state.layout, indices, new_amps)
 
 
 # -- construction ---------------------------------------------------------
@@ -408,8 +467,8 @@ def cut_matrix(state: StateVector, bits):
     n = state.layout.total_bits
     rows = _gather(state.indices, n, bits)
     cols = state.indices & ~_bit_mask(n, bits)
-    row_keys, r = np.unique(rows, return_inverse=True)
-    col_keys, c = np.unique(cols, return_inverse=True)
+    row_keys, r = _unique_inverse(rows)
+    col_keys, c = _unique_inverse(cols)
     mat = np.zeros((len(row_keys), len(col_keys)), dtype=complex)
     mat[r, c] = state.amplitudes
     return row_keys, col_keys, mat
@@ -484,18 +543,26 @@ def dump_state(state: StateVector, threshold: float = DUMP_TOL) -> str:
 
     Amplitudes repeat heavily, so each distinct float (told apart by its
     bit pattern, which keeps -0.0 and 0.0 apart) is formatted with `repr`
-    once and its text reused on every line that holds it."""
+    once and its text reused on every line that holds it. The index bit
+    strings are built as '0'/'1' bytes with numpy, DUMP_CHUNK lines at a
+    time, which keeps the bit array small next to the text."""
     n = state.layout.total_bits
     shown = np.abs(state.amplitudes) >= threshold
+    indices = state.indices[shown]
     parts = state.amplitudes[shown].view(np.float64)  # re, im, re, im, ...
     _, first, which = np.unique(
         parts.view(np.int64), return_index=True, return_inverse=True
     )
     text = [repr(x) for x in parts[first].tolist()]
     which = which.tolist()
-    return "\n".join(
-        f"{idx:0{n}b}  {text[re]}  {text[im]}"
-        for idx, re, im in zip(
-            state.indices[shown].tolist(), which[0::2], which[1::2]
-        )
-    )
+    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
+    chunks = []
+    for lo in range(0, len(indices), DUMP_CHUNK):
+        digits = ((indices[lo : lo + DUMP_CHUNK, None] >> shifts) & 1).astype(np.uint8)
+        labels = (digits + ord("0")).view(f"S{n}").ravel().tolist()
+        pairs = which[2 * lo : 2 * (lo + DUMP_CHUNK)]
+        chunks.append("\n".join(
+            f"{label.decode()}  {text[re]}  {text[im]}"
+            for label, re, im in zip(labels, pairs[0::2], pairs[1::2])
+        ))
+    return "\n".join(chunks)

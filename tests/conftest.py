@@ -2,8 +2,24 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from qwcp import RegisterLayout, StateVector, init_state, load_network
+from qwcp import (
+    RegisterLayout,
+    StateVector,
+    init_state,
+    invert_operator,
+    load_network,
+    make_coin_block,
+    make_coin_controlled_data,
+    make_coin_perm,
+    make_data_controlled_coin,
+    make_fanout,
+    make_flipflop_shift,
+    make_identity_shift,
+    make_walk_interaction,
+)
+from qwcp.cli import DATA_INIT_STATES
 
 
 def network_json(nodes, edges, data_qubits=None):
@@ -115,3 +131,104 @@ def state_with_data(graph, layout, walker_inits, data_vec) -> StateVector:
     nd = layout.data_bits
     amps[widx << nd : (widx + 1) << nd] = data_vec
     return StateVector.from_dense(layout, amps)
+
+
+# -- random operators for the hypothesis engine tests -----------------------
+
+OPERATOR_KINDS = (
+    "flipflop", "identity", "coinperm", "coinblock", "datactrl", "coindata",
+    "interact", "fanout",
+)
+
+
+def operator_kinds(lay) -> list:
+    """The walkops constructors a layout admits: interact and fanout need
+    two walkers."""
+    return [k for k in OPERATOR_KINDS if lay.k >= 2 or k not in ("interact", "fanout")]
+
+
+def random_unitary(rng, dim):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def subset(data, items, min_size=1, max_size=None):
+    return data.draw(
+        st.lists(st.sampled_from(items), min_size=min_size, max_size=max_size, unique=True)
+    )
+
+
+def draw_init_state(data, g, lay) -> StateVector:
+    """`init_state` with random walker positions and data qubits in
+    |0>, |1>, |+> or |->."""
+    walkers = []
+    for _ in range(lay.k):
+        v = data.draw(st.sampled_from(g.nodes))
+        walkers.append((v, data.draw(st.integers(0, g.port_count(v) - 1))))
+    inits = {q: DATA_INIT_STATES[data.draw(st.sampled_from("01+-"))] for q in lay.data_order}
+    return init_state(g, lay, walkers, inits)
+
+
+def draw_coin_action(data, g, v, rng):
+    if data.draw(st.booleans()):
+        ports = range(g.port_count(v))
+        return ("swap", data.draw(st.sampled_from(ports)), data.draw(st.sampled_from(ports)))
+    coins = subset(data, list(range(g.port_count(v))))
+    return ("block", coins, random_unitary(rng, len(coins)))
+
+
+def draw_operator(data, g, lay, rng, kind, near=None):
+    """A random operator from the walkops constructor `kind`, inverted half
+    of the time. `near` maps nodes to the walkers found there; the
+    operator's node and walker are drawn from it where the constructor
+    allows one of its nodes."""
+    near = near or {}
+    nodes = [v for v in g.nodes if g.qubits_at(v)] if kind in ("datactrl", "coindata") else g.nodes
+    v = data.draw(st.sampled_from([v for v in nodes if v in near] or nodes))
+    walker = data.draw(st.sampled_from(near.get(v) or range(lay.k)))
+    ports = list(range(g.port_count(v)))
+    if kind == "flipflop":
+        op = make_flipflop_shift(g, lay, subset(data, list(range(lay.k)), min_size=0))
+    elif kind == "identity":
+        op = make_identity_shift(lay)
+    elif kind == "coinperm":
+        op = make_coin_perm(
+            g, lay, v, data.draw(st.sampled_from(ports)), data.draw(st.sampled_from(ports)),
+            walker,
+        )
+    elif kind == "coinblock":
+        coins = subset(data, ports)
+        op = make_coin_block(g, lay, {v: (coins, random_unitary(rng, len(coins)))}, walker)
+    elif kind == "datactrl":
+        controls = subset(data, list(g.qubits_at(v)))
+        pattern = "".join(data.draw(st.sampled_from("01")) for _ in controls)
+        op = make_data_controlled_coin(
+            g, lay, v, controls, pattern, draw_coin_action(data, g, v, rng), walker
+        )
+    elif kind == "coindata":
+        qubits = subset(data, list(g.qubits_at(v)))
+        coin = data.draw(st.one_of(st.none(), st.sampled_from(ports)))
+        coin_block = None
+        if data.draw(st.booleans()):
+            coins = subset(data, ports)
+            coin_block = (coins, random_unitary(rng, len(coins)))
+        op = make_coin_controlled_data(
+            g, lay, v, qubits, random_unitary(rng, 1 << len(qubits)), walker,
+            coin=coin, coin_block=coin_block,
+        )
+    elif kind == "interact":
+        control, target = subset(data, list(range(lay.k)), min_size=2, max_size=2)
+        op = make_walk_interaction(
+            g, lay, v, data.draw(st.sampled_from(ports)),
+            draw_coin_action(data, g, v, rng), control, target,
+        )
+    else:
+        size = min(lay.k, g.degree(v))
+        successors = subset(data, list(g.neighbors(v)), max_size=size)
+        walkers = subset(data, list(range(lay.k)), min_size=len(successors),
+                         max_size=len(successors))
+        op = make_fanout(g, lay, v, data.draw(st.sampled_from(ports)), successors, walkers)
+    if data.draw(st.booleans()):
+        op = invert_operator(op)
+    return op

@@ -18,26 +18,24 @@ from qwcp import (
     compare,
     data_layout,
     fidelity,
-    init_state,
-    invert_operator,
     load_network,
-    make_coin_block,
-    make_coin_controlled_data,
-    make_coin_perm,
-    make_data_controlled_coin,
-    make_fanout,
-    make_flipflop_shift,
-    make_identity_shift,
-    make_walk_interaction,
     measure,
     purity_across_cut,
     reduced_density,
     walker_vertex_support,
 )
-from qwcp.cli import DATA_INIT_STATES
 from qwcp.statevec import BlockAction, PermAction, apply_actions
 
-from conftest import line_json, network_json, random_state
+from conftest import (
+    draw_init_state,
+    draw_operator,
+    line_json,
+    network_json,
+    operator_kinds,
+    random_state,
+    random_unitary,
+    subset,
+)
 
 TOL = 1e-12
 
@@ -54,47 +52,14 @@ NETWORKS = [
     ),
 ]
 
-OP_KINDS = (
-    "flipflop", "identity", "coinperm", "coinblock", "datactrl", "coindata",
-    "interact", "fanout", "perm", "block",
-)
-
-
-def random_unitary(rng, dim):
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def subset(data, items, min_size=1, max_size=None):
-    return data.draw(
-        st.lists(st.sampled_from(items), min_size=min_size, max_size=max_size, unique=True)
-    )
-
-
-def draw_coin_action(data, g, v, rng):
-    if data.draw(st.booleans()):
-        ports = range(g.port_count(v))
-        return ("swap", data.draw(st.sampled_from(ports)), data.draw(st.sampled_from(ports)))
-    coins = subset(data, list(range(g.port_count(v))))
-    return ("block", coins, random_unitary(rng, len(coins)))
-
-
 def draw_actions(data, g, lay, rng):
     """Primitive actions of one random operator. Besides the walkops
     constructors, `perm` and `block` give a PermAction with an arbitrary
     register permutation (walkops builds only involutions) and a
     BlockAction on arbitrary bits under arbitrary conditions."""
-    kinds = [
-        k for k in OP_KINDS
-        if lay.k >= 2 or k not in ("interact", "fanout")
-    ]
-    kind = data.draw(st.sampled_from(kinds))
-    walker = data.draw(st.integers(0, lay.k - 1))
-    with_data = [v for v in g.nodes if g.qubits_at(v)]
-    v = data.draw(st.sampled_from(with_data if kind in ("datactrl", "coindata") else g.nodes))
-    ports = list(range(g.port_count(v)))
+    kind = data.draw(st.sampled_from(operator_kinds(lay) + ["perm", "block"]))
     if kind == "perm":
+        walker = data.draw(st.integers(0, lay.k - 1))
         return [PermAction(walker, tuple(rng.permutation(1 << lay.walker_bits)))]
     if kind == "block":
         targets = subset(data, list(range(lay.total_bits)), max_size=2)
@@ -107,50 +72,7 @@ def draw_actions(data, g, lay, rng):
             conditions.append(((pos,), 1 - bit))
         matrix = random_unitary(rng, 1 << len(targets))
         return [BlockAction(tuple(targets), matrix, tuple(conditions))]
-    if kind == "flipflop":
-        op = make_flipflop_shift(g, lay, subset(data, list(range(lay.k)), min_size=0))
-    elif kind == "identity":
-        op = make_identity_shift(lay)
-    elif kind == "coinperm":
-        op = make_coin_perm(
-            g, lay, v, data.draw(st.sampled_from(ports)), data.draw(st.sampled_from(ports)),
-            walker,
-        )
-    elif kind == "coinblock":
-        coins = subset(data, ports)
-        op = make_coin_block(g, lay, {v: (coins, random_unitary(rng, len(coins)))}, walker)
-    elif kind == "datactrl":
-        controls = subset(data, list(g.qubits_at(v)))
-        pattern = "".join(data.draw(st.sampled_from("01")) for _ in controls)
-        op = make_data_controlled_coin(
-            g, lay, v, controls, pattern, draw_coin_action(data, g, v, rng), walker
-        )
-    elif kind == "coindata":
-        qubits = subset(data, list(g.qubits_at(v)))
-        coin = data.draw(st.one_of(st.none(), st.sampled_from(ports)))
-        coin_block = None
-        if data.draw(st.booleans()):
-            coins = subset(data, ports)
-            coin_block = (coins, random_unitary(rng, len(coins)))
-        op = make_coin_controlled_data(
-            g, lay, v, qubits, random_unitary(rng, 1 << len(qubits)), walker,
-            coin=coin, coin_block=coin_block,
-        )
-    elif kind == "interact":
-        control, target = subset(data, list(range(lay.k)), min_size=2, max_size=2)
-        op = make_walk_interaction(
-            g, lay, v, data.draw(st.sampled_from(ports)),
-            draw_coin_action(data, g, v, rng), control, target,
-        )
-    else:
-        size = min(lay.k, g.degree(v))
-        successors = subset(data, list(g.neighbors(v)), max_size=size)
-        walkers = subset(data, list(range(lay.k)), min_size=len(successors),
-                         max_size=len(successors))
-        op = make_fanout(g, lay, v, data.draw(st.sampled_from(ports)), successors, walkers)
-    if data.draw(st.booleans()):
-        op = invert_operator(op)
-    return list(op.iter_actions())
+    return list(draw_operator(data, g, lay, rng, kind).iter_actions())
 
 
 def draw_state(data, g, lay, rng):
@@ -161,12 +83,7 @@ def draw_state(data, g, lay, rng):
         vec = np.zeros(1 << lay.total_bits, dtype=complex)
         vec[data.draw(st.integers(0, len(vec) - 1))] = 1.0
         return StateVector.from_dense(lay, vec)
-    walkers = []
-    for _ in range(lay.k):
-        v = data.draw(st.sampled_from(g.nodes))
-        walkers.append((v, data.draw(st.integers(0, g.port_count(v) - 1))))
-    inits = {q: DATA_INIT_STATES[data.draw(st.sampled_from("01+-"))] for q in lay.data_order}
-    return init_state(g, lay, walkers, inits)
+    return draw_init_state(data, g, lay)
 
 
 def assert_sparse_invariants(state):

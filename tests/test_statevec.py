@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwcp import (
@@ -17,14 +17,18 @@ from qwcp import (
 )
 from qwcp.statevec import (
     BlockAction,
+    DUMP_CHUNK,
     DUMP_TOL,
     HADAMARD,
     MAX_TOTAL_BITS,
+    PAULI_Z,
     SQRT1_2,
     PermAction,
     _gather,
     _rotate_basis,
+    _unique_inverse,
     apply_actions,
+    apply_z,
     check_no_invalid_amplitude,
 )
 
@@ -245,10 +249,48 @@ def dump_reference(state, threshold=DUMP_TOL):
     )
 
 
+def wide_layout(n):
+    """A layout of n data qubits and no walker: n bits."""
+    return RegisterLayout(1, 1, 0, tuple(("A", f"q{i}") for i in range(n)))
+
+
+# parts whose amplitudes all lie below DUMP_TOL (|z| <= 5e-13 * sqrt(2))
+TINY_POOL = [0.0, -0.0, 1e-13, -1e-13, 5e-13, -5e-13]
+
+
+@st.composite
+def chunked_states(draw):
+    """States of up to three dump chunks of entries on layouts of 1 to
+    MAX_TOTAL_BITS bits, drawn through a seeded numpy generator; the parts
+    come from PART_POOL, from TINY_POOL or from a normal distribution."""
+    n = draw(st.integers(1, MAX_TOTAL_BITS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    indices = np.unique(rng.integers(0, 1 << n, draw(st.integers(0, 3 * DUMP_CHUNK))))
+    source = draw(st.sampled_from(["pool", "tiny", "normal"]))
+    amps = np.empty(len(indices), dtype=complex)
+    if source == "normal":
+        amps.real, amps.imag = rng.normal(size=(2, len(indices)))
+    else:
+        pool = np.array(PART_POOL if source == "pool" else TINY_POOL)
+        amps.real, amps.imag = pool[rng.integers(0, len(pool), (2, len(indices)))]
+    return StateVector(wide_layout(n), indices, amps)
+
+
+def tiny_state():
+    n = MAX_TOTAL_BITS
+    indices = np.arange(0, 1 << n, (1 << n) // (2 * DUMP_CHUNK), dtype=np.int64)
+    amps = np.full(len(indices), 5e-13 - 5e-13j)
+    return StateVector(wide_layout(n), indices, amps)
+
+
 @settings(max_examples=200, deadline=None)
-@given(pool_states())
+@given(st.one_of(pool_states(), chunked_states()))
+@example(tiny_state())
 def test_dump_state_matches_reference(state):
-    assert dump_state(state) == dump_reference(state)
+    text = dump_state(state)
+    assert text == dump_reference(state)
+    if np.all(np.abs(state.amplitudes) < DUMP_TOL):
+        assert text == ""
 
 
 def measure_reference(state, qubits, bases):
@@ -314,3 +356,87 @@ def test_measure_branches_partition_probability(seed):
         again = measure(st_b, qubits, "ZXZ")
         assert len(again) == 1
         assert again[0][0].outcome == record.outcome
+
+
+def gather_reference(indices, n, positions):
+    """_gather as one shift and mask per bit."""
+    key = np.zeros(len(indices), dtype=np.int64)
+    for pos in positions:
+        key = (key << 1) | ((indices >> (n - 1 - pos)) & 1)
+    return key
+
+
+@st.composite
+def bit_positions(draw, n):
+    """Distinct bit positions made of runs of consecutive bits, so with
+    gaps, single bits or none, and shuffled half of the time."""
+    runs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n)), max_size=4))
+    positions = list(dict.fromkeys(
+        pos for start, width in runs for pos in range(start, min(n, start + width))
+    ))
+    if draw(st.booleans()):
+        positions = draw(st.permutations(positions))
+    return positions
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_gather_matches_per_bit_reference(data):
+    n = data.draw(st.integers(1, MAX_TOTAL_BITS))
+    indices = np.array(
+        data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=20)), dtype=np.int64
+    )
+    positions = data.draw(bit_positions(n))
+    got = _gather(indices, n, positions)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, gather_reference(indices, n, positions))
+
+
+@st.composite
+def run_keys(draw):
+    """int64 keys as a few sorted runs, the shape the primitives produce,
+    or in any order; small values make repeats likely."""
+    values = st.one_of(st.integers(0, 20), st.integers(0, 2**62))
+    runs = draw(st.lists(st.lists(values, max_size=30), max_size=5))
+    if draw(st.booleans()):
+        runs = [sorted(run) for run in runs]
+    return np.array([key for run in runs for key in run], dtype=np.int64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(run_keys())
+def test_unique_inverse_matches_numpy(keys):
+    got_keys, got_inverse = _unique_inverse(keys)
+    want_keys, want_inverse = np.unique(keys, return_inverse=True)
+    assert got_keys.dtype == want_keys.dtype
+    assert np.array_equal(got_keys, want_keys)
+    assert np.array_equal(got_inverse, want_inverse)
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.amplitudes, want.amplitudes)
+    # bit patterns, so that a flipped signed zero counts as a difference
+    assert np.array_equal(got.amplitudes.view(np.int64), want.amplitudes.view(np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pool_states(st.one_of(st.sampled_from(PART_POOL), st.floats(-1.0, 1.0))),
+    st.lists(st.integers(0, SMALL_LAYOUT.total_bits - 1), min_size=1, max_size=3,
+             unique=True),
+    st.data(),
+)
+def test_apply_z_matches_z_block(state, qubits, data):
+    """apply_z against a BlockAction of PAULI_Z, on states with signed-zero
+    parts and on the branches measure makes of them."""
+    stored = state.amplitudes != 0  # a state stores no exact zero
+    state = StateVector(state.layout, state.indices[stored], state.amplitudes[stored])
+    bit = data.draw(st.integers(0, SMALL_LAYOUT.total_bits - 1))
+    assert_same_bits(apply_z(state, bit), apply_actions(state, [BlockAction((bit,), PAULI_Z)]))
+    bases = data.draw(st.text("XZ", min_size=len(qubits), max_size=len(qubits)))
+    for _, branch in measure(state, qubits, bases):
+        for bit in range(SMALL_LAYOUT.total_bits):
+            assert_same_bits(
+                apply_z(branch, bit), apply_actions(branch, [BlockAction((bit,), PAULI_Z)])
+            )
