@@ -27,7 +27,6 @@ from .protocols import (
     schedule_remote_cu,
     schedule_tree,
     separate_measure,
-    separate_reverse,
 )
 from .statevec import (
     MeasurementRecord,

@@ -36,6 +36,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -282,67 +283,69 @@ def _int_pair(text, line):
 
 
 # -- compilation ----------------------------------------------------------
+#
+# Each `_compile_*` parses its arguments into specs, then sizes the layout:
+# the script's `walkers`, or else the walkers the request needs.
 
 
-def _compile_remote_cu(graph, layout, args, line) -> CompiledProtocol:
+def _compile_remote_gate(graph, walkers, args, line, multi=False) -> CompiledProtocol:
+    """`remote_cu` (controls at the path start, reverse or measure
+    separation) or, with `multi`, `remote_mcu` (controls along the path)."""
+    control_key = "controls" if multi else "control"
+    allowed = {control_key, "string", "target", "path", "gate"}
     kv = _kv_dict(
         args, line,
-        allowed={"control", "string", "target", "path", "gate", "separation"},
-        required=("control", "target", "path", "gate"),
+        allowed=allowed if multi else allowed | {"separation"},
+        required=(control_key, "target", "path", "gate"),
     )
     controls = _controls_with_bits(
-        _parse_controls(kv["control"], line), kv.get("string"), line
+        _parse_controls(kv[control_key], line), kv.get("string"), line
     )
     targets = [_parse_qubit_ref(t, line) for t in kv["target"].split(",")]
     request = GateRequest.build(
         graph, controls, targets, _parse_gate(kv["gate"], line)
     )
     path = PathSpec.in_graph(graph, kv["path"].split(","))
+    layout = RegisterLayout.for_network(graph, walkers or 1)
+    if multi:
+        return schedule_multi_control(graph, layout, request, path)
     return schedule_remote_cu(
         graph, layout, request, path, separation=kv.get("separation", "reverse")
     )
 
 
-def _compile_remote_mcu(graph, layout, args, line) -> CompiledProtocol:
-    kv = _kv_dict(
-        args, line,
-        allowed={"controls", "string", "target", "path", "gate"},
-        required=("controls", "target", "path", "gate"),
-    )
-    controls = _controls_with_bits(
-        _parse_controls(kv["controls"], line), kv.get("string"), line
-    )
-    targets = [_parse_qubit_ref(t, line) for t in kv["target"].split(",")]
-    request = GateRequest.build(
-        graph, controls, targets, _parse_gate(kv["gate"], line)
-    )
-    path = PathSpec.in_graph(graph, kv["path"].split(","))
-    return schedule_multi_control(graph, layout, request, path)
-
-
-def _compile_multipath(graph, layout, args, line) -> CompiledProtocol:
-    control = None
-    string = None
+def _grouped_kv(args, line, head, members, singles=()):
+    """Split `key=value` arguments into single keys and groups: each
+    `head=` opens a group, and each key in `members` must follow its
+    `head=`, once. A repeated single key keeps its last value."""
+    single: dict = {}
     groups: list[dict] = []
     for arg in args:
         if isinstance(arg, str):
             raise ScriptError(f"unexpected bare word {arg!r}", line)
         key, value = arg
-        if key == "control":
-            control = value
-        elif key == "string":
-            string = value
-        elif key == "path":
-            groups.append({"path": value})
-        elif key in ("target", "gate"):
+        if key in singles:
+            single[key] = value
+        elif key == head:
+            groups.append({head: value})
+        elif key in members:
             if not groups or key in groups[-1]:
-                raise ScriptError(f"{key}= must follow its path=", line)
+                raise ScriptError(f"{key}= must follow its {head}=", line)
             groups[-1][key] = value
         else:
             raise ScriptError(f"unknown argument {key!r}", line)
-    if control is None or not groups:
+    return single, groups
+
+
+def _compile_multipath(graph, walkers, args, line) -> CompiledProtocol:
+    kv, groups = _grouped_kv(
+        args, line, "path", ("target", "gate"), singles=("control", "string")
+    )
+    if "control" not in kv or not groups:
         raise ScriptError("multipath needs control= and at least one path=", line)
-    controls = _controls_with_bits(_parse_controls(control, line), string, line)
+    controls = _controls_with_bits(
+        _parse_controls(kv["control"], line), kv.get("string"), line
+    )
     paths, requests = [], []
     for g in groups:
         if "target" not in g or "gate" not in g:
@@ -352,44 +355,28 @@ def _compile_multipath(graph, layout, args, line) -> CompiledProtocol:
         requests.append(
             GateRequest.build(graph, controls, targets, _parse_gate(g["gate"], line))
         )
+    layout = RegisterLayout.for_network(graph, walkers or len(paths))
     return schedule_multipath(graph, layout, requests, paths)
 
 
-def _compile_tree(graph, layout, args, line) -> CompiledProtocol:
-    control = None
-    string = None
-    edges_text = None
-    targets: list[dict] = []
-    for arg in args:
-        if isinstance(arg, str):
-            raise ScriptError(f"unexpected bare word {arg!r}", line)
-        key, value = arg
-        if key == "control":
-            control = value
-        elif key == "string":
-            string = value
-        elif key == "edges":
-            edges_text = value
-        elif key == "target":
-            targets.append({"target": value})
-        elif key == "gate":
-            if not targets or "gate" in targets[-1]:
-                raise ScriptError("gate= must follow its target=", line)
-            targets[-1]["gate"] = value
-        else:
-            raise ScriptError(f"unknown argument {key!r}", line)
-    if control is None or edges_text is None:
+def _compile_tree(graph, walkers, args, line) -> CompiledProtocol:
+    kv, groups = _grouped_kv(
+        args, line, "target", ("gate",), singles=("control", "string", "edges")
+    )
+    if "control" not in kv or "edges" not in kv:
         raise ScriptError("tree needs control= and edges=", line)
     edges = []
-    for pair in edges_text.split(","):
+    for pair in kv["edges"].split(","):
         parent, sep, child = pair.partition(">")
         if not sep or not parent or not child:
             raise ScriptError(f"tree edge must be parent>child, got {pair!r}", line)
         edges.append((parent, child))
-    controls = _controls_with_bits(_parse_controls(control, line), string, line)
+    controls = _controls_with_bits(
+        _parse_controls(kv["control"], line), kv.get("string"), line
+    )
     tree = TreeSpec.in_graph(graph, edges[0][0], edges)
     target_map = {}
-    for g in targets:
+    for g in groups:
         if "gate" not in g:
             raise ScriptError("each target= needs a gate=", line)
         refs = [_parse_qubit_ref(t, line) for t in g["target"].split(",")]
@@ -400,23 +387,12 @@ def _compile_tree(graph, layout, args, line) -> CompiledProtocol:
         if node in target_map:
             raise ScriptError(f"duplicate target node {node!r}", line)
         target_map[node] = ([q for _, q in refs], _parse_gate(g["gate"], line))
+    layout = RegisterLayout.for_network(graph, walkers or len(tree.leaves))
     return schedule_tree(graph, layout, tree, controls, target_map)
 
 
-def _compile_ghz(graph, layout, args, line) -> CompiledProtocol:
-    groups: list[dict] = []
-    for arg in args:
-        if isinstance(arg, str):
-            raise ScriptError(f"unexpected bare word {arg!r}", line)
-        key, value = arg
-        if key == "path":
-            groups.append({"path": value})
-        elif key == "qubits":
-            if not groups or "qubits" in groups[-1]:
-                raise ScriptError("qubits= must follow its path=", line)
-            groups[-1]["qubits"] = value
-        else:
-            raise ScriptError(f"unknown argument {key!r}", line)
+def _compile_ghz(graph, walkers, args, line) -> CompiledProtocol:
+    _, groups = _grouped_kv(args, line, "path", ("qubits",))
     if not groups:
         raise ScriptError("ghz_path needs at least one path=", line)
     paths, qubit_sets = [], []
@@ -429,10 +405,11 @@ def _compile_ghz(graph, layout, args, line) -> CompiledProtocol:
             node, qubit = _parse_qubit_ref(ref, line)
             qmap.setdefault(node, []).append(qubit)
         qubit_sets.append(qmap)
+    layout = RegisterLayout.for_network(graph, walkers or len(paths))
     return schedule_ghz_path(graph, layout, paths, qubit_sets)
 
 
-def _compile_linklevel(graph, layout, args, line) -> CompiledProtocol:
+def _compile_linklevel(graph, walkers, args, line) -> CompiledProtocol:
     couple = {}
     for arg in args:
         if isinstance(arg, str) or arg[0] != "couple":
@@ -446,48 +423,21 @@ def _compile_linklevel(graph, layout, args, line) -> CompiledProtocol:
         except ValueError:
             raise ScriptError("couple= must be U,qu:V,qv", line) from None
         edge = tuple(sorted((u, v)))
-        if edge[0] == u:
-            couple[edge] = (qu, qv)
-        else:
-            couple[edge] = (qv, qu)
+        if edge in couple:
+            raise ScriptError(f"edge {edge[0]},{edge[1]} is coupled twice", line)
+        couple[edge] = (qu, qv) if edge[0] == u else (qv, qu)
+    layout = RegisterLayout.for_network(graph, walkers or max(1, len(graph.edges())))
     return schedule_linklevel(graph, layout, couple)
 
 
 _PROTOCOL_COMPILERS = {
-    "remote_cu": _compile_remote_cu,
-    "remote_mcu": _compile_remote_mcu,
+    "remote_cu": _compile_remote_gate,
+    "remote_mcu": partial(_compile_remote_gate, multi=True),
     "multipath": _compile_multipath,
     "tree": _compile_tree,
     "ghz_path": _compile_ghz,
     "linklevel": _compile_linklevel,
 }
-
-
-def _walkers_needed(name, graph, args, line) -> int:
-    """Walker count a protocol command needs when the script gives none."""
-    if name in ("remote_cu", "remote_mcu"):
-        return 1
-    if name == "multipath":
-        return sum(1 for arg in args if not isinstance(arg, str) and arg[0] == "path")
-    if name == "ghz_path":
-        return sum(1 for arg in args if not isinstance(arg, str) and arg[0] == "path")
-    if name == "linklevel":
-        edges = {tuple(sorted((v, u))) for v in graph.nodes for u in graph.neighbors(v)}
-        return max(1, len(edges))
-    if name == "tree":
-        for arg in args:
-            if not isinstance(arg, str) and arg[0] == "edges":
-                leaves = 0
-                parents = set()
-                children = []
-                for pair in arg[1].split(","):
-                    parent, _, child = pair.partition(">")
-                    parents.add(parent)
-                    children.append(child)
-                leaves = sum(1 for c in children if c not in parents)
-                return max(1, leaves)
-        return 1
-    raise ScriptError(f"unknown protocol {name!r}", line)
 
 
 def _compile_step(graph, layout, args, line, builder_state):
@@ -616,11 +566,10 @@ def execute(
 
     if protocol_cmds:
         name, args, lineno = protocol_cmds[0]
-        k = script.walkers or _walkers_needed(name, graph, args, lineno)
-        layout = RegisterLayout.for_network(graph, k)
-        compiled = _PROTOCOL_COMPILERS[name](graph, layout, args, lineno)
+        compiled = _PROTOCOL_COMPILERS[name](graph, script.walkers, args, lineno)
         if script.places:
             raise ScriptError("place is only valid in step scripts")
+        layout = compiled.layout
         walker_inits = compiled.walker_inits
     else:
         k = script.walkers or (max(w for w, _, _ in script.places) + 1 if script.places else 1)

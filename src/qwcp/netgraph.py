@@ -81,6 +81,10 @@ class NetworkGraph:
         self._require(u)
         return v in self._port_index[u]
 
+    def edges(self) -> list[tuple[str, str]]:
+        """Proper edges, each once as (u, v) with u < v, in sorted order."""
+        return sorted({tuple(sorted((v, u))) for v in self.nodes for u in self.adjacency[v]})
+
     def qubits_at(self, v: str) -> tuple[str, ...]:
         self._require(v)
         return self.data_qubits.get(v, ())
@@ -291,6 +295,10 @@ class TreeSpec:
             if c not in seen:
                 seen.append(c)
         return tuple(seen)
+
+    @property
+    def leaves(self) -> tuple[str, ...]:
+        return tuple(v for v in self.tree_nodes if not self.successors(v))
 
     def parent(self, v: str) -> str:
         for p, c in self.edges:

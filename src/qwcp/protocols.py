@@ -1,5 +1,15 @@
 """Compile distributed-gate and entanglement procedures into schedules.
 
+Every walk goes through one compiler, `_walk`, over a forest of visits
+(one visit is one stop of a walker): local data launches a walker at a
+root, the walker is passed on hop by hop, fans out to further walkers at
+a branch and is parked at each leaf. A single path is a chain, multipath
+is a root with one chain per path, a tree is itself, and GHZ
+distribution is a forest of chains. The `schedule_*` builders validate a
+request, lay out its visits, and add the separation, the metadata and
+the oracle gates; `schedule_linklevel` has no walk and builds its own
+timesteps.
+
 Every builder returns a CompiledProtocol bundling the schedule, walker
 initial positions, the oracle gate list used for verification, and timing
 metadata. Separation restores a walker/data product state either by
@@ -25,7 +35,6 @@ from .statevec import (
     walker_vertex_support,
 )
 from .walkops import (
-    OperatorError,
     OperatorSpec,
     Schedule,
     Timestep,
@@ -93,12 +102,13 @@ class GateRequest:
     def target_node(self) -> str:
         return self.targets[0][0]
 
+    @property
+    def data_gate(self) -> tuple:
+        """(target qubit names, unitary), applied at the target node."""
+        return [q for _, q in self.targets], self.unitary
+
     def oracle_gate(self) -> OracleGate:
-        return OracleGate(
-            controls=tuple(((n, q), b) for n, q, b in self.controls),
-            targets=self.targets,
-            matrix=self.unitary,
-        )
+        return _oracle_gate(self.controls, self.target_node, *self.data_gate)
 
 
 @dataclass
@@ -122,35 +132,131 @@ class CompiledProtocol:
     meta: dict = field(default_factory=dict)
 
 
-# -- assembly helpers -----------------------------------------------------
+# -- the walk compiler ----------------------------------------------------
 
 
-def _merge(prop_steps, extras, layout):
+@dataclass(frozen=True)
+class _Visit:
+    """One stop of a walker: its node, the index of the visit it came from
+    (None at a root), the (node, qubit, bit) controls that launch it from
+    here, and the data gate (qubit names, matrix) applied on arrival."""
+
+    node: str
+    parent: int | None = None
+    controls: tuple = ()
+    gate: tuple | None = None
+
+
+def _path_visits(visits, nodes, parent=None, controls=None, gates=None):
+    """Append one visit per path node to `visits`, each hanging off the one
+    before and the first off visit `parent`; `controls` and `gates` map a
+    node to its launch controls and its data gate."""
+    for v in nodes:
+        visits.append(_Visit(v, parent, tuple((controls or {}).get(v, ())),
+                             (gates or {}).get(v)))
+        parent = len(visits) - 1
+
+
+def _walk(graph, layout, visits):
+    """Forward propagation of a visit forest: one timestep per depth, its
+    operators in visit-list order. A parent must precede its children.
+
+    A root launches its walker with a data-controlled coin; an interior
+    visit passes the walker on, or, when it has controls, parks it and
+    launches it again; a visit with several children fans out; a leaf
+    parks the walker on its self-loop. Each root takes the next walker
+    id, the first child keeps its parent's walker, and each further child
+    takes the next id, starting parked at the fan-out's node. Every shift
+    but the last is a flip-flop on all these walkers; a parked walker sits
+    on its self-loop, where the flip-flop is the identity.
+
+    Returns (timesteps, gates, walker of each visit, walker inits): `gates`
+    maps a timestep to its data gates, which go in front of the walk
+    operators and which reversal skips. The inits cover all layout.k
+    walkers; those the walk does not use are parked with walker 0."""
+    kids: list[list[int]] = [[] for _ in visits]
+    depth = []
+    for i, visit in enumerate(visits):
+        depth.append(0 if visit.parent is None else depth[visit.parent] + 1)
+        if visit.parent is not None:
+            kids[visit.parent].append(i)
+    walker: list = [None] * len(visits)
+    inits = []
+    for i, visit in enumerate(visits):
+        if visit.parent is None:
+            walker[i] = len(inits)
+            inits.append((visit.node, 0))
+        for n, child in enumerate(kids[i]):
+            if n == 0:
+                walker[child] = walker[i]
+            else:
+                walker[child] = len(inits)
+                inits.append((visit.node, 0))
+
+    ops: list[list] = [[] for _ in range(max(depth) + 1)]
+    gates: dict[int, list] = {}
+    for i, visit in enumerate(visits):
+        v, w, step = visit.node, walker[i], ops[depth[i]]
+        succ = [visits[child].node for child in kids[i]]
+        c_in = None if visit.parent is None else graph.port_of(v, visits[visit.parent].node)
+        if c_in is not None and (visit.controls or not succ):
+            step.append(make_coin_perm(graph, layout, v, c_in, 0, w))
+        if succ:
+            c_out = graph.port_of(v, succ[0])
+            if visit.controls:
+                step.append(make_data_controlled_coin(
+                    graph, layout, v, [q for _, q, _ in visit.controls],
+                    _pattern(visit.controls), ("swap", 0, c_out), w,
+                ))
+            if len(succ) > 1:
+                step.append(make_fanout(
+                    graph, layout, v, c_out if visit.controls else c_in, succ,
+                    [walker[child] for child in kids[i]],
+                ))
+            elif not visit.controls:
+                step.append(make_coin_perm(graph, layout, v, c_in, c_out, w))
+        if visit.gate is not None:
+            qnames, matrix = visit.gate
+            gates.setdefault(depth[i], []).append(
+                make_coin_controlled_data(graph, layout, v, qnames, matrix, w)
+            )
+
+    shift = make_flipflop_shift(graph, layout, range(len(inits)))
+    timesteps = [Timestep(step, shift) for step in ops]
+    timesteps[-1].shift = make_identity_shift(layout)
+    inits += [inits[0]] * (layout.k - len(inits))
+    return timesteps, gates, walker, inits
+
+
+def _merge(prop_steps, gates):
     """Forward timesteps: data-plane gate insertions, then propagation ops.
 
     Insertions condition only on a walker's vertex, which the same-step
     coin operations never change, so they go first; at the launch step
     this lets a local preparation precede the data-controlled coin."""
-    merged = []
-    for t, ts in enumerate(prop_steps):
-        merged.append(Timestep(extras.get(t, []) + list(ts.pre_ops), ts.shift))
-    return merged
+    return [
+        Timestep(gates.get(t, []) + list(ts.pre_ops), ts.shift)
+        for t, ts in enumerate(prop_steps)
+    ]
 
 
-def _with_reverse(prop_steps, extras, layout):
-    merged = _merge(prop_steps, extras, layout)
-    suffix = invert_schedule(Schedule(list(prop_steps)))
-    return Schedule(merged + suffix.timesteps)
+def _with_reverse(prop_steps, gates):
+    suffix = invert_schedule(Schedule(prop_steps))
+    return Schedule(_merge(prop_steps, gates) + suffix.timesteps)
 
 
-def _park_extra_walkers(layout, inits, node):
-    while len(inits) < layout.k:
-        inits.append((node, 0))
-    return inits
+def _pattern(controls) -> str:
+    return "".join(str(bit) for _, _, bit in controls)
 
 
-def _pattern(controls_at_node) -> str:
-    return "".join(str(bit) for _, _, bit in controls_at_node)
+def _oracle_gate(controls, node, qnames, matrix) -> OracleGate:
+    """The gate `matrix` on `node`'s qubits `qnames` under (node, qubit,
+    bit) `controls`, as the oracle applies it."""
+    return OracleGate(
+        controls=tuple(((n, q), b) for n, q, b in controls),
+        targets=tuple((node, q) for q in qnames),
+        matrix=np.asarray(matrix, dtype=complex),
+    )
 
 
 # -- single path ----------------------------------------------------------
@@ -181,61 +287,19 @@ def schedule_remote_cu(
     if separation not in ("reverse", "measure"):
         raise ProtocolError(f"unknown separation {separation!r}")
 
-    names = [q for _, q, _ in request.controls]
-    out0 = graph.port_of(A, path.nodes[1])
-    prop = [
-        Timestep(
-            [make_data_controlled_coin(
-                graph, layout, A, names, _pattern(request.controls),
-                ("swap", 0, out0), 0,
-            )],
-            make_flipflop_shift(graph, layout, [0]),
-        )
-    ]
-    for i in range(1, path.hops):
-        v = path.nodes[i]
-        prop.append(
-            Timestep(
-                [make_coin_perm(
-                    graph, layout, v,
-                    graph.port_of(v, path.nodes[i - 1]),
-                    graph.port_of(v, path.nodes[i + 1]), 0,
-                )],
-                make_flipflop_shift(graph, layout, [0]),
-            )
-        )
-    prop.append(
-        Timestep(
-            [make_coin_perm(graph, layout, B, graph.port_of(B, path.nodes[-2]), 0, 0)],
-            make_identity_shift(layout),
-        )
-    )
-
-    extras: dict[int, list] = {
-        path.hops: [
-            make_coin_controlled_data(
-                graph, layout, B, [q for _, q in request.targets], request.unitary, 0
-            )
-        ]
-    }
+    gates = {B: request.data_gate}
     oracle_gates = [request.oracle_gate()]
     for v, (qnames, matrix) in (intermediate_gates or {}).items():
         if v not in path.nodes[1:-1]:
             raise ProtocolError(f"intermediate gate node {v!r} is not interior to path")
-        t = path.nodes.index(v)
-        extras.setdefault(t, []).append(
-            make_coin_controlled_data(graph, layout, v, qnames, matrix, 0)
-        )
-        oracle_gates.append(
-            OracleGate(
-                controls=tuple(((n, q), b) for n, q, b in request.controls),
-                targets=tuple((v, q) for q in qnames),
-                matrix=np.asarray(matrix, dtype=complex),
-            )
-        )
+        gates[v] = (qnames, matrix)
+        oracle_gates.append(_oracle_gate(request.controls, v, qnames, matrix))
+    visits: list = []
+    _path_visits(visits, path.nodes, controls={A: request.controls}, gates=gates)
+    prop, data_gates, _, inits = _walk(graph, layout, visits)
 
     if separation == "reverse":
-        sched = _with_reverse(prop, extras, layout)
+        sched = _with_reverse(prop, data_gates)
     else:
         if len(request.controls) != 1 or request.controls[0][2] != 1:
             raise ProtocolError(
@@ -244,11 +308,10 @@ def schedule_remote_cu(
         if intermediate_gates:
             raise ProtocolError("measure separation does not take intermediate gates")
         sched = Schedule(
-            _merge(prop, extras, layout),
-            measure=_vertex_measurement(graph, layout, A, B, names[0]),
+            _merge(prop, data_gates),
+            measure=separate_measure(graph, layout, A, B, request.controls[0][1]),
         )
 
-    inits = _park_extra_walkers(layout, [(A, 0)], A)
     return CompiledProtocol(
         name="remote_cu",
         graph=graph,
@@ -260,26 +323,11 @@ def schedule_remote_cu(
     )
 
 
-def separate_reverse(prefix: Schedule) -> Schedule:
-    """Unitary separation: undo the whole measurement-free propagation
-    history; the inverted initial data-controlled permutation lands last
-    and disentangles walker from data."""
-    for ts in prefix.timesteps:
-        for op in ts.pre_ops:
-            if op.is_data_unitary:
-                raise OperatorError(
-                    "reverse suffix must be built from the propagation prefix only"
-                )
-    return invert_schedule(prefix)
-
-
 def separate_measure(graph, layout, a_node, b_node, correction_qubit) -> OperatorSpec:
-    """Measurement separation for a single-path controlled gate; see
-    _vertex_measurement for the basis choice."""
-    return _vertex_measurement(graph, layout, a_node, b_node, correction_qubit)
-
-
-def _vertex_measurement(graph, layout, a_node, b_node, correction_qubit) -> OperatorSpec:
+    """Measurement separation for a single-path controlled gate: measure
+    walker 0's vertex bits in X where the two end vertex ids differ and
+    in Z elsewhere, and its coin bits in Z; an odd X parity calls for a Z
+    correction on `correction_qubit` at `a_node`."""
     a_id, b_id = graph.vertex_id(a_node), graph.vertex_id(b_node)
     if a_id == b_id:
         raise ProtocolError("measurement separation needs two distinct nodes")
@@ -315,7 +363,6 @@ def schedule_multi_control(graph, layout, request: GateRequest, path: PathSpec) 
     in order along the path; reverse separation only."""
     if path.hops < 1:
         raise ProtocolError("path must have at least one hop")
-    control_nodes = []
     by_node: dict[str, list] = {}
     for node, qubit, bit in request.controls:
         if node not in path.nodes:
@@ -323,8 +370,6 @@ def schedule_multi_control(graph, layout, request: GateRequest, path: PathSpec) 
         if node == path.end:
             raise ProtocolError("controls at the target node are unsupported")
         by_node.setdefault(node, []).append((node, qubit, bit))
-        if node not in control_nodes:
-            control_nodes.append(node)
     if not by_node:
         raise ProtocolError("at least one control qubit required")
     if path.start not in by_node:
@@ -334,54 +379,18 @@ def schedule_multi_control(graph, layout, request: GateRequest, path: PathSpec) 
     if layout.k < 1:
         raise ProtocolError("at least one walker required")
 
-    A, B = path.start, path.end
-    prop = []
-    for i, v in enumerate(path.nodes[:-1]):
-        nxt = path.nodes[i + 1]
-        c_out = graph.port_of(v, nxt)
-        if i == 0:
-            ops = [make_data_controlled_coin(
-                graph, layout, v,
-                [q for _, q, _ in by_node[v]], _pattern(by_node[v]),
-                ("swap", 0, c_out), 0,
-            )]
-        else:
-            c_in = graph.port_of(v, path.nodes[i - 1])
-            if v in by_node:
-                ops = [
-                    make_coin_perm(graph, layout, v, c_in, 0, 0),
-                    make_data_controlled_coin(
-                        graph, layout, v,
-                        [q for _, q, _ in by_node[v]], _pattern(by_node[v]),
-                        ("swap", 0, c_out), 0,
-                    ),
-                ]
-            else:
-                ops = [make_coin_perm(graph, layout, v, c_in, c_out, 0)]
-        prop.append(Timestep(ops, make_flipflop_shift(graph, layout, [0])))
-    prop.append(
-        Timestep(
-            [make_coin_perm(graph, layout, B, graph.port_of(B, path.nodes[-2]), 0, 0)],
-            make_identity_shift(layout),
-        )
-    )
-    extras = {
-        path.hops: [
-            make_coin_controlled_data(
-                graph, layout, B, [q for _, q in request.targets], request.unitary, 0
-            )
-        ]
-    }
-    sched = _with_reverse(prop, extras, layout)
-    inits = _park_extra_walkers(layout, [(A, 0)], A)
+    visits: list = []
+    _path_visits(visits, path.nodes, controls=by_node,
+                 gates={path.end: request.data_gate})
+    prop, gates, _, inits = _walk(graph, layout, visits)
     return CompiledProtocol(
         name="remote_mcu",
         graph=graph,
         layout=layout,
-        schedule=sched,
+        schedule=_with_reverse(prop, gates),
         walker_inits=inits,
         oracle_gates=[request.oracle_gate()],
-        meta={"propagation_steps": path.hops, "arrival": {B: path.hops}},
+        meta={"propagation_steps": path.hops, "arrival": {path.end: path.hops}},
     )
 
 
@@ -414,63 +423,19 @@ def schedule_multipath(graph, layout, requests, paths) -> CompiledProtocol:
     if len(set(first_hops)) != len(first_hops):
         raise ProtocolError("paths must leave the control node over distinct edges")
 
-    names = [q for _, q, _ in controls]
-    c0 = graph.port_of(A, first_hops[0])
-    maxd = max(p.hops for p in paths)
-    t0_ops = [
-        make_data_controlled_coin(
-            graph, layout, A, names, _pattern(controls), ("swap", 0, c0), 0
-        )
-    ]
-    if k > 1:
-        t0_ops.append(make_fanout(graph, layout, A, c0, first_hops, list(range(k))))
-    prop = [Timestep(t0_ops, make_flipflop_shift(graph, layout, list(range(k))))]
-    extras: dict[int, list] = {}
-    for t in range(1, maxd + 1):
-        ops = []
-        for j, p in enumerate(paths):
-            if t < p.hops:
-                v = p.nodes[t]
-                ops.append(
-                    make_coin_perm(
-                        graph, layout, v,
-                        graph.port_of(v, p.nodes[t - 1]),
-                        graph.port_of(v, p.nodes[t + 1]), j,
-                    )
-                )
-            elif t == p.hops:
-                ops.append(
-                    make_coin_perm(
-                        graph, layout, p.end,
-                        graph.port_of(p.end, p.nodes[t - 1]), 0, j,
-                    )
-                )
-                extras.setdefault(t, []).append(
-                    make_coin_controlled_data(
-                        graph, layout, p.end,
-                        [q for _, q in requests[j].targets],
-                        requests[j].unitary, j,
-                    )
-                )
-        active = [j for j in range(k) if t < paths[j].hops]
-        shift = (
-            make_flipflop_shift(graph, layout, active)
-            if active
-            else make_identity_shift(layout)
-        )
-        prop.append(Timestep(ops, shift))
-
-    sched = _with_reverse(prop, extras, layout)
-    inits = _park_extra_walkers(layout, [(A, 0) for _ in range(k)], A)
+    visits = [_Visit(A, controls=controls)]
+    for req, p in zip(requests, paths):
+        _path_visits(visits, p.nodes[1:], 0, gates={p.end: req.data_gate})
+    prop, gates, _, inits = _walk(graph, layout, visits)
     return CompiledProtocol(
         name="multipath",
         graph=graph,
         layout=layout,
-        schedule=sched,
+        schedule=_with_reverse(prop, gates),
         walker_inits=inits,
         oracle_gates=[req.oracle_gate() for req in requests],
         meta={
-            "propagation_steps": maxd,
+            "propagation_steps": max(p.hops for p in paths),
             "arrival": {p.end: p.hops for p in paths},
         },
     )
@@ -493,104 +458,35 @@ def schedule_tree(graph, layout, tree: TreeSpec, controls, targets) -> CompiledP
             raise ProtocolError(f"target node {v!r} is outside the tree")
         if v == A:
             raise ProtocolError("target at the control node needs no propagation")
-
-    order = sorted(tree.tree_nodes, key=tree.depth)
-    walker_of = {A: 0}
-    spawn_node: dict[int, str] = {}
-    next_id = 1
-    for v in order:
-        for idx, u in enumerate(tree.successors(v)):
-            if idx == 0:
-                walker_of[u] = walker_of[v]
-            else:
-                walker_of[u] = next_id
-                spawn_node[next_id] = v
-                next_id += 1
-    if layout.k < next_id:
+    if layout.k < len(tree.leaves):
         raise ProtocolError(
-            f"walker budget {layout.k} insufficient, tree needs {next_id}"
+            f"walker budget {layout.k} insufficient, tree needs {len(tree.leaves)}"
         )
 
-    names = [q for _, q, _ in controls]
     depth_of = {v: tree.depth(v) for v in tree.tree_nodes}
-    max_depth = max(depth_of.values())
-    prop = []
-    extras: dict[int, list] = {}
-    for t in range(max_depth + 1):
-        ops = []
-        for v in order:
-            if depth_of[v] != t:
-                continue
-            w = walker_of[v]
-            succ = tree.successors(v)
-            if v == A:
-                c0 = graph.port_of(A, succ[0])
-                ops.append(
-                    make_data_controlled_coin(
-                        graph, layout, A, names, _pattern(controls),
-                        ("swap", 0, c0), 0,
-                    )
-                )
-                if len(succ) > 1:
-                    ops.append(
-                        make_fanout(
-                            graph, layout, A, c0, list(succ),
-                            [walker_of[u] for u in succ],
-                        )
-                    )
-            else:
-                c_in = graph.port_of(v, tree.parent(v))
-                if len(succ) == 1:
-                    ops.append(
-                        make_coin_perm(
-                            graph, layout, v, c_in, graph.port_of(v, succ[0]), w
-                        )
-                    )
-                elif len(succ) > 1:
-                    ops.append(
-                        make_fanout(
-                            graph, layout, v, c_in, list(succ),
-                            [walker_of[u] for u in succ],
-                        )
-                    )
-                else:
-                    ops.append(make_coin_perm(graph, layout, v, c_in, 0, w))
-            if v in targets:
-                qnames, matrix = targets[v]
-                extras.setdefault(t, []).append(
-                    make_coin_controlled_data(graph, layout, v, qnames, matrix, w)
-                )
-        shift = (
-            make_flipflop_shift(graph, layout, list(range(next_id)))
-            if t < max_depth
-            else make_identity_shift(layout)
-        )
-        prop.append(Timestep(ops, shift))
-
-    sched = _with_reverse(prop, extras, layout)
-    inits = [(A, 0)] * layout.k
-    for w, v in spawn_node.items():
-        inits[w] = (v, 0)
+    order = sorted(tree.tree_nodes, key=depth_of.__getitem__)
+    visits = [
+        _Visit(v, None, controls) if v == A
+        else _Visit(v, order.index(tree.parent(v)), gate=targets.get(v))
+        for v in order
+    ]
+    prop, gates, walker, inits = _walk(graph, layout, visits)
     oracle_gates = [
-        OracleGate(
-            controls=tuple(((n, q), b) for n, q, b in controls),
-            targets=tuple((v, q) for q in qnames),
-            matrix=np.asarray(matrix, dtype=complex),
-        )
+        _oracle_gate(controls, v, qnames, matrix)
         for v, (qnames, matrix) in targets.items()
     ]
     return CompiledProtocol(
         name="tree",
         graph=graph,
         layout=layout,
-        schedule=sched,
+        schedule=_with_reverse(prop, gates),
         walker_inits=inits,
         oracle_gates=oracle_gates,
         meta={
-            "propagation_steps": max_depth,
+            "propagation_steps": len(prop) - 1,
             "arrival": {v: depth_of[v] for v in tree.tree_nodes if v != A},
-            "walker_of": dict(walker_of),
-            "spawn_node": dict(spawn_node),
+            "walker_of": dict(zip(order, walker)),
+            "spawn_node": {w: inits[w][0] for w in range(1, len(tree.leaves))},
         },
     )
 
@@ -637,76 +533,33 @@ def schedule_ghz_path(graph, layout, paths, qubit_sets) -> CompiledProtocol:
     if layout.k < k:
         raise ProtocolError(f"walker budget {layout.k} insufficient for {k} paths")
 
-    maxd = max(p.hops for p in paths)
-    steps = max(1, maxd + 1)
-    prop = [Timestep([], None) for _ in range(steps)]
-    prop_ops: list[list] = [[] for _ in range(steps)]
-    extras: dict[int, list] = {}
     x1 = GATE_LIBRARY["X"]
+    visits: list = []
     oracle_gates = []
-    for j, (p, qmap) in enumerate(zip(paths, qubit_sets)):
+    for p, qmap in zip(paths, qubit_sets):
         start_qubits = qmap[p.start]
-        extras.setdefault(0, []).append(
-            make_coin_controlled_data(
-                graph, layout, p.start, start_qubits,
-                _ghz_prep_matrix(len(start_qubits)), j,
-            )
-        )
+        path_gates = {v: (qmap[v], _kron_power(x1, len(qmap[v])))
+                      for v in p.nodes[1:] if qmap.get(v)}
+        path_gates[p.start] = (start_qubits, _ghz_prep_matrix(len(start_qubits)))
+        launch = {p.start: [(p.start, q, 1) for q in start_qubits]}
+        _path_visits(visits, p.nodes, controls=launch, gates=path_gates)
         member_qubits = [(v, q) for v in p.nodes for q in qmap.get(v, [])]
         first = member_qubits[0]
         oracle_gates.append(OracleGate((), (first,), GATE_LIBRARY["H"]))
         for other in member_qubits[1:]:
             oracle_gates.append(OracleGate(((first, 1),), (other,), x1))
-        if p.hops == 0:
-            continue
-        c_out = graph.port_of(p.start, p.nodes[1])
-        prop_ops[0].append(
-            make_data_controlled_coin(
-                graph, layout, p.start, start_qubits, "1" * len(start_qubits),
-                ("swap", 0, c_out), j,
-            )
-        )
-        for t in range(1, p.hops + 1):
-            v = p.nodes[t]
-            qnames = qmap.get(v, [])
-            if qnames:
-                xk = _kron_power(x1, len(qnames))
-                extras.setdefault(t, []).append(
-                    make_coin_controlled_data(graph, layout, v, qnames, xk, j)
-                )
-            if t < p.hops:
-                prop_ops[t].append(
-                    make_coin_perm(
-                        graph, layout, v,
-                        graph.port_of(v, p.nodes[t - 1]),
-                        graph.port_of(v, p.nodes[t + 1]), j,
-                    )
-                )
-            else:
-                prop_ops[t].append(
-                    make_coin_perm(
-                        graph, layout, v, graph.port_of(v, p.nodes[t - 1]), 0, j
-                    )
-                )
-    for t in range(steps):
-        active = [j for j in range(k) if t < paths[j].hops]
-        shift = (
-            make_flipflop_shift(graph, layout, active)
-            if active
-            else make_identity_shift(layout)
-        )
-        prop[t] = Timestep(prop_ops[t], shift)
-
-    sched = _with_reverse(prop, extras, layout)
-    inits = _park_extra_walkers(layout, [(p.start, 0) for p in paths], paths[0].start)
+    prop, gates, _, inits = _walk(graph, layout, visits)
     return CompiledProtocol(
         name="ghz_path",
         graph=graph,
         layout=layout,
-        schedule=sched,
+        schedule=_with_reverse(prop, gates),
         walker_inits=inits,
         oracle_gates=oracle_gates,
-        meta={"propagation_steps": maxd, "arrival": {p.end: p.hops for p in paths}},
+        meta={
+            "propagation_steps": max(p.hops for p in paths),
+            "arrival": {p.end: p.hops for p in paths},
+        },
     )
 
 
@@ -725,9 +578,7 @@ def schedule_linklevel(graph, layout, couple: dict | None = None) -> CompiledPro
     edges additionally receive a data-plane Bell pair, after which the
     walker is returned and disentangled (two more timesteps, one of them a
     flip-flop)."""
-    edges = sorted(
-        {tuple(sorted((v, u))) for v in graph.nodes for u in graph.neighbors(v)}
-    )
+    edges = graph.edges()
     if not edges:
         raise ProtocolError("graph has no proper edges")
     if layout.k < len(edges):
@@ -781,9 +632,8 @@ def schedule_linklevel(graph, layout, couple: dict | None = None) -> CompiledPro
         )
         steps.append(Timestep(t2_ops, make_identity_shift(layout)))
     sched = Schedule(steps)
-    inits = _park_extra_walkers(
-        layout, [(u, 0) for u, _ in edges], edges[0][0]
-    )
+    inits = [(u, 0) for u, _ in edges]
+    inits += [inits[0]] * (layout.k - len(inits))
     return CompiledProtocol(
         name="linklevel",
         graph=graph,

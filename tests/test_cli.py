@@ -6,7 +6,7 @@ import pytest
 from qwcp import cli
 from qwcp.cli import ScriptError, execute, main, parse_script, serialize_script
 
-from conftest import grid3_json, line_json, triangle_json
+from conftest import btree7_json, grid3_json, line_json, triangle_json
 
 
 @pytest.fixture
@@ -167,13 +167,34 @@ def test_execute_step_script_gate_sequence(path3_file):
     assert idx & 1 == 1  # B.b is the lowest bit and got flipped
 
 
-def test_walkers_needed_defaults(tmp_path):
-    net = tmp_path / "tri.json"
-    net.write_text(triangle_json())
-    script = parse_script(f"network {net}\nlinklevel\n")
-    report, _, _ = execute(script)
-    assert report["protocol"] == "linklevel"
-    assert len(report["supports"]["initial"]) == 3  # one walker per edge
+GHZ_NET = line_json(["A", "B", "C", "D"], {v: ["g"] for v in "ABCD"})
+
+
+@pytest.mark.parametrize(
+    "network, command, walkers",
+    [
+        (triangle_json(), "linklevel", 3),  # one per edge
+        (line_json(["A", "u", "B"], {"A": ["a"], "B": ["b"]}),
+         "remote_cu control=A.a target=B.b path=A,u,B gate=X", 1),
+        (line_json(["A0", "A1", "B"], {"A0": ["a"], "A1": ["b"], "B": ["c"]}),
+         "remote_mcu controls=A0.a,A1.b target=B.c path=A0,A1,B gate=X", 1),
+        (grid3_json(),
+         "multipath control=n00.a path=n00,n01,n02 target=n02.b gate=X "
+         "path=n00,n10,n20 target=n20.c gate=Z", 2),  # one per path
+        (btree7_json(),
+         "tree control=A.a edges=A>b0,A>b1,b0>c00,b0>c01,b1>c10 target=c10.t gate=X",
+         3),  # one per leaf
+        (GHZ_NET, "ghz_path path=A,B qubits=A.g,B.g path=D qubits=D.g", 2),
+    ],
+    ids=["linklevel", "remote_cu", "remote_mcu", "multipath", "tree", "ghz_path"],
+)
+def test_walkers_needed_defaults(tmp_path, network, command, walkers):
+    net = tmp_path / "net.json"
+    net.write_text(network)
+    report, _, _ = execute(parse_script(f"network {net}\n{command}\n"))
+    assert report["protocol"] == command.split()[0]
+    assert report["passed"] is True
+    assert len(report["supports"]["initial"]) == walkers
 
 
 def test_network_override(path3_file, tmp_path):
@@ -227,6 +248,10 @@ CNOT_LINE = "remote_cu control=A.a target=B.b path=A,u,B gate=X\n"
         (PATH3_NET, CNOT_LINE.replace("gate=X", "gate=U[1,0;0,0,1,0]")),
         (PATH3_NET, "walkers 1\nplace 5 A\nstep coinperm node=u c1=1 c2=2 walker=0\n"),
         (PATH3_NET, "step datactrl node=A controls=a string=1 swap=1 walker=0\n"),
+        (triangle_json(), "linklevel couple=A,p:B,p couple=B,q:A,q\n"),
+        # the gate is parsed before the layout is sized, so the parse error
+        # wins over the 106-bit layout
+        (PATH3_NET, "walkers 26\n" + CNOT_LINE.replace("gate=X", "gate=Q")),
     ],
     ids=[
         "broken_json",
@@ -238,6 +263,8 @@ CNOT_LINE = "remote_cu control=A.a target=B.b path=A,u,B gate=X\n"
         "gate_columns_ragged",
         "place_walker_out_of_range",
         "step_swap_not_a_pair",
+        "linklevel_edge_coupled_twice",
+        "unknown_gate_with_oversized_layout",
     ],
 )
 def test_main_bad_input_exit_2(tmp_path, capsys, network, commands):

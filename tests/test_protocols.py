@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from qwcp import (
     data_layout,
     fidelity,
     init_state,
+    load_network,
     oracle_apply,
     purity_across_cut,
     run_schedule,
@@ -20,13 +23,14 @@ from qwcp import (
     schedule_multi_control,
     schedule_multipath,
     schedule_remote_cu,
+    schedule_to_json,
     schedule_tree,
     walker_vertex_support,
 )
 from qwcp.protocols import _ghz_prep_matrix
 from qwcp.statevec import reduced_density
 
-from conftest import random_qubit
+from conftest import grid3_json, line_json, random_qubit
 
 
 def verify(compiled, graph, data_inits=None):
@@ -42,6 +46,24 @@ def verify(compiled, graph, data_inits=None):
     else:
         report = compare(final, oracle_out)
     return report, final, trace
+
+
+def forward_ops(comp):
+    """(kind, node, walker) of every operator of each forward timestep,
+    data gates first; a fan-out gives the walkers it serves."""
+    timesteps = schedule_to_json(comp.schedule)["timesteps"]
+    return [
+        [(op["kind"], op["node"], op.get("walker", op.get("walkers"))) for op in ts["ops"]]
+        for ts in timesteps[: comp.meta["propagation_steps"] + 1]
+    ]
+
+
+def shift_walkers(comp):
+    """Per timestep: the shift's mode, its walkers and whether it is inverted."""
+    return [
+        (ts["shift"]["mode"], ts["shift"]["walkers"], ts["shift"].get("inverted", False))
+        for ts in schedule_to_json(comp.schedule)["timesteps"]
+    ]
 
 
 # -- GateRequest ----------------------------------------------------------
@@ -298,6 +320,63 @@ def test_multipath_unequal_lengths(grid3):
     assert comp.meta["arrival"] == {"n12": 3, "n20": 2}
 
 
+def test_multipath_unequal_lengths_shift_all_walkers(grid3):
+    # every flip-flop but the last lists both walkers, also while walker 1
+    # is parked at n20: on its self-loop the flip-flop leaves it in place
+    lay = RegisterLayout.for_network(grid3, 2)
+    ctrl = [("n00", "a", 1)]
+    r1 = GateRequest.build(grid3, ctrl, [("n12", "b")], GATE_LIBRARY["X"])
+    r2 = GateRequest.build(grid3, ctrl, [("n20", "c")], GATE_LIBRARY["X"])
+    comp = schedule_multipath(
+        grid3, lay, [r1, r2],
+        [
+            PathSpec.in_graph(grid3, ["n00", "n01", "n02", "n12"]),
+            PathSpec.in_graph(grid3, ["n00", "n10", "n20"]),
+        ],
+    )
+    flip, flip_back = ("flipflop", [0, 1], False), ("flipflop", [0, 1], True)
+    identity = ("identity", [], False)
+    assert shift_walkers(comp) == (
+        [flip] * 3 + [identity] + [identity] + [flip_back] * 3 + [identity]
+    )
+    rng = np.random.default_rng(13)
+    di = {("n00", "a"): random_qubit(rng), ("n20", "c"): random_qubit(rng)}
+    report, _, trace = verify(comp, grid3, di)
+    assert report.passed
+    assert trace.supports[1][1] == trace.supports[2][1] == {"n00", "n20"}
+
+
+def test_multipath_paths_meet_again():
+    # both walkers pass n11 at the same step, then part again
+    doc = json.loads(grid3_json())
+    doc["data_qubits"]["n21"] = ["d"]
+    g = load_network(json.dumps(doc))
+    lay = RegisterLayout.for_network(g, 2)
+    ctrl = [("n00", "a", 1)]
+    r1 = GateRequest.build(g, ctrl, [("n12", "b")], GATE_LIBRARY["X"])
+    r2 = GateRequest.build(g, ctrl, [("n21", "d")], GATE_LIBRARY["H"])
+    comp = schedule_multipath(
+        g, lay, [r1, r2],
+        [
+            PathSpec.in_graph(g, ["n00", "n01", "n11", "n12"]),
+            PathSpec.in_graph(g, ["n00", "n10", "n11", "n21"]),
+        ],
+    )
+    assert forward_ops(comp) == [
+        [("datactrl", "n00", 0), ("fanout", "n00", [0, 1])],
+        [("coinperm", "n01", 0), ("coinperm", "n10", 1)],
+        [("coinperm", "n11", 0), ("coinperm", "n11", 1)],
+        [("coindata", "n12", 0), ("coindata", "n21", 1),
+         ("coinperm", "n12", 0), ("coinperm", "n21", 1)],
+    ]
+    assert comp.walker_inits == [("n00", 0), ("n00", 0)]
+    rng = np.random.default_rng(14)
+    di = {(v, q): random_qubit(rng) for v, q in (("n00", "a"), ("n12", "b"), ("n21", "d"))}
+    report, _, trace = verify(comp, g, di)
+    assert report.passed
+    assert trace.supports[1] == {0: {"n00", "n11"}, 1: {"n00", "n11"}}
+
+
 def test_multipath_rejects_shared_first_edge(grid3):
     lay = RegisterLayout.for_network(grid3, 2)
     ctrl = [("n00", "a", 1)]
@@ -382,6 +461,34 @@ def test_tree_interior_target(btree7):
     assert report.passed
 
 
+def test_tree_edges_out_of_depth_order(btree7):
+    # the edges list leaves before their parents, so at depth 2 the
+    # visits come in node order c10, c00, c11, c01 with walkers 1, 0, 3, 2
+    edges = [("b1", "c10"), ("A", "b0"), ("b0", "c00"), ("A", "b1"),
+             ("b1", "c11"), ("b0", "c01")]
+    tree = TreeSpec.in_graph(btree7, "A", edges)
+    lay = RegisterLayout.for_network(btree7, 4)
+    gates = dict(zip(("c00", "c01", "c10", "c11"), "XZHS"))
+    targets = {leaf: (["t"], GATE_LIBRARY[g]) for leaf, g in gates.items()}
+    comp = schedule_tree(btree7, lay, tree, [("A", "a", 1)], targets)
+    leaves = [("c10", 1), ("c00", 0), ("c11", 3), ("c01", 2)]
+    assert forward_ops(comp) == [
+        [("datactrl", "A", 0), ("fanout", "A", [0, 1])],
+        [("fanout", "b0", [0, 2]), ("fanout", "b1", [1, 3])],
+        [("coindata", v, w) for v, w in leaves] + [("coinperm", v, w) for v, w in leaves],
+    ]
+    assert comp.walker_inits == [("A", 0), ("A", 0), ("b0", 0), ("b1", 0)]
+    assert comp.meta["walker_of"] == {
+        "A": 0, "b0": 0, "b1": 1, "c00": 0, "c01": 2, "c10": 1, "c11": 3,
+    }
+    assert comp.meta["spawn_node"] == {1: "A", 2: "b0", 3: "b1"}
+    rng = np.random.default_rng(15)
+    di = {("A", "a"): random_qubit(rng)}
+    di.update({(leaf, "t"): random_qubit(rng) for leaf in gates})
+    report, _, _ = verify(comp, btree7, di)
+    assert report.passed
+
+
 # -- GHZ ------------------------------------------------------------------
 
 
@@ -456,6 +563,37 @@ def test_ghz_two_disjoint_paths(path4):
         bits = tuple(lay.data_bit(n, q) for n, q in pair)
         rho = reduced_density(final, bits)
         assert float(np.vdot(bell, rho @ bell).real) >= 1 - 1e-9
+
+
+def test_ghz_zero_hop_path_beside_longer_path():
+    # path [A] has no hop: its walker 0 only carries A's local prep and
+    # stays parked at A, listed in the flip-flops while walker 1 walks
+    g = load_network(
+        line_json(["A", "B", "C", "D"], {"A": ["g", "h"], "B": ["g"], "C": ["g"], "D": ["g"]})
+    )
+    lay = RegisterLayout.for_network(g, 2)
+    comp = schedule_ghz_path(
+        g, lay,
+        [PathSpec.in_graph(g, ["A"]), PathSpec.in_graph(g, ["B", "C", "D"])],
+        [{"A": ["g", "h"]}, {v: ["g"] for v in "BCD"}],
+    )
+    assert forward_ops(comp) == [
+        [("coindata", "A", 0), ("coindata", "B", 1), ("datactrl", "B", 1)],
+        [("coindata", "C", 1), ("coinperm", "C", 1)],
+        [("coindata", "D", 1), ("coinperm", "D", 1)],
+    ]
+    assert shift_walkers(comp)[:3] == [
+        ("flipflop", [0, 1], False), ("flipflop", [0, 1], False), ("identity", [], False),
+    ]
+    assert comp.walker_inits == [("A", 0), ("B", 0)]
+    report, final, trace = verify(comp, g)
+    assert report.passed
+    assert all(sup[0] == {"A"} for sup in trace.supports)
+    for qubits in ((("A", "g"), ("A", "h")), (("B", "g"), ("C", "g"), ("D", "g"))):
+        ghz = np.zeros(1 << len(qubits), dtype=complex)
+        ghz[0] = ghz[-1] = 1 / np.sqrt(2)
+        rho = reduced_density(final, tuple(lay.data_bit(n, q) for n, q in qubits))
+        assert float(np.vdot(ghz, rho @ ghz).real) >= 1 - 1e-9
 
 
 # -- link-level -----------------------------------------------------------

@@ -1,6 +1,6 @@
 """Output parity of two qwcp source trees on the benchmark's workloads.
 
-    python3 tools/parity.py OLD_SRC NEW_SRC [--seeds 1 5 77 201 401]
+    python3 tools/parity.py OLD_SRC NEW_SRC [--seeds 1 5 77 201 401] [--tests DIR]
 
 Every job that `perfbench/workloads.generate` builds for the three
 workloads at the given seeds runs as `qwcp run` in a subprocess, once with
@@ -8,6 +8,13 @@ PYTHONPATH=OLD_SRC and once with PYTHONPATH=NEW_SRC. Each branch-mode job
 that measures is replayed in `--mode sample` with `--dump-state` at
 sample seeds 0-7. Exit codes, stdout, stderr, report bytes and dump bytes
 must match exactly; a changed signed zero in a dump counts as a difference.
+
+With `--tests DIR`, the pytest suite in DIR also runs once against each
+tree under the `record_schedules` plugin (this directory), and every
+protocol compiler call the tests make must give the same record: the
+compiler, `schedule_to_json`, `walker_inits`, `meta`, the oracle gates,
+or the error text. Both runs use hypothesis seed 0 and a fresh example
+database, so they draw the same examples.
 
 Exits 0 when every run matches, 1 when any differs, and 2 on bad usage.
 Reads `perfbench/` and writes only to a temporary directory.
@@ -22,7 +29,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+TOOLS = Path(__file__).resolve().parent
+ROOT = TOOLS.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
@@ -80,6 +88,44 @@ def compare_runs(label: str, old: dict, new: dict) -> list:
     return problems
 
 
+def record_calls(src: Path, tests: Path, workdir: Path) -> tuple[int, dict]:
+    """Run the suite in `tests` against `src` with the recording plugin;
+    returns pytest's exit code and the records keyed by (test, call)."""
+    workdir.mkdir(parents=True)
+    out = workdir / "calls.jsonl"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(TOOLS)]),
+               PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "record_schedules",
+           "-p", "no:cacheprovider", "--hypothesis-seed=0", f"--rootdir={tests.parent}",
+           "--record-schedules", str(out), str(tests)]
+    proc = subprocess.run(cmd, env=env, cwd=workdir, capture_output=True, timeout=1800)
+    records = [json.loads(line) for line in out.read_text().splitlines()] if out.exists() else []
+    return proc.returncode, {(r["test"], r["call"]): r for r in records}
+
+
+def first_json_difference(a, b, where: str = "") -> str:
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            if a.get(key) != b.get(key):
+                return first_json_difference(a.get(key), b.get(key), f"{where}.{key}")
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            if x != y:
+                return first_json_difference(x, y, f"{where}[{i}]")
+    return f"{where or 'record'}: {json.dumps(a)[:120]} != {json.dumps(b)[:120]}"
+
+
+def compare_calls(old: dict, new: dict) -> list:
+    problems = []
+    for key in sorted(set(old) | set(new)):
+        label = f"{key[0]} call {key[1]}"
+        if key not in old or key not in new:
+            problems.append(f"{label}: only in {'new' if key in new else 'old'}")
+        elif old[key] != new[key]:
+            problems.append(f"{label}: {first_json_difference(old[key], new[key])}")
+    return problems
+
+
 def measures(report: bytes | None) -> bool:
     try:
         return bool(json.loads(report)["measurements"])
@@ -92,6 +138,8 @@ def main(argv=None) -> int:
     parser.add_argument("old_src", type=Path)
     parser.add_argument("new_src", type=Path)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 5, 77, 201, 401])
+    parser.add_argument("--tests", type=Path,
+                        help="also compare every compiler call this test directory makes")
     args = parser.parse_args(argv)
     for src in (args.old_src, args.new_src):
         if not (src / "qwcp" / "cli.py").is_file():
@@ -125,6 +173,20 @@ def main(argv=None) -> int:
                             run_side(new_src, sample, sub / "new"),
                         )
                         runs += 1
+        if args.tests is not None:
+            tests = args.tests.resolve()
+            old_code, old_calls = record_calls(old_src, tests, tmp / "calls-old")
+            new_code, new_calls = record_calls(new_src, tests, tmp / "calls-new")
+            call_problems = compare_calls(old_calls, new_calls)
+            # 1 only says some tests failed; any other code means pytest
+            # itself did not run them, so their records are missing
+            call_problems += [f"{tests}: pytest exit {code} against {side} tree"
+                              for side, code in (("old", old_code), ("new", new_code))
+                              if code not in (0, 1)]
+            problems += call_problems
+            print(f"{tests}: pytest exit {old_code} (old), {new_code} (new); "
+                  f"{len(old_calls)} and {len(new_calls)} compiler calls, "
+                  f"{len(call_problems)} differences")
     for problem in problems:
         print(problem)
     print(f"{runs} runs on each side, {len(problems)} differences")
