@@ -58,11 +58,13 @@ from .protocols import (
     separate_measure,
 )
 from .statevec import (
+    BlockAction,
     RegisterLayout,
     SQRT1_2,
     StateError,
     dump_state,
     init_state,
+    insert_qubits,
 )
 from .walkops import (
     OperatorError,
@@ -535,13 +537,9 @@ def _compile_step(graph, layout, args, line, builder_state):
 # -- execution ------------------------------------------------------------
 
 
-def execute(
-    script: Script,
-    network_override: str | None = None,
-    seed: int | None = None,
-    mode: str = "branch",
-):
-    """Run a parsed script; returns (report dict, final StateVector, trace)."""
+def _prepare(script: Script, network_override: str | None = None):
+    """Load the network and compile the script; returns (graph, compiled
+    protocol, walker inits, {(node, qubit): 2-vector} data inits)."""
     network_path = network_override or script.network
     if network_path is None:
         raise ScriptError("no network file given (script line or --network)")
@@ -569,7 +567,6 @@ def execute(
         compiled = _PROTOCOL_COMPILERS[name](graph, script.walkers, args, lineno)
         if script.places:
             raise ScriptError("place is only valid in step scripts")
-        layout = compiled.layout
         walker_inits = compiled.walker_inits
     else:
         k = script.walkers or (max(w for w, _, _ in script.places) + 1 if script.places else 1)
@@ -600,6 +597,59 @@ def execute(
         if qubit not in graph.qubits_at(node):
             raise ScriptError(f"init references unknown qubit {node}.{qubit}")
         data_inits[(node, qubit)] = DATA_INIT_STATES[state]
+    for node, qubit in compiled.fresh_qubits:
+        if data_inits.get((node, qubit), DATA_INIT_STATES["0"]) != DATA_INIT_STATES["0"]:
+            raise ProtocolError(
+                f"{compiled.name} needs {node}.{qubit} to start in |0>; "
+                "drop its init or set it to 0"
+            )
+    return graph, compiled, walker_inits, data_inits
+
+
+def spectator_qubits(layout: RegisterLayout, schedule: Schedule, oracle_gates) -> list:
+    """Data qubits, as (node, name) in layout order, that no action of the
+    schedule reads or writes (block targets and conditions, measured bits,
+    the corrected bit) and no oracle gate touches. Such a qubit stays in
+    its initial single-qubit state for the whole run."""
+    touched = set()
+    for ts in schedule.timesteps:
+        for op in (*ts.pre_ops, ts.shift):
+            for act in op.iter_actions():
+                if isinstance(act, BlockAction):
+                    touched.update(act.target_bits)
+                    touched.update(pos for bits, _ in act.conditions for pos in bits)
+    if schedule.measure is not None:
+        touched.update(schedule.measure.params["qubits"])
+        touched.add(schedule.measure.params["correct_bit"])
+    gate_qubits = set()
+    for gate in oracle_gates or ():
+        gate_qubits.update(q for q, _ in gate.controls)
+        gate_qubits.update(gate.targets)
+    return [
+        q for q in layout.data_order
+        if q not in gate_qubits and layout.data_bit(*q) not in touched
+    ]
+
+
+def execute(
+    script: Script,
+    network_override: str | None = None,
+    seed: int | None = None,
+    mode: str = "branch",
+):
+    """Run a parsed script; returns (report dict, final StateVector, trace).
+
+    Only the core of the state is run: spectator data qubits (see
+    `spectator_qubits`) start in |0> in the protocol and oracle states,
+    and their initial 2-vectors are kept apart. `run_schedule`, `measure`,
+    `oracle_apply` and `compare` see core states, and so do
+    `trace.branches`. `final` is the full state, with the spectators
+    inserted at their layout bits, and `final_norm` is its norm."""
+    graph, compiled, walker_inits, data_inits = _prepare(script, network_override)
+    layout = compiled.layout
+    spectators = spectator_qubits(layout, compiled.schedule, compiled.oracle_gates)
+    # spectators leave the data inits; those not in |0> become factors
+    factors = {layout.data_bit(*q): data_inits.pop(q) for q in spectators if q in data_inits}
 
     state = init_state(graph, layout, walker_inits, data_inits)
     rng = np.random.default_rng(seed) if seed is not None else None
@@ -620,6 +670,7 @@ def execute(
             )
         else:
             comparison = compare(final, oracle_out)
+    final = insert_qubits(final, factors)
 
     report = {
         "schema": 1,
@@ -627,7 +678,7 @@ def execute(
         "mode": mode,
         "seed": seed,
         "steps": len(compiled.schedule.timesteps),
-        "final_norm": trace.final_norm,
+        "final_norm": final.norm,
         "fidelity_vs_oracle": comparison.data_fidelity if comparison else None,
         "walker_purity": comparison.walker_purity if comparison else None,
         "passed": comparison.passed if comparison else None,

@@ -130,6 +130,8 @@ class CompiledProtocol:
     walker_inits: list
     oracle_gates: list
     meta: dict = field(default_factory=dict)
+    # data qubits the schedule assumes start in |0>, as (node, name)
+    fresh_qubits: tuple = ()
 
 
 # -- the walk compiler ----------------------------------------------------
@@ -577,7 +579,8 @@ def schedule_linklevel(graph, layout, couple: dict | None = None) -> CompiledPro
     couple: optional {(u, v): (qubit_at_u, qubit_at_v)} with u < v; coupled
     edges additionally receive a data-plane Bell pair, after which the
     walker is returned and disentangled (two more timesteps, one of them a
-    flip-flop)."""
+    flip-flop). The pair is built from |0> on qubit_at_u, so that qubit is
+    listed in `fresh_qubits`."""
     edges = graph.edges()
     if not edges:
         raise ProtocolError("graph has no proper edges")
@@ -646,6 +649,8 @@ def schedule_linklevel(graph, layout, couple: dict | None = None) -> CompiledPro
             "entangling_shifts": 1,
             "coupled": sorted(couple),
         },
+        # the walker-controlled X at u makes its half of the pair from |0>
+        fresh_qubits=tuple((u, qu) for (u, _), (qu, _) in couple.items()),
     )
 
 

@@ -29,7 +29,6 @@ MAX_TOTAL_BITS = 26
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 HADAMARD = np.array([[SQRT1_2, SQRT1_2], [SQRT1_2, -SQRT1_2]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 class StateError(ValueError):
@@ -283,33 +282,12 @@ def apply_operator(state: StateVector, op) -> StateVector:
 
 
 def apply_z(state: StateVector, bit: int) -> StateVector:
-    """Pauli Z on one bit; the indices and their order stay as they are.
-
-    The amplitudes come from the `(rows, 2) @ PAULI_Z.T` product that a
-    `BlockAction` on `bit` computes, with the same rows: one per entry with
-    the bit clear, holding its partner with the bit set if there is one,
-    then one per remaining entry with the bit set. The partner's zero terms
-    decide some signed zeros, so the product is kept; the partners are
-    found by binary search, and nothing is grouped or re-sorted."""
+    """Pauli Z on one bit: the entries with the bit set change sign. The
+    indices and their order stay as they are."""
     t = 1 << (state.layout.total_bits - 1 - bit)
-    indices, amps = state.indices, state.amplitudes
-    is_set = (indices & t) != 0
-    clear_at, set_at = np.flatnonzero(~is_set), np.flatnonzero(is_set)
-    clear_idx = indices[clear_at]
-    partner = indices[set_at] ^ t
-    row = np.searchsorted(clear_idx, partner)
-    paired = row < len(clear_idx)
-    paired[paired] = clear_idx[row[paired]] == partner[paired]
-    alone = np.count_nonzero(~paired)
-    row[~paired] = len(clear_idx) + np.arange(alone)
-    block = np.zeros((len(clear_idx) + alone, 2), dtype=complex)
-    block[: len(clear_idx), 0] = amps[clear_at]
-    block[row, 1] = amps[set_at]
-    block = block @ PAULI_Z.T
-    new_amps = np.empty_like(amps)
-    new_amps[clear_at] = block[: len(clear_idx), 0]
-    new_amps[set_at] = block[row, 1]
-    return StateVector(state.layout, indices, new_amps)
+    amps = state.amplitudes.copy()
+    np.negative(amps, out=amps, where=(state.indices & t) != 0)
+    return StateVector(state.layout, state.indices, amps)
 
 
 # -- construction ---------------------------------------------------------
@@ -358,6 +336,27 @@ def init_state(
     nonzero = data_amps != 0
     indices = (widx << layout.data_bits) | data_idx[nonzero]
     return StateVector(layout, indices, data_amps[nonzero])
+
+
+def insert_qubits(state: StateVector, factors: dict) -> StateVector:
+    """Kronecker product of the state with single-qubit states.
+
+    factors: {bit position: length-2 amplitude pair}; the state must hold
+    each of these bits at 0. Every stored entry becomes one entry per
+    nonzero amplitude of each factor, with that factor's bit set to match."""
+    if not factors:
+        return state
+    n = state.layout.total_bits
+    indices, amps = state.indices, state.amplitudes
+    if np.any(indices & _bit_mask(n, factors)):
+        raise StateError("inserted qubits must be 0 in the state")
+    for pos, q in factors.items():
+        q = np.asarray(q, dtype=complex)
+        bits = np.flatnonzero(q)
+        # one sorted run per bit value
+        indices = (indices[None, :] | (bits[:, None] << (n - 1 - pos))).ravel()
+        amps = (q[bits][:, None] * amps[None, :]).ravel()
+    return StateVector(state.layout, *_sorted(indices, amps))
 
 
 # -- measurement ----------------------------------------------------------
@@ -429,13 +428,11 @@ def measure(
         new_indices = indices[kept] & x_clear
         new_amps = amps[kept] / math.sqrt(p)
         for i in x_measured:
-            # the product _apply_block computes, so signed zeros match it
-            block = np.zeros((len(new_amps), 2), dtype=complex)
-            block[:, bits[i]] = new_amps
-            block = block @ HADAMARD.T
             set_bit = 1 << (n - 1 - qubits[i])
             new_indices = np.concatenate((new_indices, new_indices | set_bit))
-            new_amps = np.concatenate((block[:, 0], block[:, 1]))
+            new_amps = np.concatenate(
+                (new_amps * HADAMARD[0, bits[i]], new_amps * HADAMARD[1, bits[i]])
+            )
         # no exact zeros to drop: the kept amplitudes are nonzero and every
         # Hadamard entry has magnitude above 1/2, so no product rounds to zero
         new_indices, new_amps = _sorted(new_indices, new_amps)
@@ -541,19 +538,19 @@ def check_no_invalid_amplitude(
 def dump_state(state: StateVector, threshold: float = DUMP_TOL) -> str:
     """One line per nonzero amplitude: `index_bits  re  im`, ascending.
 
-    Amplitudes repeat heavily, so each distinct float (told apart by its
-    bit pattern, which keeps -0.0 and 0.0 apart) is formatted with `repr`
-    once and its text reused on every line that holds it. The index bit
-    strings are built as '0'/'1' bytes with numpy, DUMP_CHUNK lines at a
-    time, which keeps the bit array small next to the text."""
+    Zeros are printed as `0.0`: each part is written as `x + 0.0`, which
+    turns -0.0 into 0.0 and leaves every other value as it is, so the sign
+    of a zero never depends on how the engine computed it. Amplitudes
+    repeat heavily, so each distinct float is formatted with `repr` once
+    and its text reused on every line that holds it. The index bit strings
+    are built as '0'/'1' bytes with numpy, DUMP_CHUNK lines at a time,
+    which keeps the bit array small next to the text."""
     n = state.layout.total_bits
     shown = np.abs(state.amplitudes) >= threshold
     indices = state.indices[shown]
-    parts = state.amplitudes[shown].view(np.float64)  # re, im, re, im, ...
-    _, first, which = np.unique(
-        parts.view(np.int64), return_index=True, return_inverse=True
-    )
-    text = [repr(x) for x in parts[first].tolist()]
+    parts = state.amplitudes[shown].view(np.float64) + 0.0  # re, im, re, im, ...
+    values, which = np.unique(parts, return_inverse=True)
+    text = [repr(x) for x in values.tolist()]
     which = which.tolist()
     shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
     chunks = []

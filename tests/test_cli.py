@@ -295,6 +295,34 @@ def test_main_non_finite_gate_exit_3(tmp_path, init, entry):
     assert main(["run", str(script)]) == 3
 
 
+@pytest.mark.parametrize(
+    "init, couple, code",
+    [
+        ("init C.a=+\n", "C,a:D,a", 3),
+        ("init C.a=1\n", "C,a:D,a", 3),
+        ("init C.a=-\n", "D,a:C,a", 3),  # C.a is still the pair's first half
+        ("init C.a=0\n", "C,a:D,a", 0),
+        ("init D.a=1\n", "C,a:D,a", 0),
+        ("init D.a=+\n", "D,a:C,a", 0),
+    ],
+    ids=["first_plus", "first_one", "first_minus_reversed", "first_zero",
+         "second_one", "second_plus_reversed"],
+)
+def test_main_linklevel_needs_fresh_first_qubit(tmp_path, capsys, init, couple, code):
+    # the walker-controlled X flips make the Bell pair from |0> on the
+    # coupled qubit at the lower node; the other qubit may start anywhere
+    net = write_script(
+        tmp_path,
+        '{"nodes": ["C", "D"], "edges": [["C", "D"], ["D", "C"]],'
+        ' "data_qubits": {"C": ["a"], "D": ["a"]}}',
+        name="net.json",
+    )
+    script = write_script(tmp_path, f"network {net}\n{init}linklevel couple={couple}\n")
+    assert main(["run", str(script), "--out", str(tmp_path / "r.json")]) == code
+    if code == 3:
+        assert "C.a to start in |0>" in capsys.readouterr().err
+
+
 def test_main_linklevel_without_data_qubits_passes(tmp_path):
     from qwcp.oracle import PASS_TOL
 

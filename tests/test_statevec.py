@@ -23,7 +23,6 @@ from qwcp.statevec import (
     DUMP_TOL,
     HADAMARD,
     MAX_TOTAL_BITS,
-    PAULI_Z,
     SQRT1_2,
     PermAction,
     _gather,
@@ -240,11 +239,11 @@ def pool_states(draw, part=parts):
 
 
 def dump_reference(state, threshold=DUMP_TOL):
-    """dump_state as one f-string per amplitude."""
+    """dump_state as one f-string per amplitude, zeros written as 0.0."""
     n = state.layout.total_bits
     shown = np.abs(state.amplitudes) >= threshold
     return "\n".join(
-        f"{idx:0{n}b}  {a.real!r}  {a.imag!r}"
+        f"{idx:0{n}b}  {a.real + 0.0!r}  {a.imag + 0.0!r}"
         for idx, a in zip(
             state.indices[shown].tolist(), state.amplitudes[shown].tolist()
         )
@@ -321,6 +320,13 @@ def test_dump_state_matches_reference(state):
         assert text == ""
 
 
+def canonical_bits(amps):
+    """Bit patterns of the parts after `+ 0.0`, the zero sign dumps print:
+    equal floats compare equal and -0.0 is 0.0, any other sign or last
+    bit still counts."""
+    return (np.asarray(amps, dtype=complex) + 0.0).view(np.int64)
+
+
 def measure_reference(state, qubits, bases):
     """Branch-mode measure that rotates each collapsed branch back with
     one Hadamard block per X-measured qubit."""
@@ -356,10 +362,7 @@ def test_measure_branches_match_reference_bitwise(state, qubits, data):
     for (record, branch), (fields, (indices, amps)) in zip(got, want):
         assert (record.qubits, record.bases, record.outcome, record.probability) == fields
         assert np.array_equal(branch.indices, indices)
-        # bit patterns, so that a flipped signed zero counts as a difference
-        assert np.array_equal(
-            branch.amplitudes.view(np.int64), np.asarray(amps).view(np.int64)
-        )
+        assert np.array_equal(canonical_bits(branch.amplitudes), canonical_bits(amps))
 
 
 @settings(max_examples=40, deadline=None)
@@ -441,11 +444,12 @@ def test_unique_inverse_matches_numpy(keys):
     assert np.array_equal(got_inverse, want_inverse)
 
 
+PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
+
+
 def assert_same_bits(got, want):
     assert np.array_equal(got.indices, want.indices)
-    assert np.array_equal(got.amplitudes, want.amplitudes)
-    # bit patterns, so that a flipped signed zero counts as a difference
-    assert np.array_equal(got.amplitudes.view(np.int64), want.amplitudes.view(np.int64))
+    assert np.array_equal(canonical_bits(got.amplitudes), canonical_bits(want.amplitudes))
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,6 +8,9 @@ PYTHONPATH=OLD_SRC and once with PYTHONPATH=NEW_SRC. Each branch-mode job
 that measures is replayed in `--mode sample` with `--dump-state` at
 sample seeds 0-7. Exit codes, stdout, stderr, report bytes and dump bytes
 must match exactly; a changed signed zero in a dump counts as a difference.
+An output whose lines differ only in float literals is reported as such,
+with its largest absolute float difference, and the largest one over all
+runs is printed at the end; it still counts as a difference.
 
 With `--tests DIR`, the pytest suite in DIR also runs once against each
 tree under the `record_schedules` plugin (this directory), and every
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -38,6 +42,8 @@ import workloads  # noqa: E402
 RUN_MAIN = "import sys; from qwcp.cli import main; sys.exit(main(sys.argv[1:]))"
 REPLAY_SEEDS = range(8)
 OUTPUT_FLAGS = ("--out", "--dump-state")
+# a float literal as repr or JSON writes it; digits alone are integers or index bits
+FLOAT = re.compile(rb"(-?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+|inf|nan|Infinity|NaN))")
 
 
 def with_option(argv: list, flag: str, value: str) -> list:
@@ -76,14 +82,44 @@ def first_difference(old: bytes, new: bytes) -> str:
     return f"{len(old_lines)} lines != {len(new_lines)} lines"
 
 
-def compare_runs(label: str, old: dict, new: dict) -> list:
+def float_difference(old: bytes, new: bytes) -> tuple[int, float] | None:
+    """(differing lines, largest absolute float difference) when the two
+    texts have the same lines apart from float literals, else None."""
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    if len(old_lines) != len(new_lines):
+        return None
+    lines, largest = 0, 0.0
+    for a, b in zip(old_lines, new_lines):
+        if a == b:
+            continue
+        parts_a, parts_b = FLOAT.split(a), FLOAT.split(b)
+        # split keeps the floats at odd positions, the text between at even
+        if len(parts_a) != len(parts_b) or parts_a[0::2] != parts_b[0::2]:
+            return None
+        lines += 1
+        for x, y in zip(parts_a[1::2], parts_b[1::2]):
+            largest = max(largest, abs(float(x) - float(y)))
+    return lines, largest
+
+
+def compare_runs(label: str, old: dict, new: dict, floats: list) -> list:
+    """Problems of one run pair; the largest float-only difference of each
+    output goes to `floats`."""
     problems = []
     for key in old:
         a, b = old[key], new[key]
         if a == b:
             continue
-        detail = (first_difference(a, b) if isinstance(a, bytes) and isinstance(b, bytes)
-                  else f"{a!r} != {b!r}")
+        if isinstance(a, bytes) and isinstance(b, bytes):
+            found = float_difference(a, b)
+            if found is not None:
+                floats.append(found[1])
+                detail = (f"in floats only, {found[0]} lines, largest difference "
+                          f"{found[1]:.3g}; first {first_difference(a, b)}")
+            else:
+                detail = first_difference(a, b)
+        else:
+            detail = f"{a!r} != {b!r}"
         problems.append(f"{label}: {key} differs, {detail}")
     return problems
 
@@ -146,7 +182,7 @@ def main(argv=None) -> int:
             parser.error(f"no qwcp package under {src}")
     old_src, new_src = args.old_src.resolve(), args.new_src.resolve()
 
-    problems, runs = [], 0
+    problems, floats, runs = [], [], 0
     with tempfile.TemporaryDirectory(prefix="qwcp-parity-") as tmp:
         tmp = Path(tmp)
         for workload in workloads.WORKLOADS:
@@ -157,7 +193,7 @@ def main(argv=None) -> int:
                     outdir = tmp / "out" / f"{workload}-s{seed}-{job['name']}"
                     old = run_side(old_src, job["argv"], outdir / "old")
                     new = run_side(new_src, job["argv"], outdir / "new")
-                    problems += compare_runs(label, old, new)
+                    problems += compare_runs(label, old, new, floats)
                     runs += 1
                     if job["mode"] != "branch" or not measures(old["out"]):
                         continue
@@ -171,6 +207,7 @@ def main(argv=None) -> int:
                             f"{label} sample seed {replay}",
                             run_side(old_src, sample, sub / "old"),
                             run_side(new_src, sample, sub / "new"),
+                            floats,
                         )
                         runs += 1
         if args.tests is not None:
@@ -189,6 +226,9 @@ def main(argv=None) -> int:
                   f"{len(call_problems)} differences")
     for problem in problems:
         print(problem)
+    if floats:
+        print(f"{len(floats)} outputs differ in floats only, largest difference "
+              f"{max(floats)!r}")
     print(f"{runs} runs on each side, {len(problems)} differences")
     return 1 if problems else 0
 
