@@ -120,10 +120,6 @@ class Script:
 # -- parsing --------------------------------------------------------------
 
 
-def _split_tokens(line: str) -> list:
-    return line.split()
-
-
 def _parse_kv(token: str, line: int):
     if "=" not in token:
         return token
@@ -144,7 +140,7 @@ def parse_script(text: str) -> Script:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = _split_tokens(line)
+        tokens = line.split()
         name, args = tokens[0], tokens[1:]
         if name == "network":
             if len(args) != 1:
@@ -477,7 +473,7 @@ def _compile_step(graph, layout, args, line, builder_state):
         if builder_state["measure"] is not None:
             raise ScriptError("only one measure step allowed", line)
         builder_state["measure"] = separate_measure(
-            graph, layout, kv["a"], kv["b"], kv["qubit"]
+            graph, layout, kv["a"], kv["b"], kv["qubit"], _int(kv.get("walker", "0"), line)
         )
         return
     if op_name == "coinperm":
@@ -644,7 +640,8 @@ def execute(
     and their initial 2-vectors are kept apart. `run_schedule`, `measure`,
     `oracle_apply` and `compare` see core states, and so do
     `trace.branches`. `final` is the full state, with the spectators
-    inserted at their layout bits, and `final_norm` is its norm."""
+    inserted at their layout bits, and the report's `final_norm` is its
+    norm."""
     graph, compiled, walker_inits, data_inits = _prepare(script, network_override)
     layout = compiled.layout
     spectators = spectator_qubits(layout, compiled.schedule, compiled.oracle_gates)
@@ -652,6 +649,8 @@ def execute(
     factors = {layout.data_bit(*q): data_inits.pop(q) for q in spectators if q in data_inits}
 
     state = init_state(graph, layout, walker_inits, data_inits)
+    if seed is not None and seed < 0:
+        raise ScriptError("--seed must be a non-negative integer")
     rng = np.random.default_rng(seed) if seed is not None else None
     if mode == "sample" and rng is None:
         rng = np.random.default_rng(0)
@@ -661,15 +660,13 @@ def execute(
     if compiled.oracle_gates is not None:
         oracle_in = init_state(graph, data_layout(graph), [], data_inits)
         oracle_out = oracle_apply(oracle_in, compiled.oracle_gates)
-        if trace.branches:
-            reports = [compare(s, oracle_out) for _, s in trace.branches]
-            comparison = CompareReport(
-                min(r.walker_purity for r in reports),
-                min(r.data_fidelity for r in reports),
-                all(r.passed for r in reports),
-            )
-        else:
-            comparison = compare(final, oracle_out)
+        states = [s for _, s in trace.branches] or [final]
+        reports = [compare(s, oracle_out) for s in states]
+        comparison = CompareReport(
+            min(r.walker_purity for r in reports),
+            min(r.data_fidelity for r in reports),
+            all(r.passed for r in reports),
+        )
     final = insert_qubits(final, factors)
 
     report = {

@@ -96,22 +96,9 @@ class NetworkGraph:
     # -- metrics ---------------------------------------------------------
 
     def hop_distance(self, u: str, v: str) -> int | None:
-        """BFS shortest-path length; None if v is unreachable from u."""
-        self._require(u)
-        self._require(v)
-        if u == v:
-            return 0
-        seen = {u: 0}
-        queue = deque([u])
-        while queue:
-            w = queue.popleft()
-            for x in self.adjacency[w]:
-                if x not in seen:
-                    seen[x] = seen[w] + 1
-                    if x == v:
-                        return seen[x]
-                    queue.append(x)
-        return None
+        """Shortest-path length; None if v is unreachable from u."""
+        path = self.shortest_path(u, v)
+        return None if path is None else len(path) - 1
 
     def shortest_path(self, u: str, v: str) -> list[str] | None:
         """One BFS witness path from u to v, or None if unreachable."""

@@ -45,8 +45,7 @@ class CompareReport:
 
 def data_layout(graph: NetworkGraph) -> RegisterLayout:
     """Walker-free layout spanning only the declared data qubits."""
-    data_order = tuple((v, name) for v in graph.nodes for name in graph.qubits_at(v))
-    return RegisterLayout(graph.vertex_bits(), graph.coin_bits(), 0, data_order)
+    return RegisterLayout.for_network(graph, 0)
 
 
 def oracle_apply(state: StateVector, gates) -> StateVector:

@@ -27,6 +27,7 @@ import numpy as np
 from .netgraph import NetworkGraph, PathSpec, TreeSpec
 from .oracle import OracleGate
 from .statevec import (
+    HADAMARD,
     RegisterLayout,
     StateVector,
     apply_operator,
@@ -49,14 +50,12 @@ from .walkops import (
     make_measure_and_correct,
 )
 
-SQRT1_2 = 1.0 / math.sqrt(2.0)
-
 GATE_LIBRARY: dict[str, np.ndarray] = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "H": np.array([[SQRT1_2, SQRT1_2], [SQRT1_2, -SQRT1_2]], dtype=complex),
+    "H": HADAMARD,
     "S": np.array([[1, 0], [0, 1j]], dtype=complex),
     "T": np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
 }
@@ -74,10 +73,9 @@ class GateRequest:
     controls: tuple[tuple[str, str, int], ...]
     targets: tuple[tuple[str, str], ...]
     unitary: np.ndarray
-    name: str = ""
 
     @classmethod
-    def build(cls, graph, controls, targets, unitary, name=""):
+    def build(cls, graph, controls, targets, unitary):
         controls = tuple((str(n), str(q), int(b)) for n, q, b in controls)
         targets = tuple((str(n), str(q)) for n, q in targets)
         for node, qubit, bit in controls:
@@ -96,7 +94,7 @@ class GateRequest:
         unitary = np.asarray(unitary, dtype=complex)
         if unitary.shape != (1 << len(targets),) * 2:
             raise ProtocolError("unitary size does not match target count")
-        return cls(controls, targets, unitary, name)
+        return cls(controls, targets, unitary)
 
     @property
     def target_node(self) -> str:
@@ -115,7 +113,6 @@ class GateRequest:
 class RunTrace:
     initial_support: dict
     supports: list
-    final_norm: float = 1.0
     records: list = field(default_factory=list)
     branches: list = field(default_factory=list)
     classical_messages: list = field(default_factory=list)
@@ -265,18 +262,9 @@ def _oracle_gate(controls, node, qnames, matrix) -> OracleGate:
 
 
 def schedule_remote_cu(
-    graph,
-    layout,
-    request: GateRequest,
-    path: PathSpec,
-    separation: str = "reverse",
-    intermediate_gates: dict | None = None,
+    graph, layout, request: GateRequest, path: PathSpec, separation: str = "reverse"
 ) -> CompiledProtocol:
-    """Remote controlled gate over one path, walker 0 as carrier.
-
-    intermediate_gates: optional {node: (qubit_names, matrix)} applied at
-    the walker's arrival at interior path nodes, i.e. controlled by the
-    same control pattern."""
+    """Remote controlled gate over one path, walker 0 as carrier."""
     A, B = path.start, path.end
     if path.hops < 1:
         raise ProtocolError("path must have at least one hop")
@@ -289,15 +277,9 @@ def schedule_remote_cu(
     if separation not in ("reverse", "measure"):
         raise ProtocolError(f"unknown separation {separation!r}")
 
-    gates = {B: request.data_gate}
-    oracle_gates = [request.oracle_gate()]
-    for v, (qnames, matrix) in (intermediate_gates or {}).items():
-        if v not in path.nodes[1:-1]:
-            raise ProtocolError(f"intermediate gate node {v!r} is not interior to path")
-        gates[v] = (qnames, matrix)
-        oracle_gates.append(_oracle_gate(request.controls, v, qnames, matrix))
     visits: list = []
-    _path_visits(visits, path.nodes, controls={A: request.controls}, gates=gates)
+    _path_visits(visits, path.nodes, controls={A: request.controls},
+                 gates={B: request.data_gate})
     prop, data_gates, _, inits = _walk(graph, layout, visits)
 
     if separation == "reverse":
@@ -307,8 +289,6 @@ def schedule_remote_cu(
             raise ProtocolError(
                 "measure separation supports a single plain control qubit"
             )
-        if intermediate_gates:
-            raise ProtocolError("measure separation does not take intermediate gates")
         sched = Schedule(
             _merge(prop, data_gates),
             measure=separate_measure(graph, layout, A, B, request.controls[0][1]),
@@ -320,21 +300,21 @@ def schedule_remote_cu(
         layout=layout,
         schedule=sched,
         walker_inits=inits,
-        oracle_gates=oracle_gates,
+        oracle_gates=[request.oracle_gate()],
         meta={"propagation_steps": path.hops, "arrival": {B: path.hops}},
     )
 
 
-def separate_measure(graph, layout, a_node, b_node, correction_qubit) -> OperatorSpec:
+def separate_measure(graph, layout, a_node, b_node, correction_qubit, walker=0) -> OperatorSpec:
     """Measurement separation for a single-path controlled gate: measure
-    walker 0's vertex bits in X where the two end vertex ids differ and
+    the walker's vertex bits in X where the two end vertex ids differ and
     in Z elsewhere, and its coin bits in Z; an odd X parity calls for a Z
     correction on `correction_qubit` at `a_node`."""
     a_id, b_id = graph.vertex_id(a_node), graph.vertex_id(b_node)
     if a_id == b_id:
         raise ProtocolError("measurement separation needs two distinct nodes")
     qubits, bases, parity_positions = [], [], []
-    for offset, pos in enumerate(layout.vertex_bit_positions(0)):
+    for offset, pos in enumerate(layout.vertex_bit_positions(walker)):
         bit_a = (a_id >> (layout.nv - 1 - offset)) & 1
         bit_b = (b_id >> (layout.nv - 1 - offset)) & 1
         qubits.append(pos)
@@ -343,7 +323,7 @@ def separate_measure(graph, layout, a_node, b_node, correction_qubit) -> Operato
         else:
             parity_positions.append(len(bases))
             bases.append("X")
-    for pos in layout.coin_bit_positions(0):
+    for pos in layout.coin_bit_positions(walker):
         qubits.append(pos)
         bases.append("Z")
     return make_measure_and_correct(
@@ -353,7 +333,7 @@ def separate_measure(graph, layout, a_node, b_node, correction_qubit) -> Operato
         parity_positions,
         layout.data_bit(a_node, correction_qubit),
         [a_node, b_node],
-        walker=0,
+        walker=walker,
     )
 
 
@@ -498,7 +478,7 @@ def schedule_tree(graph, layout, tree: TreeSpec, controls, targets) -> CompiledP
 
 def _ghz_prep_matrix(m: int) -> np.ndarray:
     """Local circuit H(q0); CNOT(q0 -> qi), composed as one 2^m unitary."""
-    h = GATE_LIBRARY["H"]
+    h = HADAMARD
     lower_mask = (1 << (m - 1)) - 1
     dim = 1 << m
     mat = np.zeros((dim, dim), dtype=complex)
@@ -547,7 +527,7 @@ def schedule_ghz_path(graph, layout, paths, qubit_sets) -> CompiledProtocol:
         _path_visits(visits, p.nodes, controls=launch, gates=path_gates)
         member_qubits = [(v, q) for v in p.nodes for q in qmap.get(v, [])]
         first = member_qubits[0]
-        oracle_gates.append(OracleGate((), (first,), GATE_LIBRARY["H"]))
+        oracle_gates.append(OracleGate((), (first,), HADAMARD))
         for other in member_qubits[1:]:
             oracle_gates.append(OracleGate(((first, 1),), (other,), x1))
     prop, gates, _, inits = _walk(graph, layout, visits)
@@ -602,7 +582,7 @@ def schedule_linklevel(graph, layout, couple: dict | None = None) -> CompiledPro
                 raise ProtocolError(f"data qubit {qubit!r} is in two couplings")
             coupled_qubits.add(qubit)
 
-    hmat = GATE_LIBRARY["H"]
+    hmat = HADAMARD
     x1 = GATE_LIBRARY["X"]
     t0_ops, t1_ops, t2_ops = [], [], []
     coupled_walkers = []
@@ -717,6 +697,4 @@ def run_schedule(
             )
         trace.branches = corrected
         state = corrected[0][1]
-
-    trace.final_norm = state.norm
     return state, trace

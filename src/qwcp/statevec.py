@@ -321,21 +321,16 @@ def init_state(
     for key in inits:
         if tuple(key) not in layout.data_order:
             raise StateError(f"data init references unknown qubit {key!r}")
-    # Kronecker product over the data qubits, keeping only nonzero terms
-    data_idx = np.zeros(1, dtype=np.int64)
-    data_amps = np.ones(1, dtype=complex)
-    for node, name in layout.data_order:
-        q = np.asarray(inits.get((node, name), (1.0, 0.0)), dtype=complex)
+    factors = {}
+    for key, pos in zip(layout.data_order, layout.data_bit_positions()):
+        q = np.asarray(inits.get(key, (1.0, 0.0)), dtype=complex)
         if q.shape != (2,):
-            raise StateError(f"data state for {(node, name)!r} must have 2 amplitudes")
+            raise StateError(f"data state for {key!r} must have 2 amplitudes")
         if abs(np.linalg.norm(q) - 1.0) > NORM_TOL:
-            raise StateError(f"data state for {(node, name)!r} is not normalized")
-        bits = np.flatnonzero(q)
-        data_idx = ((data_idx[:, None] << 1) | bits[None, :]).ravel()
-        data_amps = (data_amps[:, None] * q[bits][None, :]).ravel()
-    nonzero = data_amps != 0
-    indices = (widx << layout.data_bits) | data_idx[nonzero]
-    return StateVector(layout, indices, data_amps[nonzero])
+            raise StateError(f"data state for {key!r} is not normalized")
+        factors[pos] = q
+    walkers = np.array([widx << layout.data_bits], dtype=np.int64)
+    return insert_qubits(StateVector(layout, walkers, np.ones(1, dtype=complex)), factors)
 
 
 def insert_qubits(state: StateVector, factors: dict) -> StateVector:
@@ -343,7 +338,12 @@ def insert_qubits(state: StateVector, factors: dict) -> StateVector:
 
     factors: {bit position: length-2 amplitude pair}; the state must hold
     each of these bits at 0. Every stored entry becomes one entry per
-    nonzero amplitude of each factor, with that factor's bit set to match."""
+    nonzero amplitude of each factor, with that factor's bit set to match;
+    a product that underflows to zero is dropped. Factors are multiplied
+    in on the right, in the order given, so a product comes out as
+    `np.kron` would form it. This is the one Kronecker kernel: `init_state`,
+    the branches of `measure` and the spectator insert all build their
+    products here."""
     if not factors:
         return state
     n = state.layout.total_bits
@@ -355,8 +355,9 @@ def insert_qubits(state: StateVector, factors: dict) -> StateVector:
         bits = np.flatnonzero(q)
         # one sorted run per bit value
         indices = (indices[None, :] | (bits[:, None] << (n - 1 - pos))).ravel()
-        amps = (q[bits][:, None] * amps[None, :]).ravel()
-    return StateVector(state.layout, *_sorted(indices, amps))
+        amps = (amps[None, :] * q[bits][:, None]).ravel()
+    nonzero = amps != 0
+    return StateVector(state.layout, *_sorted(indices[nonzero], amps[nonzero]))
 
 
 # -- measurement ----------------------------------------------------------
@@ -388,9 +389,8 @@ def measure(
 
     The state is rotated into the measured bases once. Each branch is then
     built directly from its kept entries: the X-measured bits are cleared
-    and every such qubit, in `qubits` order, doubles the entries with the
-    amplitudes of the Hadamard column its outcome bit selects, so a branch
-    costs time in its own nonzeros.
+    and `insert_qubits` puts each such qubit back in the Hadamard column
+    its outcome bit selects, so a branch costs time in its own nonzeros.
     """
     qubits = tuple(qubits)
     if len(qubits) != len(bases):
@@ -425,19 +425,12 @@ def measure(
         p = float(probs[o])
         kept = outcome == o
         bits = tuple((o >> (m - 1 - i)) & 1 for i in range(m))
-        new_indices = indices[kept] & x_clear
-        new_amps = amps[kept] / math.sqrt(p)
-        for i in x_measured:
-            set_bit = 1 << (n - 1 - qubits[i])
-            new_indices = np.concatenate((new_indices, new_indices | set_bit))
-            new_amps = np.concatenate(
-                (new_amps * HADAMARD[0, bits[i]], new_amps * HADAMARD[1, bits[i]])
-            )
-        # no exact zeros to drop: the kept amplitudes are nonzero and every
-        # Hadamard entry has magnitude above 1/2, so no product rounds to zero
-        new_indices, new_amps = _sorted(new_indices, new_amps)
+        branch = insert_qubits(
+            StateVector(layout, indices[kept] & x_clear, amps[kept] / math.sqrt(p)),
+            {qubits[i]: HADAMARD[:, bits[i]] for i in x_measured},
+        )
         record = MeasurementRecord(qubits, bases, bits, p)
-        branches.append((record, StateVector(layout, new_indices, new_amps)))
+        branches.append((record, branch))
     return branches
 
 
@@ -492,17 +485,15 @@ def cut_purity(mat: np.ndarray) -> float:
     return float(np.vdot(gram, gram).real)
 
 
-def walker_vertex_support(
-    state: StateVector, walker: int, tolerance: float = SUPPORT_TOL
-) -> set[int]:
-    """Vertex ids whose marginal probability for the walker exceeds tolerance."""
+def walker_vertex_support(state: StateVector, walker: int) -> set[int]:
+    """Vertex ids whose marginal probability for the walker exceeds SUPPORT_TOL."""
     layout = state.layout
     layout._check_walker(walker)
     vertex = _walker_field(state, walker, layout.nv)
     probs = np.bincount(
         vertex, weights=np.abs(state.amplitudes) ** 2, minlength=1 << layout.nv
     )
-    return {int(v) for v in np.flatnonzero(probs > tolerance)}
+    return {int(v) for v in np.flatnonzero(probs > SUPPORT_TOL)}
 
 
 def reduced_density(state: StateVector, keep_bits) -> np.ndarray:
@@ -514,9 +505,7 @@ def reduced_density(state: StateVector, keep_bits) -> np.ndarray:
     return rho
 
 
-def check_no_invalid_amplitude(
-    state: StateVector, graph: NetworkGraph, tolerance: float = 1e-12
-) -> None:
+def check_no_invalid_amplitude(state: StateVector, graph: NetworkGraph) -> None:
     """Debug check: amplitude must stay off invalid vertex/coin codes."""
     layout = state.layout
     nvert = len(graph.nodes)
@@ -531,11 +520,11 @@ def check_no_invalid_amplitude(
     for j in range(layout.k):
         code = _walker_field(state, j, layout.walker_bits)
         probs = np.bincount(code, weights=weights, minlength=reg)
-        if probs[bad].sum() > tolerance:
+        if probs[bad].sum() > 1e-12:
             raise StateError(f"walker {j} has amplitude on invalid basis vectors")
 
 
-def dump_state(state: StateVector, threshold: float = DUMP_TOL) -> str:
+def dump_state(state: StateVector) -> str:
     """One line per nonzero amplitude: `index_bits  re  im`, ascending.
 
     Zeros are printed as `0.0`: each part is written as `x + 0.0`, which
@@ -546,7 +535,7 @@ def dump_state(state: StateVector, threshold: float = DUMP_TOL) -> str:
     are built as '0'/'1' bytes with numpy, DUMP_CHUNK lines at a time,
     which keeps the bit array small next to the text."""
     n = state.layout.total_bits
-    shown = np.abs(state.amplitudes) >= threshold
+    shown = np.abs(state.amplitudes) >= DUMP_TOL
     indices = state.indices[shown]
     parts = state.amplitudes[shown].view(np.float64) + 0.0  # re, im, re, im, ...
     values, which = np.unique(parts, return_inverse=True)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netgraph import NetworkError, NetworkGraph
+from .netgraph import NetworkGraph
 from .statevec import BlockAction, PermAction, RegisterLayout
 
 UNITARY_TOL = 1e-12
@@ -26,36 +26,17 @@ class OperatorSpec:
     """Tagged description of one unitary step (or terminal instrument).
 
     kinds: shift, coinperm, coinblock, datactrl, coindata, interact,
-    fanout (composite), measure (instrument, terminal only).
+    fanout (its parts' actions in order), measure (instrument, terminal
+    only).
     """
 
     kind: str
     params: dict
     layout: RegisterLayout
     actions: tuple = field(default=(), repr=False, compare=False)
-    children: tuple = ()
 
     def iter_actions(self):
-        if self.children:
-            for child in self.children:
-                yield from child.iter_actions()
-        else:
-            yield from self.actions
-
-    @property
-    def is_data_unitary(self) -> bool:
-        """True for pure data-plane operations excluded from walk reversal."""
-        return self.kind == "coindata"
-
-    @property
-    def is_permutation(self) -> bool:
-        if self.kind in ("shift", "coinperm"):
-            return True
-        if self.kind == "fanout":
-            return all(c.is_permutation for c in self.children)
-        if self.kind in ("datactrl", "interact"):
-            return bool(self.params.get("permutation"))
-        return False
+        return iter(self.actions)
 
 
 @dataclass
@@ -271,14 +252,10 @@ def make_data_controlled_coin(graph, layout, v, controls, s, coin_action, walker
     )
 
 
-def make_coin_controlled_data(
-    graph, layout, v, qubits, matrix, walker, coin=None, coin_block=None
-) -> OperatorSpec:
+def make_coin_controlled_data(graph, layout, v, qubits, matrix, walker, coin=None) -> OperatorSpec:
     """Unitary on v's data qubits where the walker sits at vertex v.
 
-    coin: optionally restrict to one coin value; coin_block: optional
-    simultaneous coin-space unitary (coins, matrix) applied under the
-    same vertex condition."""
+    coin: optionally restrict to one coin value."""
     vid = graph.vertex_id(v)
     layout._check_walker(walker)
     qubits = list(qubits)
@@ -296,13 +273,11 @@ def make_coin_controlled_data(
     if coin is not None:
         _check_coin(graph, v, coin)
         conditions.append((layout.coin_bit_positions(walker), coin))
-    actions = [
-        BlockAction(
-            target_bits=tuple(layout.data_bit(v, name) for name in qubits),
-            matrix=matrix,
-            conditions=tuple(conditions),
-        )
-    ]
+    action = BlockAction(
+        target_bits=tuple(layout.data_bit(v, name) for name in qubits),
+        matrix=matrix,
+        conditions=tuple(conditions),
+    )
     params = {
         "node": v,
         "qubits": qubits,
@@ -310,20 +285,7 @@ def make_coin_controlled_data(
         "walker": walker,
         "coin": coin,
     }
-    if coin_block is not None:
-        coins, cmat = coin_block
-        for c in coins:
-            _check_coin(graph, v, c)
-        _check_unitary(cmat, "simultaneous coin block")
-        actions.append(
-            BlockAction(
-                target_bits=layout.coin_bit_positions(walker),
-                matrix=_embed_coin_matrix(layout, coins, cmat),
-                conditions=((layout.vertex_bit_positions(walker), vid),),
-            )
-        )
-        params["coin_block"] = [list(coins), _matrix_to_json(cmat)]
-    return OperatorSpec("coindata", params, layout, actions=tuple(actions))
+    return OperatorSpec("coindata", params, layout, actions=(action,))
 
 
 def make_walk_interaction(
@@ -382,16 +344,15 @@ def make_fanout(graph, layout, v, coin, successors, walkers) -> OperatorSpec:
         if u not in graph.neighbors(v):
             raise OperatorError(f"fan-out successor {u!r} is not adjacent to {v!r}")
     lead = walkers[0]
-    children = []
-    for u, w in zip(successors[1:], walkers[1:]):
-        children.append(
-            make_walk_interaction(
-                graph, layout, v, coin, ("swap", 0, graph.port_of(v, u)), lead, w
-            )
+    parts = [
+        make_walk_interaction(
+            graph, layout, v, coin, ("swap", 0, graph.port_of(v, u)), lead, w
         )
+        for u, w in zip(successors[1:], walkers[1:])
+    ]
     first_port = graph.port_of(v, successors[0])
     if first_port != coin:
-        children.append(make_coin_perm(graph, layout, v, coin, first_port, lead))
+        parts.append(make_coin_perm(graph, layout, v, coin, first_port, lead))
     return OperatorSpec(
         kind="fanout",
         params={
@@ -401,7 +362,7 @@ def make_fanout(graph, layout, v, coin, successors, walkers) -> OperatorSpec:
             "walkers": walkers,
         },
         layout=layout,
-        children=tuple(children),
+        actions=tuple(act for part in parts for act in part.actions),
     )
 
 
@@ -433,13 +394,6 @@ def make_measure_and_correct(
 def invert_operator(op: OperatorSpec) -> OperatorSpec:
     if op.kind == "measure":
         raise OperatorError("a measurement has no inverse")
-    if op.kind == "fanout":
-        return OperatorSpec(
-            kind="fanout",
-            params={**op.params, "inverted": not op.params.get("inverted", False)},
-            layout=op.layout,
-            children=tuple(invert_operator(c) for c in reversed(op.children)),
-        )
     inverted_actions = []
     for act in op.actions:
         if isinstance(act, PermAction):
@@ -451,7 +405,8 @@ def invert_operator(op: OperatorSpec) -> OperatorSpec:
                 BlockAction(act.target_bits, act.matrix.conj().T, act.conditions)
             )
     inverted_actions.reverse()
-    self_inverse = all(
+    # a fan-out is never self-inverse: its `inverted` flag always toggles
+    self_inverse = op.kind != "fanout" and all(
         isinstance(a, PermAction)
         and tuple(np.argsort(np.asarray(a.perm))) == tuple(a.perm)
         or isinstance(a, BlockAction)
@@ -521,9 +476,6 @@ def operator_from_json(graph, layout, data: dict) -> OperatorSpec:
             data["walker"],
         )
     elif kind == "coindata":
-        coin_block = data.get("coin_block")
-        if coin_block is not None:
-            coin_block = (coin_block[0], _matrix_from_json(coin_block[1]))
         op = make_coin_controlled_data(
             graph,
             layout,
@@ -532,7 +484,6 @@ def operator_from_json(graph, layout, data: dict) -> OperatorSpec:
             _matrix_from_json(data["matrix"]),
             data["walker"],
             coin=data.get("coin"),
-            coin_block=coin_block,
         )
     elif kind == "interact":
         op = make_walk_interaction(

@@ -209,13 +209,8 @@ def draw_operator(data, g, lay, rng, kind, near=None):
     elif kind == "coindata":
         qubits = subset(data, list(g.qubits_at(v)))
         coin = data.draw(st.one_of(st.none(), st.sampled_from(ports)))
-        coin_block = None
-        if data.draw(st.booleans()):
-            coins = subset(data, ports)
-            coin_block = (coins, random_unitary(rng, len(coins)))
         op = make_coin_controlled_data(
-            g, lay, v, qubits, random_unitary(rng, 1 << len(qubits)), walker,
-            coin=coin, coin_block=coin_block,
+            g, lay, v, qubits, random_unitary(rng, 1 << len(qubits)), walker, coin=coin
         )
     elif kind == "interact":
         control, target = subset(data, list(range(lay.k)), min_size=2, max_size=2)

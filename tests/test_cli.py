@@ -129,6 +129,39 @@ def test_execute_measure_mode_branches(path3_file):
     assert all(msg["to"] == "B" for msg in report["classical_messages"])
 
 
+def test_step_measure_separates_the_named_walker(path3_file):
+    # walker 1 carries A.a to B and flips B.b there; walker 0 stays at A.
+    # Measuring walker 1 leaves the data in the Bell state CNOT|+>|0>.
+    from qwcp import (
+        GATE_LIBRARY, OracleGate, compare, data_layout, init_state, load_network, oracle_apply,
+    )
+    from qwcp.statevec import SQRT1_2
+
+    script = parse_script(
+        f"network {path3_file}\n"
+        "walkers 2\n"
+        "init A.a=+\n"
+        "place 1 A 0\n"
+        "step datactrl node=A controls=a string=1 swap=0,1 walker=1\n"
+        "step shift flipflop walkers=1\n"
+        "step coinperm node=u c1=1 c2=2 walker=1\n"
+        "step shift flipflop walkers=1\n"
+        "step coinperm node=B c1=1 c2=0 walker=1\n"
+        "step coindata node=B qubits=b gate=X walker=1\n"
+        "step measure a=A b=B qubit=a walker=1\n"
+    )
+    report, _, trace = execute(script)
+    assert report["schedule"]["measure"]["walker"] == 1
+    walker1_bits = [4, 5, 6, 7]  # 4-bit walker registers on the 3-node path
+    assert [m["qubits"] for m in report["measurements"]] == [walker1_bits] * 2
+    graph = load_network(path3_file.read_text())
+    bell = oracle_apply(
+        init_state(graph, data_layout(graph), [], {("A", "a"): (SQRT1_2, SQRT1_2)}),
+        [OracleGate(((("A", "a"), 1),), (("B", "b"),), GATE_LIBRARY["X"])],
+    )
+    assert all(compare(branch, bell).passed for _, branch in trace.branches)
+
+
 def test_execute_unknown_qubit_is_script_error(path3_file):
     script = parse_script(
         f"network {path3_file}\ninit A.zz=1\nlinklevel\n"
@@ -272,6 +305,13 @@ def test_main_bad_input_exit_2(tmp_path, capsys, network, commands):
     script = write_script(tmp_path, f"network {net}\n{commands}")
     assert main(["run", str(script)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["branch", "sample"])
+def test_main_negative_seed_exit_2(path3_file, tmp_path, capsys, mode):
+    script = write_script(tmp_path, cnot_script(path3_file, "separation=measure"))
+    assert main(["run", str(script), "--seed", "-1", "--mode", mode]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_main_precondition_error_exit_3(path3_file, tmp_path):

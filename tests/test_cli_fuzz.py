@@ -187,8 +187,8 @@ def cases(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(cases(), st.sampled_from(["branch", "sample"]), st.booleans())
-def test_main_exit_code_contract(case, mode, extras):
+@given(cases(), st.sampled_from(["branch", "sample"]), st.booleans(), st.integers(-3, 9))
+def test_main_exit_code_contract(case, mode, extras, seed):
     network, lines = case
     with tempfile.TemporaryDirectory() as tmp:
         net = Path(tmp, "net.json")
@@ -197,7 +197,7 @@ def test_main_exit_code_contract(case, mode, extras):
         script.write_text("\n".join([f"network {net}", *lines]) + "\n")
         argv = ["run", str(script), "--mode", mode, "--out", str(Path(tmp, "r.json"))]
         if extras:
-            argv += ["--seed", "3", "--trace", "--dump-state", str(Path(tmp, "d.txt"))]
+            argv += ["--seed", str(seed), "--trace", "--dump-state", str(Path(tmp, "d.txt"))]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)

@@ -188,26 +188,6 @@ def test_remote_cu_path_endpoint_checks(path3):
         schedule_remote_cu(path3, lay, req, PathSpec.in_graph(path3, ["A"]))
 
 
-def test_remote_cu_intermediate_gates(grid3):
-    # extra gate fired at an interior node under the same control
-    lay = RegisterLayout.for_network(grid3, 1)
-    req = GateRequest.build(grid3, [("n00", "a", 1)], [("n12", "b")], GATE_LIBRARY["X"])
-    path = PathSpec.in_graph(grid3, ["n00", "n01", "n02", "n12"])
-    comp = schedule_remote_cu(
-        grid3, lay, req, path,
-        intermediate_gates={"n02": (["b"], GATE_LIBRARY["Z"])},
-    )
-    rng = np.random.default_rng(5)
-    di = {
-        ("n00", "a"): random_qubit(rng),
-        ("n12", "b"): random_qubit(rng),
-        ("n02", "b"): random_qubit(rng),
-    }
-    report, _, _ = verify(comp, grid3, di)
-    assert report.passed
-    assert len(comp.oracle_gates) == 2
-
-
 # -- multi-control --------------------------------------------------------
 
 

@@ -59,7 +59,7 @@ def reference(script, mode, seed):
         rng = np.random.default_rng(0)
     final, trace = run_schedule(state, compiled.schedule, graph, mode=mode, rng=rng)
     fields = {
-        "final_norm": trace.final_norm,
+        "final_norm": final.norm,
         "supports": {
             "initial": _support_json(trace.initial_support),
             "timesteps": [_support_json(s) for s in trace.supports],

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qwcp import (
     RegisterLayout,
+    load_network,
     StateError,
     StateVector,
     dump_state,
@@ -33,7 +34,7 @@ from qwcp.statevec import (
     check_no_invalid_amplitude,
 )
 
-from conftest import random_state
+from conftest import line_json, random_state
 
 
 def test_layout_bit_positions(path3):
@@ -78,6 +79,68 @@ def test_init_state_validations(path3):
         init_state(path3, lay, [("A", 0)], {("A", "a"): (1.0, 1.0)})
     with pytest.raises(StateError):
         init_state(path3, lay, [("A", 0)], {("A", "zz"): (1.0, 0.0)})
+
+
+def test_init_state_drops_products_that_underflow():
+    # 1e-170 * 1e-170 rounds to zero; a sparse state stores no exact zero
+    graph = load_network(line_json(["A", "B"], {"A": ["p", "q"]}))
+    layout = RegisterLayout.for_network(graph, 1)
+    tiny = (1e-170, 1.0)
+    s = init_state(graph, layout, [("A", 0)], {("A", "p"): tiny, ("A", "q"): tiny})
+    assert s.indices.tolist() == [1, 2, 3]
+    assert np.all(s.amplitudes != 0)
+
+@st.composite
+def qubit_states(draw):
+    """A normalised 2-vector: |0>, |1>, |+>, |->, a phase on one entry with
+    an exact zero in the other, or a general superposition."""
+    kind = draw(st.sampled_from(["0", "1", "+", "-", "zero entry", "general"]))
+    fixed = {"0": (1.0, 0.0), "1": (0.0, 1.0), "+": (SQRT1_2, SQRT1_2), "-": (SQRT1_2, -SQRT1_2)}
+    if kind in fixed:
+        return fixed[kind]
+    phase = np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+    if kind == "zero entry":
+        return (0.0, phase) if draw(st.booleans()) else (phase, 0.0)
+    theta = draw(st.floats(0.0, np.pi / 2))
+    return (np.cos(theta), phase * np.sin(theta))
+
+
+def kron_reference(graph, layout, walker_inits, data_inits):
+    """The dense product state, one `np.kron` per walker register and
+    per data qubit in layout order."""
+    vec = np.ones(1, dtype=complex)
+    for node, coin in walker_inits:
+        reg = np.zeros(1 << layout.walker_bits, dtype=complex)
+        reg[(graph.vertex_id(node) << layout.nc) | coin] = 1.0
+        vec = np.kron(vec, reg)
+    for key in layout.data_order:
+        vec = np.kron(vec, np.asarray(data_inits.get(key, (1.0, 0.0)), dtype=complex))
+    return vec
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_init_state_matches_kron_bitwise(data):
+    # 0-6 data qubits on a 2- or 3-node line (walkers of 2 or 4 bits), and
+    # as many walkers, 1 to 3, as keep the layout within 12 bits
+    nodes = data.draw(st.sampled_from([["A", "B"], ["A", "B", "C"]]))
+    per_node = 6 // len(nodes)
+    qubits = {v: [f"q{i}" for i in range(data.draw(st.integers(0, per_node)))] for v in nodes}
+    graph = load_network(line_json(nodes, qubits))
+    data_bits = sum(map(len, qubits.values()))
+    walker_bits = RegisterLayout.for_network(graph, 1).walker_bits
+    k = data.draw(st.integers(1, min(3, (12 - data_bits) // walker_bits)))
+    layout = RegisterLayout.for_network(graph, k)
+    walker_inits = []
+    for _ in range(k):
+        node = data.draw(st.sampled_from(nodes))
+        walker_inits.append((node, data.draw(st.integers(0, graph.port_count(node) - 1))))
+    data_inits = {key: data.draw(qubit_states()) for key in layout.data_order
+                  if data.draw(st.booleans())}
+    got = init_state(graph, layout, walker_inits, data_inits)
+    want = kron_reference(graph, layout, walker_inits, data_inits)
+    assert np.array_equal(got.indices, np.flatnonzero(want))
+    assert np.array_equal(canonical_bits(got.to_dense()), canonical_bits(want))
 
 
 def test_perm_action_moves_one_walker_only(path3):

@@ -17,7 +17,10 @@ tree under the `record_schedules` plugin (this directory), and every
 protocol compiler call the tests make must give the same record: the
 compiler, `schedule_to_json`, `walker_inits`, `meta`, the oracle gates,
 or the error text. Both runs use hypothesis seed 0 and a fresh example
-database, so they draw the same examples.
+database, so they draw the same examples. Collection goes on past a test
+module that fails to import (say, one that imports a name only the new
+tree has), so the other modules still yield records; every module that
+failed to collect on either side is named and counts as a difference.
 
 Exits 0 when every run matches, 1 when any differs, and 2 on bad usage.
 Reads `perfbench/` and writes only to a temporary directory.
@@ -124,19 +127,22 @@ def compare_runs(label: str, old: dict, new: dict, floats: list) -> list:
     return problems
 
 
-def record_calls(src: Path, tests: Path, workdir: Path) -> tuple[int, dict]:
+def record_calls(src: Path, tests: Path, workdir: Path) -> tuple[int, list, dict]:
     """Run the suite in `tests` against `src` with the recording plugin;
-    returns pytest's exit code and the records keyed by (test, call)."""
+    returns pytest's exit code, the modules that failed to collect, and the
+    records keyed by (test, call)."""
     workdir.mkdir(parents=True)
     out = workdir / "calls.jsonl"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(TOOLS)]),
                PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-p", "record_schedules",
            "-p", "no:cacheprovider", "--hypothesis-seed=0", f"--rootdir={tests.parent}",
-           "--record-schedules", str(out), str(tests)]
+           "--continue-on-collection-errors", "--record-schedules", str(out), str(tests)]
     proc = subprocess.run(cmd, env=env, cwd=workdir, capture_output=True, timeout=1800)
     records = [json.loads(line) for line in out.read_text().splitlines()] if out.exists() else []
-    return proc.returncode, {(r["test"], r["call"]): r for r in records}
+    uncollected = sorted(r["collect_error"] for r in records if "collect_error" in r)
+    calls = {(r["test"], r["call"]): r for r in records if "collect_error" not in r}
+    return proc.returncode, uncollected, calls
 
 
 def first_json_difference(a, b, where: str = "") -> str:
@@ -212,9 +218,13 @@ def main(argv=None) -> int:
                         runs += 1
         if args.tests is not None:
             tests = args.tests.resolve()
-            old_code, old_calls = record_calls(old_src, tests, tmp / "calls-old")
-            new_code, new_calls = record_calls(new_src, tests, tmp / "calls-new")
+            old_code, old_uncollected, old_calls = record_calls(old_src, tests, tmp / "calls-old")
+            new_code, new_uncollected, new_calls = record_calls(new_src, tests, tmp / "calls-new")
             call_problems = compare_calls(old_calls, new_calls)
+            call_problems += [f"{module}: failed to collect against {side} tree"
+                              for side, modules in (("old", old_uncollected),
+                                                    ("new", new_uncollected))
+                              for module in modules]
             # 1 only says some tests failed; any other code means pytest
             # itself did not run them, so their records are missing
             call_problems += [f"{tests}: pytest exit {code} against {side} tree"

@@ -7,8 +7,9 @@ While the tests run, every call of a `schedule_*` compiler in
 `qwcp.protocols` (direct, or through `qwcp.cli`) appends one JSON line
 to FILE: the test's node id, the call's position in that test, the
 compiler name and either the result (`schedule_to_json`, `walker_inits`,
-`meta` and the oracle gates) or the error type and text. `tools/parity.py
---tests` compares the records of two source trees.
+`meta` and the oracle gates) or the error type and text. A test module
+that fails to collect appends `{"collect_error": node id}` instead.
+`tools/parity.py --tests` compares the records of two source trees.
 """
 from __future__ import annotations
 
@@ -79,6 +80,10 @@ class Recorder:
     def write(self, record):
         self.out.write(json.dumps(record, sort_keys=True) + "\n")
         self.out.flush()
+
+    def pytest_collectreport(self, report):
+        if report.failed:
+            self.write({"collect_error": report.nodeid})
 
     @pytest.hookimpl(hookwrapper=True)
     def pytest_runtest_protocol(self, item, nextitem):
