@@ -25,7 +25,9 @@ Script grammar (line-oriented, `#` starts a comment):
 Gates: a library name (X, Y, Z, H, S, T, I) or a custom unitary
 `U[re,im,re,im;...]` listing columns separated by `;`, each column a
 flat re,im sequence. A script holds either one protocol command or a
-sequence of `step` commands.
+sequence of `step` commands, of which `step measure` must be the last.
+A key may appear once per command; only group keys repeat (`path=`,
+`target=` and `couple=`, each followed by its group's other keys).
 
 Exit codes: 0 success, 2 script/network parse error, 3 precondition or
 construction error, 4 oracle verification failure.
@@ -35,7 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -68,6 +70,7 @@ from .statevec import (
 )
 from .walkops import (
     OperatorError,
+    OperatorSpec,
     Schedule,
     Timestep,
     make_coin_block,
@@ -113,8 +116,7 @@ class Script:
     walkers: int | None
     inits: tuple  # ((node, qubit, state_label), ...)
     places: tuple  # ((walker, node, coin), ...)
-    commands: tuple  # ((name, ((key, value) | word, ...)), ...)
-    command_lines: tuple = field(compare=False, default=())
+    commands: tuple  # ((name, ((key, value) | word, ...), line), ...)
 
 
 # -- parsing --------------------------------------------------------------
@@ -135,7 +137,6 @@ def parse_script(text: str) -> Script:
     inits: list = []
     places: list = []
     commands: list = []
-    command_lines: list = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -167,19 +168,15 @@ def parse_script(text: str) -> Script:
                 raise ScriptError("place walker/coin must be integers", lineno)
             places.append((int(args[0]), args[1], int(args[2]) if len(args) == 3 else 0))
         elif name in PROTOCOL_COMMANDS or name == "step":
-            commands.append((name, tuple(_parse_kv(t, lineno) for t in args)))
-            command_lines.append(lineno)
+            commands.append((name, tuple(_parse_kv(t, lineno) for t in args), lineno))
         else:
             raise ScriptError(f"unknown command {name!r}", lineno)
-    protocol_count = sum(1 for name, _ in commands if name != "step")
+    protocol_count = sum(1 for name, _, _ in commands if name != "step")
     if protocol_count > 1:
         raise ScriptError("a script may hold at most one protocol command")
-    if protocol_count and any(name == "step" for name, _ in commands):
+    if protocol_count and any(name == "step" for name, _, _ in commands):
         raise ScriptError("protocol and step commands cannot be mixed")
-    return Script(
-        network, walkers, tuple(inits), tuple(places), tuple(commands),
-        tuple(command_lines),
-    )
+    return Script(network, walkers, tuple(inits), tuple(places), tuple(commands))
 
 
 def serialize_script(script: Script) -> str:
@@ -192,7 +189,7 @@ def serialize_script(script: Script) -> str:
         lines.append(f"init {node}.{qubit}={state}")
     for walker, node, coin in script.places:
         lines.append(f"place {walker} {node} {coin}")
-    for name, args in script.commands:
+    for name, args, _ in script.commands:
         parts = [name]
         for arg in args:
             parts.append(arg if isinstance(arg, str) else f"{arg[0]}={arg[1]}")
@@ -227,31 +224,45 @@ def _parse_gate(text: str, line: int) -> np.ndarray:
     raise ScriptError(f"unknown gate {text!r}", line)
 
 
-def _kv_dict(args, line, *, allowed, required=()):
-    out = {}
+def _args(args, line, required=(), optional=(), head=None, members=()):
+    """Read `key=value` arguments into ({key: value}, [group, ...]). Each key
+    of `required` must appear once and each of `optional` at most once;
+    each `head=` opens a group, which must then hold each of `members`
+    once. Bare words and other keys are errors."""
+    keys: dict = {}
+    groups: list[dict] = []
     for arg in args:
         if isinstance(arg, str):
             raise ScriptError(f"unexpected bare word {arg!r}", line)
         key, value = arg
-        if key not in allowed:
+        if key == head:
+            groups.append({head: value})
+        elif key in members:
+            if not groups or key in groups[-1]:
+                raise ScriptError(f"{key}= must follow its {head}=", line)
+            groups[-1][key] = value
+        elif key in required or key in optional:
+            if key in keys:
+                raise ScriptError(f"duplicate argument {key!r}", line)
+            keys[key] = value
+        else:
             raise ScriptError(f"unknown argument {key!r}", line)
-        if key in out:
-            raise ScriptError(f"duplicate argument {key!r}", line)
-        out[key] = value
     for key in required:
-        if key not in out:
+        if key not in keys:
             raise ScriptError(f"missing argument {key!r}", line)
-    return out
+    for group in groups:
+        for key in members:
+            if key not in group:
+                raise ScriptError(f"each {head}= needs {key}=", line)
+    return keys, groups
 
 
-def _parse_controls(text, line):
-    controls = []
-    for ref in text.split(","):
-        controls.append(_parse_qubit_ref(ref, line))
-    return controls
+def _qubit_refs(text, line):
+    return [_parse_qubit_ref(ref, line) for ref in text.split(",")]
 
 
-def _controls_with_bits(refs, string, line):
+def _controls(text, string, line):
+    refs = _qubit_refs(text, line)
     if string is None:
         string = "1" * len(refs)
     if len(string) != len(refs) or any(ch not in "01" for ch in string):
@@ -290,19 +301,13 @@ def _compile_remote_gate(graph, walkers, args, line, multi=False) -> CompiledPro
     """`remote_cu` (controls at the path start, reverse or measure
     separation) or, with `multi`, `remote_mcu` (controls along the path)."""
     control_key = "controls" if multi else "control"
-    allowed = {control_key, "string", "target", "path", "gate"}
-    kv = _kv_dict(
-        args, line,
-        allowed=allowed if multi else allowed | {"separation"},
-        required=(control_key, "target", "path", "gate"),
+    kv, _ = _args(
+        args, line, required=(control_key, "target", "path", "gate"),
+        optional=("string",) if multi else ("string", "separation"),
     )
-    controls = _controls_with_bits(
-        _parse_controls(kv[control_key], line), kv.get("string"), line
-    )
-    targets = [_parse_qubit_ref(t, line) for t in kv["target"].split(",")]
-    request = GateRequest.build(
-        graph, controls, targets, _parse_gate(kv["gate"], line)
-    )
+    controls = _controls(kv[control_key], kv.get("string"), line)
+    targets = _qubit_refs(kv["target"], line)
+    request = GateRequest.build(graph, controls, targets, _parse_gate(kv["gate"], line))
     path = PathSpec.in_graph(graph, kv["path"].split(","))
     layout = RegisterLayout.for_network(graph, walkers or 1)
     if multi:
@@ -312,44 +317,18 @@ def _compile_remote_gate(graph, walkers, args, line, multi=False) -> CompiledPro
     )
 
 
-def _grouped_kv(args, line, head, members, singles=()):
-    """Split `key=value` arguments into single keys and groups: each
-    `head=` opens a group, and each key in `members` must follow its
-    `head=`, once. A repeated single key keeps its last value."""
-    single: dict = {}
-    groups: list[dict] = []
-    for arg in args:
-        if isinstance(arg, str):
-            raise ScriptError(f"unexpected bare word {arg!r}", line)
-        key, value = arg
-        if key in singles:
-            single[key] = value
-        elif key == head:
-            groups.append({head: value})
-        elif key in members:
-            if not groups or key in groups[-1]:
-                raise ScriptError(f"{key}= must follow its {head}=", line)
-            groups[-1][key] = value
-        else:
-            raise ScriptError(f"unknown argument {key!r}", line)
-    return single, groups
-
-
 def _compile_multipath(graph, walkers, args, line) -> CompiledProtocol:
-    kv, groups = _grouped_kv(
-        args, line, "path", ("target", "gate"), singles=("control", "string")
+    kv, groups = _args(
+        args, line, required=("control",), optional=("string",),
+        head="path", members=("target", "gate"),
     )
-    if "control" not in kv or not groups:
-        raise ScriptError("multipath needs control= and at least one path=", line)
-    controls = _controls_with_bits(
-        _parse_controls(kv["control"], line), kv.get("string"), line
-    )
+    if not groups:
+        raise ScriptError("multipath needs at least one path=", line)
+    controls = _controls(kv["control"], kv.get("string"), line)
     paths, requests = [], []
     for g in groups:
-        if "target" not in g or "gate" not in g:
-            raise ScriptError("each path= needs target= and gate=", line)
         paths.append(PathSpec.in_graph(graph, g["path"].split(",")))
-        targets = [_parse_qubit_ref(t, line) for t in g["target"].split(",")]
+        targets = _qubit_refs(g["target"], line)
         requests.append(
             GateRequest.build(graph, controls, targets, _parse_gate(g["gate"], line))
         )
@@ -358,26 +337,21 @@ def _compile_multipath(graph, walkers, args, line) -> CompiledProtocol:
 
 
 def _compile_tree(graph, walkers, args, line) -> CompiledProtocol:
-    kv, groups = _grouped_kv(
-        args, line, "target", ("gate",), singles=("control", "string", "edges")
+    kv, groups = _args(
+        args, line, required=("control", "edges"), optional=("string",),
+        head="target", members=("gate",),
     )
-    if "control" not in kv or "edges" not in kv:
-        raise ScriptError("tree needs control= and edges=", line)
     edges = []
     for pair in kv["edges"].split(","):
         parent, sep, child = pair.partition(">")
         if not sep or not parent or not child:
             raise ScriptError(f"tree edge must be parent>child, got {pair!r}", line)
         edges.append((parent, child))
-    controls = _controls_with_bits(
-        _parse_controls(kv["control"], line), kv.get("string"), line
-    )
+    controls = _controls(kv["control"], kv.get("string"), line)
     tree = TreeSpec.in_graph(graph, edges[0][0], edges)
     target_map = {}
     for g in groups:
-        if "gate" not in g:
-            raise ScriptError("each target= needs a gate=", line)
-        refs = [_parse_qubit_ref(t, line) for t in g["target"].split(",")]
+        refs = _qubit_refs(g["target"], line)
         nodes = {n for n, _ in refs}
         if len(nodes) != 1:
             raise ScriptError("a tree target group must sit at one node", line)
@@ -390,17 +364,14 @@ def _compile_tree(graph, walkers, args, line) -> CompiledProtocol:
 
 
 def _compile_ghz(graph, walkers, args, line) -> CompiledProtocol:
-    _, groups = _grouped_kv(args, line, "path", ("qubits",))
+    _, groups = _args(args, line, head="path", members=("qubits",))
     if not groups:
         raise ScriptError("ghz_path needs at least one path=", line)
     paths, qubit_sets = [], []
     for g in groups:
-        if "qubits" not in g:
-            raise ScriptError("each path= needs qubits=", line)
         paths.append(PathSpec.in_graph(graph, g["path"].split(",")))
         qmap: dict[str, list] = {}
-        for ref in g["qubits"].split(","):
-            node, qubit = _parse_qubit_ref(ref, line)
+        for node, qubit in _qubit_refs(g["qubits"], line):
             qmap.setdefault(node, []).append(qubit)
         qubit_sets.append(qmap)
     layout = RegisterLayout.for_network(graph, walkers or len(paths))
@@ -408,11 +379,10 @@ def _compile_ghz(graph, walkers, args, line) -> CompiledProtocol:
 
 
 def _compile_linklevel(graph, walkers, args, line) -> CompiledProtocol:
+    _, groups = _args(args, line, head="couple")
     couple = {}
-    for arg in args:
-        if isinstance(arg, str) or arg[0] != "couple":
-            raise ScriptError("linklevel takes only couple= arguments", line)
-        side_u, sep, side_v = arg[1].partition(":")
+    for g in groups:
+        side_u, sep, side_v = g["couple"].partition(":")
         if not sep:
             raise ScriptError("couple= must be U,qu:V,qv", line)
         try:
@@ -438,96 +408,98 @@ _PROTOCOL_COMPILERS = {
 }
 
 
-def _compile_step(graph, layout, args, line, builder_state):
-    """One `step` command; shift lines close the pending timestep."""
+def _compile_step(graph, layout, args, line) -> OperatorSpec:
+    """One `step` command: a shift, the measurement instrument, or a coin
+    or data operator."""
     if not args:
         raise ScriptError("step needs an operator name", line)
-    op_name = args[0]
+    op_name, rest = args[0], args[1:]
     if not isinstance(op_name, str):
         raise ScriptError("step operator name must come first", line)
-    rest = args[1:]
     if op_name == "shift":
         words = [a for a in rest if isinstance(a, str)]
-        kv = _kv_dict(
-            [a for a in rest if not isinstance(a, str)], line, allowed={"walkers"}
-        )
+        kv, _ = _args([a for a in rest if not isinstance(a, str)], line, optional=("walkers",))
         if words == ["identity"]:
-            shift = make_identity_shift(layout)
-        elif words == ["flipflop"]:
-            chosen = (
-                _int_list(kv["walkers"], line) if "walkers" in kv else None
-            )
-            shift = make_flipflop_shift(graph, layout, chosen)
-        else:
-            raise ScriptError("step shift needs flipflop or identity", line)
-        builder_state["timesteps"].append(
-            Timestep(builder_state.pop("pending"), shift)
-        )
-        builder_state["pending"] = []
-        return
+            return make_identity_shift(layout)
+        if words == ["flipflop"]:
+            chosen = _int_list(kv["walkers"], line) if "walkers" in kv else None
+            return make_flipflop_shift(graph, layout, chosen)
+        raise ScriptError("step shift needs flipflop or identity", line)
     if op_name == "measure":
-        kv = _kv_dict(
-            rest, line, allowed={"a", "b", "qubit", "walker"},
-            required=("a", "b", "qubit"),
-        )
-        if builder_state["measure"] is not None:
-            raise ScriptError("only one measure step allowed", line)
-        builder_state["measure"] = separate_measure(
+        kv, _ = _args(rest, line, required=("a", "b", "qubit"), optional=("walker",))
+        return separate_measure(
             graph, layout, kv["a"], kv["b"], kv["qubit"], _int(kv.get("walker", "0"), line)
         )
-        return
     if op_name == "coinperm":
-        kv = _kv_dict(
-            rest, line, allowed={"node", "c1", "c2", "walker"},
-            required=("node", "c1", "c2", "walker"),
-        )
-        op = make_coin_perm(
+        kv, _ = _args(rest, line, required=("node", "c1", "c2", "walker"))
+        return make_coin_perm(
             graph, layout, kv["node"], _int(kv["c1"], line), _int(kv["c2"], line),
             _int(kv["walker"], line),
         )
-    elif op_name == "coinblock":
-        kv = _kv_dict(
-            rest, line, allowed={"node", "coins", "gate", "walker"},
-            required=("node", "coins", "gate", "walker"),
-        )
-        op = make_coin_block(
+    if op_name == "coinblock":
+        kv, _ = _args(rest, line, required=("node", "coins", "gate", "walker"))
+        return make_coin_block(
             graph, layout,
             {kv["node"]: (_int_list(kv["coins"], line), _parse_gate(kv["gate"], line))},
             _int(kv["walker"], line),
         )
-    elif op_name == "datactrl":
-        kv = _kv_dict(
-            rest, line, allowed={"node", "controls", "string", "swap", "walker"},
-            required=("node", "controls", "string", "swap", "walker"),
-        )
+    if op_name == "datactrl":
+        kv, _ = _args(rest, line, required=("node", "controls", "string", "swap", "walker"))
         c1, c2 = _int_pair(kv["swap"], line)
-        op = make_data_controlled_coin(
+        return make_data_controlled_coin(
             graph, layout, kv["node"], kv["controls"].split(","), kv["string"],
             ("swap", c1, c2), _int(kv["walker"], line),
         )
-    elif op_name == "coindata":
-        kv = _kv_dict(
-            rest, line, allowed={"node", "qubits", "gate", "walker", "coin"},
-            required=("node", "qubits", "gate", "walker"),
-        )
-        op = make_coin_controlled_data(
+    if op_name == "coindata":
+        kv, _ = _args(rest, line, required=("node", "qubits", "gate", "walker"),
+                      optional=("coin",))
+        return make_coin_controlled_data(
             graph, layout, kv["node"], kv["qubits"].split(","),
             _parse_gate(kv["gate"], line), _int(kv["walker"], line),
             coin=_int(kv["coin"], line) if "coin" in kv else None,
         )
-    elif op_name == "interact":
-        kv = _kv_dict(
-            rest, line, allowed={"node", "coin", "swap", "control", "target"},
-            required=("node", "coin", "swap", "control", "target"),
-        )
+    if op_name == "interact":
+        kv, _ = _args(rest, line, required=("node", "coin", "swap", "control", "target"))
         c1, c2 = _int_pair(kv["swap"], line)
-        op = make_walk_interaction(
+        return make_walk_interaction(
             graph, layout, kv["node"], _int(kv["coin"], line), ("swap", c1, c2),
             _int(kv["control"], line), _int(kv["target"], line),
         )
-    else:
-        raise ScriptError(f"unknown step operator {op_name!r}", line)
-    builder_state["pending"].append(op)
+    raise ScriptError(f"unknown step operator {op_name!r}", line)
+
+
+def _compile_steps(graph, script: Script) -> CompiledProtocol:
+    """A `step` script: the operators up to each shift make one timestep, a
+    trailing group gets an identity shift, and `measure` must come last.
+    Walkers start where `place` puts them, else at coin 0 of the first
+    node."""
+    places = script.places
+    k = script.walkers or (max(w for w, _, _ in places) + 1 if places else 1)
+    layout = RegisterLayout.for_network(graph, k)
+    timesteps, pending, measure = [], [], None
+    for _, args, line in script.commands:
+        if measure is not None:
+            raise ScriptError("measure must be the last step", line)
+        op = _compile_step(graph, layout, args, line)
+        if op.kind == "shift":
+            timesteps.append(Timestep(pending, op))
+            pending = []
+        elif op.kind == "measure":
+            measure = op
+        else:
+            pending.append(op)
+    if pending:
+        timesteps.append(Timestep(pending, make_identity_shift(layout)))
+    placed = {w: (node, coin) for w, node, coin in places}
+    if placed and max(placed) >= k:
+        raise ScriptError(f"place names walker {max(placed)} outside 0..{k - 1}")
+    return CompiledProtocol(
+        name="steps",
+        layout=layout,
+        schedule=Schedule(timesteps, measure),
+        walker_inits=[placed.get(w, (graph.nodes[0], 0)) for w in range(k)],
+        oracle_gates=None,
+    )
 
 
 # -- execution ------------------------------------------------------------
@@ -535,7 +507,7 @@ def _compile_step(graph, layout, args, line, builder_state):
 
 def _prepare(script: Script, network_override: str | None = None):
     """Load the network and compile the script; returns (graph, compiled
-    protocol, walker inits, {(node, qubit): 2-vector} data inits)."""
+    protocol, {(node, qubit): 2-vector} data inits)."""
     network_path = network_override or script.network
     if network_path is None:
         raise ScriptError("no network file given (script line or --network)")
@@ -544,49 +516,15 @@ def _prepare(script: Script, network_override: str | None = None):
     except OSError as exc:
         raise ScriptError(f"cannot read network file: {exc}") from None
     graph = load_network(network_text)
-
-    protocol_cmds = [
-        (name, args, lineno)
-        for (name, args), lineno in zip(script.commands, script.command_lines)
-        if name != "step"
-    ]
-    step_cmds = [
-        (args, lineno)
-        for (name, args), lineno in zip(script.commands, script.command_lines)
-        if name == "step"
-    ]
     if not script.commands:
         raise ScriptError("script contains no commands")
-
-    if protocol_cmds:
-        name, args, lineno = protocol_cmds[0]
-        compiled = _PROTOCOL_COMPILERS[name](graph, script.walkers, args, lineno)
+    name, args, line = script.commands[0]
+    if name == "step":
+        compiled = _compile_steps(graph, script)
+    else:
+        compiled = _PROTOCOL_COMPILERS[name](graph, script.walkers, args, line)
         if script.places:
             raise ScriptError("place is only valid in step scripts")
-        walker_inits = compiled.walker_inits
-    else:
-        k = script.walkers or (max(w for w, _, _ in script.places) + 1 if script.places else 1)
-        layout = RegisterLayout.for_network(graph, k)
-        builder_state = {"timesteps": [], "pending": [], "measure": None}
-        for args, lineno in step_cmds:
-            _compile_step(graph, layout, args, lineno, builder_state)
-        if builder_state["pending"]:
-            builder_state["timesteps"].append(
-                Timestep(builder_state["pending"], make_identity_shift(layout))
-            )
-        compiled = CompiledProtocol(
-            name="steps",
-            graph=graph,
-            layout=layout,
-            schedule=Schedule(builder_state["timesteps"], builder_state["measure"]),
-            walker_inits=[],
-            oracle_gates=None,
-            meta={},
-        )
-        placed = {w: (node, coin) for w, node, coin in script.places}
-        if placed and max(placed) >= k:
-            raise ScriptError(f"place names walker {max(placed)} outside 0..{k - 1}")
-        walker_inits = [placed.get(w, (graph.nodes[0], 0)) for w in range(k)]
 
     data_inits = {}
     for node, qubit, state in script.inits:
@@ -599,7 +537,7 @@ def _prepare(script: Script, network_override: str | None = None):
                 f"{compiled.name} needs {node}.{qubit} to start in |0>; "
                 "drop its init or set it to 0"
             )
-    return graph, compiled, walker_inits, data_inits
+    return graph, compiled, data_inits
 
 
 def spectator_qubits(layout: RegisterLayout, schedule: Schedule, oracle_gates) -> list:
@@ -642,13 +580,13 @@ def execute(
     `trace.branches`. `final` is the full state, with the spectators
     inserted at their layout bits, and the report's `final_norm` is its
     norm."""
-    graph, compiled, walker_inits, data_inits = _prepare(script, network_override)
+    graph, compiled, data_inits = _prepare(script, network_override)
     layout = compiled.layout
     spectators = spectator_qubits(layout, compiled.schedule, compiled.oracle_gates)
     # spectators leave the data inits; those not in |0> become factors
     factors = {layout.data_bit(*q): data_inits.pop(q) for q in spectators if q in data_inits}
 
-    state = init_state(graph, layout, walker_inits, data_inits)
+    state = init_state(graph, layout, compiled.walker_inits, data_inits)
     if seed is not None and seed < 0:
         raise ScriptError("--seed must be a non-negative integer")
     rng = np.random.default_rng(seed) if seed is not None else None

@@ -121,7 +121,6 @@ class RunTrace:
 @dataclass
 class CompiledProtocol:
     name: str
-    graph: NetworkGraph
     layout: RegisterLayout
     schedule: Schedule
     walker_inits: list
@@ -296,7 +295,6 @@ def schedule_remote_cu(
 
     return CompiledProtocol(
         name="remote_cu",
-        graph=graph,
         layout=layout,
         schedule=sched,
         walker_inits=inits,
@@ -367,7 +365,6 @@ def schedule_multi_control(graph, layout, request: GateRequest, path: PathSpec) 
     prop, gates, _, inits = _walk(graph, layout, visits)
     return CompiledProtocol(
         name="remote_mcu",
-        graph=graph,
         layout=layout,
         schedule=_with_reverse(prop, gates),
         walker_inits=inits,
@@ -411,7 +408,6 @@ def schedule_multipath(graph, layout, requests, paths) -> CompiledProtocol:
     prop, gates, _, inits = _walk(graph, layout, visits)
     return CompiledProtocol(
         name="multipath",
-        graph=graph,
         layout=layout,
         schedule=_with_reverse(prop, gates),
         walker_inits=inits,
@@ -459,7 +455,6 @@ def schedule_tree(graph, layout, tree: TreeSpec, controls, targets) -> CompiledP
     ]
     return CompiledProtocol(
         name="tree",
-        graph=graph,
         layout=layout,
         schedule=_with_reverse(prop, gates),
         walker_inits=inits,
@@ -533,7 +528,6 @@ def schedule_ghz_path(graph, layout, paths, qubit_sets) -> CompiledProtocol:
     prop, gates, _, inits = _walk(graph, layout, visits)
     return CompiledProtocol(
         name="ghz_path",
-        graph=graph,
         layout=layout,
         schedule=_with_reverse(prop, gates),
         walker_inits=inits,
@@ -619,7 +613,6 @@ def schedule_linklevel(graph, layout, couple: dict | None = None) -> CompiledPro
     inits += [inits[0]] * (layout.k - len(inits))
     return CompiledProtocol(
         name="linklevel",
-        graph=graph,
         layout=layout,
         schedule=sched,
         walker_inits=inits,

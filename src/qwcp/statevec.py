@@ -323,7 +323,9 @@ def init_state(
             raise StateError(f"data init references unknown qubit {key!r}")
     factors = {}
     for key, pos in zip(layout.data_order, layout.data_bit_positions()):
-        q = np.asarray(inits.get(key, (1.0, 0.0)), dtype=complex)
+        if key not in inits:
+            continue  # |0>: its factor is 1 at bit value 0
+        q = np.asarray(inits[key], dtype=complex)
         if q.shape != (2,):
             raise StateError(f"data state for {key!r} must have 2 amplitudes")
         if abs(np.linalg.norm(q) - 1.0) > NORM_TOL:

@@ -6,7 +6,7 @@ import pytest
 from qwcp import cli
 from qwcp.cli import ScriptError, execute, main, parse_script, serialize_script
 
-from conftest import btree7_json, grid3_json, line_json, triangle_json
+from conftest import btree7_json, grid3_json, line_json, network_json, triangle_json
 
 
 @pytest.fixture
@@ -267,6 +267,11 @@ def test_main_missing_script_exit_2(tmp_path):
 
 PATH3_NET = line_json(["A", "u", "B"], {"A": ["a"], "B": ["b"]})
 CNOT_LINE = "remote_cu control=A.a target=B.b path=A,u,B gate=X\n"
+# the path A,u,B plus a branch A,w
+FORK_NET = network_json(
+    ["A", "u", "B", "w"], [("A", "u"), ("u", "B"), ("A", "w")],
+    {"A": ["a", "c"], "B": ["b"], "w": ["x"]},
+)
 
 
 @pytest.mark.parametrize(
@@ -285,6 +290,17 @@ CNOT_LINE = "remote_cu control=A.a target=B.b path=A,u,B gate=X\n"
         # the gate is parsed before the layout is sized, so the parse error
         # wins over the 106-bit layout
         (PATH3_NET, "walkers 26\n" + CNOT_LINE.replace("gate=X", "gate=Q")),
+        (
+            line_json(["A", "B"], {"A": ["a"], "B": ["b"]}),
+            "init A.a=+\nstep measure a=A b=B qubit=a\n"
+            "step coinperm node=A c1=0 c2=1 walker=0\nstep shift flipflop\n",
+        ),
+        (
+            FORK_NET,
+            "multipath control=A.a control=A.c path=A,u,B target=B.b gate=X "
+            "path=A,w target=w.x gate=X\n",
+        ),
+        (FORK_NET, "tree control=A.a edges=A>u,u>B edges=A>w target=w.x gate=X\n"),
     ],
     ids=[
         "broken_json",
@@ -298,6 +314,9 @@ CNOT_LINE = "remote_cu control=A.a target=B.b path=A,u,B gate=X\n"
         "step_swap_not_a_pair",
         "linklevel_edge_coupled_twice",
         "unknown_gate_with_oversized_layout",
+        "step_after_measure",
+        "multipath_control_twice",
+        "tree_edges_twice",
     ],
 )
 def test_main_bad_input_exit_2(tmp_path, capsys, network, commands):

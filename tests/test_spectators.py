@@ -52,8 +52,8 @@ TOL = 1e-12
 
 def reference(script, mode, seed):
     """(report fields, final state) of the unfactored run."""
-    graph, compiled, walker_inits, data_inits = _prepare(script)
-    state = init_state(graph, compiled.layout, walker_inits, data_inits)
+    graph, compiled, data_inits = _prepare(script)
+    state = init_state(graph, compiled.layout, compiled.walker_inits, data_inits)
     rng = np.random.default_rng(seed) if seed is not None else None
     if mode == "sample" and rng is None:
         rng = np.random.default_rng(0)
@@ -108,7 +108,7 @@ def check_against_reference(network: str, lines: list, mode: str, seed=None):
             assert str(again.value) == str(exc)
             return
         want, want_final = reference(script, mode, seed)
-        _, compiled, _, _ = _prepare(script)
+        _, compiled, _ = _prepare(script)
     spectators = spectator_qubits(compiled.layout, compiled.schedule, compiled.oracle_gates)
     event(f"accepted, spectators: {len(spectators) if len(spectators) < 3 else '3+'}")
     assert report["supports"] == want["supports"]
@@ -217,7 +217,7 @@ def prepared(lines):
     with tempfile.TemporaryDirectory() as tmp:
         net = Path(tmp, "net.json")
         net.write_text(NET)
-        _, compiled, _, _ = _prepare(parse_script(f"network {net}\n" + "\n".join(lines)))
+        _, compiled, _ = _prepare(parse_script(f"network {net}\n" + "\n".join(lines)))
     return compiled
 
 

@@ -12,6 +12,15 @@ An output whose lines differ only in float literals is reported as such,
 with its largest absolute float difference, and the largest one over all
 runs is printed at the end; it still counts as a difference.
 
+The workload runs all exit 0, so a fixed corpus of 2,000 cases of the
+grammar in `tests/test_cli_fuzz.py` is replayed as well, to cover the
+error paths: the cases, with mode, extras and seed drawn as in its test,
+are drawn once (derandomized, so every call draws the same corpus), and
+each tree runs all of them through `qwcp.cli.main` in one subprocess,
+with each case's temporary directory written as TMP. Exit code, stdout,
+stderr, report and dump must match; each differing case is printed with
+its script and counts as one difference.
+
 With `--tests DIR`, the pytest suite in DIR also runs once against each
 tree under the `record_schedules` plugin (this directory), and every
 protocol compiler call the tests make must give the same record: the
@@ -23,11 +32,13 @@ tree has), so the other modules still yield records; every module that
 failed to collect on either side is named and counts as a difference.
 
 Exits 0 when every run matches, 1 when any differs, and 2 on bad usage.
-Reads `perfbench/` and writes only to a temporary directory.
+Reads `perfbench/` and `tests/` and writes only to a temporary directory.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -43,6 +54,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 RUN_MAIN = "import sys; from qwcp.cli import main; sys.exit(main(sys.argv[1:]))"
+# runs one function of this module on file arguments, in a subprocess
+RUN_HERE = "import sys, pathlib, parity; getattr(parity, sys.argv[1])(*map(pathlib.Path, sys.argv[2:]))"
+FUZZ_CASES = 2000
 REPLAY_SEEDS = range(8)
 OUTPUT_FLAGS = ("--out", "--dump-state")
 # a float literal as repr or JSON writes it; digits alone are integers or index bits
@@ -168,6 +182,94 @@ def compare_calls(old: dict, new: dict) -> list:
     return problems
 
 
+def draw_fuzz_corpus(out: Path) -> None:
+    """Write FUZZ_CASES cases of the `test_cli_fuzz` grammar to `out` as
+    JSON. `tests` and a qwcp tree must be importable."""
+    from hypothesis import HealthCheck, Phase, given, settings
+    from hypothesis import strategies as st
+    from test_cli_fuzz import cases
+
+    corpus = []
+
+    @settings(max_examples=FUZZ_CASES, derandomize=True, database=None, deadline=None,
+              phases=[Phase.generate], suppress_health_check=list(HealthCheck))
+    @given(cases(), st.sampled_from(["branch", "sample"]), st.booleans(), st.integers(-3, 9))
+    def collect(case, mode, extras, seed):
+        network, lines = case
+        corpus.append({"network": network, "lines": lines, "mode": mode,
+                       "extras": extras, "seed": seed})
+
+    collect()
+    out.write_text(json.dumps(corpus))
+
+
+def replay_fuzz_corpus(corpus: Path, out: Path) -> None:
+    """Run every case of `corpus` through `qwcp.cli.main` in this process,
+    as `test_cli_fuzz` does, and write each one's outputs to `out`."""
+    from qwcp.cli import main
+
+    results = []
+    for case in json.loads(corpus.read_text()):
+        with tempfile.TemporaryDirectory() as tmp:
+            net, script = Path(tmp, "net.json"), Path(tmp, "script.qw")
+            net.write_text(case["network"])
+            script.write_text("\n".join([f"network {net}", *case["lines"]]) + "\n")
+            files = {"out": Path(tmp, "r.json"), "dump-state": Path(tmp, "d.txt")}
+            argv = ["run", str(script), "--mode", case["mode"], "--out", str(files["out"])]
+            if case["extras"]:
+                argv += ["--seed", str(case["seed"]), "--trace",
+                         "--dump-state", str(files["dump-state"])]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    code = main(argv)
+                except Exception as exc:  # a crash is an outcome to compare too
+                    code = f"raised {type(exc).__name__}: {exc}"
+            result = {"exit code": code, "stdout": stdout.getvalue(),
+                      "stderr": stderr.getvalue()}
+            for key, path in files.items():
+                result[key] = path.read_text() if path.exists() else None
+        results.append({key: value.replace(tmp, "TMP") if isinstance(value, str) else value
+                        for key, value in result.items()})
+    out.write_text(json.dumps(results))
+
+
+def run_here(src: Path, function: str, *paths: Path) -> subprocess.CompletedProcess:
+    """Call `function` of this module on `paths` in a subprocess that
+    imports qwcp from `src` and the fuzz grammar from `tests`."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, [src, ROOT / "tests", TOOLS])))
+    return subprocess.run([sys.executable, "-c", RUN_HERE, function, *map(str, paths)],
+                          env=env, capture_output=True, timeout=1800)
+
+
+def compare_fuzz(old_src: Path, new_src: Path, tmp: Path, floats: list) -> tuple[int, list]:
+    """(cases replayed, one problem per differing case or failed replay)."""
+    corpus = tmp / "fuzz-corpus.json"
+    proc = run_here(new_src, "draw_fuzz_corpus", corpus)
+    if proc.returncode:
+        return 0, [f"fuzz corpus: drawing failed: {proc.stderr.decode()[-2000:]}"]
+    cases = json.loads(corpus.read_text())
+    sides = []
+    for side, src in (("old", old_src), ("new", new_src)):
+        out = tmp / f"fuzz-{side}.json"
+        proc = run_here(src, "replay_fuzz_corpus", corpus, out)
+        if proc.returncode:
+            return len(cases), [f"fuzz replay failed against {side} tree: "
+                                f"{proc.stderr.decode()[-2000:]}"]
+        sides.append([{key: value.encode() if isinstance(value, str) else value
+                       for key, value in result.items()}
+                      for result in json.loads(out.read_text())])
+    problems = []
+    for i, (case, old, new) in enumerate(zip(cases, *sides)):
+        found = compare_runs(f"fuzz case {i}", old, new, floats)
+        if found:
+            extras = f" --seed {case['seed']} --trace --dump-state" if case["extras"] else ""
+            script = "".join(f"\n    {line}" for line in case["lines"])
+            problems.append("\n".join(found) + f"\n  --mode {case['mode']}{extras}; "
+                            f"network {case['network']}; script:{script}")
+    return len(cases), problems
+
+
 def measures(report: bytes | None) -> bool:
     try:
         return bool(json.loads(report)["measurements"])
@@ -216,6 +318,8 @@ def main(argv=None) -> int:
                             floats,
                         )
                         runs += 1
+        fuzz_cases, fuzz_problems = compare_fuzz(old_src, new_src, tmp, floats)
+        problems += fuzz_problems
         if args.tests is not None:
             tests = args.tests.resolve()
             old_code, old_uncollected, old_calls = record_calls(old_src, tests, tmp / "calls-old")
@@ -239,6 +343,7 @@ def main(argv=None) -> int:
     if floats:
         print(f"{len(floats)} outputs differ in floats only, largest difference "
               f"{max(floats)!r}")
+    print(f"{fuzz_cases} fuzz cases on each side, {len(fuzz_problems)} differ")
     print(f"{runs} runs on each side, {len(problems)} differences")
     return 1 if problems else 0
 
