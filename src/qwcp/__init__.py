@@ -9,7 +9,6 @@ from .netgraph import (
     NetworkGraph,
     PathSpec,
     TreeSpec,
-    control_plane_budget,
     load_network,
 )
 from .oracle import CompareReport, OracleError, OracleGate, compare, data_layout, oracle_apply
@@ -57,9 +56,7 @@ from .walkops import (
     make_identity_shift,
     make_measure_and_correct,
     make_walk_interaction,
-    operator_from_json,
     operator_to_json,
-    schedule_from_json,
     schedule_to_json,
 )
 

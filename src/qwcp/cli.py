@@ -38,7 +38,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -177,24 +177,6 @@ def parse_script(text: str) -> Script:
     if protocol_count and any(name == "step" for name, _, _ in commands):
         raise ScriptError("protocol and step commands cannot be mixed")
     return Script(network, walkers, tuple(inits), tuple(places), tuple(commands))
-
-
-def serialize_script(script: Script) -> str:
-    lines = []
-    if script.network:
-        lines.append(f"network {script.network}")
-    if script.walkers is not None:
-        lines.append(f"walkers {script.walkers}")
-    for node, qubit, state in script.inits:
-        lines.append(f"init {node}.{qubit}={state}")
-    for walker, node, coin in script.places:
-        lines.append(f"place {walker} {node} {coin}")
-    for name, args, _ in script.commands:
-        parts = [name]
-        for arg in args:
-            parts.append(arg if isinstance(arg, str) else f"{arg[0]}={arg[1]}")
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
 
 
 def _parse_qubit_ref(text: str, line: int) -> tuple[str, str]:
@@ -589,9 +571,7 @@ def execute(
     state = init_state(graph, layout, compiled.walker_inits, data_inits)
     if seed is not None and seed < 0:
         raise ScriptError("--seed must be a non-negative integer")
-    rng = np.random.default_rng(seed) if seed is not None else None
-    if mode == "sample" and rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0 if seed is None else seed) if mode == "sample" else None
     final, trace = run_schedule(state, compiled.schedule, graph, mode=mode, rng=rng)
 
     comparison: CompareReport | None = None
@@ -668,7 +648,9 @@ def _fmt_support(sup: dict) -> str:
     )
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The `qwcp` argument parser, built on first use and shared."""
     parser = argparse.ArgumentParser(
         prog="qwcp",
         description="Quantum-walk control protocol simulator",
@@ -682,7 +664,11 @@ def main(argv=None) -> int:
     run.add_argument("--out", help="write the report JSON here (default stdout)")
     run.add_argument("--dump-state", help="write the final state dump here")
     run.add_argument("--trace", action="store_true", help="print per-step supports")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         text = Path(args.script).read_text()

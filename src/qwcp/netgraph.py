@@ -76,11 +76,6 @@ class NetworkGraph:
             raise NetworkError(f"no edge from {v!r} to {u!r}")
         return index[u]
 
-    def has_edge(self, u: str, v: str) -> bool:
-        """True for proper edges and self-loops."""
-        self._require(u)
-        return v in self._port_index[u]
-
     def edges(self) -> list[tuple[str, str]]:
         """Proper edges, each once as (u, v) with u < v, in sorted order."""
         return sorted({tuple(sorted((v, u))) for v in self.nodes for u in self.adjacency[v]})
@@ -127,13 +122,6 @@ class NetworkGraph:
     def coin_bits(self) -> int:
         widest = max(self.port_count(v) for v in self.nodes)
         return max(1, math.ceil(math.log2(widest)))
-
-
-def control_plane_budget(graph: NetworkGraph, k: int) -> int:
-    """Qubits needed to host k walker registers in the control plane."""
-    if k < 1:
-        raise NetworkError("walker count must be >= 1")
-    return k * (graph.vertex_bits() + graph.coin_bits())
 
 
 def load_network(text: str) -> NetworkGraph:

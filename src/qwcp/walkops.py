@@ -2,8 +2,8 @@
 
 Each constructor validates its inputs against the graph and lowers the
 operator to register permutations and controlled blocks that the state
-engine applies directly. Specs carry JSON-able parameters so schedules
-round-trip through serialization bit-exactly.
+engine applies directly. Specs carry JSON-able parameters, from which
+the report renders each schedule.
 """
 from __future__ import annotations
 
@@ -101,10 +101,6 @@ def _swap_matrix(layout: RegisterLayout, c1: int, c2: int) -> np.ndarray:
 
 def _matrix_to_json(matrix: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix, dtype=complex)]
-
-
-def _matrix_from_json(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data])
 
 
 def _resolve_coin_action(layout, graph, v, coin_action):
@@ -439,85 +435,11 @@ def invert_schedule(sched: Schedule) -> Schedule:
     return Schedule(steps)
 
 
-# -- serialization --------------------------------------------------------
+# -- JSON rendering -----------------------------------------------------
 
 
 def operator_to_json(op: OperatorSpec) -> dict:
     return {"kind": op.kind, **op.params}
-
-
-def operator_from_json(graph, layout, data: dict) -> OperatorSpec:
-    data = dict(data)
-    kind = data.pop("kind")
-    inverted = data.pop("inverted", False)
-    if kind == "shift":
-        if data["mode"] == "identity":
-            op = make_identity_shift(layout)
-        else:
-            op = make_flipflop_shift(graph, layout, data["walkers"])
-    elif kind == "coinperm":
-        op = make_coin_perm(
-            graph, layout, data["node"], data["c1"], data["c2"], data["walker"]
-        )
-    elif kind == "coinblock":
-        assignments = {
-            v: (coins, _matrix_from_json(mat))
-            for v, (coins, mat) in data["assignments"].items()
-        }
-        op = make_coin_block(graph, layout, assignments, data["walker"])
-    elif kind == "datactrl":
-        op = make_data_controlled_coin(
-            graph,
-            layout,
-            data["node"],
-            data["controls"],
-            data["s"],
-            _coin_action_from_json(data["action"]),
-            data["walker"],
-        )
-    elif kind == "coindata":
-        op = make_coin_controlled_data(
-            graph,
-            layout,
-            data["node"],
-            data["qubits"],
-            _matrix_from_json(data["matrix"]),
-            data["walker"],
-            coin=data.get("coin"),
-        )
-    elif kind == "interact":
-        op = make_walk_interaction(
-            graph,
-            layout,
-            data["node"],
-            data["coin"],
-            _coin_action_from_json(data["action"]),
-            data["control"],
-            data["target"],
-        )
-    elif kind == "fanout":
-        op = make_fanout(
-            graph, layout, data["node"], data["coin"], data["successors"], data["walkers"]
-        )
-    elif kind == "measure":
-        op = make_measure_and_correct(
-            layout,
-            data["qubits"],
-            data["bases"],
-            data["parity_positions"],
-            data["correct_bit"],
-            data["allowed_vertices"],
-            data["walker"],
-        )
-    else:
-        raise OperatorError(f"unknown operator kind {kind!r}")
-    return invert_operator(op) if inverted else op
-
-
-def _coin_action_from_json(action):
-    if action[0] == "swap":
-        return ("swap", action[1], action[2])
-    return ("block", action[1], _matrix_from_json(action[2]))
 
 
 def schedule_to_json(sched: Schedule) -> dict:
@@ -531,17 +453,3 @@ def schedule_to_json(sched: Schedule) -> dict:
         ],
         "measure": operator_to_json(sched.measure) if sched.measure else None,
     }
-
-
-def schedule_from_json(graph, layout, data: dict) -> Schedule:
-    timesteps = [
-        Timestep(
-            [operator_from_json(graph, layout, op) for op in ts["ops"]],
-            operator_from_json(graph, layout, ts["shift"]),
-        )
-        for ts in data["timesteps"]
-    ]
-    measure = (
-        operator_from_json(graph, layout, data["measure"]) if data.get("measure") else None
-    )
-    return Schedule(timesteps, measure)

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qwcp
 from qwcp import cli
-from qwcp.cli import ScriptError, execute, main, parse_script, serialize_script
+from qwcp.cli import Script, ScriptError, execute, main, parse_script
 
 from conftest import btree7_json, grid3_json, line_json, network_json, triangle_json
 
@@ -49,8 +54,16 @@ def test_parse_round_trips(path3_file):
         "step coinperm node=u c1=1 c2=2 walker=0\n"
         "step shift flipflop\n"
     )
-    script = parse_script(text)
-    assert parse_script(serialize_script(script)) == script
+    assert parse_script(text) == Script(
+        network=str(path3_file),
+        walkers=2,
+        inits=(("A", "a", "1"),),
+        places=((0, "u", 1),),
+        commands=(
+            ("step", ("coinperm", ("node", "u"), ("c1", "1"), ("c2", "2"), ("walker", "0")), 5),
+            ("step", ("shift", "flipflop"), 6),
+        ),
+    )
 
 
 @pytest.mark.parametrize(
@@ -331,6 +344,41 @@ def test_main_negative_seed_exit_2(path3_file, tmp_path, capsys, mode):
     script = write_script(tmp_path, cnot_script(path3_file, "separation=measure"))
     assert main(["run", str(script), "--seed", "-1", "--mode", mode]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_main_branch_mode_builds_no_rng(path3_file, tmp_path):
+    script = write_script(tmp_path, cnot_script(path3_file, "separation=measure"))
+    here, unseeded, out = (tmp_path / n for n in ("here.json", "unseeded.json", "sub.json"))
+    argv = ["run", str(script), "--seed", "3", "--out"]
+    assert main(argv + [str(here)]) == 0
+    assert main(["run", str(script), "--out", str(unseeded)]) == 0
+    # the seed shows in the report and nowhere else
+    assert json.loads(here.read_text()) == {**json.loads(unseeded.read_text()), "seed": 3}
+    # in a fresh interpreter the same run never imports numpy.random
+    probe = (
+        "import sys; from qwcp.cli import main; "
+        f"code = main({argv + [str(out)]!r}); print(code, 'numpy.random' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(qwcp.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == ["0", "False"]
+    assert out.read_bytes() == here.read_bytes()
+
+
+def test_main_calls_share_no_state(path3_file, tmp_path, capsys):
+    script = write_script(tmp_path, cnot_script(path3_file))
+    out = tmp_path / "report.json"
+    assert main(["run", str(script), "--out", str(out), "--trace"]) == 0
+    first = capsys.readouterr().out
+    assert first.startswith("protocol: ") and "t=1:" in first
+    out.unlink()
+    assert main(["run", str(script)]) == 0
+    second = capsys.readouterr().out
+    assert not out.exists()
+    assert "t=1:" not in second
+    assert json.loads(second)["passed"] is True
 
 
 def test_main_precondition_error_exit_3(path3_file, tmp_path):

@@ -2,7 +2,8 @@
 
 Each step appends a random walkops operator to the schedule, or closes the
 timestep with a flip-flop shift, and applies it to the state. The norm
-must hold after every operator, running the schedule from the start state
+must hold after every operator and no amplitude may sit on an invalid
+vertex or coin code; running the schedule from the start state
 must give the state built step by step, and running `invert_schedule` of
 it afterwards must give back the start state. Layouts go up to 25 bits.
 """
@@ -28,7 +29,7 @@ from qwcp import (
     run_schedule,
     walker_vertex_support,
 )
-from qwcp.statevec import apply_operator
+from qwcp.statevec import apply_operator, check_no_invalid_amplitude
 
 from conftest import (
     btree7_json,
@@ -75,6 +76,7 @@ class ScheduleRoundTrip(RuleBasedStateMachine):
     def apply(self, op):
         self.state = apply_operator(self.state, op)
         assert abs(self.state.norm - 1.0) <= TOL
+        check_no_invalid_amplitude(self.state, self.graph)
 
     @precondition(lambda self: len(self.state.indices) <= MAX_NNZ)
     @rule(data=st.data())

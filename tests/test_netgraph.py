@@ -8,7 +8,6 @@ from qwcp import (
     NetworkError,
     PathSpec,
     TreeSpec,
-    control_plane_budget,
     load_network,
 )
 
@@ -40,9 +39,9 @@ def test_port_maps_are_mutually_inverse(grid3):
 
 
 def test_has_edge_and_self_loops(path3):
-    assert path3.has_edge("A", "u")
-    assert path3.has_edge("A", "A")
-    assert not path3.has_edge("A", "B")
+    assert path3.port_of("A", "A") == 0
+    with pytest.raises(NetworkError):
+        path3.port_of("A", "B")
 
 
 def test_hop_distance_and_shortest_path(grid3):
@@ -65,12 +64,6 @@ def test_bit_widths(grid3, path3):
     assert grid3.coin_bits() == 3  # degree-4 center => 5 ports
     assert path3.vertex_bits() == 2
     assert path3.coin_bits() == 2
-
-
-def test_control_plane_budget(grid3):
-    assert control_plane_budget(grid3, 2) == 2 * (4 + 3)
-    with pytest.raises(NetworkError):
-        control_plane_budget(grid3, 0)
 
 
 @pytest.mark.parametrize(
