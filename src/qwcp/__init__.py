@@ -33,11 +33,8 @@ from .statevec import (
     StateError,
     StateVector,
     dump_state,
-    fidelity,
     init_state,
     measure,
-    purity_across_cut,
-    reduced_density,
     walker_vertex_support,
 )
 from .walkops import (

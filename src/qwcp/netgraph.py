@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 
@@ -87,34 +86,6 @@ class NetworkGraph:
     def _require(self, v: str) -> str:
         self.vertex_id(v)
         return v
-
-    # -- metrics ---------------------------------------------------------
-
-    def hop_distance(self, u: str, v: str) -> int | None:
-        """Shortest-path length; None if v is unreachable from u."""
-        path = self.shortest_path(u, v)
-        return None if path is None else len(path) - 1
-
-    def shortest_path(self, u: str, v: str) -> list[str] | None:
-        """One BFS witness path from u to v, or None if unreachable."""
-        self._require(u)
-        self._require(v)
-        if u == v:
-            return [u]
-        prev = {u: None}
-        queue = deque([u])
-        while queue:
-            w = queue.popleft()
-            for x in self.adjacency[w]:
-                if x not in prev:
-                    prev[x] = w
-                    if x == v:
-                        path = [v]
-                        while prev[path[-1]] is not None:
-                            path.append(prev[path[-1]])
-                        return path[::-1]
-                    queue.append(x)
-        return None
 
     def vertex_bits(self) -> int:
         return max(1, math.ceil(math.log2(len(self.nodes))))

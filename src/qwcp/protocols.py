@@ -32,6 +32,7 @@ from .statevec import (
     StateVector,
     apply_operator,
     apply_z,
+    check_entries,
     measure,
     walker_vertex_support,
 )
@@ -377,7 +378,8 @@ def schedule_multi_control(graph, layout, request: GateRequest, path: PathSpec) 
 
 
 def schedule_multipath(graph, layout, requests, paths) -> CompiledProtocol:
-    """One walker per path, fanned out from the shared control node."""
+    """One walker per path, fanned out from the shared control node. Gates
+    apply on arrival, so the oracle takes them by path length, stably."""
     if len(requests) != len(paths) or not paths:
         raise ProtocolError("one gate request per path required")
     A = paths[0].start
@@ -411,7 +413,8 @@ def schedule_multipath(graph, layout, requests, paths) -> CompiledProtocol:
         layout=layout,
         schedule=_with_reverse(prop, gates),
         walker_inits=inits,
-        oracle_gates=[req.oracle_gate() for req in requests],
+        oracle_gates=[req.oracle_gate() for req, _ in
+                      sorted(zip(requests, paths), key=lambda rp: rp[1].hops)],
         meta={
             "propagation_steps": max(p.hops for p in paths),
             "arrival": {p.end: p.hops for p in paths},
@@ -490,7 +493,9 @@ def schedule_ghz_path(graph, layout, paths, qubit_sets) -> CompiledProtocol:
     whose per-node coin also X-flips that node's member qubits.
 
     qubit_sets: one {node: [qubit names]} per path; sets must be disjoint
-    across paths and each path start must contribute at least one qubit."""
+    across paths and each path start must contribute at least one qubit.
+    The walker launches on the first start qubit, which the prep leaves as
+    H made it, so all members get the oracle's CNOT from it, from any init."""
     if len(paths) != len(qubit_sets) or not paths:
         raise ProtocolError("one qubit map per path required")
     seen: set[tuple[str, str]] = set()
@@ -500,6 +505,7 @@ def schedule_ghz_path(graph, layout, paths, qubit_sets) -> CompiledProtocol:
         for v, qnames in qmap.items():
             if v not in p.nodes:
                 raise ProtocolError(f"qubit node {v!r} is not on its path")
+            check_entries(1 << 2 * len(qnames), "a GHZ gate matrix")
             for q in qnames:
                 if q not in graph.qubits_at(v):
                     raise ProtocolError(f"qubit {q!r} not declared at node {v!r}")
@@ -518,7 +524,7 @@ def schedule_ghz_path(graph, layout, paths, qubit_sets) -> CompiledProtocol:
         path_gates = {v: (qmap[v], _kron_power(x1, len(qmap[v])))
                       for v in p.nodes[1:] if qmap.get(v)}
         path_gates[p.start] = (start_qubits, _ghz_prep_matrix(len(start_qubits)))
-        launch = {p.start: [(p.start, q, 1) for q in start_qubits]}
+        launch = {p.start: [(p.start, start_qubits[0], 1)]}
         _path_visits(visits, p.nodes, controls=launch, gates=path_gates)
         member_qubits = [(v, q) for v in p.nodes for q in qmap.get(v, [])]
         first = member_qubits[0]

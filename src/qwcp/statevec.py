@@ -25,7 +25,10 @@ NORM_TOL = 1e-10
 SUPPORT_TOL = 1e-9
 DUMP_TOL = 1e-12
 DUMP_CHUNK = 1024  # dump lines whose index bits are built in one array
-MAX_TOTAL_BITS = 26
+MAX_TOTAL_BITS = 62  # indices are int64 with the sign bit clear
+# entries one array may hold, as many as a dense 26-bit state: the width
+# cap alone does not bound them, so each array that can grow checks this
+MAX_ENTRIES = 1 << 26
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 HADAMARD = np.array([[SQRT1_2, SQRT1_2], [SQRT1_2, -SQRT1_2]], dtype=complex)
@@ -33,6 +36,11 @@ HADAMARD = np.array([[SQRT1_2, SQRT1_2], [SQRT1_2, -SQRT1_2]], dtype=complex)
 
 class StateError(ValueError):
     """Invalid state construction or operator/state mismatch."""
+
+
+def check_entries(count: int, what: str = "state") -> None:
+    if count > MAX_ENTRIES:
+        raise StateError(f"{what} would hold {count} entries, cap is {MAX_ENTRIES}")
 
 
 @dataclass(frozen=True)
@@ -44,17 +52,18 @@ class RegisterLayout:
     k: int
     data_order: tuple[tuple[str, str], ...]
 
+    def __post_init__(self):
+        if self.total_bits > MAX_TOTAL_BITS:
+            raise StateError(f"layout needs {self.total_bits} bits, cap is {MAX_TOTAL_BITS}")
+        # the shift and coin operators tabulate every code of one register
+        check_entries(1 << self.walker_bits, "a walker register table")
+
     @classmethod
     def for_network(cls, graph: NetworkGraph, k: int) -> "RegisterLayout":
         data_order = tuple(
             (v, name) for v in graph.nodes for name in graph.qubits_at(v)
         )
-        layout = cls(graph.vertex_bits(), graph.coin_bits(), k, data_order)
-        if layout.total_bits > MAX_TOTAL_BITS:
-            raise StateError(
-                f"layout needs {layout.total_bits} bits, cap is {MAX_TOTAL_BITS}"
-            )
-        return layout
+        return cls(graph.vertex_bits(), graph.coin_bits(), k, data_order)
 
     @property
     def walker_bits(self) -> int:
@@ -106,19 +115,6 @@ class StateVector:
     layout: RegisterLayout
     indices: np.ndarray
     amplitudes: np.ndarray
-
-    @classmethod
-    def from_dense(cls, layout: RegisterLayout, vec) -> "StateVector":
-        vec = np.asarray(vec, dtype=complex)
-        if vec.shape != (1 << layout.total_bits,):
-            raise StateError(f"dense state must have {1 << layout.total_bits} entries")
-        indices = np.flatnonzero(vec).astype(np.int64)
-        return cls(layout, indices, vec[indices])
-
-    def to_dense(self) -> np.ndarray:
-        vec = np.zeros(1 << self.layout.total_bits, dtype=complex)
-        vec[self.indices] = self.amplitudes
-        return vec
 
     @property
     def norm(self) -> float:
@@ -180,13 +176,6 @@ def _gather(indices: np.ndarray, n: int, positions) -> np.ndarray:
     return key
 
 
-def _walker_field(state: "StateVector", walker: int, width: int) -> np.ndarray:
-    """Top `width` bits of one walker's register, for every stored index."""
-    layout = state.layout
-    shift = layout.total_bits - walker * layout.walker_bits - width
-    return (state.indices >> shift) & ((1 << width) - 1)
-
-
 def _sorted(indices: np.ndarray, amps: np.ndarray):
     """Both arrays in ascending index order.
 
@@ -242,6 +231,7 @@ def _apply_block(layout: RegisterLayout, indices, amps, act: BlockAction):
     t = len(act.target_bits)
     target_mask = _bit_mask(n, act.target_bits)
     bases, row = _unique_inverse(sel_indices & ~target_mask)
+    check_entries(len(bases) << t)
     block = np.zeros((len(bases), 1 << t), dtype=complex)
     block[row, _gather(sel_indices, n, act.target_bits)] = amps[selected]
     block = block @ act.matrix.T
@@ -305,8 +295,6 @@ def init_state(
     data_inits: optional {(node, name): length-2 amplitude pair}; qubits
     not listed start in |0>.
     """
-    if layout.total_bits > MAX_TOTAL_BITS:
-        raise StateError(f"layout exceeds {MAX_TOTAL_BITS}-bit cap")
     walker_inits = list(walker_inits)
     if len(walker_inits) != layout.k:
         raise StateError(f"expected {layout.k} walker inits, got {len(walker_inits)}")
@@ -352,6 +340,7 @@ def insert_qubits(state: StateVector, factors: dict) -> StateVector:
     indices, amps = state.indices, state.amplitudes
     if np.any(indices & _bit_mask(n, factors)):
         raise StateError("inserted qubits must be 0 in the state")
+    check_entries(len(indices) * math.prod(int(np.count_nonzero(q)) for q in factors.values()))
     for pos, q in factors.items():
         q = np.asarray(q, dtype=complex)
         bits = np.flatnonzero(q)
@@ -439,15 +428,6 @@ def measure(
 # -- analysis -------------------------------------------------------------
 
 
-def fidelity(s1: StateVector, s2: StateVector) -> float:
-    if s1.layout != s2.layout:
-        raise StateError("states have different layouts")
-    _, i1, i2 = np.intersect1d(
-        s1.indices, s2.indices, assume_unique=True, return_indices=True
-    )
-    return float(abs(np.vdot(s1.amplitudes[i1], s2.amplitudes[i2])) ** 2)
-
-
 def cut_matrix(state: StateVector, bits):
     """The amplitudes as a matrix whose rows are indexed by the given bits
     (first bit most significant) and columns by the remaining bits.
@@ -461,20 +441,10 @@ def cut_matrix(state: StateVector, bits):
     cols = state.indices & ~_bit_mask(n, bits)
     row_keys, r = _unique_inverse(rows)
     col_keys, c = _unique_inverse(cols)
+    check_entries(len(row_keys) * len(col_keys), "cut matrix")
     mat = np.zeros((len(row_keys), len(col_keys)), dtype=complex)
     mat[r, c] = state.amplitudes
     return row_keys, col_keys, mat
-
-
-def purity_across_cut(state: StateVector, subsystem) -> float:
-    """Tr(rho^2) of the reduced state on the given bit positions."""
-    bits = tuple(subsystem)
-    n = state.layout.total_bits
-    if not bits or len(bits) >= n:
-        raise StateError("subsystem must be a nonempty proper subset of bits")
-    if len(set(bits)) != len(bits) or not all(0 <= b < n for b in bits):
-        raise StateError("invalid subsystem bit set")
-    return cut_purity(cut_matrix(state, bits)[2])
 
 
 def cut_purity(mat: np.ndarray) -> float:
@@ -491,39 +461,12 @@ def walker_vertex_support(state: StateVector, walker: int) -> set[int]:
     """Vertex ids whose marginal probability for the walker exceeds SUPPORT_TOL."""
     layout = state.layout
     layout._check_walker(walker)
-    vertex = _walker_field(state, walker, layout.nv)
+    shift = layout.total_bits - walker * layout.walker_bits - layout.nv
+    vertex = (state.indices >> shift) & ((1 << layout.nv) - 1)
     probs = np.bincount(
         vertex, weights=np.abs(state.amplitudes) ** 2, minlength=1 << layout.nv
     )
     return {int(v) for v in np.flatnonzero(probs > SUPPORT_TOL)}
-
-
-def reduced_density(state: StateVector, keep_bits) -> np.ndarray:
-    """Reduced density matrix over the given bit positions (in given order)."""
-    bits = tuple(keep_bits)
-    keys, _, mat = cut_matrix(state, bits)
-    rho = np.zeros((1 << len(bits),) * 2, dtype=complex)
-    rho[np.ix_(keys, keys)] = mat @ mat.conj().T
-    return rho
-
-
-def check_no_invalid_amplitude(state: StateVector, graph: NetworkGraph) -> None:
-    """Debug check: amplitude must stay off invalid vertex/coin codes."""
-    layout = state.layout
-    nvert = len(graph.nodes)
-    reg = 1 << layout.walker_bits
-    bad = np.zeros(reg, dtype=bool)
-    for r in range(reg):
-        vid = r >> layout.nc
-        coin = r & ((1 << layout.nc) - 1)
-        if vid >= nvert or coin >= graph.port_count(graph.nodes[vid]):
-            bad[r] = True
-    weights = np.abs(state.amplitudes) ** 2
-    for j in range(layout.k):
-        code = _walker_field(state, j, layout.walker_bits)
-        probs = np.bincount(code, weights=weights, minlength=reg)
-        if probs[bad].sum() > 1e-12:
-            raise StateError(f"walker {j} has amplitude on invalid basis vectors")
 
 
 def dump_state(state: StateVector) -> str:

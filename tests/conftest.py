@@ -21,6 +21,8 @@ from qwcp import (
 )
 from qwcp.cli import DATA_INIT_STATES
 
+from instruments import from_dense
+
 
 def network_json(nodes, edges, data_qubits=None):
     """Build a network description; edges listed once, mirrored here."""
@@ -112,7 +114,7 @@ def random_state(layout: RegisterLayout, rng: np.random.Generator) -> StateVecto
         size=1 << layout.total_bits
     )
     amps /= np.linalg.norm(amps)
-    return StateVector.from_dense(layout, amps)
+    return from_dense(layout, amps)
 
 
 def random_qubit(rng: np.random.Generator) -> tuple[complex, complex]:
@@ -123,14 +125,11 @@ def random_qubit(rng: np.random.Generator) -> tuple[complex, complex]:
 
 def state_with_data(graph, layout, walker_inits, data_vec) -> StateVector:
     """Walker basis product with an arbitrary (possibly entangled) data state."""
-    base = init_state(graph, layout, walker_inits).to_dense()
-    widx = int(np.flatnonzero(np.abs(base) > 0.5)[0]) >> layout.data_bits
+    (walkers,) = init_state(graph, layout, walker_inits).indices  # data bits all 0
     data_vec = np.asarray(data_vec, dtype=complex)
     data_vec = data_vec / np.linalg.norm(data_vec)
-    amps = np.zeros_like(base)
-    nd = layout.data_bits
-    amps[widx << nd : (widx + 1) << nd] = data_vec
-    return StateVector.from_dense(layout, amps)
+    data = np.flatnonzero(data_vec)
+    return StateVector(layout, walkers | data, data_vec[data])
 
 
 # -- random operators for the hypothesis engine tests -----------------------

@@ -2,7 +2,7 @@
 
 These are the dense 2^total_bits implementations that `qwcp.statevec`
 used before it stored only the nonzero amplitudes. They act on a plain
-complex vector `amps` indexed like `StateVector.to_dense()`, and the
+complex vector `amps` indexed like `instruments.to_dense`, and the
 sparse engine is checked against them.
 """
 from __future__ import annotations

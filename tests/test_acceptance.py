@@ -14,17 +14,14 @@ from qwcp import (
     GateRequest,
     PathSpec,
     RegisterLayout,
-    StateVector,
     TreeSpec,
     compare,
     data_layout,
-    fidelity,
     init_state,
     invert_schedule,
     load_network,
     make_flipflop_shift,
     oracle_apply,
-    purity_across_cut,
     run_schedule,
     schedule_ghz_path,
     schedule_linklevel,
@@ -34,7 +31,7 @@ from qwcp import (
     schedule_tree,
 )
 from qwcp.cli import main
-from qwcp.statevec import apply_operator, reduced_density
+from qwcp.statevec import apply_operator, cut_matrix, cut_purity
 from qwcp.walkops import Schedule
 
 from conftest import (
@@ -46,6 +43,7 @@ from conftest import (
     state_with_data,
     triangle_json,
 )
+from instruments import fidelity, from_dense, purity_across_cut, reduced_density, to_dense
 
 FID_TOL = 1e-9
 NORM_TOL = 1e-10
@@ -63,7 +61,7 @@ def _run_and_collect(graph, compiled, state, mode="branch", rng=None):
 def _oracle_state(graph, compiled, data_vec):
     dlay = data_layout(graph)
     vec = np.asarray(data_vec, dtype=complex)
-    base = StateVector.from_dense(dlay, vec / np.linalg.norm(vec))
+    base = from_dense(dlay, vec / np.linalg.norm(vec))
     return oracle_apply(base, compiled.oracle_gates)
 
 
@@ -86,7 +84,7 @@ def grid_cnot_instance(separation="reverse"):
 
 def test_criterion_1_remote_cnot_grid_delta3():
     graph, comp = grid_cnot_instance()
-    assert graph.hop_distance("n00", "n12") == 3
+    assert comp.meta["propagation_steps"] == 3
     rng = np.random.default_rng(2024)
     arrival_checked = False
     for _ in range(20):
@@ -227,9 +225,10 @@ def test_criterion_5_tree_propagation():
     prop_steps = comp.meta["propagation_steps"]
     forward = Schedule(comp.schedule.timesteps[: prop_steps + 1])
     mid, _ = run_schedule(state, forward, graph)
-    assert purity_across_cut(mid, lay.walker_bit_positions()) == pytest.approx(
-        0.5, abs=FID_TOL
-    )
+    # 25 bits: too wide for a dense vector, so the purity comes from the
+    # compressed cut matrix, as the oracle comparison takes it
+    walker_cut = cut_matrix(mid, lay.walker_bit_positions())[2]
+    assert cut_purity(walker_cut) == pytest.approx(0.5, abs=FID_TOL)
     print("criterion 5: PASS - tree propagation, visit timing + fan-out purity 0.5")
 
 
@@ -310,7 +309,7 @@ def test_criterion_8_invariant_suite():
             assert action.perm[p] == i
         s = random_state(lay, np.random.default_rng(1))
         twice = apply_operator(apply_operator(s, shift), shift)
-        assert np.abs(twice.to_dense() - s.to_dense()).max() < 1e-12
+        assert np.abs(to_dense(twice) - to_dense(s)).max() < 1e-12
 
     # (b) norm drift over >= 1000 operator applications
     graph = load_network(triangle_json())

@@ -12,6 +12,7 @@ from qwcp import cli
 from qwcp.cli import Script, ScriptError, execute, main, parse_script
 
 from conftest import btree7_json, grid3_json, line_json, network_json, triangle_json
+from instruments import to_dense
 
 
 @pytest.fixture
@@ -209,7 +210,7 @@ def test_execute_step_script_gate_sequence(path3_file):
     )
     report, final, _ = execute(script)
     assert report["supports"]["timesteps"][-1]["0"] == ["B"]
-    idx = int(np.flatnonzero(np.abs(final.to_dense()) > 0.5)[0])
+    idx = int(np.flatnonzero(np.abs(to_dense(final)) > 0.5)[0])
     assert idx & 1 == 1  # B.b is the lowest bit and got flipped
 
 
@@ -391,6 +392,86 @@ def test_main_precondition_error_exit_3(path3_file, tmp_path):
     assert main(["run", str(script)]) == 3
 
 
+@pytest.mark.parametrize("request_line", [
+    "remote_cu control=A.q0 target=B.b path=A,B gate=X",
+    "remote_cu control=" + ",".join(f"A.q{i}" for i in range(30)) + " string="
+    + "0" * 30 + " target=B.b path=A,B gate=X",
+], ids=["spectators", "controls"])
+def test_main_entry_cap_exit_3(tmp_path, capsys, request_line):
+    # 53 bits is within the width cap, but 50 qubits in |+> would make 2^49
+    # entries (2^30 for the controls alone): refused before it is built
+    from qwcp.statevec import MAX_ENTRIES
+
+    names = [f"q{i}" for i in range(50)]
+    net = write_script(tmp_path, line_json(["A", "B"], {"A": names, "B": ["b"]}),
+                       name="net.json")
+    inits = "".join(f"init A.{q}=+\n" for q in names)
+    script = write_script(tmp_path, f"network {net}\n{inits}{request_line}\n")
+    assert main(["run", str(script)]) == 3
+    assert f"cap is {MAX_ENTRIES}" in capsys.readouterr().err
+
+
+def test_main_ghz_gate_matrix_cap_exit_3(tmp_path, capsys):
+    # the GHZ prep of 30 qubits at one node would be a 2^30 x 2^30 matrix
+    names = [f"q{i}" for i in range(30)]
+    net = write_script(tmp_path, line_json(["A", "B"], {"A": names, "B": ["b"]}),
+                       name="net.json")
+    members = ",".join(f"A.{q}" for q in names)
+    script = write_script(tmp_path, f"network {net}\nghz_path path=A,B qubits={members},B.b\n")
+    assert main(["run", str(script)]) == 3
+    assert f"GHZ gate matrix would hold {1 << 60} entries" in capsys.readouterr().err
+
+
+def binary_tree_json(depth):
+    """Binary tree network: root A, the children of v are v0 and v1; a
+    data qubit a at the root and t at every leaf."""
+    levels = [["A"]]
+    for _ in range(depth):
+        levels.append([v + i for v in levels[-1] for i in "01"])
+    nodes = [v for level in levels for v in level]
+    edges = [(v[:-1], v) for v in nodes[1:]]
+    data = {"A": ["a"], **{leaf: ["t"] for leaf in levels[-1]}}
+    return network_json(nodes, edges, data), edges, levels[-1]
+
+
+def test_main_runs_a_57_bit_tree(tmp_path):
+    # depth 3: 15 nodes (4 vertex bits), up to 4 ports (2 coin bits), one
+    # walker per leaf: 8 * 6 + 9 data qubits = 57 bits, within the cap of
+    # 62 that int64 indices allow
+    network, edges, leaves = binary_tree_json(3)
+    net = write_script(tmp_path, network, name="net.json")
+    targets = " ".join(f"target={leaf}.t gate=X" for leaf in leaves)
+    script = write_script(
+        tmp_path,
+        f"network {net}\ninit A.a=+\ntree control=A.a "
+        f"edges={','.join(f'{u}>{v}' for u, v in edges)} {targets}\n",
+    )
+    out, dump = tmp_path / "r.json", tmp_path / "state.txt"
+    assert main(["run", str(script), "--out", str(out), "--dump-state", str(dump)]) == 0
+    assert json.loads(out.read_text())["passed"] is True
+    assert {len(line.split()[0]) for line in dump.read_text().splitlines()} == {57}
+
+
+TRIANGLE_NET = network_json(["A", "B", "T"], [("A", "B"), ("B", "T"), ("A", "T")],
+                            {"A": ["a"], "T": ["t"]})
+
+
+@pytest.mark.parametrize("paths", [
+    "path=A,B,T target=T.t gate=X path=A,T target=T.t gate=Z",
+    "path=A,T target=T.t gate=Z path=A,B,T target=T.t gate=X",
+], ids=["long_first", "short_first"])
+def test_main_multipath_gates_apply_in_delivery_order(tmp_path, paths):
+    # Z and X on the same target do not commute: the oracle must apply
+    # them in the order the walkers deliver them, shorter path first
+    net = write_script(tmp_path, TRIANGLE_NET, name="net.json")
+    script = write_script(
+        tmp_path, f"network {net}\ninit A.a=+\nmultipath control=A.a {paths}\n"
+    )
+    out = tmp_path / "r.json"
+    assert main(["run", str(script), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["passed"] is True
+
+
 @pytest.mark.parametrize("init", ["init A.a=+\n", ""], ids=["control_plus", "control_zero"])
 @pytest.mark.parametrize("entry", ["nan", "inf"])
 def test_main_non_finite_gate_exit_3(tmp_path, init, entry):
@@ -428,6 +509,23 @@ def test_main_linklevel_needs_fresh_first_qubit(tmp_path, capsys, init, couple, 
     assert main(["run", str(script), "--out", str(tmp_path / "r.json")]) == code
     if code == 3:
         assert "C.a to start in |0>" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("init", [
+    "init A.b=1\n", "init A.b=+\n", "init A.a=-\ninit A.b=1\ninit B.b=+\n",
+], ids=["second_start_qubit_one", "second_start_qubit_plus", "all_set"])
+def test_main_ghz_start_qubits_may_start_anywhere(tmp_path, init):
+    # the walker launches on A.a alone, which the local prep leaves as H
+    # made it, so every member gets the oracle's CNOT from A.a
+    net = write_script(
+        tmp_path, line_json(["A", "u", "B"], {"A": ["a", "b"], "B": ["b"]}), name="net.json"
+    )
+    script = write_script(
+        tmp_path, f"network {net}\n{init}ghz_path path=A,u,B qubits=A.a,A.b,B.b\n"
+    )
+    out = tmp_path / "r.json"
+    assert main(["run", str(script), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["passed"] is True
 
 
 def test_main_linklevel_without_data_qubits_passes(tmp_path):

@@ -1,7 +1,8 @@
 """Grammar-driven fuzz of `qwcp run`: whatever the script and network
 file say, `main` returns one of the documented exit codes and never
 raises (0 success, 2 parse error, 3 precondition error, 4 verification
-failure).
+failure). A protocol command that compiles is a valid request, so a
+script with one never exits 4.
 
 A case is a small network and a script in the grammar of `qwcp.cli`.
 Paths follow the network's edges and qubit references name declared
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from qwcp.cli import main
 
+PROTOCOLS = ["remote_cu", "remote_mcu", "multipath", "tree", "ghz_path", "linklevel"]
 LABELS = ["A", "B", "C", "D"]
 QUBITS = ["a", "b"]
 GATES = [
@@ -93,9 +95,7 @@ def cases(draw):
         return draw(st.sampled_from(GATES))
 
     def protocol():
-        kind = draw(st.sampled_from(
-            ["remote_cu", "remote_mcu", "multipath", "tree", "ghz_path", "linklevel"]
-        ))
+        kind = draw(st.sampled_from(PROTOCOLS))
         path = walk()
         if kind == "remote_cu":
             parts = [("control", ref(path[0])), ("target", ref(path[-1])),
@@ -202,3 +202,5 @@ def test_main_exit_code_contract(case, mode, extras, seed):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     assert code in (0, 2, 3, 4), (code, err.getvalue())
+    if any(line.split()[0] in PROTOCOLS for line in lines):
+        assert code != 4, (lines, out.getvalue())

@@ -5,7 +5,8 @@ timestep with a flip-flop shift, and applies it to the state. The norm
 must hold after every operator and no amplitude may sit on an invalid
 vertex or coin code; running the schedule from the start state
 must give the state built step by step, and running `invert_schedule` of
-it afterwards must give back the start state. Layouts go up to 25 bits.
+it afterwards must give back the start state. Layouts go up to 39 bits,
+wider than a dense vector could ever be.
 """
 import numpy as np
 from hypothesis import settings
@@ -29,7 +30,7 @@ from qwcp import (
     run_schedule,
     walker_vertex_support,
 )
-from qwcp.statevec import apply_operator, check_no_invalid_amplitude
+from qwcp.statevec import apply_operator
 
 from conftest import (
     btree7_json,
@@ -41,17 +42,19 @@ from conftest import (
     subset,
     triangle_json,
 )
+from instruments import check_no_invalid_amplitude
 
 TOL = 1e-12
-# (network, walker count): 6, 14, 25 and 25 bits
+# (network, walker count): 6, 14, 25, 25 and 39 bits
 NETWORKS = [
     (line_json(["A", "u", "B"], {"A": ["a"], "B": ["b"]}), 1),
     (triangle_json(), 2),
     (grid3_json(), 3),
     (btree7_json(), 4),
+    (grid3_json(), 5),
 ]
 # operators that can spread the state are drawn only up to this many
-# nonzeros, which keeps the 25-bit layouts fast
+# nonzeros, which keeps the wide layouts fast
 MAX_NNZ = 1024
 
 

@@ -44,21 +44,6 @@ def test_has_edge_and_self_loops(path3):
         path3.port_of("A", "B")
 
 
-def test_hop_distance_and_shortest_path(grid3):
-    assert grid3.hop_distance("n00", "n12") == 3
-    assert grid3.hop_distance("n00", "n00") == 0
-    path = grid3.shortest_path("n00", "n22")
-    assert path[0] == "n00" and path[-1] == "n22" and len(path) == 5
-    for u, v in zip(path, path[1:]):
-        assert v in grid3.neighbors(u)
-
-
-def test_hop_distance_unreachable():
-    g = load_network(network_json(["A", "B", "C"], [("A", "B")]))
-    assert g.hop_distance("A", "C") is None
-    assert g.shortest_path("A", "C") is None
-
-
 def test_bit_widths(grid3, path3):
     assert grid3.vertex_bits() == 4  # 9 nodes
     assert grid3.coin_bits() == 3  # degree-4 center => 5 ports
@@ -129,23 +114,6 @@ def random_graphs(draw, max_nodes=8):
         st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs), unique=True)
     )
     return load_network(network_json(labels, chosen))
-
-
-@settings(max_examples=60, deadline=None)
-@given(random_graphs())
-def test_hop_distance_is_a_metric(g):
-    nodes = g.nodes
-    for u in nodes:
-        assert g.hop_distance(u, u) == 0
-        for v in nodes:
-            duv = g.hop_distance(u, v)
-            assert duv == g.hop_distance(v, u)
-            if duv is None:
-                continue
-            for w in nodes:
-                duw, dwv = g.hop_distance(u, w), g.hop_distance(w, v)
-                if duw is not None and dwv is not None:
-                    assert duv <= duw + dwv
 
 
 @settings(max_examples=60, deadline=None)

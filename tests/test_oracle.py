@@ -11,9 +11,8 @@ from qwcp import (
     init_state,
     oracle_apply,
 )
-from qwcp.statevec import StateVector
-
 from conftest import random_qubit
+from instruments import from_dense, to_dense
 
 
 def test_data_layout_has_no_walker_bits(path3):
@@ -33,7 +32,7 @@ def test_oracle_cnot_truth_table(path3):
                 {("A", "a"): (1 - a, a), ("B", "b"): (1 - b, b)},
             )
             out = oracle_apply(s, [cnot])
-            idx = int(np.flatnonzero(np.abs(out.to_dense()) > 0.5)[0])
+            idx = int(np.flatnonzero(np.abs(to_dense(out)) > 0.5)[0])
             assert idx == (a << 1) | (b ^ a)
 
 
@@ -42,7 +41,7 @@ def test_oracle_zero_control_fires_on_zero(path3):
     gate = OracleGate(((("A", "a"), 0),), (("B", "b"),), GATE_LIBRARY["X"])
     s = init_state(path3, lay, [])
     out = oracle_apply(s, [gate])
-    idx = int(np.flatnonzero(np.abs(out.to_dense()) > 0.5)[0])
+    idx = int(np.flatnonzero(np.abs(to_dense(out)) > 0.5)[0])
     assert idx == 0b01
 
 
@@ -62,9 +61,9 @@ def test_oracle_gate_sequence_order(path3):
     bell = oracle_apply(s, [h, cx])
     expect = np.zeros(4, dtype=complex)
     expect[0b00] = expect[0b11] = 1 / np.sqrt(2)
-    assert np.allclose(bell.to_dense(), expect)
+    assert np.allclose(to_dense(bell), expect)
     other = oracle_apply(s, [cx, h])
-    assert not np.allclose(other.to_dense(), expect)
+    assert not np.allclose(to_dense(other), expect)
 
 
 def test_compare_pass_and_fail(path3):
@@ -88,9 +87,7 @@ def test_compare_detects_residual_entanglement(path3):
     dlay = data_layout(path3)
     base = init_state(path3, lay, [("A", 0)])
     flip = init_state(path3, lay, [("A", 1)], {("A", "a"): (0.0, 1.0)})
-    entangled = StateVector.from_dense(
-        lay, (base.to_dense() + flip.to_dense()) / np.sqrt(2)
-    )
+    entangled = from_dense(lay, (to_dense(base) + to_dense(flip)) / np.sqrt(2))
     rep = compare(entangled, init_state(path3, dlay, []))
     assert rep.walker_purity == pytest.approx(0.5)
     assert not rep.passed

@@ -12,11 +12,9 @@ from qwcp import (
     TreeSpec,
     compare,
     data_layout,
-    fidelity,
     init_state,
     load_network,
     oracle_apply,
-    purity_across_cut,
     run_schedule,
     schedule_ghz_path,
     schedule_linklevel,
@@ -28,9 +26,9 @@ from qwcp import (
     walker_vertex_support,
 )
 from qwcp.protocols import _ghz_prep_matrix
-from qwcp.statevec import reduced_density
 
 from conftest import grid3_json, line_json, random_qubit
+from instruments import purity_across_cut, reduced_density
 
 
 def verify(compiled, graph, data_inits=None):

@@ -3,8 +3,8 @@
 Random operator sequences, built with every walkops constructor (and with
 inverted operators), run through `qwcp.statevec` and through the dense
 implementations in dense_reference.py. Amplitudes, measurement branches,
-walker supports, purities, reduced densities and the oracle comparison
-must agree.
+walker supports, cut matrices and their purities, and the oracle
+comparison must agree.
 """
 import numpy as np
 import pytest
@@ -14,17 +14,13 @@ from hypothesis import strategies as st
 import dense_reference as dense
 from qwcp import (
     RegisterLayout,
-    StateVector,
     compare,
     data_layout,
-    fidelity,
     load_network,
     measure,
-    purity_across_cut,
-    reduced_density,
     walker_vertex_support,
 )
-from qwcp.statevec import BlockAction, PermAction, apply_actions
+from qwcp.statevec import BlockAction, PermAction, apply_actions, cut_matrix, cut_purity
 
 from conftest import (
     draw_init_state,
@@ -36,6 +32,7 @@ from conftest import (
     random_unitary,
     subset,
 )
+from instruments import from_dense, to_dense
 
 TOL = 1e-12
 
@@ -82,7 +79,7 @@ def draw_state(data, g, lay, rng):
     if shape == "basis":
         vec = np.zeros(1 << lay.total_bits, dtype=complex)
         vec[data.draw(st.integers(0, len(vec) - 1))] = 1.0
-        return StateVector.from_dense(lay, vec)
+        return from_dense(lay, vec)
     return draw_init_state(data, g, lay)
 
 
@@ -101,7 +98,7 @@ def test_sparse_engine_matches_dense_reference(data):
     lay = RegisterLayout.for_network(g, k)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     state = draw_state(data, g, lay, rng)
-    ref = state.to_dense()
+    ref = to_dense(state)
     assert_sparse_invariants(state)
 
     for _ in range(data.draw(st.integers(1, 8))):
@@ -109,7 +106,7 @@ def test_sparse_engine_matches_dense_reference(data):
         state = apply_actions(state, actions)
         ref = dense.apply_actions(ref, lay, actions)
         assert_sparse_invariants(state)
-        assert np.abs(state.to_dense() - ref).max() <= TOL
+        assert np.abs(to_dense(state) - ref).max() <= TOL
         assert state.norm == pytest.approx(np.linalg.norm(ref), abs=TOL)
 
     for j in range(lay.k):
@@ -117,12 +114,15 @@ def test_sparse_engine_matches_dense_reference(data):
 
     all_bits = list(range(lay.total_bits))
     cut = subset(data, all_bits, max_size=lay.total_bits - 1)
-    assert purity_across_cut(state, cut) == pytest.approx(
+    assert cut_purity(cut_matrix(state, cut)[2]) == pytest.approx(
         dense.purity_across_cut(ref, lay, cut), abs=TOL
     )
+    # the cut matrix's rows, placed at their keys, give the reduced density
     keep = subset(data, all_bits, max_size=3)
-    rho = dense.reduced_density(ref, lay, keep)
-    assert np.abs(reduced_density(state, keep) - rho).max() <= TOL
+    keys, _, mat = cut_matrix(state, keep)
+    rho = np.zeros((1 << len(keep),) * 2, dtype=complex)
+    rho[np.ix_(keys, keys)] = mat @ mat.conj().T
+    assert np.abs(rho - dense.reduced_density(ref, lay, keep)).max() <= TOL
 
     qubits = subset(data, all_bits, max_size=3)
     bases = "".join(data.draw(st.sampled_from("ZX")) for _ in qubits)
@@ -132,10 +132,7 @@ def test_sparse_engine_matches_dense_reference(data):
     for (record, branch), (ref_record, ref_branch) in zip(branches, ref_branches):
         assert record.probability == pytest.approx(ref_record.probability, abs=TOL)
         assert_sparse_invariants(branch)
-        assert np.abs(branch.to_dense() - ref_branch).max() <= TOL
-        assert fidelity(state, branch) == pytest.approx(
-            abs(np.vdot(ref, ref_branch)) ** 2, abs=TOL
-        )
+        assert np.abs(to_dense(branch) - ref_branch).max() <= TOL
     seed = data.draw(st.integers(0, 2**32 - 1))
     (record, _), = measure(state, qubits, bases, "sample", np.random.default_rng(seed))
     (ref_record, _), = dense.measure(
@@ -149,7 +146,7 @@ def test_sparse_engine_matches_dense_reference(data):
     phi = random_state(dlay, rng)
     report = compare(state, phi)
     rho = dense.reduced_density(ref, lay, lay.data_bit_positions())
-    phi_vec = phi.to_dense()
+    phi_vec = to_dense(phi)
     assert report.data_fidelity == pytest.approx(
         float(np.vdot(phi_vec, rho @ phi_vec).real), abs=TOL
     )

@@ -11,11 +11,8 @@ from qwcp import (
     StateError,
     StateVector,
     dump_state,
-    fidelity,
     init_state,
     measure,
-    purity_across_cut,
-    reduced_density,
     walker_vertex_support,
 )
 from qwcp.statevec import (
@@ -31,10 +28,19 @@ from qwcp.statevec import (
     _unique_inverse,
     apply_actions,
     apply_z,
-    check_no_invalid_amplitude,
+    cut_matrix,
+    cut_purity,
+    insert_qubits,
 )
 
 from conftest import line_json, random_state
+from instruments import (
+    check_no_invalid_amplitude,
+    fidelity,
+    from_dense,
+    reduced_density,
+    to_dense,
+)
 
 
 def test_layout_bit_positions(path3):
@@ -53,9 +59,41 @@ def test_layout_bit_positions(path3):
 
 
 def test_layout_rejects_oversized(grid3):
-    with pytest.raises(StateError):
-        RegisterLayout.for_network(grid3, 4)  # 4*7 + 4 = 32 bits > cap
-    assert MAX_TOTAL_BITS == 26
+    assert MAX_TOTAL_BITS == 62  # int64 indices with the sign bit clear
+    assert RegisterLayout.for_network(grid3, 8).total_bits == 60  # 8*7 + 4
+    with pytest.raises(StateError, match="layout needs 67 bits, cap is 62"):
+        RegisterLayout.for_network(grid3, 9)
+    # the check sits in the layout itself, so directly built layouts are covered
+    assert wide_layout(62).total_bits == 62
+    with pytest.raises(StateError, match="layout needs 63 bits, cap is 62"):
+        wide_layout(63)
+
+
+def test_entry_cap_is_checked_before_each_growing_array():
+    # each array below would exceed MAX_ENTRIES = 2^26; none is built
+    from qwcp.statevec import MAX_ENTRIES
+
+    assert MAX_ENTRIES == 1 << 26
+    # the shift's table of one walker register: 2^(nv + nc) codes
+    assert RegisterLayout(13, 13, 2, ()).walker_bits == 26
+    with pytest.raises(StateError, match=f"walker register table would hold {1 << 27}"):
+        RegisterLayout(14, 13, 1, ())
+    lay = wide_layout(40)
+    one = StateVector(lay, np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex))
+    plus = HADAMARD[:, 0]
+    with pytest.raises(StateError, match=f"state would hold {1 << 27} entries"):
+        insert_qubits(one, {pos: plus for pos in range(27)})
+    assert len(insert_qubits(one, {pos: plus for pos in range(10)}).indices) == 1 << 10
+    # 2^19 distinct settings of the other bits times 2^8 target values
+    spread = StateVector(lay, np.arange(1 << 19, dtype=np.int64),
+                         np.full(1 << 19, 2.0 ** -9.5, dtype=complex))
+    with pytest.raises(StateError, match=f"state would hold {1 << 27} entries"):
+        apply_actions(spread, [BlockAction(tuple(range(8)), np.eye(256, dtype=complex))])
+    # a diagonal state: 2^14 rows times 2^14 columns
+    keys = np.arange(1 << 14, dtype=np.int64)
+    diagonal = StateVector(lay, (keys << 26) | keys, np.full(1 << 14, 2.0 ** -7, dtype=complex))
+    with pytest.raises(StateError, match=f"cut matrix would hold {1 << 28} entries"):
+        cut_matrix(diagonal, range(14))
 
 
 def test_init_state_places_walker_and_data(path3):
@@ -65,7 +103,7 @@ def test_init_state_places_walker_and_data(path3):
     idx = (((2 << 2) | 2) << 2) | 0b01
     expect = np.zeros(1 << lay.total_bits, dtype=complex)
     expect[idx] = 1.0
-    assert np.array_equal(s.to_dense(), expect)
+    assert np.array_equal(to_dense(s), expect)
     assert walker_vertex_support(s, 0) == {2}
 
 
@@ -140,7 +178,7 @@ def test_init_state_matches_kron_bitwise(data):
     got = init_state(graph, layout, walker_inits, data_inits)
     want = kron_reference(graph, layout, walker_inits, data_inits)
     assert np.array_equal(got.indices, np.flatnonzero(want))
-    assert np.array_equal(canonical_bits(got.to_dense()), canonical_bits(want))
+    assert np.array_equal(canonical_bits(to_dense(got)), canonical_bits(want))
 
 
 def test_perm_action_moves_one_walker_only(path3):
@@ -151,8 +189,8 @@ def test_perm_action_moves_one_walker_only(path3):
     perm = tuple(np.roll(np.arange(reg), 3))
     moved = apply_actions(s, [PermAction(1, perm)])
     # walker 0 marginal unchanged
-    a0 = s.to_dense().reshape(reg, reg, -1)
-    b0 = moved.to_dense().reshape(reg, reg, -1)
+    a0 = to_dense(s).reshape(reg, reg, -1)
+    b0 = to_dense(moved).reshape(reg, reg, -1)
     assert np.allclose(
         (np.abs(a0) ** 2).sum(axis=(1, 2)), (np.abs(b0) ** 2).sum(axis=(1, 2))
     )
@@ -169,11 +207,11 @@ def test_block_action_conditions(path3):
     # condition on walker at vertex id 2 (u): A-walker state untouched
     cond_u = ((lay.vertex_bit_positions(0), 2),)
     same = apply_actions(s, [BlockAction((bit_a,), x, cond_u)])
-    assert np.array_equal(same.to_dense(), s.to_dense())
+    assert np.array_equal(to_dense(same), to_dense(s))
     # condition on vertex id 0 (A): data qubit flips
     cond_a = ((lay.vertex_bit_positions(0), 0),)
     flipped = apply_actions(s, [BlockAction((bit_a,), x, cond_a)])
-    probs = np.abs(flipped.to_dense()) ** 2
+    probs = np.abs(to_dense(flipped)) ** 2
     idx = int(np.flatnonzero(probs > 0.5)[0])
     assert (idx >> (lay.total_bits - 1 - bit_a)) & 1 == 1
 
@@ -194,7 +232,7 @@ def test_measure_z_branches(path3):
     for record, st_b in branches:
         assert record.probability == pytest.approx(0.5)
         assert st_b.norm == pytest.approx(1.0)
-        probs = np.abs(st_b.to_dense()) ** 2
+        probs = np.abs(to_dense(st_b)) ** 2
         idx = int(np.flatnonzero(probs > 0.5)[0])
         bit = (idx >> (lay.total_bits - 1 - lay.data_bit("A", "a"))) & 1
         assert bit == record.outcome[0]
@@ -224,14 +262,14 @@ def test_purity_and_reduced_density_product_vs_entangled(path3):
     lay = RegisterLayout.for_network(path3, 1)
     s = init_state(path3, lay, [("A", 0)])
     cut = lay.walker_bit_positions()
-    assert purity_across_cut(s, cut) == pytest.approx(1.0)
+    assert cut_purity(cut_matrix(s, cut)[2]) == pytest.approx(1.0)
     # entangle walker coin bit with the data qubit
     bit_a = lay.data_bit("A", "a")
     coin_low = lay.coin_bit_positions(0)[-1]
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     s2 = apply_actions(s, [BlockAction((coin_low,), HADAMARD)])
     s2 = apply_actions(s2, [BlockAction((bit_a,), x, (((coin_low,), 1),))])
-    assert purity_across_cut(s2, cut) == pytest.approx(0.5)
+    assert cut_purity(cut_matrix(s2, cut)[2]) == pytest.approx(0.5)
     rho = reduced_density(s2, (bit_a,))
     assert np.allclose(rho, np.eye(2) / 2)
 
@@ -242,7 +280,7 @@ def test_purity_matches_dense_reduced_density(path3):
     s = random_state(lay, rng)
     cut = lay.walker_bit_positions()
     rho = reduced_density(s, cut)
-    assert purity_across_cut(s, cut) == pytest.approx(
+    assert cut_purity(cut_matrix(s, cut)[2]) == pytest.approx(
         float(np.trace(rho @ rho).real), abs=1e-12
     )
 
@@ -250,9 +288,9 @@ def test_purity_matches_dense_reduced_density(path3):
 def test_walker_vertex_support_ignores_tiny_amplitude(path3):
     lay = RegisterLayout.for_network(path3, 1)
     s = init_state(path3, lay, [("A", 0)])
-    amps = s.to_dense()
+    amps = to_dense(s)
     amps[-1] = 1e-8  # below support tolerance in probability
-    s2 = StateVector.from_dense(lay, amps / np.linalg.norm(amps))
+    s2 = from_dense(lay, amps / np.linalg.norm(amps))
     assert walker_vertex_support(s2, 0) == {0}
 
 
@@ -260,10 +298,10 @@ def test_check_no_invalid_amplitude(path3):
     lay = RegisterLayout.for_network(path3, 1)
     s = init_state(path3, lay, [("A", 0)])
     check_no_invalid_amplitude(s, path3)
-    bad = np.zeros_like(s.to_dense())
+    bad = np.zeros_like(to_dense(s))
     bad[-1] = 1.0  # vertex code 3 does not exist
     with pytest.raises(StateError):
-        check_no_invalid_amplitude(StateVector.from_dense(lay, bad), path3)
+        check_no_invalid_amplitude(from_dense(lay, bad), path3)
 
 
 def test_dump_state_format(path3):
@@ -510,6 +548,13 @@ def test_unique_inverse_matches_numpy(keys):
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 
 
+def without_zeros(state):
+    """The state without its exact-zero entries: a Z block drops them,
+    apply_z keeps every entry."""
+    stored = state.amplitudes != 0
+    return StateVector(state.layout, state.indices[stored], state.amplitudes[stored])
+
+
 def assert_same_bits(got, want):
     assert np.array_equal(got.indices, want.indices)
     assert np.array_equal(canonical_bits(got.amplitudes), canonical_bits(want.amplitudes))
@@ -525,12 +570,14 @@ def assert_same_bits(got, want):
 def test_apply_z_matches_z_block(state, qubits, data):
     """apply_z against a BlockAction of PAULI_Z, on states with signed-zero
     parts and on the branches measure makes of them."""
-    stored = state.amplitudes != 0  # a state stores no exact zero
-    state = StateVector(state.layout, state.indices[stored], state.amplitudes[stored])
+    state = without_zeros(state)
     bit = data.draw(st.integers(0, SMALL_LAYOUT.total_bits - 1))
     assert_same_bits(apply_z(state, bit), apply_actions(state, [BlockAction((bit,), PAULI_Z)]))
     bases = data.draw(st.text("XZ", min_size=len(qubits), max_size=len(qubits)))
     for _, branch in measure(state, qubits, bases):
+        # the drawn states are not normalised, so a branch's rescale can
+        # round a tiny part to an exact zero, which a block drops
+        branch = without_zeros(branch)
         for bit in range(SMALL_LAYOUT.total_bits):
             assert_same_bits(
                 apply_z(branch, bit), apply_actions(branch, [BlockAction((bit,), PAULI_Z)])

@@ -10,7 +10,6 @@ from qwcp import (
     RegisterLayout,
     Schedule,
     Timestep,
-    fidelity,
     init_state,
     invert_operator,
     invert_schedule,
@@ -31,6 +30,7 @@ from qwcp.statevec import apply_operator
 from qwcp.walkops import OperatorSpec
 
 from conftest import network_json, random_state
+from instruments import fidelity, from_dense, to_dense
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -49,14 +49,14 @@ def small():
 
 def dense_matrix(op, layout):
     """Materialize the operator by applying it to every basis state."""
-    from qwcp.statevec import StateVector, apply_actions
+    from qwcp.statevec import apply_actions
 
     dim = 1 << layout.total_bits
     cols = np.empty((dim, dim), dtype=complex)
     for i in range(dim):
         e = np.zeros(dim, dtype=complex)
         e[i] = 1.0
-        cols[:, i] = apply_actions(StateVector.from_dense(layout, e), op.iter_actions()).to_dense()
+        cols[:, i] = to_dense(apply_actions(from_dense(layout, e), op.iter_actions()))
     return cols
 
 
@@ -113,7 +113,7 @@ def test_flipflop_involution_statewise(small):
     rng = np.random.default_rng(3)
     s = random_state(lay, rng)
     twice = apply_operator(apply_operator(s, shift), shift)
-    assert np.allclose(twice.to_dense(), s.to_dense())
+    assert np.allclose(to_dense(twice), to_dense(s))
 
 
 # -- coin operators -------------------------------------------------------
@@ -128,7 +128,7 @@ def test_coin_perm_acts_only_at_vertex(small):
     shift = make_flipflop_shift(g, lay, [0])
     assert walker_vertex_support(apply_operator(out, shift), 0) == {g.vertex_id("B")}
     s_b = init_state(g, lay, [("B", 0), ("A", 0)])
-    assert np.allclose(apply_operator(s_b, op).to_dense(), s_b.to_dense())
+    assert np.allclose(to_dense(apply_operator(s_b, op)), to_dense(s_b))
 
 
 def test_coin_perm_rejects_invalid_coin(small):
@@ -176,10 +176,10 @@ def test_coin_controlled_data_fires_at_vertex(small):
     s = init_state(g, lay, [("C", 0), ("A", 0)])
     out = apply_operator(s, op)
     bit = lay.data_bit("C", "c")
-    idx = int(np.flatnonzero(np.abs(out.to_dense()) > 0.5)[0])
+    idx = int(np.flatnonzero(np.abs(to_dense(out)) > 0.5)[0])
     assert (idx >> (lay.total_bits - 1 - bit)) & 1 == 1
     elsewhere = init_state(g, lay, [("A", 0), ("A", 0)])
-    assert np.allclose(apply_operator(elsewhere, op).to_dense(), elsewhere.to_dense())
+    assert np.allclose(to_dense(apply_operator(elsewhere, op)), to_dense(elsewhere))
 
 
 def test_coin_controlled_data_with_coin_restriction(small):
@@ -187,7 +187,7 @@ def test_coin_controlled_data_with_coin_restriction(small):
     op = make_coin_controlled_data(g, lay, "C", ["c"], PAULI_X, 0, coin=1)
     s = init_state(g, lay, [("C", 2), ("A", 0)])
     out = apply_operator(s, op)
-    assert np.allclose(out.to_dense(), s.to_dense())  # wrong coin, no fire
+    assert np.allclose(to_dense(out), to_dense(s))  # wrong coin, no fire
 
 
 def test_walk_interaction_conditions_on_both_walkers(small):

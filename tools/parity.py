@@ -30,6 +30,10 @@ database, so they draw the same examples. Collection goes on past a test
 module that fails to import (say, one that imports a name only the new
 tree has), so the other modules still yield records; every module that
 failed to collect on either side is named and counts as a difference.
+Every test that fails against the new tree counts as a difference. A
+test that fails against the old tree only (say, the regression test of
+a bug the new tree fixes) stops early there, or shrinks a failing
+example, so its records are not counted; such tests are listed by name.
 
 Exits 0 when every run matches, 1 when any differs, and 2 on bad usage.
 Reads `perfbench/` and `tests/` and writes only to a temporary directory.
@@ -141,10 +145,10 @@ def compare_runs(label: str, old: dict, new: dict, floats: list) -> list:
     return problems
 
 
-def record_calls(src: Path, tests: Path, workdir: Path) -> tuple[int, list, dict]:
+def record_calls(src: Path, tests: Path, workdir: Path) -> tuple[int, list, set, dict]:
     """Run the suite in `tests` against `src` with the recording plugin;
-    returns pytest's exit code, the modules that failed to collect, and the
-    records keyed by (test, call)."""
+    returns pytest's exit code, the modules that failed to collect, the
+    tests that failed, and the records keyed by (test, call)."""
     workdir.mkdir(parents=True)
     out = workdir / "calls.jsonl"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(TOOLS)]),
@@ -155,8 +159,9 @@ def record_calls(src: Path, tests: Path, workdir: Path) -> tuple[int, list, dict
     proc = subprocess.run(cmd, env=env, cwd=workdir, capture_output=True, timeout=1800)
     records = [json.loads(line) for line in out.read_text().splitlines()] if out.exists() else []
     uncollected = sorted(r["collect_error"] for r in records if "collect_error" in r)
-    calls = {(r["test"], r["call"]): r for r in records if "collect_error" not in r}
-    return proc.returncode, uncollected, calls
+    failed = {r["failed"] for r in records if "failed" in r}
+    calls = {(r["test"], r["call"]): r for r in records if "test" in r}
+    return proc.returncode, uncollected, failed, calls
 
 
 def first_json_difference(a, b, where: str = "") -> str:
@@ -171,9 +176,12 @@ def first_json_difference(a, b, where: str = "") -> str:
     return f"{where or 'record'}: {json.dumps(a)[:120]} != {json.dumps(b)[:120]}"
 
 
-def compare_calls(old: dict, new: dict) -> list:
+def compare_calls(old: dict, new: dict, skipped=frozenset()) -> list:
+    """Differing records, leaving out the tests in `skipped`."""
     problems = []
     for key in sorted(set(old) | set(new)):
+        if key[0] in skipped:
+            continue
         label = f"{key[0]} call {key[1]}"
         if key not in old or key not in new:
             problems.append(f"{label}: only in {'new' if key in new else 'old'}")
@@ -322,9 +330,13 @@ def main(argv=None) -> int:
         problems += fuzz_problems
         if args.tests is not None:
             tests = args.tests.resolve()
-            old_code, old_uncollected, old_calls = record_calls(old_src, tests, tmp / "calls-old")
-            new_code, new_uncollected, new_calls = record_calls(new_src, tests, tmp / "calls-new")
-            call_problems = compare_calls(old_calls, new_calls)
+            old_code, old_uncollected, old_failed, old_calls = record_calls(
+                old_src, tests, tmp / "calls-old")
+            new_code, new_uncollected, new_failed, new_calls = record_calls(
+                new_src, tests, tmp / "calls-new")
+            old_only = old_failed - new_failed
+            call_problems = compare_calls(old_calls, new_calls, old_only)
+            call_problems += [f"{test}: fails against new tree" for test in sorted(new_failed)]
             call_problems += [f"{module}: failed to collect against {side} tree"
                               for side, modules in (("old", old_uncollected),
                                                     ("new", new_uncollected))
@@ -338,6 +350,8 @@ def main(argv=None) -> int:
             print(f"{tests}: pytest exit {old_code} (old), {new_code} (new); "
                   f"{len(old_calls)} and {len(new_calls)} compiler calls, "
                   f"{len(call_problems)} differences")
+            for test in sorted(old_only):
+                print(f"{test}: fails against old tree only; its records are not counted")
     for problem in problems:
         print(problem)
     if floats:

@@ -8,7 +8,8 @@ While the tests run, every call of a `schedule_*` compiler in
 to FILE: the test's node id, the call's position in that test, the
 compiler name and either the result (`schedule_to_json`, `walker_inits`,
 `meta` and the oracle gates) or the error type and text. A test module
-that fails to collect appends `{"collect_error": node id}` instead.
+that fails to collect appends `{"collect_error": node id}` instead, and a
+test that fails appends `{"failed": node id}` after its calls.
 `tools/parity.py --tests` compares the records of two source trees.
 """
 from __future__ import annotations
@@ -84,6 +85,10 @@ class Recorder:
     def pytest_collectreport(self, report):
         if report.failed:
             self.write({"collect_error": report.nodeid})
+
+    def pytest_runtest_logreport(self, report):
+        if report.failed:
+            self.write({"failed": report.nodeid})
 
     @pytest.hookimpl(hookwrapper=True)
     def pytest_runtest_protocol(self, item, nextitem):
