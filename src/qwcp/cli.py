@@ -29,7 +29,8 @@ sequence of `step` commands, of which `step measure` must be the last.
 A key may appear once per command; only group keys repeat (`path=`,
 `target=` and `couple=`, each followed by its group's other keys).
 
-Exit codes: 0 success, 2 script/network parse error, 3 precondition or
+Exit codes: 0 success, 2 script/network parse error or an unreadable
+script or unwritable `--out`/`--dump-state` path, 3 precondition or
 construction error, 4 oracle verification failure.
 """
 from __future__ import annotations
@@ -688,12 +689,16 @@ def main(argv=None) -> int:
         return 3
 
     rendered = render_report(report)
-    if args.out:
-        Path(args.out).write_text(rendered + "\n")
-    else:
-        print(rendered)
-    if args.dump_state:
-        Path(args.dump_state).write_text(dump_state(final) + "\n")
+    try:
+        if args.out:
+            Path(args.out).write_text(rendered + "\n")
+        else:
+            print(rendered)
+        if args.dump_state:
+            Path(args.dump_state).write_bytes(dump_state(final))
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     if args.trace:
         print(render_trace(report))
 

@@ -24,7 +24,7 @@ from .netgraph import NetworkGraph
 NORM_TOL = 1e-10
 SUPPORT_TOL = 1e-9
 DUMP_TOL = 1e-12
-DUMP_CHUNK = 1024  # dump lines whose index bits are built in one array
+DUMP_CHUNK = 1024  # dump lines built as one byte matrix
 MAX_TOTAL_BITS = 62  # indices are int64 with the sign bit clear
 # entries one array may hold, as many as a dense 26-bit state: the width
 # cap alone does not bound them, so each array that can grow checks this
@@ -469,31 +469,43 @@ def walker_vertex_support(state: StateVector, walker: int) -> set[int]:
     return {int(v) for v in np.flatnonzero(probs > SUPPORT_TOL)}
 
 
-def dump_state(state: StateVector) -> str:
-    """One line per nonzero amplitude: `index_bits  re  im`, ascending.
+def dump_state(state: StateVector) -> bytes:
+    """One ASCII line per nonzero amplitude: `index_bits  re  im`, ascending,
+    each ending in a newline; empty when no amplitude reaches DUMP_TOL.
 
     Zeros are printed as `0.0`: each part is written as `x + 0.0`, which
     turns -0.0 into 0.0 and leaves every other value as it is, so the sign
     of a zero never depends on how the engine computed it. Amplitudes
-    repeat heavily, so each distinct float is formatted with `repr` once
-    and its text reused on every line that holds it. The index bit strings
-    are built as '0'/'1' bytes with numpy, DUMP_CHUNK lines at a time,
-    which keeps the bit array small next to the text."""
+    repeat heavily, so each distinct float is formatted with `repr` once,
+    and each distinct (re, im) pair once as its line's tail. DUMP_CHUNK
+    lines at a time are built as one byte matrix, the index bits as
+    '0'/'1' bytes and then each line's tail from a table of tails padded
+    with NUL bytes, and one mask drops the padding. The chunks keep the
+    matrix small next to the text."""
     n = state.layout.total_bits
     shown = np.abs(state.amplitudes) >= DUMP_TOL
     indices = state.indices[shown]
+    if not len(indices):
+        return b""
     parts = state.amplitudes[shown].view(np.float64) + 0.0  # re, im, re, im, ...
     values, which = np.unique(parts, return_inverse=True)
     text = [repr(x) for x in values.tolist()]
-    which = which.tolist()
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
+    pairs, tail_of = np.unique(which[0::2] * len(values) + which[1::2], return_inverse=True)
+    tails = [
+        f"  {text[p // len(values)]}  {text[p % len(values)]}\n".encode()
+        for p in pairs.tolist()
+    ]
+    width = max(map(len, tails))
+    table = np.frombuffer(
+        b"".join(t.ljust(width, b"\0") for t in tails), dtype=np.uint8
+    ).reshape(-1, width)
+    nbytes = (n + 7) // 8  # low bytes of the big-endian index that hold its bits
     chunks = []
     for lo in range(0, len(indices), DUMP_CHUNK):
-        digits = ((indices[lo : lo + DUMP_CHUNK, None] >> shifts) & 1).astype(np.uint8)
-        labels = (digits + ord("0")).view(f"S{n}").ravel().tolist()
-        pairs = which[2 * lo : 2 * (lo + DUMP_CHUNK)]
-        chunks.append("\n".join(
-            f"{label.decode()}  {text[re]}  {text[im]}"
-            for label, re, im in zip(labels, pairs[0::2], pairs[1::2])
-        ))
-    return "\n".join(chunks)
+        block = indices[lo : lo + DUMP_CHUNK]
+        rows = np.empty((len(block), n + width), dtype=np.uint8)
+        low = block.astype(">i8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes :]
+        np.add(np.unpackbits(low, axis=1)[:, 8 * nbytes - n :], ord("0"), out=rows[:, :n])
+        rows[:, n:] = table[tail_of[lo : lo + DUMP_CHUNK]]
+        chunks.append(rows[rows != 0])
+    return b"".join(chunks)

@@ -3,16 +3,16 @@
 No run path needs these, so they live with the tests: the conversion to
 and from a dense 2^total_bits vector, the overlap fidelity, the cut
 purity and reduced density of a state (through the dense formulas in
-dense_reference.py), and the check that no amplitude sits on a vertex or
-coin code the network lacks. Dense vectors are limited to DENSE_MAX_BITS
-bits, so a test can never allocate 2^62 entries.
+dense_reference.py), the check that no amplitude sits on a vertex or coin
+code the network lacks, and the reference state dump. Dense vectors are
+limited to DENSE_MAX_BITS bits, so a test can never allocate 2^62 entries.
 """
 from __future__ import annotations
 
 import numpy as np
 
 import dense_reference as dense
-from qwcp.statevec import RegisterLayout, StateError, StateVector
+from qwcp.statevec import DUMP_TOL, RegisterLayout, StateError, StateVector
 
 DENSE_MAX_BITS = 20  # 16 MiB of complex128
 
@@ -57,3 +57,16 @@ def check_no_invalid_amplitude(state: StateVector, graph) -> None:
         code = (state.indices >> shift) & ((1 << layout.walker_bits) - 1)
         if weights[~np.isin(code, valid)].sum() > 1e-12:
             raise StateError(f"walker {j} has amplitude on invalid basis vectors")
+
+
+def dump_reference(state: StateVector) -> bytes:
+    """dump_state as one f-string per amplitude, each ending in a newline,
+    zeros written as 0.0, encoded as ASCII."""
+    n = state.layout.total_bits
+    shown = np.abs(state.amplitudes) >= DUMP_TOL
+    return "".join(
+        f"{idx:0{n}b}  {a.real + 0.0!r}  {a.imag + 0.0!r}\n"
+        for idx, a in zip(
+            state.indices[shown].tolist(), state.amplitudes[shown].tolist()
+        )
+    ).encode("ascii")

@@ -10,9 +10,10 @@ import pytest
 import qwcp
 from qwcp import cli
 from qwcp.cli import Script, ScriptError, execute, main, parse_script
+from qwcp.statevec import DUMP_CHUNK
 
 from conftest import btree7_json, grid3_json, line_json, network_json, triangle_json
-from instruments import to_dense
+from instruments import dump_reference, to_dense
 
 
 @pytest.fixture
@@ -267,6 +268,44 @@ def test_main_success_writes_report(path3_file, tmp_path, capsys):
     assert report["passed"] is True
     assert dump.read_text().strip()
     assert "t=1:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dump-state"])
+def test_main_unwritable_output_exit_2(path3_file, tmp_path, capsys, flag):
+    script = write_script(tmp_path, cnot_script(path3_file))
+    assert main(["run", str(script), flag, str(tmp_path / "missing" / "f.txt")]) == 2
+    assert "error: cannot write" in capsys.readouterr().err
+
+
+def test_main_dump_matches_reference(tmp_path):
+    # a 3x3 remote CNOT with measure separation and ten spectators in |+>,
+    # as the benchmark's 4x4 run: every core entry times 2^10 spectator
+    # patterns, several dump chunks; the target in |-> gives amplitudes of
+    # both signs, so line tails of two widths
+    spectators = {"n01": ["s0", "s1", "s2"], "n11": ["s3", "s4", "s5"],
+                  "n20": ["s6", "s7", "s8", "s9"]}
+    net = write_script(
+        tmp_path,
+        network_json(
+            [f"n{r}{c}" for r in range(3) for c in range(3)],
+            [(f"n{r}{c}", f"n{r}{c + 1}") for r in range(3) for c in range(2)]
+            + [(f"n{r}{c}", f"n{r + 1}{c}") for r in range(2) for c in range(3)],
+            {"n00": ["a"], "n22": ["b"], **spectators},
+        ),
+        name="net.json",
+    )
+    inits = "".join(f"init {v}.{q}=+\n" for v, qs in spectators.items() for q in qs)
+    text = (
+        f"network {net}\ninit n00.a=+\ninit n22.b=-\n{inits}"
+        "remote_cu control=n00.a target=n22.b path=n00,n01,n02,n12,n22 gate=X "
+        "separation=measure\n"
+    )
+    script, dump = write_script(tmp_path, text), tmp_path / "state.txt"
+    assert main(["run", str(script), "--out", str(tmp_path / "r.json"),
+                 "--dump-state", str(dump)]) == 0
+    _, final, _ = execute(parse_script(text))
+    assert len(final.indices) > DUMP_CHUNK
+    assert dump.read_bytes() == dump_reference(final)
 
 
 def test_main_parse_error_exit_2(tmp_path, capsys):

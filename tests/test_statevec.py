@@ -36,6 +36,7 @@ from qwcp.statevec import (
 from conftest import line_json, random_state
 from instruments import (
     check_no_invalid_amplitude,
+    dump_reference,
     fidelity,
     from_dense,
     reduced_density,
@@ -308,9 +309,10 @@ def test_dump_state_format(path3):
     lay = RegisterLayout.for_network(path3, 1)
     s = init_state(path3, lay, [("u", 1)], {("B", "b"): (0.0, 1.0)})
     text = dump_state(s)
-    lines = text.splitlines()
+    assert isinstance(text, bytes) and text.endswith(b"\n")
+    lines = text.split(b"\n")[:-1]
     assert len(lines) == 1
-    bits, re_s, im_s = lines[0].split()
+    bits, re_s, im_s = lines[0].decode("ascii").split()
     assert len(bits) == lay.total_bits
     assert int(bits, 2) == (((2 << 2) | 1) << 2) | 1
     assert float(re_s) == 1.0 and float(im_s) == 0.0
@@ -337,18 +339,6 @@ def pool_states(draw, part=parts):
     amps.real = draw(st.lists(part, min_size=len(idx), max_size=len(idx)))
     amps.imag = draw(st.lists(part, min_size=len(idx), max_size=len(idx)))
     return StateVector(SMALL_LAYOUT, np.array(idx, dtype=np.int64), amps)
-
-
-def dump_reference(state, threshold=DUMP_TOL):
-    """dump_state as one f-string per amplitude, zeros written as 0.0."""
-    n = state.layout.total_bits
-    shown = np.abs(state.amplitudes) >= threshold
-    return "\n".join(
-        f"{idx:0{n}b}  {a.real + 0.0!r}  {a.imag + 0.0!r}"
-        for idx, a in zip(
-            state.indices[shown].tolist(), state.amplitudes[shown].tolist()
-        )
-    )
 
 
 def wide_layout(n):
@@ -398,27 +388,45 @@ def tiny_state():
     return StateVector(wide_layout(n), indices, amps)
 
 
-def first_line_difference(got: str, want: str):
-    """(line number, got line, wanted line) where two texts first differ,
+def first_line_difference(got: bytes, want: bytes):
+    """(line number, got line, wanted line) where two dumps first differ,
     or None when they are equal. A failing `==` of two long dumps makes
     pytest diff them, which takes about a minute at 2,500 lines, and
     hypothesis fails the test again for every example it tries while it
     shrinks; this keeps a failing example as cheap as a passing one."""
-    lines = zip_longest(got.split("\n"), want.split("\n"))
+    lines = zip_longest(got.split(b"\n"), want.split(b"\n"))
     for number, (line, wanted) in enumerate(lines, start=1):
         if line != wanted:
             return number, line, wanted
     return None
 
 
+def listed_state(n, indices, amps):
+    """A state on `wide_layout(n)` with the given entries."""
+    return StateVector(
+        wide_layout(n), np.array(indices, dtype=np.int64), np.array(amps, dtype=complex)
+    )
+
+
+def mixed_tails_state(count):
+    """`count` dump lines on 12 bits whose tails differ in width and
+    alternate within each dump chunk."""
+    pool = np.array([0.5, SQRT1_2 - 0.5j, -SQRT1_2, 1j, 0.25 + 0.125j, -1.0])
+    return listed_state(12, np.arange(count) * 3, pool[np.arange(count) % len(pool)])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(pool_states(), chunked_states()))
 @example(tiny_state())
+@example(listed_state(MAX_TOTAL_BITS, [0, (1 << MAX_TOTAL_BITS) - 1], [SQRT1_2, -1j * SQRT1_2]))
+@example(listed_state(3, [1, 2, 5], [0.5, SQRT1_2, -0.5j]))
+@example(mixed_tails_state(DUMP_CHUNK))
+@example(mixed_tails_state(DUMP_CHUNK + 1))
 def test_dump_state_matches_reference(state):
     text = dump_state(state)
     assert first_line_difference(text, dump_reference(state)) is None
     if np.all(np.abs(state.amplitudes) < DUMP_TOL):
-        assert text == ""
+        assert text == b""
 
 
 def canonical_bits(amps):

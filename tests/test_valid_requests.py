@@ -8,11 +8,13 @@ start in a random one of 0, 1, + and -. Every run must exit 0 with
 `passed: true`, and a reverse-separated run must end with the walker
 supports it started with. A layout over the bit cap must exit 3 with the
 cap message; hypothesis counts it as an event, and it never counts as a
-pass.
+pass. Two metamorphic variants of a drawn request, its nodes renamed and
+a leaf with an unused |+> qubit added, must give the same verdict.
 """
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -159,29 +161,105 @@ def requests(draw, kind):
     return network, [*inits, f"{kind} {line.strip()}".rstrip()], k, reverse
 
 
+def layout_bits(network, walkers):
+    graph = load_network(network)
+    return walkers * (graph.vertex_bits() + graph.coin_bits()) + sum(
+        len(graph.qubits_at(v)) for v in graph.nodes
+    )
+
+
+def run(network, lines, dump=False):
+    """(exit code, report or None, dump line count or None, stderr) of one
+    `main` run of the script `lines` on `network`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        net, script, out, state = (
+            Path(tmp, f) for f in ("net.json", "script.qw", "r.json", "d.txt")
+        )
+        net.write_text(network)
+        script.write_text("\n".join([f"network {net}", *lines]) + "\n")
+        argv = ["run", str(script), "--out", str(out)]
+        if dump:
+            argv += ["--dump-state", str(state)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        report = json.loads(out.read_text()) if out.exists() else None
+        count = state.read_bytes().count(b"\n") if state.exists() else None
+    return code, report, count, err.getvalue()
+
+
 @pytest.mark.parametrize("kind", PROTOCOLS)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_every_valid_request_verifies(kind, data):
     network, lines, k, reverse = data.draw(requests(kind))
-    graph = load_network(network)
-    bits = k * (graph.vertex_bits() + graph.coin_bits()) + sum(
-        len(graph.qubits_at(v)) for v in graph.nodes
-    )
-    with tempfile.TemporaryDirectory() as tmp:
-        net, script, out = Path(tmp, "net.json"), Path(tmp, "script.qw"), Path(tmp, "r.json")
-        net.write_text(network)
-        script.write_text("\n".join([f"network {net}", *lines]) + "\n")
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["run", str(script), "--out", str(out)])
-        if bits > MAX_TOTAL_BITS:
-            event("layout over the bit cap")
-            assert code == 3 and f"cap is {MAX_TOTAL_BITS}" in err.getvalue(), lines
-            return
-        assert code == 0, (lines, err.getvalue())
-        report = json.loads(out.read_text())
+    code, report, _, err = run(network, lines)
+    if layout_bits(network, k) > MAX_TOTAL_BITS:
+        event("layout over the bit cap")
+        assert code == 3 and f"cap is {MAX_TOTAL_BITS}" in err, lines
+        return
+    assert code == 0, (lines, err)
     assert report["passed"] is True, lines
     if reverse:
         supports = report["supports"]
         assert supports["timesteps"][-1] == supports["initial"], lines
+
+
+def assert_same_verdict(got, want, lines):
+    """Same exit code and `passed`; fidelity and purity within 1e-12."""
+    assert got[0] == want[0], (lines, got[3])
+    assert got[1]["passed"] == want[1]["passed"], lines
+    for key in ("fidelity_vs_oracle", "walker_purity"):
+        assert abs(got[1][key] - want[1][key]) <= 1e-12, (key, lines)
+
+
+@pytest.mark.parametrize("kind", PROTOCOLS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_relabelled_or_extended_request_agrees(kind, data):
+    """Metamorphic checks. Renaming the nodes through a random bijection
+    reorders the vertex ids and ports the walks use; adding a leaf node
+    that holds one unused qubit in |+> renumbers them too. Neither may
+    change the verdict. A reverse-separated walker ends in its start
+    position, so the leaf at most doubles the dump; a measure separation
+    puts back in superposition the vertex bits that differ between two
+    positions, which depend on the vertex ids, and linklevel runs one
+    more walker, on the leaf's edge."""
+    network, lines, k, reverse = data.draw(requests(kind))
+    if layout_bits(network, k) > MAX_TOTAL_BITS:
+        return
+    want = run(network, lines, dump=reverse)
+
+    doc = json.loads(network)
+    labels = list(doc["nodes"])
+    order = data.draw(st.permutations(range(len(labels))))
+    names = dict(zip(labels, (f"R{i}" for i in order)))
+
+    def rename(text):
+        return re.sub(r"\bN\d\b", lambda m: names[m.group()], text)
+
+    renamed_lines = [rename(line) for line in lines]
+    got = run(rename(network), renamed_lines)
+    fresh = re.search(r"linklevel needs (\S+) to start in \|0>", got[3])
+    if fresh:
+        # the Bell pair is built from |0> at the lower label of a coupled
+        # edge, so a renaming can move that precondition onto a qubit the
+        # request initialises
+        assert got[0] == 3 and any(
+            line.startswith(f"init {fresh[1]}=") and not line.endswith("=0")
+            for line in renamed_lines
+        ), renamed_lines
+    else:
+        assert_same_verdict(got, want, lines)
+
+    anchor = data.draw(st.sampled_from(labels))
+    doc["nodes"].append("L")  # sorts first, so every vertex id moves
+    doc["edges"] += [[anchor, "L"], ["L", anchor]]
+    doc["data_qubits"]["L"] = ["s"]
+    extended = json.dumps(doc)
+    if layout_bits(extended, k + (kind == "linklevel")) > MAX_TOTAL_BITS:
+        return
+    got = run(extended, ["init L.s=+", *lines], dump=reverse)
+    assert_same_verdict(got, want, lines)
+    if reverse:
+        assert got[2] <= 2 * want[2], lines
