@@ -276,8 +276,9 @@ def _int_pair(text, line):
 
 # -- compilation ----------------------------------------------------------
 #
-# Each `_compile_*` parses its arguments into specs, then sizes the layout:
-# the script's `walkers`, or else the walkers the request needs.
+# Each `_compile_*` parses its arguments into specs and hands them, with
+# the script's `walkers`, to a compiler, which sizes the layout: those
+# walkers, or else the walkers the request needs.
 
 
 def _compile_remote_gate(graph, walkers, args, line, multi=False) -> CompiledProtocol:
@@ -292,11 +293,10 @@ def _compile_remote_gate(graph, walkers, args, line, multi=False) -> CompiledPro
     targets = _qubit_refs(kv["target"], line)
     request = GateRequest.build(graph, controls, targets, _parse_gate(kv["gate"], line))
     path = PathSpec.in_graph(graph, kv["path"].split(","))
-    layout = RegisterLayout.for_network(graph, walkers or 1)
     if multi:
-        return schedule_multi_control(graph, layout, request, path)
+        return schedule_multi_control(graph, request, path, walkers=walkers)
     return schedule_remote_cu(
-        graph, layout, request, path, separation=kv.get("separation", "reverse")
+        graph, request, path, kv.get("separation", "reverse"), walkers=walkers
     )
 
 
@@ -315,8 +315,7 @@ def _compile_multipath(graph, walkers, args, line) -> CompiledProtocol:
         requests.append(
             GateRequest.build(graph, controls, targets, _parse_gate(g["gate"], line))
         )
-    layout = RegisterLayout.for_network(graph, walkers or len(paths))
-    return schedule_multipath(graph, layout, requests, paths)
+    return schedule_multipath(graph, requests, paths, walkers=walkers)
 
 
 def _compile_tree(graph, walkers, args, line) -> CompiledProtocol:
@@ -342,8 +341,7 @@ def _compile_tree(graph, walkers, args, line) -> CompiledProtocol:
         if node in target_map:
             raise ScriptError(f"duplicate target node {node!r}", line)
         target_map[node] = ([q for _, q in refs], _parse_gate(g["gate"], line))
-    layout = RegisterLayout.for_network(graph, walkers or len(tree.leaves))
-    return schedule_tree(graph, layout, tree, controls, target_map)
+    return schedule_tree(graph, tree, controls, target_map, walkers=walkers)
 
 
 def _compile_ghz(graph, walkers, args, line) -> CompiledProtocol:
@@ -357,8 +355,7 @@ def _compile_ghz(graph, walkers, args, line) -> CompiledProtocol:
         for node, qubit in _qubit_refs(g["qubits"], line):
             qmap.setdefault(node, []).append(qubit)
         qubit_sets.append(qmap)
-    layout = RegisterLayout.for_network(graph, walkers or len(paths))
-    return schedule_ghz_path(graph, layout, paths, qubit_sets)
+    return schedule_ghz_path(graph, paths, qubit_sets, walkers=walkers)
 
 
 def _compile_linklevel(graph, walkers, args, line) -> CompiledProtocol:
@@ -373,12 +370,10 @@ def _compile_linklevel(graph, walkers, args, line) -> CompiledProtocol:
             v, qv = side_v.split(",")
         except ValueError:
             raise ScriptError("couple= must be U,qu:V,qv", line) from None
-        edge = tuple(sorted((u, v)))
-        if edge in couple:
-            raise ScriptError(f"edge {edge[0]},{edge[1]} is coupled twice", line)
-        couple[edge] = (qu, qv) if edge[0] == u else (qv, qu)
-    layout = RegisterLayout.for_network(graph, walkers or max(1, len(graph.edges())))
-    return schedule_linklevel(graph, layout, couple)
+        if (u, v) in couple or (v, u) in couple:
+            raise ScriptError("edge {},{} is coupled twice".format(*sorted((u, v))), line)
+        couple[(u, v)] = (qu, qv)
+    return schedule_linklevel(graph, couple, walkers=walkers)
 
 
 _PROTOCOL_COMPILERS = {
@@ -428,10 +423,9 @@ def _compile_step(graph, layout, args, line) -> OperatorSpec:
         )
     if op_name == "datactrl":
         kv, _ = _args(rest, line, required=("node", "controls", "string", "swap", "walker"))
-        c1, c2 = _int_pair(kv["swap"], line)
         return make_data_controlled_coin(
             graph, layout, kv["node"], kv["controls"].split(","), kv["string"],
-            ("swap", c1, c2), _int(kv["walker"], line),
+            _int_pair(kv["swap"], line), _int(kv["walker"], line),
         )
     if op_name == "coindata":
         kv, _ = _args(rest, line, required=("node", "qubits", "gate", "walker"),
@@ -443,9 +437,9 @@ def _compile_step(graph, layout, args, line) -> OperatorSpec:
         )
     if op_name == "interact":
         kv, _ = _args(rest, line, required=("node", "coin", "swap", "control", "target"))
-        c1, c2 = _int_pair(kv["swap"], line)
+        swap = _int_pair(kv["swap"], line)
         return make_walk_interaction(
-            graph, layout, kv["node"], _int(kv["coin"], line), ("swap", c1, c2),
+            graph, layout, kv["node"], _int(kv["coin"], line), swap,
             _int(kv["control"], line), _int(kv["target"], line),
         )
     raise ScriptError(f"unknown step operator {op_name!r}", line)

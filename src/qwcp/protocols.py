@@ -6,9 +6,10 @@ root, the walker is passed on hop by hop, fans out to further walkers at
 a branch and is parked at each leaf. A single path is a chain, multipath
 is a root with one chain per path, a tree is itself, and GHZ
 distribution is a forest of chains. The `schedule_*` builders validate a
-request, lay out its visits, and add the separation, the metadata and
-the oracle gates; `schedule_linklevel` has no walk and builds its own
-timesteps.
+request and lay out its visits, oracle gates and metadata; one tail,
+`_compile`, sizes the register layout to the walkers the forest uses
+and adds the separation. `schedule_linklevel` has no walk, sizes its
+layout to the network's edges and builds its own timesteps.
 
 Every builder returns a CompiledProtocol bundling the schedule, walker
 initial positions, the oracle gate list used for verification, and timing
@@ -156,23 +157,11 @@ def _path_visits(visits, nodes, parent=None, controls=None, gates=None):
         parent = len(visits) - 1
 
 
-def _walk(graph, layout, visits):
-    """Forward propagation of a visit forest: one timestep per depth, its
-    operators in visit-list order. A parent must precede its children.
-
-    A root launches its walker with a data-controlled coin; an interior
-    visit passes the walker on, or, when it has controls, parks it and
-    launches it again; a visit with several children fans out; a leaf
-    parks the walker on its self-loop. Each root takes the next walker
-    id, the first child keeps its parent's walker, and each further child
-    takes the next id, starting parked at the fan-out's node. Every shift
-    but the last is a flip-flop on all these walkers; a parked walker sits
-    on its self-loop, where the flip-flop is the identity.
-
-    Returns (timesteps, gates, walker of each visit, walker inits): `gates`
-    maps a timestep to its data gates, which go in front of the walk
-    operators and which reversal skips. The inits cover all layout.k
-    walkers; those the walk does not use are parked with walker 0."""
+def _forest(visits):
+    """(depth, children, walker of each visit, walker inits) of a visit
+    forest whose parents precede their children. Each root takes the next
+    walker id, the first child keeps its parent's walker, and each further
+    child takes the next id, starting parked at the fan-out's node."""
     kids: list[list[int]] = [[] for _ in visits]
     depth = []
     for i, visit in enumerate(visits):
@@ -191,6 +180,31 @@ def _walk(graph, layout, visits):
             else:
                 walker[child] = len(inits)
                 inits.append((visit.node, 0))
+    return depth, kids, walker, inits
+
+
+def _walk(graph, walkers, visits, name):
+    """Forward propagation of a visit forest: one timestep per depth, its
+    operators in visit-list order, walkers numbered by `_forest`.
+
+    A root launches its walker with a data-controlled coin; an interior
+    visit passes the walker on, or, when it has controls, parks it and
+    launches it again; a visit with several children fans out; a leaf
+    parks the walker on its self-loop. Every shift but the last is a
+    flip-flop on the forest's walkers; a parked walker sits on its
+    self-loop, where the flip-flop is the identity.
+
+    The layout holds `walkers` walkers, by default as many as the forest
+    uses; fewer is an error of protocol `name`. Returns (layout,
+    timesteps, gates, walker inits): `gates` maps a timestep to its data
+    gates, which go in front of the walk operators and which reversal
+    skips. The inits cover all layout.k walkers; those the walk does not
+    use are parked with walker 0."""
+    depth, kids, walker, inits = _forest(visits)
+    k = walkers or len(inits)
+    if k < len(inits):
+        raise ProtocolError(f"walker budget {k} insufficient, {name} needs {len(inits)}")
+    layout = RegisterLayout.for_network(graph, k)
 
     ops: list[list] = [[] for _ in range(max(depth) + 1)]
     gates: dict[int, list] = {}
@@ -205,7 +219,7 @@ def _walk(graph, layout, visits):
             if visit.controls:
                 step.append(make_data_controlled_coin(
                     graph, layout, v, [q for _, q, _ in visit.controls],
-                    _pattern(visit.controls), ("swap", 0, c_out), w,
+                    _pattern(visit.controls), (0, c_out), w,
                 ))
             if len(succ) > 1:
                 step.append(make_fanout(
@@ -223,25 +237,29 @@ def _walk(graph, layout, visits):
     shift = make_flipflop_shift(graph, layout, range(len(inits)))
     timesteps = [Timestep(step, shift) for step in ops]
     timesteps[-1].shift = make_identity_shift(layout)
-    inits += [inits[0]] * (layout.k - len(inits))
-    return timesteps, gates, walker, inits
+    inits += [inits[0]] * (k - len(inits))
+    return layout, timesteps, gates, inits
 
 
-def _merge(prop_steps, gates):
-    """Forward timesteps: data-plane gate insertions, then propagation ops.
+def _compile(name, graph, walkers, visits, oracle_gates, meta, measure=None):
+    """Compile the walk of `visits` into protocol `name`: forward
+    timesteps, each with its data gates before its walk operators, then
+    the separation. That is the unitary reversal of the walk operators,
+    or, with `measure=(a_node, b_node, qubit)`, `separate_measure`.
 
-    Insertions condition only on a walker's vertex, which the same-step
-    coin operations never change, so they go first; at the launch step
-    this lets a local preparation precede the data-controlled coin."""
-    return [
-        Timestep(gates.get(t, []) + list(ts.pre_ops), ts.shift)
-        for t, ts in enumerate(prop_steps)
-    ]
-
-
-def _with_reverse(prop_steps, gates):
-    suffix = invert_schedule(Schedule(prop_steps))
-    return Schedule(_merge(prop_steps, gates) + suffix.timesteps)
+    The data gates condition only on a walker's vertex, which the
+    same-step coin operations never change, so they go first; at the
+    launch step this lets a local preparation precede the data-controlled
+    coin. `meta` gains `propagation_steps`, the depth of the forest."""
+    layout, prop, gates, inits = _walk(graph, walkers, visits, name)
+    forward = [Timestep(gates.get(t, []) + list(ts.pre_ops), ts.shift)
+               for t, ts in enumerate(prop)]
+    if measure is None:
+        sched = Schedule(forward + invert_schedule(Schedule(prop)).timesteps)
+    else:
+        sched = Schedule(forward, measure=separate_measure(graph, layout, *measure))
+    return CompiledProtocol(name, layout, sched, inits, oracle_gates,
+                            {"propagation_steps": len(prop) - 1, **meta})
 
 
 def _pattern(controls) -> str:
@@ -262,7 +280,7 @@ def _oracle_gate(controls, node, qnames, matrix) -> OracleGate:
 
 
 def schedule_remote_cu(
-    graph, layout, request: GateRequest, path: PathSpec, separation: str = "reverse"
+    graph, request: GateRequest, path: PathSpec, separation: str = "reverse", walkers=None
 ) -> CompiledProtocol:
     """Remote controlled gate over one path, walker 0 as carrier."""
     A, B = path.start, path.end
@@ -272,36 +290,21 @@ def schedule_remote_cu(
         raise ProtocolError("remote_cu needs all control qubits at the path start")
     if request.target_node != B:
         raise ProtocolError("target qubits must sit at the path end")
-    if layout.k < 1:
-        raise ProtocolError("at least one walker required")
     if separation not in ("reverse", "measure"):
         raise ProtocolError(f"unknown separation {separation!r}")
-
-    visits: list = []
-    _path_visits(visits, path.nodes, controls={A: request.controls},
-                 gates={B: request.data_gate})
-    prop, data_gates, _, inits = _walk(graph, layout, visits)
-
-    if separation == "reverse":
-        sched = _with_reverse(prop, data_gates)
-    else:
+    measure = None
+    if separation == "measure":
         if len(request.controls) != 1 or request.controls[0][2] != 1:
             raise ProtocolError(
                 "measure separation supports a single plain control qubit"
             )
-        sched = Schedule(
-            _merge(prop, data_gates),
-            measure=separate_measure(graph, layout, A, B, request.controls[0][1]),
-        )
+        measure = (A, B, request.controls[0][1])
 
-    return CompiledProtocol(
-        name="remote_cu",
-        layout=layout,
-        schedule=sched,
-        walker_inits=inits,
-        oracle_gates=[request.oracle_gate()],
-        meta={"propagation_steps": path.hops, "arrival": {B: path.hops}},
-    )
+    visits: list = []
+    _path_visits(visits, path.nodes, controls={A: request.controls},
+                 gates={B: request.data_gate})
+    return _compile("remote_cu", graph, walkers, visits, [request.oracle_gate()],
+                    {"arrival": {B: path.hops}}, measure)
 
 
 def separate_measure(graph, layout, a_node, b_node, correction_qubit, walker=0) -> OperatorSpec:
@@ -339,7 +342,7 @@ def separate_measure(graph, layout, a_node, b_node, correction_qubit, walker=0) 
 # -- multiple control nodes ----------------------------------------------
 
 
-def schedule_multi_control(graph, layout, request: GateRequest, path: PathSpec) -> CompiledProtocol:
+def schedule_multi_control(graph, request: GateRequest, path: PathSpec, walkers=None) -> CompiledProtocol:
     """Controlled gate whose control qubits live at several nodes visited
     in order along the path; reverse separation only."""
     if path.hops < 1:
@@ -357,27 +360,18 @@ def schedule_multi_control(graph, layout, request: GateRequest, path: PathSpec) 
         raise ProtocolError("the path must start at a control node")
     if request.target_node != path.end:
         raise ProtocolError("target qubits must sit at the path end")
-    if layout.k < 1:
-        raise ProtocolError("at least one walker required")
 
     visits: list = []
     _path_visits(visits, path.nodes, controls=by_node,
                  gates={path.end: request.data_gate})
-    prop, gates, _, inits = _walk(graph, layout, visits)
-    return CompiledProtocol(
-        name="remote_mcu",
-        layout=layout,
-        schedule=_with_reverse(prop, gates),
-        walker_inits=inits,
-        oracle_gates=[request.oracle_gate()],
-        meta={"propagation_steps": path.hops, "arrival": {path.end: path.hops}},
-    )
+    return _compile("remote_mcu", graph, walkers, visits, [request.oracle_gate()],
+                    {"arrival": {path.end: path.hops}})
 
 
 # -- parallel propagation -------------------------------------------------
 
 
-def schedule_multipath(graph, layout, requests, paths) -> CompiledProtocol:
+def schedule_multipath(graph, requests, paths, walkers=None) -> CompiledProtocol:
     """One walker per path, fanned out from the shared control node. Gates
     apply on arrival, so the oracle takes them by path length, stably."""
     if len(requests) != len(paths) or not paths:
@@ -397,9 +391,6 @@ def schedule_multipath(graph, layout, requests, paths) -> CompiledProtocol:
     for req, p in zip(requests, paths):
         if req.target_node != p.end:
             raise ProtocolError("each target must sit at its path end")
-    k = len(paths)
-    if layout.k < k:
-        raise ProtocolError(f"walker budget {layout.k} insufficient for {k} paths")
     first_hops = [p.nodes[1] for p in paths]
     if len(set(first_hops)) != len(first_hops):
         raise ProtocolError("paths must leave the control node over distinct edges")
@@ -407,22 +398,13 @@ def schedule_multipath(graph, layout, requests, paths) -> CompiledProtocol:
     visits = [_Visit(A, controls=controls)]
     for req, p in zip(requests, paths):
         _path_visits(visits, p.nodes[1:], 0, gates={p.end: req.data_gate})
-    prop, gates, _, inits = _walk(graph, layout, visits)
-    return CompiledProtocol(
-        name="multipath",
-        layout=layout,
-        schedule=_with_reverse(prop, gates),
-        walker_inits=inits,
-        oracle_gates=[req.oracle_gate() for req, _ in
-                      sorted(zip(requests, paths), key=lambda rp: rp[1].hops)],
-        meta={
-            "propagation_steps": max(p.hops for p in paths),
-            "arrival": {p.end: p.hops for p in paths},
-        },
-    )
+    oracle_gates = [req.oracle_gate() for req, _ in
+                    sorted(zip(requests, paths), key=lambda rp: rp[1].hops)]
+    return _compile("multipath", graph, walkers, visits, oracle_gates,
+                    {"arrival": {p.end: p.hops for p in paths}})
 
 
-def schedule_tree(graph, layout, tree: TreeSpec, controls, targets) -> CompiledProtocol:
+def schedule_tree(graph, tree: TreeSpec, controls, targets, walkers=None) -> CompiledProtocol:
     """Tree propagation: pass-through coins at chain nodes, fan-outs at
     branch nodes, one walker per leaf.
 
@@ -439,10 +421,6 @@ def schedule_tree(graph, layout, tree: TreeSpec, controls, targets) -> CompiledP
             raise ProtocolError(f"target node {v!r} is outside the tree")
         if v == A:
             raise ProtocolError("target at the control node needs no propagation")
-    if layout.k < len(tree.leaves):
-        raise ProtocolError(
-            f"walker budget {layout.k} insufficient, tree needs {len(tree.leaves)}"
-        )
 
     depth_of = {v: tree.depth(v) for v in tree.tree_nodes}
     order = sorted(tree.tree_nodes, key=depth_of.__getitem__)
@@ -451,44 +429,35 @@ def schedule_tree(graph, layout, tree: TreeSpec, controls, targets) -> CompiledP
         else _Visit(v, order.index(tree.parent(v)), gate=targets.get(v))
         for v in order
     ]
-    prop, gates, walker, inits = _walk(graph, layout, visits)
+    _, _, walker, inits = _forest(visits)
     oracle_gates = [
         _oracle_gate(controls, v, qnames, matrix)
         for v, (qnames, matrix) in targets.items()
     ]
-    return CompiledProtocol(
-        name="tree",
-        layout=layout,
-        schedule=_with_reverse(prop, gates),
-        walker_inits=inits,
-        oracle_gates=oracle_gates,
-        meta={
-            "propagation_steps": len(prop) - 1,
-            "arrival": {v: depth_of[v] for v in tree.tree_nodes if v != A},
-            "walker_of": dict(zip(order, walker)),
-            "spawn_node": {w: inits[w][0] for w in range(1, len(tree.leaves))},
-        },
-    )
+    return _compile("tree", graph, walkers, visits, oracle_gates, {
+        "arrival": {v: depth_of[v] for v in tree.tree_nodes if v != A},
+        "walker_of": dict(zip(order, walker)),
+        "spawn_node": {w: inits[w][0] for w in range(1, len(inits))},
+    })
 
 
 # -- entanglement distribution -------------------------------------------
 
 
 def _ghz_prep_matrix(m: int) -> np.ndarray:
-    """Local circuit H(q0); CNOT(q0 -> qi), composed as one 2^m unitary."""
-    h = HADAMARD
-    lower_mask = (1 << (m - 1)) - 1
-    dim = 1 << m
-    mat = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        top, rest = col >> (m - 1), col & lower_mask
-        for new_top in range(2):
-            row = (new_top << (m - 1)) | (rest ^ (lower_mask if new_top else 0))
-            mat[row, col] += h[new_top, top]
+    """Local circuit H(q0); CNOT(q0 -> qi), composed as one 2^m unitary:
+    column `top, rest` goes to rows `rest` and `half | ~rest`, weighted
+    by H's column `top`."""
+    half = 1 << (m - 1)
+    col = np.arange(2 * half)
+    top, rest = col >> (m - 1), col & (half - 1)
+    mat = np.zeros((2 * half, 2 * half), dtype=complex)
+    mat[rest, col] = HADAMARD[0, top]
+    mat[half | (rest ^ (half - 1)), col] = HADAMARD[1, top]
     return mat
 
 
-def schedule_ghz_path(graph, layout, paths, qubit_sets) -> CompiledProtocol:
+def schedule_ghz_path(graph, paths, qubit_sets, walkers=None) -> CompiledProtocol:
     """GHZ distribution: local GHZ prep at each path start, then a walk
     whose per-node coin also X-flips that node's member qubits.
 
@@ -512,16 +481,14 @@ def schedule_ghz_path(graph, layout, paths, qubit_sets) -> CompiledProtocol:
                 if (v, q) in seen:
                     raise ProtocolError(f"qubit {(v, q)!r} used by two paths")
                 seen.add((v, q))
-    k = len(paths)
-    if layout.k < k:
-        raise ProtocolError(f"walker budget {layout.k} insufficient for {k} paths")
 
     x1 = GATE_LIBRARY["X"]
     visits: list = []
     oracle_gates = []
     for p, qmap in zip(paths, qubit_sets):
         start_qubits = qmap[p.start]
-        path_gates = {v: (qmap[v], _kron_power(x1, len(qmap[v])))
+        # X on every member qubit of a node: the flipped identity
+        path_gates = {v: (qmap[v], np.eye(1 << len(qmap[v]), dtype=complex)[::-1])
                       for v in p.nodes[1:] if qmap.get(v)}
         path_gates[p.start] = (start_qubits, _ghz_prep_matrix(len(start_qubits)))
         launch = {p.start: [(p.start, start_qubits[0], 1)]}
@@ -531,76 +498,61 @@ def schedule_ghz_path(graph, layout, paths, qubit_sets) -> CompiledProtocol:
         oracle_gates.append(OracleGate((), (first,), HADAMARD))
         for other in member_qubits[1:]:
             oracle_gates.append(OracleGate(((first, 1),), (other,), x1))
-    prop, gates, _, inits = _walk(graph, layout, visits)
-    return CompiledProtocol(
-        name="ghz_path",
-        layout=layout,
-        schedule=_with_reverse(prop, gates),
-        walker_inits=inits,
-        oracle_gates=oracle_gates,
-        meta={
-            "propagation_steps": max(p.hops for p in paths),
-            "arrival": {p.end: p.hops for p in paths},
-        },
-    )
+    return _compile("ghz_path", graph, walkers, visits, oracle_gates,
+                    {"arrival": {p.end: p.hops for p in paths}})
 
 
-def _kron_power(mat: np.ndarray, n: int) -> np.ndarray:
-    out = np.ones((1, 1), dtype=complex)
-    for _ in range(n):
-        out = np.kron(out, mat)
-    return out
-
-
-def schedule_linklevel(graph, layout, couple: dict | None = None) -> CompiledProtocol:
+def schedule_linklevel(graph, couple: dict | None = None, walkers=None) -> CompiledProtocol:
     """One walker per proper edge: a two-level coin then a single flip-flop
     shift entangles each walker across its edge.
 
-    couple: optional {(u, v): (qubit_at_u, qubit_at_v)} with u < v; coupled
-    edges additionally receive a data-plane Bell pair, after which the
-    walker is returned and disentangled (two more timesteps, one of them a
-    flip-flop). The pair is built from |0> on qubit_at_u, so that qubit is
-    listed in `fresh_qubits`."""
+    couple: optional {(u, v): (qubit_at_u, qubit_at_v)}, at most one entry
+    per edge; a coupled edge's walker starts at u, other walkers at the
+    lower label of their edge. Coupled edges additionally receive a
+    data-plane Bell pair, after which the walker is returned and
+    disentangled (two more timesteps, one of them a flip-flop). The pair
+    is built from |0> on qubit_at_u, so that qubit is listed in
+    `fresh_qubits`. Errors name an edge by its sorted labels."""
     edges = graph.edges()
     if not edges:
         raise ProtocolError("graph has no proper edges")
+    layout = RegisterLayout.for_network(graph, walkers or len(edges))
     if layout.k < len(edges):
         raise ProtocolError(
             f"walker budget {layout.k} insufficient for {len(edges)} edges"
         )
-    couple = dict(couple or {})
+    pairs = {}  # sorted edge -> (u, v, qubit_at_u, qubit_at_v)
     coupled_qubits = set()
-    for edge, (qu, qv) in couple.items():
-        edge = tuple(edge)
+    for (u, v), (qu, qv) in (couple or {}).items():
+        edge = tuple(sorted((u, v)))
         if edge not in edges:
             raise ProtocolError(f"coupled pair {edge!r} is not a network edge")
-        u, v = edge
         if qu not in graph.qubits_at(u) or qv not in graph.qubits_at(v):
             raise ProtocolError(f"coupling qubits for edge {edge!r} are not local")
         for qubit in ((u, qu), (v, qv)):
             if qubit in coupled_qubits:
                 raise ProtocolError(f"data qubit {qubit!r} is in two couplings")
             coupled_qubits.add(qubit)
+        pairs[edge] = (u, v, qu, qv)
 
     hmat = HADAMARD
     x1 = GATE_LIBRARY["X"]
     t0_ops, t1_ops, t2_ops = [], [], []
     coupled_walkers = []
     oracle_gates = []
-    for w, (u, v) in enumerate(edges):
+    inits = []
+    for w, edge in enumerate(edges):
+        u, v, qu, qv = pairs.get(edge, (*edge, None, None))
         c_uv = graph.port_of(u, v)
+        inits.append((u, 0))
         t0_ops.append(make_coin_block(graph, layout, {u: ([0, c_uv], hmat)}, w))
-        pair = couple.get((u, v))
-        if pair is not None:
-            qu, qv = pair
+        if qu is not None:
             t0_ops.append(
                 make_coin_controlled_data(graph, layout, u, [qu], x1, w, coin=c_uv)
             )
             t1_ops.append(make_coin_controlled_data(graph, layout, v, [qv], x1, w))
             t2_ops.append(
-                make_data_controlled_coin(
-                    graph, layout, u, [qu], "1", ("swap", 0, c_uv), w
-                )
+                make_data_controlled_coin(graph, layout, u, [qu], "1", (0, c_uv), w)
             )
             coupled_walkers.append(w)
             oracle_gates.append(OracleGate((), ((u, qu),), hmat))
@@ -614,22 +566,20 @@ def schedule_linklevel(graph, layout, couple: dict | None = None) -> CompiledPro
             Timestep(t1_ops, make_flipflop_shift(graph, layout, coupled_walkers))
         )
         steps.append(Timestep(t2_ops, make_identity_shift(layout)))
-    sched = Schedule(steps)
-    inits = [(u, 0) for u, _ in edges]
     inits += [inits[0]] * (layout.k - len(inits))
     return CompiledProtocol(
         name="linklevel",
         layout=layout,
-        schedule=sched,
+        schedule=Schedule(steps),
         walker_inits=inits,
         oracle_gates=oracle_gates,
         meta={
             "edges": [list(e) for e in edges],
             "entangling_shifts": 1,
-            "coupled": sorted(couple),
+            "coupled": sorted(pairs),
         },
         # the walker-controlled X at u makes its half of the pair from |0>
-        fresh_qubits=tuple((u, qu) for (u, _), (qu, _) in couple.items()),
+        fresh_qubits=tuple((u, qu) for u, _, qu, _ in pairs.values()),
     )
 
 

@@ -91,39 +91,20 @@ def _embed_coin_matrix(layout: RegisterLayout, coins, matrix) -> np.ndarray:
     return full
 
 
-def _swap_matrix(layout: RegisterLayout, c1: int, c2: int) -> np.ndarray:
-    dim = 1 << layout.nc
-    full = np.eye(dim, dtype=complex)
-    if c1 != c2:
-        full[[c1, c2]] = full[[c2, c1]]
-    return full
-
-
 def _matrix_to_json(matrix: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix, dtype=complex)]
 
 
-def _resolve_coin_action(layout, graph, v, coin_action):
-    """Accepts ('swap', c1, c2) or ('block', coins, matrix); returns
-    (json_params, embedded_matrix, is_permutation)."""
-    tag = coin_action[0]
-    if tag == "swap":
-        _, c1, c2 = coin_action
-        _check_coin(graph, v, c1)
-        _check_coin(graph, v, c2)
-        return {"action": ["swap", c1, c2]}, _swap_matrix(layout, c1, c2), True
-    if tag == "block":
-        _, coins, matrix = coin_action
-        for c in coins:
-            _check_coin(graph, v, c)
-        _check_unitary(matrix, "coin block")
-        embedded = _embed_coin_matrix(layout, coins, matrix)
-        return (
-            {"action": ["block", list(coins), _matrix_to_json(matrix)]},
-            embedded,
-            False,
-        )
-    raise OperatorError(f"unknown coin action {tag!r}")
+def _swap_matrix(graph, layout, v, swap) -> np.ndarray:
+    """The coin register permutation exchanging coins `swap` = (c1, c2),
+    both valid at vertex v."""
+    c1, c2 = swap
+    _check_coin(graph, v, c1)
+    _check_coin(graph, v, c2)
+    full = np.eye(1 << layout.nc, dtype=complex)
+    if c1 != c2:
+        full[[c1, c2]] = full[[c2, c1]]
+    return full
 
 
 # -- constructors ---------------------------------------------------------
@@ -209,9 +190,9 @@ def make_coin_block(graph, layout, assignments, walker) -> OperatorSpec:
     )
 
 
-def make_data_controlled_coin(graph, layout, v, controls, s, coin_action, walker) -> OperatorSpec:
-    """Coin action at vertex v applied iff the control qubits (all local
-    to v) are in computational pattern s."""
+def make_data_controlled_coin(graph, layout, v, controls, s, swap, walker) -> OperatorSpec:
+    """Swap of coins `swap` = (c1, c2) at vertex v, applied iff the
+    control qubits (all local to v) are in computational pattern s."""
     vid = graph.vertex_id(v)
     layout._check_walker(walker)
     controls = list(controls)
@@ -223,7 +204,7 @@ def make_data_controlled_coin(graph, layout, v, controls, s, coin_action, walker
     for name in controls:
         if name not in local:
             raise OperatorError(f"control qubit {name!r} is not at node {v!r}")
-    action_json, matrix, is_perm = _resolve_coin_action(layout, graph, v, coin_action)
+    matrix = _swap_matrix(graph, layout, v, swap)
     conditions = [(layout.vertex_bit_positions(walker), vid)]
     for name, bit in zip(controls, s):
         conditions.append(((layout.data_bit(v, name),), int(bit)))
@@ -234,8 +215,8 @@ def make_data_controlled_coin(graph, layout, v, controls, s, coin_action, walker
             "controls": controls,
             "s": s,
             "walker": walker,
-            "permutation": is_perm,
-            **action_json,
+            "permutation": True,
+            "action": ["swap", *swap],
         },
         layout=layout,
         actions=(
@@ -285,17 +266,18 @@ def make_coin_controlled_data(graph, layout, v, qubits, matrix, walker, coin=Non
 
 
 def make_walk_interaction(
-    graph, layout, v, coin, coin_action, control_walker, target_walker
+    graph, layout, v, coin, swap, control_walker, target_walker
 ) -> OperatorSpec:
-    """Coin unitary on the target walker, applied iff the control walker
-    is at (v, coin) and the target walker is at vertex v."""
+    """Swap of coins `swap` = (c1, c2) on the target walker, applied iff
+    the control walker is at (v, coin) and the target walker is at
+    vertex v."""
     if control_walker == target_walker:
         raise OperatorError("interaction needs two distinct walkers")
     vid = graph.vertex_id(v)
     layout._check_walker(control_walker)
     layout._check_walker(target_walker)
     _check_coin(graph, v, coin)
-    action_json, matrix, is_perm = _resolve_coin_action(layout, graph, v, coin_action)
+    matrix = _swap_matrix(graph, layout, v, swap)
     conditions = (
         (layout.vertex_bit_positions(control_walker), vid),
         (layout.coin_bit_positions(control_walker), coin),
@@ -308,8 +290,8 @@ def make_walk_interaction(
             "coin": coin,
             "control": control_walker,
             "target": target_walker,
-            "permutation": is_perm,
-            **action_json,
+            "permutation": True,
+            "action": ["swap", *swap],
         },
         layout=layout,
         actions=(
@@ -342,7 +324,7 @@ def make_fanout(graph, layout, v, coin, successors, walkers) -> OperatorSpec:
     lead = walkers[0]
     parts = [
         make_walk_interaction(
-            graph, layout, v, coin, ("swap", 0, graph.port_of(v, u)), lead, w
+            graph, layout, v, coin, (0, graph.port_of(v, u)), lead, w
         )
         for u, w in zip(successors[1:], walkers[1:])
     ]

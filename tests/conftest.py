@@ -169,14 +169,6 @@ def draw_init_state(data, g, lay) -> StateVector:
     return init_state(g, lay, walkers, inits)
 
 
-def draw_coin_action(data, g, v, rng):
-    if data.draw(st.booleans()):
-        ports = range(g.port_count(v))
-        return ("swap", data.draw(st.sampled_from(ports)), data.draw(st.sampled_from(ports)))
-    coins = subset(data, list(range(g.port_count(v))))
-    return ("block", coins, random_unitary(rng, len(coins)))
-
-
 def draw_operator(data, g, lay, rng, kind, near=None):
     """A random operator from the walkops constructor `kind`, inverted half
     of the time. `near` maps nodes to the walkers found there; the
@@ -187,6 +179,7 @@ def draw_operator(data, g, lay, rng, kind, near=None):
     v = data.draw(st.sampled_from([v for v in nodes if v in near] or nodes))
     walker = data.draw(st.sampled_from(near.get(v) or range(lay.k)))
     ports = list(range(g.port_count(v)))
+    swap = st.tuples(st.sampled_from(ports), st.sampled_from(ports))
     if kind == "flipflop":
         op = make_flipflop_shift(g, lay, subset(data, list(range(lay.k)), min_size=0))
     elif kind == "identity":
@@ -203,7 +196,7 @@ def draw_operator(data, g, lay, rng, kind, near=None):
         controls = subset(data, list(g.qubits_at(v)))
         pattern = "".join(data.draw(st.sampled_from("01")) for _ in controls)
         op = make_data_controlled_coin(
-            g, lay, v, controls, pattern, draw_coin_action(data, g, v, rng), walker
+            g, lay, v, controls, pattern, data.draw(swap), walker
         )
     elif kind == "coindata":
         qubits = subset(data, list(g.qubits_at(v)))
@@ -215,7 +208,7 @@ def draw_operator(data, g, lay, rng, kind, near=None):
         control, target = subset(data, list(range(lay.k)), min_size=2, max_size=2)
         op = make_walk_interaction(
             g, lay, v, data.draw(st.sampled_from(ports)),
-            draw_coin_action(data, g, v, rng), control, target,
+            data.draw(swap), control, target,
         )
     else:
         size = min(lay.k, g.degree(v))

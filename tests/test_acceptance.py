@@ -74,12 +74,11 @@ def _random_data_vec(layout, rng):
 
 def grid_cnot_instance(separation="reverse"):
     graph = load_network(grid3_json())
-    lay = RegisterLayout.for_network(graph, 1)
     req = GateRequest.build(
         graph, [("n00", "a", 1)], [("n12", "b")], GATE_LIBRARY["X"]
     )
     path = PathSpec.in_graph(graph, ["n00", "n01", "n02", "n12"])
-    return graph, schedule_remote_cu(graph, lay, req, path, separation=separation)
+    return graph, schedule_remote_cu(graph, req, path, separation=separation)
 
 
 def test_criterion_1_remote_cnot_grid_delta3():
@@ -129,26 +128,25 @@ def test_criterion_3_remote_toffoli():
     graph = load_network(
         line_json(["A0", "A1", "B"], {"A0": ["a"], "A1": ["b"], "B": ["c"]})
     )
-    lay = RegisterLayout.for_network(graph, 1)
     req = GateRequest.build(
         graph, [("A0", "a", 1), ("A1", "b", 1)], [("B", "c")], GATE_LIBRARY["X"]
     )
     comp = schedule_multi_control(
-        graph, lay, req, PathSpec.in_graph(graph, ["A0", "A1", "B"])
+        graph, req, PathSpec.in_graph(graph, ["A0", "A1", "B"])
     )
     for bits in range(8):
         vec = np.zeros(8, dtype=complex)
         vec[bits] = 1.0
-        state = state_with_data(graph, lay, comp.walker_inits, vec)
+        state = state_with_data(graph, comp.layout, comp.walker_inits, vec)
         final, _ = _run_and_collect(graph, comp, state)
         a, b, c = (bits >> 2) & 1, (bits >> 1) & 1, bits & 1
         expect = (a << 2) | (b << 1) | (c ^ (a & b))
-        rho = reduced_density(final, lay.data_bit_positions())
+        rho = reduced_density(final, comp.layout.data_bit_positions())
         assert rho[expect, expect].real == pytest.approx(1.0, abs=FID_TOL)
     rng = np.random.default_rng(31)
     for _ in range(10):
-        vec = _random_data_vec(lay, rng)
-        state = state_with_data(graph, lay, comp.walker_inits, vec)
+        vec = _random_data_vec(comp.layout, rng)
+        state = state_with_data(graph, comp.layout, comp.walker_inits, vec)
         final, _ = _run_and_collect(graph, comp, state)
         report = compare(final, _oracle_state(graph, comp, vec))
         assert report.data_fidelity >= 1 - FID_TOL
@@ -158,14 +156,13 @@ def test_criterion_3_remote_toffoli():
 
 def test_criterion_4_multipath_two_walkers():
     graph = load_network(grid3_json())
-    lay = RegisterLayout.for_network(graph, 2)
     ctrl = [("n00", "a", 1)]
     reqs = [
         GateRequest.build(graph, ctrl, [("n02", "b")], GATE_LIBRARY["X"]),
         GateRequest.build(graph, ctrl, [("n20", "c")], GATE_LIBRARY["X"]),
     ]
     comp = schedule_multipath(
-        graph, lay, reqs,
+        graph, reqs,
         [
             PathSpec.in_graph(graph, ["n00", "n01", "n02"]),
             PathSpec.in_graph(graph, ["n00", "n10", "n20"]),
@@ -173,8 +170,8 @@ def test_criterion_4_multipath_two_walkers():
     )
     rng = np.random.default_rng(55)
     for _ in range(5):
-        vec = _random_data_vec(lay, rng)
-        state = state_with_data(graph, lay, comp.walker_inits, vec)
+        vec = _random_data_vec(comp.layout, rng)
+        state = state_with_data(graph, comp.layout, comp.walker_inits, vec)
         final, _ = _run_and_collect(graph, comp, state)
         report = compare(final, _oracle_state(graph, comp, vec))
         assert report.data_fidelity >= 1 - FID_TOL
@@ -184,7 +181,6 @@ def test_criterion_4_multipath_two_walkers():
 
 def test_criterion_5_tree_propagation():
     graph = load_network(btree7_json())
-    lay = RegisterLayout.for_network(graph, 4)
     tree = TreeSpec.in_graph(
         graph, "A",
         [("A", "b0"), ("A", "b1"), ("b0", "c00"), ("b0", "c01"),
@@ -193,10 +189,10 @@ def test_criterion_5_tree_propagation():
     targets = {
         leaf: (["t"], GATE_LIBRARY["X"]) for leaf in ("c00", "c01", "c10", "c11")
     }
-    comp = schedule_tree(graph, lay, tree, [("A", "a", 1)], targets)
-    plus = np.zeros(1 << lay.data_bits, dtype=complex)
-    plus[0] = plus[1 << (lay.data_bits - 1)] = 1 / np.sqrt(2)  # control in |+>
-    state = state_with_data(graph, lay, comp.walker_inits, plus)
+    comp = schedule_tree(graph, tree, [("A", "a", 1)], targets)
+    plus = np.zeros(1 << comp.layout.data_bits, dtype=complex)
+    plus[0] = plus[1 << (comp.layout.data_bits - 1)] = 1 / np.sqrt(2)  # control in |+>
+    state = state_with_data(graph, comp.layout, comp.walker_inits, plus)
     final, trace = _run_and_collect(graph, comp, state)
     report = compare(final, _oracle_state(graph, comp, plus))
     assert report.data_fidelity >= 1 - FID_TOL
@@ -214,7 +210,7 @@ def test_criterion_5_tree_propagation():
         assert v in trace.supports[d - 1][w]
         for t in range(d - 1):
             assert v not in trace.supports[t][w]
-        for other in range(lay.k):
+        for other in range(comp.layout.k):
             if other == w:
                 continue
             visited = any(v in sup[other] for sup in trace.supports)
@@ -227,35 +223,33 @@ def test_criterion_5_tree_propagation():
     mid, _ = run_schedule(state, forward, graph)
     # 25 bits: too wide for a dense vector, so the purity comes from the
     # compressed cut matrix, as the oracle comparison takes it
-    walker_cut = cut_matrix(mid, lay.walker_bit_positions())[2]
+    walker_cut = cut_matrix(mid, comp.layout.walker_bit_positions())[2]
     assert cut_purity(walker_cut) == pytest.approx(0.5, abs=FID_TOL)
     print("criterion 5: PASS - tree propagation, visit timing + fan-out purity 0.5")
 
 
 def test_criterion_6_ghz_four_node_path():
     graph = load_network(line_json(["A", "B", "C", "D"], {v: ["g"] for v in "ABCD"}))
-    lay = RegisterLayout.for_network(graph, 1)
     comp = schedule_ghz_path(
-        graph, lay, [PathSpec.in_graph(graph, ["A", "B", "C", "D"])],
+        graph, [PathSpec.in_graph(graph, ["A", "B", "C", "D"])],
         [{v: ["g"] for v in "ABCD"}],
     )
     assert comp.meta["propagation_steps"] == 3
-    state = init_state(graph, lay, comp.walker_inits)
+    state = init_state(graph, comp.layout, comp.walker_inits)
     final, _ = _run_and_collect(graph, comp, state)
     ghz = np.zeros(16, dtype=complex)
     ghz[0] = ghz[15] = 1 / np.sqrt(2)
-    rho = reduced_density(final, lay.data_bit_positions())
+    rho = reduced_density(final, comp.layout.data_bit_positions())
     assert float(np.vdot(ghz, rho @ ghz).real) >= 1 - FID_TOL
-    assert purity_across_cut(final, lay.walker_bit_positions()) >= 1 - FID_TOL
+    assert purity_across_cut(final, comp.layout.walker_bit_positions()) >= 1 - FID_TOL
     print("criterion 6: PASS - 4-node GHZ in 3 propagation steps")
 
 
 def test_criterion_7_linklevel_triangle():
     graph = load_network(triangle_json())
-    lay = RegisterLayout.for_network(graph, 3)
 
     # entangling a walker across every edge takes exactly one shift step
-    bare = schedule_linklevel(graph, lay)
+    bare = schedule_linklevel(graph)
     assert len(bare.schedule.timesteps) == 1
     assert bare.schedule.timesteps[0].shift.params["mode"] == "flipflop"
     assert bare.meta["entangling_shifts"] == 1
@@ -265,23 +259,23 @@ def test_criterion_7_linklevel_triangle():
         ("A", "C"): ("q", "q"),
         ("B", "C"): ("q", "p"),
     }
-    comp = schedule_linklevel(graph, lay, couple)
-    state = init_state(graph, lay, comp.walker_inits)
+    comp = schedule_linklevel(graph, couple)
+    state = init_state(graph, comp.layout, comp.walker_inits)
     final, _ = _run_and_collect(graph, comp, state)
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1 / np.sqrt(2)
     for (u, v), (qu, qv) in couple.items():
-        rho = reduced_density(final, (lay.data_bit(u, qu), lay.data_bit(v, qv)))
+        rho = reduced_density(final, (comp.layout.data_bit(u, qu), comp.layout.data_bit(v, qv)))
         assert float(np.vdot(bell, rho @ bell).real) >= 1 - FID_TOL
     # walkers mutually separable: every single-walker and walker-pair cut is pure
     for w in range(3):
-        bits = lay.vertex_bit_positions(w) + lay.coin_bit_positions(w)
+        bits = comp.layout.vertex_bit_positions(w) + comp.layout.coin_bit_positions(w)
         assert purity_across_cut(final, bits) >= 1 - FID_TOL
     for w1 in range(3):
         for w2 in range(w1 + 1, 3):
             bits = (
-                lay.vertex_bit_positions(w1) + lay.coin_bit_positions(w1)
-                + lay.vertex_bit_positions(w2) + lay.coin_bit_positions(w2)
+                comp.layout.vertex_bit_positions(w1) + comp.layout.coin_bit_positions(w1)
+                + comp.layout.vertex_bit_positions(w2) + comp.layout.coin_bit_positions(w2)
             )
             assert purity_across_cut(final, bits) >= 1 - FID_TOL
     print("criterion 7: PASS - three simultaneous Bell pairs on the triangle")
@@ -329,8 +323,8 @@ def test_criterion_8_invariant_suite():
         make_flipflop_shift(pool_graph, lay),
         make_coin_perm(pool_graph, lay, "A", 0, 1, 0),
         make_coin_block(pool_graph, lay, {"B": ([0, 1], h)}, 1),
-        make_data_controlled_coin(pool_graph, lay, "A", ["p"], "1", ("swap", 0, 2), 0),
-        make_walk_interaction(pool_graph, lay, "B", 1, ("swap", 0, 1), 0, 1),
+        make_data_controlled_coin(pool_graph, lay, "A", ["p"], "1", (0, 2), 0),
+        make_walk_interaction(pool_graph, lay, "B", 1, (0, 1), 0, 1),
     ]
     for i in range(1000):
         s = apply_operator(s, pool[int(rng.integers(0, len(pool)))])

@@ -236,13 +236,23 @@ GHZ_NET = line_json(["A", "B", "C", "D"], {v: ["g"] for v in "ABCD"})
     ],
     ids=["linklevel", "remote_cu", "remote_mcu", "multipath", "tree", "ghz_path"],
 )
-def test_walkers_needed_defaults(tmp_path, network, command, walkers):
+def test_walkers_needed_defaults(tmp_path, capsys, network, command, walkers):
     net = tmp_path / "net.json"
     net.write_text(network)
     report, _, _ = execute(parse_script(f"network {net}\n{command}\n"))
     assert report["protocol"] == command.split()[0]
     assert report["passed"] is True
     assert len(report["supports"]["initial"]) == walkers
+    # one walker more than needed: it idles, parked with walker 0
+    report, _, _ = execute(parse_script(f"network {net}\nwalkers {walkers + 1}\n{command}\n"))
+    assert report["passed"] is True
+    initial = report["supports"]["initial"]
+    assert len(initial) == walkers + 1
+    assert initial[str(walkers)] == initial["0"]
+    if walkers > 1:
+        script = write_script(tmp_path, f"network {net}\nwalkers {walkers - 1}\n{command}\n")
+        assert main(["run", str(script)]) == 3
+        assert "walker budget" in capsys.readouterr().err
 
 
 def test_network_override(path3_file, tmp_path):
@@ -527,17 +537,17 @@ def test_main_non_finite_gate_exit_3(tmp_path, init, entry):
     [
         ("init C.a=+\n", "C,a:D,a", 3),
         ("init C.a=1\n", "C,a:D,a", 3),
-        ("init C.a=-\n", "D,a:C,a", 3),  # C.a is still the pair's first half
+        ("init D.a=-\n", "D,a:C,a", 3),  # listed first, D.a is the pair's first half
         ("init C.a=0\n", "C,a:D,a", 0),
         ("init D.a=1\n", "C,a:D,a", 0),
-        ("init D.a=+\n", "D,a:C,a", 0),
+        ("init C.a=+\n", "D,a:C,a", 0),
     ],
     ids=["first_plus", "first_one", "first_minus_reversed", "first_zero",
          "second_one", "second_plus_reversed"],
 )
 def test_main_linklevel_needs_fresh_first_qubit(tmp_path, capsys, init, couple, code):
     # the walker-controlled X flips make the Bell pair from |0> on the
-    # coupled qubit at the lower node; the other qubit may start anywhere
+    # first-listed coupled qubit; the other qubit may start anywhere
     net = write_script(
         tmp_path,
         '{"nodes": ["C", "D"], "edges": [["C", "D"], ["D", "C"]],'
@@ -547,7 +557,29 @@ def test_main_linklevel_needs_fresh_first_qubit(tmp_path, capsys, init, couple, 
     script = write_script(tmp_path, f"network {net}\n{init}linklevel couple={couple}\n")
     assert main(["run", str(script), "--out", str(tmp_path / "r.json")]) == code
     if code == 3:
-        assert "C.a to start in |0>" in capsys.readouterr().err
+        assert f"{couple[0]}.a to start in |0>" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "nodes, init, couple, code",
+    [
+        (("R1", "N1", "R0", "N3"), "R0.a=1", "R1,a:R0,a", 0),
+        (("N0", "N1", "N2", "N3"), "N2.a=1", "N2,a:N0,a", 3),
+    ],
+    ids=["first_above_second", "first_below_second"],
+)
+def test_main_linklevel_fresh_qubit_ignores_label_order(tmp_path, nodes, init, couple, code):
+    # a star around nodes[0]: the coupled edge's walker starts at the
+    # first-listed node, whichever label sorts first, so that node's qubit
+    # is the one that must start in |0>
+    net = write_script(tmp_path, network_json(
+        nodes, [(nodes[0], v) for v in nodes[1:]], {v: ["a"] for v in nodes}
+    ), name="net.json")
+    script = write_script(tmp_path, f"network {net}\ninit {init}\nlinklevel couple={couple}\n")
+    out = tmp_path / "r.json"
+    assert main(["run", str(script), "--out", str(out)]) == code
+    if code == 0:
+        assert json.loads(out.read_text())["passed"] is True
 
 
 @pytest.mark.parametrize("init", [

@@ -8,7 +8,6 @@ from qwcp import (
     GateRequest,
     PathSpec,
     ProtocolError,
-    RegisterLayout,
     TreeSpec,
     compare,
     data_layout,
@@ -86,10 +85,9 @@ def test_gate_request_validations(path3):
 
 
 def cnot_instance(path3, separation="reverse"):
-    lay = RegisterLayout.for_network(path3, 1)
     req = GateRequest.build(path3, [("A", "a", 1)], [("B", "b")], GATE_LIBRARY["X"])
     path = PathSpec.in_graph(path3, ["A", "u", "B"])
-    return schedule_remote_cu(path3, lay, req, path, separation=separation)
+    return schedule_remote_cu(path3, req, path, separation=separation)
 
 
 def test_remote_cnot_reverse(path3):
@@ -110,23 +108,21 @@ def test_remote_cnot_walker_round_trip(path3):
 
 
 def test_remote_cu_arbitrary_gate(path3):
-    lay = RegisterLayout.for_network(path3, 1)
     rng = np.random.default_rng(7)
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     u, _ = np.linalg.qr(m)
     req = GateRequest.build(path3, [("A", "a", 1)], [("B", "b")], u)
     comp = schedule_remote_cu(
-        path3, lay, req, PathSpec.in_graph(path3, ["A", "u", "B"])
+        path3, req, PathSpec.in_graph(path3, ["A", "u", "B"])
     )
     report, _, _ = verify(comp, path3, {("A", "a"): random_qubit(rng), ("B", "b"): random_qubit(rng)})
     assert report.passed
 
 
 def test_remote_cu_zero_control_pattern(path3):
-    lay = RegisterLayout.for_network(path3, 1)
     req = GateRequest.build(path3, [("A", "a", 0)], [("B", "b")], GATE_LIBRARY["X"])
     comp = schedule_remote_cu(
-        path3, lay, req, PathSpec.in_graph(path3, ["A", "u", "B"])
+        path3, req, PathSpec.in_graph(path3, ["A", "u", "B"])
     )
     report, _, _ = verify(comp, path3, {("A", "a"): random_qubit(np.random.default_rng(3))})
     assert report.passed
@@ -165,25 +161,23 @@ def test_remote_cu_measure_sample_mode(path3):
 
 
 def test_remote_cu_measure_restrictions(path3):
-    lay = RegisterLayout.for_network(path3, 1)
     path = PathSpec.in_graph(path3, ["A", "u", "B"])
     req0 = GateRequest.build(path3, [("A", "a", 0)], [("B", "b")], GATE_LIBRARY["X"])
     with pytest.raises(ProtocolError):
-        schedule_remote_cu(path3, lay, req0, path, separation="measure")
+        schedule_remote_cu(path3, req0, path, separation="measure")
     req = GateRequest.build(path3, [("A", "a", 1)], [("B", "b")], GATE_LIBRARY["X"])
     with pytest.raises(ProtocolError):
-        schedule_remote_cu(path3, lay, req, path, separation="teleport")
+        schedule_remote_cu(path3, req, path, separation="teleport")
 
 
 def test_remote_cu_path_endpoint_checks(path3):
-    lay = RegisterLayout.for_network(path3, 1)
     req = GateRequest.build(path3, [("A", "a", 1)], [("B", "b")], GATE_LIBRARY["X"])
     with pytest.raises(ProtocolError):
         schedule_remote_cu(
-            path3, lay, req, PathSpec.in_graph(path3, ["B", "u", "A"])
+            path3, req, PathSpec.in_graph(path3, ["B", "u", "A"])
         )
     with pytest.raises(ProtocolError):
-        schedule_remote_cu(path3, lay, req, PathSpec.in_graph(path3, ["A"]))
+        schedule_remote_cu(path3, req, PathSpec.in_graph(path3, ["A"]))
 
 
 # -- multi-control --------------------------------------------------------
@@ -200,11 +194,10 @@ def toffoli_net():
 
 def test_multi_control_toffoli_truth_table():
     g = toffoli_net()
-    lay = RegisterLayout.for_network(g, 1)
     req = GateRequest.build(
         g, [("A0", "a", 1), ("A1", "b", 1)], [("B", "c")], GATE_LIBRARY["X"]
     )
-    comp = schedule_multi_control(g, lay, req, PathSpec.in_graph(g, ["A0", "A1", "B"]))
+    comp = schedule_multi_control(g, req, PathSpec.in_graph(g, ["A0", "A1", "B"]))
     for bits in range(8):
         a, b, c = (bits >> 2) & 1, (bits >> 1) & 1, bits & 1
         di = {
@@ -221,12 +214,11 @@ def test_multi_control_toffoli_truth_table():
 
 def test_multi_control_mixed_pattern():
     g = toffoli_net()
-    lay = RegisterLayout.for_network(g, 1)
     # fires when a=1 and b=0
     req = GateRequest.build(
         g, [("A0", "a", 1), ("A1", "b", 0)], [("B", "c")], GATE_LIBRARY["X"]
     )
-    comp = schedule_multi_control(g, lay, req, PathSpec.in_graph(g, ["A0", "A1", "B"]))
+    comp = schedule_multi_control(g, req, PathSpec.in_graph(g, ["A0", "A1", "B"]))
     rng = np.random.default_rng(6)
     for _ in range(3):
         di = {
@@ -240,32 +232,29 @@ def test_multi_control_mixed_pattern():
 
 def test_multi_control_rejects_controls_at_target():
     g = toffoli_net()
-    lay = RegisterLayout.for_network(g, 1)
     req = GateRequest.build(
         g, [("A0", "a", 1), ("B", "c", 1)], [("B", "c")], GATE_LIBRARY["X"]
     )
     with pytest.raises(ProtocolError):
-        schedule_multi_control(g, lay, req, PathSpec.in_graph(g, ["A0", "A1", "B"]))
+        schedule_multi_control(g, req, PathSpec.in_graph(g, ["A0", "A1", "B"]))
 
 
 def test_multi_control_requires_start_control():
     g = toffoli_net()
-    lay = RegisterLayout.for_network(g, 1)
     req = GateRequest.build(g, [("A1", "b", 1)], [("B", "c")], GATE_LIBRARY["X"])
     with pytest.raises(ProtocolError):
-        schedule_multi_control(g, lay, req, PathSpec.in_graph(g, ["A0", "A1", "B"]))
+        schedule_multi_control(g, req, PathSpec.in_graph(g, ["A0", "A1", "B"]))
 
 
 # -- multipath ------------------------------------------------------------
 
 
 def test_multipath_two_gates(grid3):
-    lay = RegisterLayout.for_network(grid3, 2)
     ctrl = [("n00", "a", 1)]
     r1 = GateRequest.build(grid3, ctrl, [("n02", "b")], GATE_LIBRARY["X"])
     r2 = GateRequest.build(grid3, ctrl, [("n20", "c")], GATE_LIBRARY["Z"])
     comp = schedule_multipath(
-        grid3, lay, [r1, r2],
+        grid3, [r1, r2],
         [
             PathSpec.in_graph(grid3, ["n00", "n01", "n02"]),
             PathSpec.in_graph(grid3, ["n00", "n10", "n20"]),
@@ -282,12 +271,11 @@ def test_multipath_two_gates(grid3):
 
 
 def test_multipath_unequal_lengths(grid3):
-    lay = RegisterLayout.for_network(grid3, 2)
     ctrl = [("n00", "a", 1)]
     r1 = GateRequest.build(grid3, ctrl, [("n12", "b")], GATE_LIBRARY["X"])
     r2 = GateRequest.build(grid3, ctrl, [("n20", "c")], GATE_LIBRARY["X"])
     comp = schedule_multipath(
-        grid3, lay, [r1, r2],
+        grid3, [r1, r2],
         [
             PathSpec.in_graph(grid3, ["n00", "n01", "n02", "n12"]),
             PathSpec.in_graph(grid3, ["n00", "n10", "n20"]),
@@ -301,12 +289,11 @@ def test_multipath_unequal_lengths(grid3):
 def test_multipath_unequal_lengths_shift_all_walkers(grid3):
     # every flip-flop but the last lists both walkers, also while walker 1
     # is parked at n20: on its self-loop the flip-flop leaves it in place
-    lay = RegisterLayout.for_network(grid3, 2)
     ctrl = [("n00", "a", 1)]
     r1 = GateRequest.build(grid3, ctrl, [("n12", "b")], GATE_LIBRARY["X"])
     r2 = GateRequest.build(grid3, ctrl, [("n20", "c")], GATE_LIBRARY["X"])
     comp = schedule_multipath(
-        grid3, lay, [r1, r2],
+        grid3, [r1, r2],
         [
             PathSpec.in_graph(grid3, ["n00", "n01", "n02", "n12"]),
             PathSpec.in_graph(grid3, ["n00", "n10", "n20"]),
@@ -329,12 +316,11 @@ def test_multipath_paths_meet_again():
     doc = json.loads(grid3_json())
     doc["data_qubits"]["n21"] = ["d"]
     g = load_network(json.dumps(doc))
-    lay = RegisterLayout.for_network(g, 2)
     ctrl = [("n00", "a", 1)]
     r1 = GateRequest.build(g, ctrl, [("n12", "b")], GATE_LIBRARY["X"])
     r2 = GateRequest.build(g, ctrl, [("n21", "d")], GATE_LIBRARY["H"])
     comp = schedule_multipath(
-        g, lay, [r1, r2],
+        g, [r1, r2],
         [
             PathSpec.in_graph(g, ["n00", "n01", "n11", "n12"]),
             PathSpec.in_graph(g, ["n00", "n10", "n11", "n21"]),
@@ -356,13 +342,12 @@ def test_multipath_paths_meet_again():
 
 
 def test_multipath_rejects_shared_first_edge(grid3):
-    lay = RegisterLayout.for_network(grid3, 2)
     ctrl = [("n00", "a", 1)]
     r1 = GateRequest.build(grid3, ctrl, [("n02", "b")], GATE_LIBRARY["X"])
     r2 = GateRequest.build(grid3, ctrl, [("n12", "b")], GATE_LIBRARY["X"])
     with pytest.raises(ProtocolError):
         schedule_multipath(
-            grid3, lay, [r1, r2],
+            grid3, [r1, r2],
             [
                 PathSpec.in_graph(grid3, ["n00", "n01", "n02"]),
                 PathSpec.in_graph(grid3, ["n00", "n01", "n11", "n12"]),
@@ -371,12 +356,11 @@ def test_multipath_rejects_shared_first_edge(grid3):
 
 
 def test_multipath_rejects_mismatched_controls(grid3):
-    lay = RegisterLayout.for_network(grid3, 2)
     r1 = GateRequest.build(grid3, [("n00", "a", 1)], [("n02", "b")], GATE_LIBRARY["X"])
     r2 = GateRequest.build(grid3, [("n00", "a", 0)], [("n20", "c")], GATE_LIBRARY["X"])
     with pytest.raises(ProtocolError):
         schedule_multipath(
-            grid3, lay, [r1, r2],
+            grid3, [r1, r2],
             [
                 PathSpec.in_graph(grid3, ["n00", "n01", "n02"]),
                 PathSpec.in_graph(grid3, ["n00", "n10", "n20"]),
@@ -396,12 +380,11 @@ def btree_spec(btree7):
 
 
 def test_tree_four_leaf_targets(btree7):
-    lay = RegisterLayout.for_network(btree7, 4)
     tree = btree_spec(btree7)
     targets = {
         leaf: (["t"], GATE_LIBRARY["X"]) for leaf in ("c00", "c01", "c10", "c11")
     }
-    comp = schedule_tree(btree7, lay, tree, [("A", "a", 1)], targets)
+    comp = schedule_tree(btree7, tree, [("A", "a", 1)], targets)
     rng = np.random.default_rng(10)
     di = {("A", "a"): random_qubit(rng)}
     report, _, trace = verify(comp, btree7, di)
@@ -411,29 +394,26 @@ def test_tree_four_leaf_targets(btree7):
 
 
 def test_tree_walker_budget_enforced(btree7):
-    lay = RegisterLayout.for_network(btree7, 2)
     with pytest.raises(ProtocolError):
         schedule_tree(
-            btree7, lay, btree_spec(btree7), [("A", "a", 1)],
-            {"c00": (["t"], GATE_LIBRARY["X"])},
+            btree7, btree_spec(btree7), [("A", "a", 1)],
+            {"c00": (["t"], GATE_LIBRARY["X"])}, walkers=2,
         )
 
 
 def test_tree_rejects_target_at_root(btree7):
-    lay = RegisterLayout.for_network(btree7, 4)
     with pytest.raises(ProtocolError):
         schedule_tree(
-            btree7, lay, btree_spec(btree7), [("A", "a", 1)],
+            btree7, btree_spec(btree7), [("A", "a", 1)],
             {"A": (["a"], GATE_LIBRARY["X"])},
         )
 
 
 def test_tree_interior_target(btree7):
     # target at an interior node fires when that node's walker passes it
-    lay = RegisterLayout.for_network(btree7, 4)
     tree = btree_spec(btree7)
     comp = schedule_tree(
-        btree7, lay, tree, [("A", "a", 1)], {"c11": (["t"], GATE_LIBRARY["H"])}
+        btree7, tree, [("A", "a", 1)], {"c11": (["t"], GATE_LIBRARY["H"])}
     )
     report, _, _ = verify(comp, btree7, {("A", "a"): random_qubit(np.random.default_rng(12))})
     assert report.passed
@@ -445,10 +425,9 @@ def test_tree_edges_out_of_depth_order(btree7):
     edges = [("b1", "c10"), ("A", "b0"), ("b0", "c00"), ("A", "b1"),
              ("b1", "c11"), ("b0", "c01")]
     tree = TreeSpec.in_graph(btree7, "A", edges)
-    lay = RegisterLayout.for_network(btree7, 4)
     gates = dict(zip(("c00", "c01", "c10", "c11"), "XZHS"))
     targets = {leaf: (["t"], GATE_LIBRARY[g]) for leaf, g in gates.items()}
-    comp = schedule_tree(btree7, lay, tree, [("A", "a", 1)], targets)
+    comp = schedule_tree(btree7, tree, [("A", "a", 1)], targets)
     leaves = [("c10", 1), ("c00", 0), ("c11", 3), ("c01", 2)]
     assert forward_ops(comp) == [
         [("datactrl", "A", 0), ("fanout", "A", [0, 1])],
@@ -480,13 +459,39 @@ def test_ghz_prep_matrix_builds_ghz():
         assert np.allclose(out, expect)
 
 
+def test_ghz_gate_matrices_match_loop_formulas():
+    # bitwise, signed zeros included, since the report prints each entry
+    qubits = [f"q{i}" for i in range(6)]
+    g = load_network(line_json(["A", "B"], {"A": qubits, "B": qubits}))
+    h, x = GATE_LIBRARY["H"], GATE_LIBRARY["X"]
+    for m in range(1, 7):
+        half = 1 << (m - 1)
+        prep = np.zeros((2 * half, 2 * half), dtype=complex)
+        for col in range(2 * half):
+            top, rest = col >> (m - 1), col & (half - 1)
+            for new_top in range(2):
+                row = (new_top << (m - 1)) | (rest ^ ((half - 1) if new_top else 0))
+                prep[row, col] += h[new_top, top]
+        flips = np.ones((1, 1), dtype=complex)
+        for _ in range(m):
+            flips = np.kron(flips, x)
+        comp = schedule_ghz_path(
+            g, [PathSpec.in_graph(g, ["A", "B"])], [{"A": qubits[:m], "B": qubits[:m]}]
+        )
+        data_gates = {
+            op.params["node"]: op.actions[0].matrix
+            for ts in comp.schedule.timesteps for op in ts.pre_ops if op.kind == "coindata"
+        }
+        assert data_gates["A"].tobytes() == prep.tobytes() == _ghz_prep_matrix(m).tobytes()
+        assert data_gates["B"].tobytes() == flips.tobytes()
+
+
 def test_ghz_four_node_path(path4):
-    lay = RegisterLayout.for_network(path4, 1)
     p = PathSpec.in_graph(path4, ["A", "B", "C", "D"])
-    comp = schedule_ghz_path(path4, lay, [p], [{v: ["g"] for v in "ABCD"}])
+    comp = schedule_ghz_path(path4, [p], [{v: ["g"] for v in "ABCD"}])
     report, final, _ = verify(comp, path4)
     assert report.passed
-    rho = reduced_density(final, lay.data_bit_positions())
+    rho = reduced_density(final, comp.layout.data_bit_positions())
     ghz = np.zeros(16, dtype=complex)
     ghz[0] = ghz[15] = 1 / np.sqrt(2)
     assert float(np.vdot(ghz, rho @ ghz).real) >= 1 - 1e-9
@@ -500,36 +505,33 @@ def test_ghz_multiple_qubits_per_node(path4):
     g = load_network(
         line_json(["A", "B"], {"A": ["g", "h"], "B": ["g"]})
     )
-    lay = RegisterLayout.for_network(g, 1)
     comp = schedule_ghz_path(
-        g, lay, [PathSpec.in_graph(g, ["A", "B"])],
+        g, [PathSpec.in_graph(g, ["A", "B"])],
         [{"A": ["g", "h"], "B": ["g"]}],
     )
     report, final, _ = verify(comp, g)
     assert report.passed
-    rho = reduced_density(final, lay.data_bit_positions())
+    rho = reduced_density(final, comp.layout.data_bit_positions())
     ghz = np.zeros(8, dtype=complex)
     ghz[0] = ghz[7] = 1 / np.sqrt(2)
     assert float(np.vdot(ghz, rho @ ghz).real) >= 1 - 1e-9
 
 
 def test_ghz_rejects_overlapping_qubits(path4):
-    lay = RegisterLayout.for_network(path4, 2)
     p1 = PathSpec.in_graph(path4, ["A", "B"])
     p2 = PathSpec.in_graph(path4, ["C", "B"])
     with pytest.raises(ProtocolError):
         schedule_ghz_path(
-            path4, lay, [p1, p2],
+            path4, [p1, p2],
             [{"A": ["g"], "B": ["g"]}, {"C": ["g"], "B": ["g"]}],
         )
 
 
 def test_ghz_two_disjoint_paths(path4):
-    lay = RegisterLayout.for_network(path4, 2)
     p1 = PathSpec.in_graph(path4, ["A", "B"])
     p2 = PathSpec.in_graph(path4, ["D", "C"])
     comp = schedule_ghz_path(
-        path4, lay, [p1, p2],
+        path4, [p1, p2],
         [{"A": ["g"], "B": ["g"]}, {"D": ["g"], "C": ["g"]}],
     )
     report, final, _ = verify(comp, path4)
@@ -538,7 +540,7 @@ def test_ghz_two_disjoint_paths(path4):
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1 / np.sqrt(2)
     for pair in ((("A", "g"), ("B", "g")), (("D", "g"), ("C", "g"))):
-        bits = tuple(lay.data_bit(n, q) for n, q in pair)
+        bits = tuple(comp.layout.data_bit(n, q) for n, q in pair)
         rho = reduced_density(final, bits)
         assert float(np.vdot(bell, rho @ bell).real) >= 1 - 1e-9
 
@@ -549,9 +551,8 @@ def test_ghz_zero_hop_path_beside_longer_path():
     g = load_network(
         line_json(["A", "B", "C", "D"], {"A": ["g", "h"], "B": ["g"], "C": ["g"], "D": ["g"]})
     )
-    lay = RegisterLayout.for_network(g, 2)
     comp = schedule_ghz_path(
-        g, lay,
+        g,
         [PathSpec.in_graph(g, ["A"]), PathSpec.in_graph(g, ["B", "C", "D"])],
         [{"A": ["g", "h"]}, {v: ["g"] for v in "BCD"}],
     )
@@ -570,7 +571,7 @@ def test_ghz_zero_hop_path_beside_longer_path():
     for qubits in ((("A", "g"), ("A", "h")), (("B", "g"), ("C", "g"), ("D", "g"))):
         ghz = np.zeros(1 << len(qubits), dtype=complex)
         ghz[0] = ghz[-1] = 1 / np.sqrt(2)
-        rho = reduced_density(final, tuple(lay.data_bit(n, q) for n, q in qubits))
+        rho = reduced_density(final, tuple(comp.layout.data_bit(n, q) for n, q in qubits))
         assert float(np.vdot(ghz, rho @ ghz).real) >= 1 - 1e-9
 
 
@@ -578,55 +579,50 @@ def test_ghz_zero_hop_path_beside_longer_path():
 
 
 def test_linklevel_uncoupled_single_shift(triangle):
-    lay = RegisterLayout.for_network(triangle, 3)
-    comp = schedule_linklevel(triangle, lay)
+    comp = schedule_linklevel(triangle)
     assert len(comp.schedule.timesteps) == 1
     assert comp.schedule.timesteps[0].shift.params["mode"] == "flipflop"
-    state = init_state(triangle, lay, comp.walker_inits)
+    state = init_state(triangle, comp.layout, comp.walker_inits)
     final, _ = run_schedule(state, comp.schedule, triangle)
     # each walker is spread across its own edge, in a pure single-walker state
     for w, (u, v) in enumerate(comp.meta["edges"]):
         sup = walker_vertex_support(final, w)
         assert sup == {triangle.vertex_id(u), triangle.vertex_id(v)}
-        bits = lay.vertex_bit_positions(w) + lay.coin_bit_positions(w)
+        bits = comp.layout.vertex_bit_positions(w) + comp.layout.coin_bit_positions(w)
         assert purity_across_cut(final, bits) == pytest.approx(1.0)
 
 
 def test_linklevel_coupled_bell_pairs(triangle):
-    lay = RegisterLayout.for_network(triangle, 3)
     couple = {
         ("A", "B"): ("p", "p"),
         ("A", "C"): ("q", "q"),
         ("B", "C"): ("q", "p"),
     }
-    comp = schedule_linklevel(triangle, lay, couple)
+    comp = schedule_linklevel(triangle, couple)
     report, final, _ = verify(comp, triangle)
     assert report.passed
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1 / np.sqrt(2)
     for (u, v), (qu, qv) in couple.items():
-        bits = (lay.data_bit(u, qu), lay.data_bit(v, qv))
+        bits = (comp.layout.data_bit(u, qu), comp.layout.data_bit(v, qv))
         rho = reduced_density(final, bits)
         assert float(np.vdot(bell, rho @ bell).real) >= 1 - 1e-9
 
 
 def test_linklevel_walker_budget(triangle):
-    lay = RegisterLayout.for_network(triangle, 2)
     with pytest.raises(ProtocolError):
-        schedule_linklevel(triangle, lay)
+        schedule_linklevel(triangle, walkers=2)
 
 
 def test_linklevel_rejects_noncoupling_edge(triangle):
-    lay = RegisterLayout.for_network(triangle, 3)
     with pytest.raises(ProtocolError):
-        schedule_linklevel(triangle, lay, {("A", "Z"): ("p", "p")})
+        schedule_linklevel(triangle, {("A", "Z"): ("p", "p")})
 
 
 def test_linklevel_rejects_qubit_in_two_couplings(triangle):
-    lay = RegisterLayout.for_network(triangle, 3)
     with pytest.raises(ProtocolError):
         schedule_linklevel(
-            triangle, lay, {("A", "B"): ("p", "p"), ("A", "C"): ("p", "q")}
+            triangle, {("A", "B"): ("p", "p"), ("A", "C"): ("p", "q")}
         )
 
 
@@ -634,13 +630,12 @@ def test_linklevel_rejects_qubit_in_two_couplings(triangle):
 
 
 def test_supports_expand_only_to_neighbors(grid3):
-    lay = RegisterLayout.for_network(grid3, 1)
     req = GateRequest.build(grid3, [("n00", "a", 1)], [("n12", "b")], GATE_LIBRARY["X"])
     comp = schedule_remote_cu(
-        grid3, lay, req, PathSpec.in_graph(grid3, ["n00", "n01", "n02", "n12"])
+        grid3, req, PathSpec.in_graph(grid3, ["n00", "n01", "n02", "n12"])
     )
     di = {("n00", "a"): (1 / np.sqrt(2), 1 / np.sqrt(2))}
-    state = init_state(grid3, lay, comp.walker_inits, di)
+    state = init_state(grid3, comp.layout, comp.walker_inits, di)
     _, trace = run_schedule(state, comp.schedule, grid3)
     prev = trace.initial_support
     for sup in trace.supports:

@@ -154,7 +154,7 @@ def test_coin_block_rejects_nonunitary(small):
 
 def test_data_controlled_coin_fires_on_pattern(small):
     g, lay = small
-    op = make_data_controlled_coin(g, lay, "A", ["a"], "1", ("swap", 0, 1), 0)
+    op = make_data_controlled_coin(g, lay, "A", ["a"], "1", (0, 1), 0)
     shift = make_flipflop_shift(g, lay, [0])
     s0 = init_state(g, lay, [("A", 0), ("C", 0)])
     stay = apply_operator(apply_operator(s0, op), shift)
@@ -167,7 +167,7 @@ def test_data_controlled_coin_fires_on_pattern(small):
 def test_data_controlled_coin_requires_local_controls(small):
     g, lay = small
     with pytest.raises(OperatorError):
-        make_data_controlled_coin(g, lay, "A", ["c"], "1", ("swap", 0, 1), 0)
+        make_data_controlled_coin(g, lay, "A", ["c"], "1", (0, 1), 0)
 
 
 def test_coin_controlled_data_fires_at_vertex(small):
@@ -193,7 +193,7 @@ def test_coin_controlled_data_with_coin_restriction(small):
 def test_walk_interaction_conditions_on_both_walkers(small):
     g, lay = small
     c = g.port_of("A", "B")
-    op = make_walk_interaction(g, lay, "A", c, ("swap", 0, c), 0, 1)
+    op = make_walk_interaction(g, lay, "A", c, (0, c), 0, 1)
     shift = make_flipflop_shift(g, lay, [1])
     both = init_state(g, lay, [("A", c), ("A", 0)])
     out = apply_operator(apply_operator(both, op), shift)
@@ -233,9 +233,9 @@ def test_all_constructed_operators_are_unitary(small):
         make_identity_shift(lay),
         make_coin_perm(g, lay, "B", 0, 1, 1),
         make_coin_block(g, lay, {"A": ([0, c_ab], HADAMARD)}, 0),
-        make_data_controlled_coin(g, lay, "A", ["a"], "0", ("swap", 0, c_ab), 0),
+        make_data_controlled_coin(g, lay, "A", ["a"], "0", (0, c_ab), 0),
         make_coin_controlled_data(g, lay, "C", ["c"], HADAMARD, 1),
-        make_walk_interaction(g, lay, "A", c_ab, ("swap", 0, c_ab), 0, 1),
+        make_walk_interaction(g, lay, "A", c_ab, (0, c_ab), 0, 1),
         make_fanout(g, lay, "A", c_ab, ["B", "C"], [0, 1]),
     ]
     for op in ops:
@@ -288,12 +288,12 @@ def _random_schedule(g, lay, rng, steps=4):
             elif kind == 2:
                 pre.append(
                     make_data_controlled_coin(
-                        g, lay, "A", ["a"], "1", ("swap", 0, c_ab), 0
+                        g, lay, "A", ["a"], "1", (0, c_ab), 0
                     )
                 )
             else:
                 pre.append(
-                    make_walk_interaction(g, lay, "A", c_ab, ("swap", 0, c_ab), 0, 1)
+                    make_walk_interaction(g, lay, "A", c_ab, (0, c_ab), 0, 1)
                 )
         shift = (
             make_flipflop_shift(g, lay)
@@ -370,9 +370,9 @@ def test_operator_json_round_trip(small):
         make_identity_shift(lay),
         make_coin_perm(g, lay, "B", 0, 1, 1),
         make_coin_block(g, lay, {"A": ([0, c_ab], HADAMARD)}, 0),
-        make_data_controlled_coin(g, lay, "A", ["a"], "1", ("swap", 0, c_ab), 0),
+        make_data_controlled_coin(g, lay, "A", ["a"], "1", (0, c_ab), 0),
         make_coin_controlled_data(g, lay, "C", ["c"], PAULI_X, 1, coin=1),
-        make_walk_interaction(g, lay, "A", c_ab, ("block", [0, c_ab], HADAMARD), 0, 1),
+        make_walk_interaction(g, lay, "A", c_ab, (0, c_ab), 0, 1),
         make_fanout(g, lay, "A", c_ab, ["B", "C"], [0, 1]),
         make_measure_and_correct(lay, [0, 1], "ZX", [1], lay.data_bit("A", "a"), ["A", "B"]),
         invert_operator(
