@@ -28,6 +28,7 @@ from .protocols import (
     separate_measure,
 )
 from .statevec import (
+    BranchStack,
     MeasurementRecord,
     RegisterLayout,
     StateError,

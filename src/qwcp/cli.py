@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .netgraph import NetworkError, PathSpec, TreeSpec, load_network
-from .oracle import CompareReport, OracleError, compare, data_layout, oracle_apply
+from .oracle import OracleError, compare, data_layout, oracle_apply
 from .protocols import (
     GATE_LIBRARY,
     CompiledProtocol,
@@ -554,9 +554,11 @@ def execute(
     `spectator_qubits`) start in |0> in the protocol and oracle states,
     and their initial 2-vectors are kept apart. `run_schedule`, `measure`,
     `oracle_apply` and `compare` see core states, and so do
-    `trace.branches`. `final` is the full state, with the spectators
-    inserted at their layout bits, and the report's `final_norm` is its
-    norm."""
+    `trace.branches`. One `compare` call checks every measured branch (or
+    the final state of a run that measures nothing), and the report holds
+    the least fidelity and purity. `final` is the full state, with the
+    spectators inserted at their layout bits, and the report's
+    `final_norm` is its norm."""
     graph, compiled, data_inits = _prepare(script, network_override)
     layout = compiled.layout
     spectators = spectator_qubits(layout, compiled.schedule, compiled.oracle_gates)
@@ -569,17 +571,11 @@ def execute(
     rng = np.random.default_rng(0 if seed is None else seed) if mode == "sample" else None
     final, trace = run_schedule(state, compiled.schedule, graph, mode=mode, rng=rng)
 
-    comparison: CompareReport | None = None
+    comparison = None
     if compiled.oracle_gates is not None:
         oracle_in = init_state(graph, data_layout(graph), [], data_inits)
         oracle_out = oracle_apply(oracle_in, compiled.oracle_gates)
-        states = [s for _, s in trace.branches] or [final]
-        reports = [compare(s, oracle_out) for s in states]
-        comparison = CompareReport(
-            min(r.walker_purity for r in reports),
-            min(r.data_fidelity for r in reports),
-            all(r.passed for r in reports),
-        )
+        comparison = compare(final if trace.branches is None else trace.branches, oracle_out)
     final = insert_qubits(final, factors)
 
     report = {

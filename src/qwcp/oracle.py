@@ -13,11 +13,11 @@ import numpy as np
 from .netgraph import NetworkGraph
 from .statevec import (
     BlockAction,
+    BranchStack,
     RegisterLayout,
     StateVector,
     apply_actions,
-    cut_matrix,
-    cut_purity,
+    check_entries,
 )
 
 PASS_TOL = 1e-9
@@ -38,9 +38,23 @@ class OracleGate:
 
 @dataclass(frozen=True)
 class CompareReport:
-    walker_purity: float
-    data_fidelity: float
-    passed: bool
+    """Walker purity and data fidelity of each compared branch; the
+    report's values are the least of each, and it passes when both do."""
+
+    purities: np.ndarray
+    fidelities: np.ndarray
+
+    @property
+    def walker_purity(self) -> float:
+        return float(self.purities.min())
+
+    @property
+    def data_fidelity(self) -> float:
+        return float(self.fidelities.min())
+
+    @property
+    def passed(self) -> bool:
+        return self.walker_purity >= 1.0 - PASS_TOL and self.data_fidelity >= 1.0 - PASS_TOL
 
 
 def data_layout(graph: NetworkGraph) -> RegisterLayout:
@@ -68,24 +82,75 @@ def oracle_apply(state: StateVector, gates) -> StateVector:
     return result
 
 
-def compare(protocol_output: StateVector, oracle_output: StateVector) -> CompareReport:
-    """Fidelity of the protocol's data-plane reduced state against the
-    oracle's pure state, plus the walker-subsystem purity.
+def _first_of_key(keys: np.ndarray, new_branch: np.ndarray) -> np.ndarray:
+    """Flags of the entries whose (branch, key) differs from the entry
+    before, for entries in (branch, key) order; `new_branch` flags the
+    entries after the first whose branch differs from the one before."""
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    first[1:] |= new_branch
+    return first
 
-    Writing the protocol state as sum_w |w>|psi_w>, with w the walker
-    registers, the data-plane reduced state is sum_w |psi_w><psi_w|, so the
-    fidelity is sum_w |<phi|psi_w>|^2; the walker purity comes from the
-    Gram matrix of the slices psi_w."""
-    p_layout = protocol_output.layout
-    if p_layout.data_order != oracle_output.layout.data_order:
+
+def _rank_in_branch(first: np.ndarray, branch_start: np.ndarray):
+    """(rank of each entry's key within its branch, the most keys of one
+    branch) from `_first_of_key` flags; `branch_start` is the position of
+    the first entry of each entry's branch."""
+    key = first.cumsum() - 1
+    rank = key - key[branch_start]
+    return rank, int(rank.max(initial=-1)) + 1
+
+
+def compare(
+    protocol_output: StateVector | BranchStack, oracle_output: StateVector
+) -> CompareReport:
+    """Fidelity of each branch's data-plane reduced state against the
+    oracle's pure state, plus its walker-subsystem purity, for every branch
+    of a stack in one pass; an unmeasured state is a stack of one branch.
+
+    Writing a branch as sum_w |w>|psi_w>, with w the walker registers, its
+    data-plane reduced state is sum_w |psi_w><psi_w|, so the fidelity is
+    sum_w |<phi|psi_w>|^2. The walker bits are the top bits of an index,
+    so each psi_w is a run of its branch's sorted entries: one search in
+    the oracle's indices gives every term, and adding up each run gives
+    the overlaps. The purities come from one batched Gram product of the
+    (branch, walker key, data key) array, on its smaller side."""
+    layout = protocol_output.layout
+    if layout.data_order != oracle_output.layout.data_order:
         raise OracleError("protocol and oracle states disagree on data qubits")
-    walker_bits = p_layout.walker_bit_positions()
-    _, data_keys, slices = cut_matrix(protocol_output, walker_bits)
-    purity = cut_purity(slices) if p_layout.k > 0 else 1.0
-    _, cols, hits = np.intersect1d(
-        data_keys, oracle_output.indices, assume_unique=True, return_indices=True
+    indices, amps = protocol_output.indices, protocol_output.amplitudes
+    if isinstance(protocol_output, BranchStack):
+        starts = protocol_output.starts
+    else:
+        starts = np.array([0, len(indices)])
+    branches = len(starts) - 1
+    branch = np.repeat(np.arange(branches), starts[1:] - starts[:-1])
+    new_branch = branch[1:] != branch[:-1]
+    walker = indices >> layout.data_bits
+    data = indices & ((1 << layout.data_bits) - 1)
+    first_run = _first_of_key(walker, new_branch)
+    run_starts = first_run.nonzero()[0]
+
+    phi_indices, phi = oracle_output.indices, oracle_output.amplitudes
+    at = np.minimum(phi_indices.searchsorted(data), len(phi_indices) - 1)
+    terms = np.where(phi_indices[at] == data, phi[at].conj() * amps, 0)
+    overlaps = np.add.reduceat(terms, run_starts)
+    fidelities = np.bincount(
+        branch[run_starts], weights=np.abs(overlaps) ** 2, minlength=branches
     )
-    overlaps = slices[:, cols] @ oracle_output.amplitudes[hits].conj()
-    fid = float(np.sum(np.abs(overlaps) ** 2))
-    passed = purity >= 1.0 - PASS_TOL and fid >= 1.0 - PASS_TOL
-    return CompareReport(purity, fid, passed)
+    if layout.k == 0:
+        return CompareReport(np.ones(branches), fidelities)
+
+    branch_start = starts[branch]
+    row, rows = _rank_in_branch(first_run, branch_start)
+    order = np.lexsort((data, branch))  # keeps `branch` as it is
+    rank, cols = _rank_in_branch(_first_of_key(data[order], new_branch), branch_start)
+    col = np.empty_like(rank)
+    col[order] = rank
+    check_entries(branches * rows * cols, "cut matrix")
+    mat = np.zeros((branches, rows, cols), dtype=complex)
+    mat[branch, row, col] = amps
+    adjoint = mat.conj().transpose(0, 2, 1)
+    parts = (mat @ adjoint if rows <= cols else adjoint @ mat).view(np.float64)
+    return CompareReport((parts * parts).sum(axis=(1, 2)), fidelities)

@@ -21,7 +21,7 @@ correction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,10 +29,10 @@ from .netgraph import NetworkGraph, PathSpec, TreeSpec
 from .oracle import OracleGate
 from .statevec import (
     HADAMARD,
+    BranchStack,
     RegisterLayout,
     StateVector,
     apply_operator,
-    apply_z,
     check_entries,
     measure,
     walker_vertex_support,
@@ -116,7 +116,7 @@ class RunTrace:
     initial_support: dict
     supports: list
     records: list = field(default_factory=list)
-    branches: list = field(default_factory=list)
+    branches: BranchStack | None = None
     classical_messages: list = field(default_factory=list)
 
 
@@ -596,10 +596,10 @@ def run_schedule(
     """Apply each timestep (coins/interactions, then the shift), then the
     terminal measurement if present. Records per-step walker supports.
 
-    A measured branch whose outcome parity is odd gets the classical Z
-    correction through `apply_z`, which changes the signs of the entries
-    with the corrected bit set where they are: the indices and their
-    order stay, so nothing is grouped or re-sorted."""
+    The measured branches stay one `BranchStack`. The classical Z
+    correction of the branches whose outcome parity is odd is one sign
+    flip over the stack, of their entries with the corrected bit set: the
+    indices and their order stay, so nothing is grouped or re-sorted."""
     layout = state.layout
 
     def supports(s):
@@ -624,17 +624,11 @@ def run_schedule(
                 "measurement separation precondition violated: walker support "
                 f"{sorted(found[params['walker']])} outside {sorted(allowed)}"
             )
-        branches = measure(
-            state, params["qubits"], params["bases"], mode=mode, rng=rng
-        )
-        corrected = []
-        for record, branch_state in branches:
-            parity = 0
-            for pos in params["parity_positions"]:
-                parity ^= record.outcome[pos]
-            if parity:
-                branch_state = apply_z(branch_state, params["correct_bit"])
-            corrected.append((record, branch_state))
+        stack = measure(state, params["qubits"], params["bases"], mode=mode, rng=rng)
+        odd = []
+        for record in stack.records:
+            parity = sum(record.outcome[pos] for pos in params["parity_positions"]) % 2
+            odd.append(parity == 1)
             trace.records.append(record)
             trace.classical_messages.append(
                 {
@@ -644,6 +638,9 @@ def run_schedule(
                     "correction": "Z" if parity else None,
                 }
             )
-        trace.branches = corrected
-        state = corrected[0][1]
+        t = 1 << (layout.total_bits - 1 - params["correct_bit"])
+        flip = np.repeat(odd, np.diff(stack.starts)) & ((stack.indices & t) != 0)
+        amps = np.negative(stack.amplitudes, out=stack.amplitudes.copy(), where=flip)
+        trace.branches = replace(stack, amplitudes=amps)
+        state = trace.branches[0][1]
     return state, trace

@@ -129,6 +129,31 @@ class MeasurementRecord:
     probability: float
 
 
+@dataclass(frozen=True)
+class BranchStack:
+    """The branches of one measurement as one sparse array: branch g holds
+    the entries `starts[g]:starts[g + 1]` of `indices` and `amplitudes`,
+    in ascending index order, and `records[g]` is its outcome. Indexing
+    and iteration give one (MeasurementRecord, StateVector) pair per
+    branch, the state a view of the stack."""
+
+    layout: RegisterLayout
+    indices: np.ndarray
+    amplitudes: np.ndarray
+    starts: np.ndarray  # one more than there are branches
+    records: tuple[MeasurementRecord, ...]
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __getitem__(self, g: int) -> tuple[MeasurementRecord, StateVector]:
+        g = range(len(self))[g]
+        lo, hi = self.starts[g], self.starts[g + 1]
+        return self.records[g], StateVector(
+            self.layout, self.indices[lo:hi], self.amplitudes[lo:hi]
+        )
+
+
 # -- primitive actions ----------------------------------------------------
 #
 # OperatorSpec constructors lower every unitary to a sequence of these two
@@ -271,15 +296,6 @@ def apply_operator(state: StateVector, op) -> StateVector:
     return result
 
 
-def apply_z(state: StateVector, bit: int) -> StateVector:
-    """Pauli Z on one bit: the entries with the bit set change sign. The
-    indices and their order stay as they are."""
-    t = 1 << (state.layout.total_bits - 1 - bit)
-    amps = state.amplitudes.copy()
-    np.negative(amps, out=amps, where=(state.indices & t) != 0)
-    return StateVector(state.layout, state.indices, amps)
-
-
 # -- construction ---------------------------------------------------------
 
 
@@ -331,9 +347,8 @@ def insert_qubits(state: StateVector, factors: dict) -> StateVector:
     nonzero amplitude of each factor, with that factor's bit set to match;
     a product that underflows to zero is dropped. Factors are multiplied
     in on the right, in the order given, so a product comes out as
-    `np.kron` would form it. This is the one Kronecker kernel: `init_state`,
-    the branches of `measure` and the spectator insert all build their
-    products here."""
+    `np.kron` would form it. `init_state` and the spectator insert build
+    their products here."""
     if not factors:
         return state
     n = state.layout.total_bits
@@ -370,19 +385,21 @@ def measure(
     bases: str,
     mode: str = "branch",
     rng: np.random.Generator | None = None,
-) -> list[tuple[MeasurementRecord, StateVector]]:
-    """Projective measurement of the given bits.
+) -> BranchStack:
+    """Projective measurement of the given bits, as a `BranchStack`.
 
-    Branch mode returns every nonzero-probability branch with its exact
+    Branch mode keeps every nonzero-probability branch with its exact
     probability; sample mode draws a single branch with Born statistics
     (an rng is then required). Collapsed branches are renormalized and
     X-measured qubits are left in the corresponding |+>/|-> state.
 
-    The state is rotated into the measured bases once. Each branch is then
-    built directly from its kept entries: the X-measured bits are cleared
-    and `insert_qubits` puts each such qubit back in the Hadamard column
-    its outcome bit selects, so a branch costs time in its own nonzeros.
-    """
+    The state is rotated into the measured bases once. Each step then runs
+    once over the kept entries of all branches, each tagged with its
+    outcome: the division by the square root of the branch probability,
+    then, for each X-measured qubit in measured order, the doubling of
+    every entry that puts the qubit back in the Hadamard column its
+    outcome bit selects (a product that underflows to zero is dropped).
+    One sort by (outcome, index) stacks the branches."""
     qubits = tuple(qubits)
     if len(qubits) != len(bases):
         raise StateError("one basis letter per measured qubit required")
@@ -402,59 +419,39 @@ def measure(
     if mode == "sample":
         if rng is None:
             raise StateError("sample mode needs a seeded rng")
-        choice = int(rng.choice(len(probs), p=probs / probs.sum()))
-        outcomes = [choice]
+        outcomes = np.array([rng.choice(len(probs), p=probs / probs.sum())])
+        kept = outcome == outcomes[0]
     elif mode == "branch":
-        outcomes = [int(o) for o in np.flatnonzero(probs > 1e-12)]
+        possible = probs > 1e-12
+        outcomes = np.flatnonzero(possible)
+        kept = possible[outcome]
     else:
         raise StateError(f"unknown measurement mode {mode!r}")
 
+    tags = outcome[kept]
+    indices, amps = indices[kept], amps[kept] / np.sqrt(probs[tags])
     x_measured = [i for i, basis in enumerate(bases) if basis == "X"]
-    x_clear = ~_bit_mask(n, [qubits[i] for i in x_measured])
-    branches = []
-    for o in outcomes:
-        p = float(probs[o])
-        kept = outcome == o
-        bits = tuple((o >> (m - 1 - i)) & 1 for i in range(m))
-        branch = insert_qubits(
-            StateVector(layout, indices[kept] & x_clear, amps[kept] / math.sqrt(p)),
-            {qubits[i]: HADAMARD[:, bits[i]] for i in x_measured},
-        )
-        record = MeasurementRecord(qubits, bases, bits, p)
-        branches.append((record, branch))
-    return branches
+    check_entries(len(indices) << len(x_measured))
+    for i in x_measured:
+        t = n - 1 - qubits[i]
+        column = (tags >> (m - 1 - i)) & 1
+        indices = ((indices & ~(1 << t)) | np.array([[0], [1 << t]])).ravel()
+        amps = (amps * HADAMARD[:, column]).ravel()
+        tags = np.concatenate((tags, tags))
+    if x_measured:
+        nonzero = amps != 0
+        indices, amps, tags = indices[nonzero], amps[nonzero], tags[nonzero]
+    order = np.lexsort((indices, tags))
+    bits = (outcomes[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    records = tuple(
+        MeasurementRecord(qubits, bases, tuple(b), p)
+        for b, p in zip(bits.tolist(), probs[outcomes].tolist())
+    )
+    starts = np.searchsorted(tags[order], np.append(outcomes, 1 << m))
+    return BranchStack(layout, indices[order], amps[order], starts, records)
 
 
 # -- analysis -------------------------------------------------------------
-
-
-def cut_matrix(state: StateVector, bits):
-    """The amplitudes as a matrix whose rows are indexed by the given bits
-    (first bit most significant) and columns by the remaining bits.
-
-    Only rows and columns holding a nonzero entry are kept. Returns
-    (row_keys, col_keys, matrix): the sorted row values of `bits`, the
-    sorted column indices (the stored indices with `bits` cleared), and
-    the compressed matrix."""
-    n = state.layout.total_bits
-    rows = _gather(state.indices, n, bits)
-    cols = state.indices & ~_bit_mask(n, bits)
-    row_keys, r = _unique_inverse(rows)
-    col_keys, c = _unique_inverse(cols)
-    check_entries(len(row_keys) * len(col_keys), "cut matrix")
-    mat = np.zeros((len(row_keys), len(col_keys)), dtype=complex)
-    mat[r, c] = state.amplitudes
-    return row_keys, col_keys, mat
-
-
-def cut_purity(mat: np.ndarray) -> float:
-    """Tr(rho^2) of the reduced state on the rows of a `cut_matrix`,
-    through the Gram matrix on the smaller side."""
-    if mat.shape[0] <= mat.shape[1]:
-        gram = mat @ mat.conj().T
-    else:
-        gram = mat.conj().T @ mat
-    return float(np.vdot(gram, gram).real)
 
 
 def walker_vertex_support(state: StateVector, walker: int) -> set[int]:

@@ -6,13 +6,26 @@ purity and reduced density of a state (through the dense formulas in
 dense_reference.py), the check that no amplitude sits on a vertex or coin
 code the network lacks, and the reference state dump. Dense vectors are
 limited to DENSE_MAX_BITS bits, so a test can never allocate 2^62 entries.
+
+The sparse references of the stacked branch path live here too: the cut
+matrix and its purity, the per-state oracle comparison built from them,
+and the Z on one bit of one state.
 """
 from __future__ import annotations
 
 import numpy as np
 
 import dense_reference as dense
-from qwcp.statevec import DUMP_TOL, RegisterLayout, StateError, StateVector
+from qwcp.statevec import (
+    DUMP_TOL,
+    RegisterLayout,
+    StateError,
+    StateVector,
+    _bit_mask,
+    _gather,
+    _unique_inverse,
+    check_entries,
+)
 
 DENSE_MAX_BITS = 20  # 16 MiB of complex128
 
@@ -70,3 +83,56 @@ def dump_reference(state: StateVector) -> bytes:
             state.indices[shown].tolist(), state.amplitudes[shown].tolist()
         )
     ).encode("ascii")
+
+
+def apply_z(state: StateVector, bit: int) -> StateVector:
+    """Pauli Z on one bit: the entries with the bit set change sign. The
+    indices and their order stay as they are."""
+    t = 1 << (state.layout.total_bits - 1 - bit)
+    amps = state.amplitudes.copy()
+    np.negative(amps, out=amps, where=(state.indices & t) != 0)
+    return StateVector(state.layout, state.indices, amps)
+
+
+def cut_matrix(state: StateVector, bits):
+    """The amplitudes as a matrix whose rows are indexed by the given bits
+    (first bit most significant) and columns by the remaining bits.
+
+    Only rows and columns holding a nonzero entry are kept. Returns
+    (row_keys, col_keys, matrix): the sorted row values of `bits`, the
+    sorted column indices (the stored indices with `bits` cleared), and
+    the compressed matrix."""
+    n = state.layout.total_bits
+    rows = _gather(state.indices, n, bits)
+    cols = state.indices & ~_bit_mask(n, bits)
+    row_keys, r = _unique_inverse(rows)
+    col_keys, c = _unique_inverse(cols)
+    check_entries(len(row_keys) * len(col_keys), "cut matrix")
+    mat = np.zeros((len(row_keys), len(col_keys)), dtype=complex)
+    mat[r, c] = state.amplitudes
+    return row_keys, col_keys, mat
+
+
+def cut_purity(mat: np.ndarray) -> float:
+    """Tr(rho^2) of the reduced state on the rows of a `cut_matrix`,
+    through the Gram matrix on the smaller side."""
+    if mat.shape[0] <= mat.shape[1]:
+        gram = mat @ mat.conj().T
+    else:
+        gram = mat.conj().T @ mat
+    return float(np.vdot(gram, gram).real)
+
+
+def compare_reference(protocol_output: StateVector, oracle_output: StateVector):
+    """(walker purity, data fidelity) of one state, as `oracle.compare` made
+    them one state at a time: the cut matrix of the walker bits, its
+    purity, and the overlap of each walker slice with the oracle state on
+    the data keys the two share."""
+    layout = protocol_output.layout
+    _, data_keys, slices = cut_matrix(protocol_output, layout.walker_bit_positions())
+    purity = cut_purity(slices) if layout.k > 0 else 1.0
+    _, cols, hits = np.intersect1d(
+        data_keys, oracle_output.indices, assume_unique=True, return_indices=True
+    )
+    overlaps = slices[:, cols] @ oracle_output.amplitudes[hits].conj()
+    return purity, float(np.sum(np.abs(overlaps) ** 2))

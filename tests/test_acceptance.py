@@ -31,7 +31,7 @@ from qwcp import (
     schedule_tree,
 )
 from qwcp.cli import main
-from qwcp.statevec import apply_operator, cut_matrix, cut_purity
+from qwcp.statevec import apply_operator
 from qwcp.walkops import Schedule
 
 from conftest import (
@@ -43,7 +43,15 @@ from conftest import (
     state_with_data,
     triangle_json,
 )
-from instruments import fidelity, from_dense, purity_across_cut, reduced_density, to_dense
+from instruments import (
+    cut_matrix,
+    cut_purity,
+    fidelity,
+    from_dense,
+    purity_across_cut,
+    reduced_density,
+    to_dense,
+)
 
 FID_TOL = 1e-9
 NORM_TOL = 1e-10

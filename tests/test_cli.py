@@ -630,7 +630,7 @@ def test_main_verification_failure_exit_4(path3_file, tmp_path, monkeypatch, cap
 
     script = write_script(tmp_path, cnot_script(path3_file))
     monkeypatch.setattr(
-        cli, "compare", lambda *a, **k: CompareReport(1.0, 0.0, False)
+        cli, "compare", lambda *a, **k: CompareReport(np.ones(1), np.zeros(1))
     )
     assert main(["run", str(script), "--out", str(tmp_path / "r.json")]) == 4
     assert "verification failed" in capsys.readouterr().err

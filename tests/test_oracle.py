@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwcp import (
     GATE_LIBRARY,
     OracleError,
     OracleGate,
     RegisterLayout,
+    StateVector,
     compare,
     data_layout,
     init_state,
+    measure,
     oracle_apply,
 )
 from conftest import random_qubit
-from instruments import from_dense, to_dense
+from instruments import compare_reference, from_dense, to_dense
 
 
 def test_data_layout_has_no_walker_bits(path3):
@@ -98,3 +102,77 @@ def test_compare_requires_matching_data_order(path3, triangle):
     other = init_state(triangle, data_layout(triangle), [])
     with pytest.raises(OracleError):
         compare(prot, other)
+
+
+def sparse_state(layout, rng, count):
+    """A normalised state on `count` random basis indices of `layout`."""
+    size = 1 << layout.total_bits
+    indices = np.sort(rng.choice(size, min(count, size), replace=False)).astype(np.int64)
+    amps = rng.normal(size=len(indices)) + 1j * rng.normal(size=len(indices))
+    return StateVector(layout, indices, amps / np.linalg.norm(amps))
+
+
+@st.composite
+def compare_cases(draw):
+    """(layout, protocol state, oracle state): 0 to 2 walkers of 1 to 3 bits
+    and 0 to 4 data qubits, at least one bit in all; each state holds a
+    random subset of its basis, so the two share some data keys."""
+    k = draw(st.integers(0, 2))
+    nv, nc = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    data = tuple(("A", f"q{i}") for i in range(draw(st.integers(0 if k else 1, 4))))
+    layout = RegisterLayout(nv, nc, k, data)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = sparse_state(layout, rng, draw(st.integers(1, 40)))
+    oracle = sparse_state(RegisterLayout(nv, nc, 0, data), rng, draw(st.integers(1, 16)))
+    return layout, state, oracle
+
+
+@settings(max_examples=200, deadline=None)
+@given(compare_cases(), st.data())
+def test_stacked_compare_matches_per_state_reference(case, data):
+    """Per-branch purity and fidelity of one compare over a measured stack
+    (branch and sample mode, random measured bits and bases) and of an
+    unmeasured state agree with the per-state reference within 1e-12."""
+    layout, state, oracle = case
+    report = compare(state, oracle)
+    want = compare_reference(state, oracle)
+    assert len(report.purities) == len(report.fidelities) == 1
+    assert report.purities[0] == pytest.approx(want[0], abs=1e-12, rel=0)
+    assert report.fidelities[0] == pytest.approx(want[1], abs=1e-12, rel=0)
+
+    qubits = data.draw(st.lists(st.integers(0, layout.total_bits - 1), max_size=4, unique=True))
+    bases = data.draw(st.text("XZ", min_size=len(qubits), max_size=len(qubits)))
+    if data.draw(st.booleans()):
+        stack = measure(state, qubits, bases)
+    else:
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        stack = measure(state, qubits, bases, "sample", np.random.default_rng(seed))
+        assert len(stack) == 1
+    report = compare(stack, oracle)
+    assert len(report.purities) == len(report.fidelities) == len(stack)
+    for g, (_, branch) in enumerate(stack):
+        purity, fidelity = compare_reference(branch, oracle)
+        assert report.purities[g] == pytest.approx(purity, abs=1e-12, rel=0)
+        assert report.fidelities[g] == pytest.approx(fidelity, abs=1e-12, rel=0)
+    assert report.walker_purity == min(report.purities)
+    assert report.data_fidelity == min(report.fidelities)
+
+
+def test_stacked_compare_keeps_branch_keys_apart():
+    """Branches whose keys meet at the stack boundary: the last data key of
+    branch 0 is the first of branch 1, and the walker keys of two walkers
+    repeat in both branches, so every key is ranked within its branch."""
+    layout = RegisterLayout(1, 0, 2, (("A", "a"), ("A", "b")))
+    # walker 0 is measured; walker 1 and the data keys are shared
+    entries = [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 0, 2), (1, 1, 3)]
+    indices = np.array([(w0 << 3) | (w1 << 2) | d for w0, w1, d in entries], dtype=np.int64)
+    amps = np.arange(1, len(entries) + 1) * (1 + 0.5j)
+    state = StateVector(layout, indices, amps / np.linalg.norm(amps))
+    oracle = StateVector(RegisterLayout(1, 0, 0, layout.data_order),
+                         np.arange(4, dtype=np.int64), np.full(4, 0.5 + 0j))
+    stack = measure(state, [0], "Z")
+    report = compare(stack, oracle)
+    for g, (_, branch) in enumerate(stack):
+        purity, fidelity = compare_reference(branch, oracle)
+        assert report.purities[g] == pytest.approx(purity, abs=1e-12, rel=0)
+        assert report.fidelities[g] == pytest.approx(fidelity, abs=1e-12, rel=0)

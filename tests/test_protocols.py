@@ -8,6 +8,7 @@ from qwcp import (
     GateRequest,
     PathSpec,
     ProtocolError,
+    StateVector,
     TreeSpec,
     compare,
     data_layout,
@@ -25,9 +26,11 @@ from qwcp import (
     walker_vertex_support,
 )
 from qwcp.protocols import _ghz_prep_matrix
+from qwcp.walkops import Schedule
 
 from conftest import grid3_json, line_json, random_qubit
-from instruments import purity_across_cut, reduced_density
+from instruments import apply_z, purity_across_cut, reduced_density
+from test_statevec import canonical_bits, measure_reference
 
 
 def verify(compiled, graph, data_inits=None):
@@ -37,11 +40,7 @@ def verify(compiled, graph, data_inits=None):
     oracle_out = oracle_apply(
         init_state(graph, data_layout(graph), [], data_inits), compiled.oracle_gates
     )
-    if trace.branches:
-        reports = [compare(s, oracle_out) for _, s in trace.branches]
-        report = min(reports, key=lambda r: r.data_fidelity)
-    else:
-        report = compare(final, oracle_out)
+    report = compare(final if trace.branches is None else trace.branches, oracle_out)
     return report, final, trace
 
 
@@ -145,6 +144,50 @@ def test_remote_cnot_measure_branches_agree(path3):
     for msg in trace.classical_messages:
         assert msg["to"] == "B"
         assert msg["correction"] in (None, "Z")
+
+
+@pytest.mark.parametrize("path", [["n00", "n01", "n02", "n12"], ["n00", "n10", "n11", "n12"]])
+@pytest.mark.parametrize("gate", ["X", "H", "T"])
+def test_stacked_correction_matches_per_branch_apply_z(grid3, path, gate):
+    """A measure-separation run shaped like the benchmark's branch check
+    (remote_cu across the grid, every data qubit in |+>): the records and
+    branches of the trace, in order, and each branch bitwise, match the
+    per-branch reference: `measure_reference` on the state before the
+    measurement, then `apply_z` on each branch of odd outcome parity. Both
+    parities occur in the one stack. Each sample-mode run gives the
+    reference branch of the outcome it drew."""
+    req = GateRequest.build(grid3, [("n00", "a", 1)], [("n12", "b")], GATE_LIBRARY[gate])
+    comp = schedule_remote_cu(grid3, req, PathSpec.in_graph(grid3, path), separation="measure")
+    plus = (2 ** -0.5, 2 ** -0.5)
+    di = {q: plus for q in comp.layout.data_order}
+    state = init_state(grid3, comp.layout, comp.walker_inits, di)
+    params = comp.schedule.measure.params
+    before, _ = run_schedule(state, Schedule(comp.schedule.timesteps), grid3)
+    want = {}
+    for (qubits, bases, outcome, p), (indices, amps) in measure_reference(
+        before, tuple(params["qubits"]), params["bases"]
+    ):
+        branch = StateVector(comp.layout, indices, amps)
+        if sum(outcome[pos] for pos in params["parity_positions"]) % 2:
+            branch = apply_z(branch, params["correct_bit"])
+        want[outcome] = (qubits, bases, p), branch
+
+    _, trace = run_schedule(state, comp.schedule, grid3)
+    assert [r.outcome for r in trace.records] == list(want)
+    assert [r for r, _ in trace.branches] == trace.records
+    assert {m["parity"] for m in trace.classical_messages} == {0, 1}
+    runs = list(trace.branches)
+    for seed in range(4):
+        _, sampled = run_schedule(state, comp.schedule, grid3, mode="sample",
+                                  rng=np.random.default_rng(seed))
+        assert len(sampled.branches) == 1
+        runs.append(sampled.branches[0])
+    for record, branch in runs:
+        fields, expected = want[record.outcome]
+        assert (record.qubits, record.bases, record.probability) == fields
+        assert np.array_equal(branch.indices, expected.indices)
+        assert np.array_equal(canonical_bits(branch.amplitudes),
+                              canonical_bits(expected.amplitudes))
 
 
 def test_remote_cu_measure_sample_mode(path3):

@@ -20,7 +20,7 @@ from qwcp import (
     measure,
     walker_vertex_support,
 )
-from qwcp.statevec import BlockAction, PermAction, apply_actions, cut_matrix, cut_purity
+from qwcp.statevec import BlockAction, PermAction, apply_actions
 
 from conftest import (
     draw_init_state,
@@ -32,7 +32,7 @@ from conftest import (
     random_unitary,
     subset,
 )
-from instruments import from_dense, to_dense
+from instruments import cut_matrix, cut_purity, from_dense, to_dense
 
 TOL = 1e-12
 

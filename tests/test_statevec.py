@@ -10,6 +10,7 @@ from qwcp import (
     load_network,
     StateError,
     StateVector,
+    compare,
     dump_state,
     init_state,
     measure,
@@ -27,15 +28,15 @@ from qwcp.statevec import (
     _rotate_basis,
     _unique_inverse,
     apply_actions,
-    apply_z,
-    cut_matrix,
-    cut_purity,
     insert_qubits,
 )
 
 from conftest import line_json, random_state
 from instruments import (
+    apply_z,
     check_no_invalid_amplitude,
+    cut_matrix,
+    cut_purity,
     dump_reference,
     fidelity,
     from_dense,
@@ -90,11 +91,35 @@ def test_entry_cap_is_checked_before_each_growing_array():
                          np.full(1 << 19, 2.0 ** -9.5, dtype=complex))
     with pytest.raises(StateError, match=f"state would hold {1 << 27} entries"):
         apply_actions(spread, [BlockAction(tuple(range(8)), np.eye(256, dtype=complex))])
-    # a diagonal state: 2^14 rows times 2^14 columns
+    # measured branches: 2^14 rotated entries, each put back in the 2^14
+    # values of its X-measured qubits
+    with pytest.raises(StateError, match=f"state would hold {1 << 28} entries"):
+        measure(one, range(14), "X" * 14)
+    # compare's (branch, walker key, data key) array. One diagonal state:
+    # 2^14 walker keys times 2^14 data keys
+    data = tuple(("A", f"q{i}") for i in range(16))
+
+    def oracle(data_order):
+        layout = RegisterLayout(1, 1, 0, data_order)
+        return StateVector(layout, np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex))
+
     keys = np.arange(1 << 14, dtype=np.int64)
-    diagonal = StateVector(lay, (keys << 26) | keys, np.full(1 << 14, 2.0 ** -7, dtype=complex))
+    diagonal = StateVector(RegisterLayout(7, 7, 1, data[:14]), (keys << 14) | keys,
+                           np.full(1 << 14, 2.0 ** -7, dtype=complex))
     with pytest.raises(StateError, match=f"cut matrix would hold {1 << 28} entries"):
-        cut_matrix(diagonal, range(14))
+        compare(diagonal, oracle(data[:14]))
+    # 2^5 branches, each 2^11 walker keys times 2^11 data keys: under the
+    # cap one at a time, over it as one stack
+    w, o = keys[: 1 << 11], np.arange(1 << 5, dtype=np.int64)
+    stacked = StateVector(
+        RegisterLayout(6, 5, 1, data),
+        np.sort(((w << 16) | w)[None, :] | (o << 11)[:, None], axis=None),
+        np.full(1 << 16, 2.0 ** -8, dtype=complex),
+    )
+    stack = measure(stacked, range(11, 16), "Z" * 5)
+    assert len(stack) == 1 << 5
+    with pytest.raises(StateError, match=f"cut matrix would hold {1 << 27} entries"):
+        compare(stack, oracle(data))
 
 
 def test_init_state_places_walker_and_data(path3):

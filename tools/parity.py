@@ -25,7 +25,9 @@ With `--tests DIR`, the pytest suite in DIR also runs once against each
 tree under the `record_schedules` plugin (this directory), and every
 protocol compiler call the tests make must give the same record: the
 compiler, `schedule_to_json`, `walker_inits`, `meta`, the oracle gates,
-or the error text. Both runs use hypothesis seed 0 and a fresh example
+or the error text. Each test's records are diffed as a sequence, so a
+call made by one tree only counts once, as inserted or removed, and the
+calls after it still pair up. Both runs use hypothesis seed 0 and a fresh example
 database, so they draw the same examples. Collection goes on past a test
 module that fails to import (say, one that imports a name only the new
 tree has), so the other modules still yield records; every module that
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import io
 import json
 import os
@@ -148,7 +151,7 @@ def compare_runs(label: str, old: dict, new: dict, floats: list) -> list:
 def record_calls(src: Path, tests: Path, workdir: Path) -> tuple[int, list, set, dict]:
     """Run the suite in `tests` against `src` with the recording plugin;
     returns pytest's exit code, the modules that failed to collect, the
-    tests that failed, and the records keyed by (test, call)."""
+    tests that failed, and each test's records in call order."""
     workdir.mkdir(parents=True)
     out = workdir / "calls.jsonl"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(TOOLS)]),
@@ -160,7 +163,10 @@ def record_calls(src: Path, tests: Path, workdir: Path) -> tuple[int, list, set,
     records = [json.loads(line) for line in out.read_text().splitlines()] if out.exists() else []
     uncollected = sorted(r["collect_error"] for r in records if "collect_error" in r)
     failed = {r["failed"] for r in records if "failed" in r}
-    calls = {(r["test"], r["call"]): r for r in records if "test" in r}
+    calls: dict = {}
+    for r in records:
+        if "test" in r:
+            calls.setdefault(r["test"], []).append(r)
     return proc.returncode, uncollected, failed, calls
 
 
@@ -177,16 +183,27 @@ def first_json_difference(a, b, where: str = "") -> str:
 
 
 def compare_calls(old: dict, new: dict, skipped=frozenset()) -> list:
-    """Differing records, leaving out the tests in `skipped`."""
+    """Differing records, leaving out the tests in `skipped`. `old` and
+    `new` map each test to its records in call order. The two lists of a
+    test are matched as sequences of record contents (the call position
+    left out), so only the calls inserted, removed or changed show."""
     problems = []
-    for key in sorted(set(old) | set(new)):
-        if key[0] in skipped:
+    for test in sorted(set(old) | set(new)):
+        if test in skipped:
             continue
-        label = f"{key[0]} call {key[1]}"
-        if key not in old or key not in new:
-            problems.append(f"{label}: only in {'new' if key in new else 'old'}")
-        elif old[key] != new[key]:
-            problems.append(f"{label}: {first_json_difference(old[key], new[key])}")
+        a, b = old.get(test, []), new.get(test, [])
+        content = [[json.dumps({k: v for k, v in r.items() if k != "call"}, sort_keys=True)
+                    for r in records] for records in (a, b)]
+        matcher = difflib.SequenceMatcher(None, *content, autojunk=False)
+        for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+            if tag == "equal":
+                continue
+            if tag == "replace" and i2 - i1 == j2 - j1:
+                problems += [f"{test} call {x['call']}: {first_json_difference(x, y)}"
+                             for x, y in zip(a[i1:i2], b[j1:j2])]
+                continue
+            problems += [f"{test} call {r['call']}: only in old" for r in a[i1:i2]]
+            problems += [f"{test} call {r['call']}: only in new" for r in b[j1:j2]]
     return problems
 
 
@@ -348,7 +365,8 @@ def main(argv=None) -> int:
                               if code not in (0, 1)]
             problems += call_problems
             print(f"{tests}: pytest exit {old_code} (old), {new_code} (new); "
-                  f"{len(old_calls)} and {len(new_calls)} compiler calls, "
+                  f"{sum(map(len, old_calls.values()))} and "
+                  f"{sum(map(len, new_calls.values()))} compiler calls, "
                   f"{len(call_problems)} differences")
             for test in sorted(old_only):
                 print(f"{test}: fails against old tree only; its records are not counted")
