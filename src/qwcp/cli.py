@@ -519,16 +519,16 @@ def _prepare(script: Script, network_override: str | None = None):
 
 def spectator_qubits(layout: RegisterLayout, schedule: Schedule, oracle_gates) -> list:
     """Data qubits, as (node, name) in layout order, that no action of the
-    schedule reads or writes (block targets and conditions, measured bits,
+    schedule reads or writes (conditions, block targets, measured bits,
     the corrected bit) and no oracle gate touches. Such a qubit stays in
     its initial single-qubit state for the whole run."""
     touched = set()
     for ts in schedule.timesteps:
         for op in (*ts.pre_ops, ts.shift):
             for act in op.iter_actions():
+                touched.update(pos for bits, _ in act.conditions for pos in bits)
                 if isinstance(act, BlockAction):
                     touched.update(act.target_bits)
-                    touched.update(pos for bits, _ in act.conditions for pos in bits)
     if schedule.measure is not None:
         touched.update(schedule.measure.params["qubits"])
         touched.add(schedule.measure.params["correct_bit"])

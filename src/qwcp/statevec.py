@@ -162,10 +162,12 @@ class BranchStack:
 
 @dataclass(frozen=True)
 class PermAction:
-    """Permutation of one walker's combined vertex+coin register."""
+    """Permutation of one walker's combined vertex+coin register, gated on
+    fixed values of bits outside that register (as in BlockAction)."""
 
     walker: int
     perm: tuple[int, ...]  # old register index -> new register index
+    conditions: tuple[tuple[tuple[int, ...], int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -225,30 +227,42 @@ def _unique_inverse(keys: np.ndarray):
     return ordered[first], inverse
 
 
+def _selected(n: int, indices: np.ndarray, conditions, targets):
+    """Mask of the entries whose bits hold the values `conditions` fix, or
+    None when the conditions ask one bit for both values and so select
+    nothing. An operator may not act on a bit it is conditioned on."""
+    fixed: dict[int, int] = {}
+    for bits, value in conditions:
+        for offset, pos in enumerate(bits):
+            bit = (value >> (len(bits) - 1 - offset)) & 1
+            if fixed.setdefault(pos, bit) != bit:
+                return None
+    for pos in targets:
+        if pos in fixed:
+            raise StateError("operator targets one of its own control bits")
+    cond_value = _bit_mask(n, [pos for pos, bit in fixed.items() if bit])
+    return (indices & _bit_mask(n, fixed)) == cond_value
+
+
 def _apply_perm(layout: RegisterLayout, indices, amps, act: PermAction):
     shift = layout.total_bits - (act.walker + 1) * layout.walker_bits
     mask = (1 << layout.walker_bits) - 1
     table = np.asarray(act.perm, dtype=np.int64)
     reg = (indices >> shift) & mask
     moved = (indices & ~(mask << shift)) | (table[reg] << shift)
+    if act.conditions:
+        register = layout.vertex_bit_positions(act.walker) + layout.coin_bit_positions(act.walker)
+        selected = _selected(layout.total_bits, indices, act.conditions, register)
+        if selected is None:
+            return indices, amps
+        moved = np.where(selected, moved, indices)
     return _sorted(moved, amps)
 
 
 def _apply_block(layout: RegisterLayout, indices, amps, act: BlockAction):
     n = layout.total_bits
-    fixed: dict[int, int] = {}
-    for bits, value in act.conditions:
-        for offset, pos in enumerate(bits):
-            bit = (value >> (len(bits) - 1 - offset)) & 1
-            if fixed.setdefault(pos, bit) != bit:
-                return indices, amps  # contradictory conditions select nothing
-    for pos in act.target_bits:
-        if pos in fixed:
-            raise StateError("operator targets one of its own control bits")
-    cond_mask = _bit_mask(n, fixed)
-    cond_value = _bit_mask(n, [pos for pos, bit in fixed.items() if bit])
-    selected = (indices & cond_mask) == cond_value
-    if not selected.any():
+    selected = _selected(n, indices, act.conditions, act.target_bits)
+    if selected is None or not selected.any():
         return indices, amps
     sel_indices = indices[selected]
 

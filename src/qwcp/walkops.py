@@ -95,16 +95,19 @@ def _matrix_to_json(matrix: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix, dtype=complex)]
 
 
-def _swap_matrix(graph, layout, v, swap) -> np.ndarray:
-    """The coin register permutation exchanging coins `swap` = (c1, c2),
-    both valid at vertex v."""
+def _coin_swap(graph, layout, v, swap, walker, conditions=()) -> PermAction:
+    """The walker's register remap exchanging codes (v, c1) and (v, c2),
+    `swap` = (c1, c2) both valid at vertex v, on the entries that meet
+    `conditions` (bits outside the walker's register)."""
+    vid = graph.vertex_id(v)
     c1, c2 = swap
     _check_coin(graph, v, c1)
     _check_coin(graph, v, c2)
-    full = np.eye(1 << layout.nc, dtype=complex)
-    if c1 != c2:
-        full[[c1, c2]] = full[[c2, c1]]
-    return full
+    layout._check_walker(walker)
+    perm = list(range(1 << layout.walker_bits))
+    a, b = (vid << layout.nc) | c1, (vid << layout.nc) | c2
+    perm[a], perm[b] = perm[b], perm[a]
+    return PermAction(walker, tuple(perm), tuple(conditions))
 
 
 # -- constructors ---------------------------------------------------------
@@ -143,20 +146,11 @@ def make_identity_shift(layout) -> OperatorSpec:
 
 def make_coin_perm(graph, layout, v, c1, c2, walker) -> OperatorSpec:
     """Swap coin values c1 and c2 at vertex v only, for one walker."""
-    graph.vertex_id(v)
-    _check_coin(graph, v, c1)
-    _check_coin(graph, v, c2)
-    layout._check_walker(walker)
-    vid = graph.vertex_id(v)
-    reg = 1 << layout.walker_bits
-    perm = list(range(reg))
-    a, b = (vid << layout.nc) | c1, (vid << layout.nc) | c2
-    perm[a], perm[b] = perm[b], perm[a]
     return OperatorSpec(
         kind="coinperm",
         params={"node": v, "c1": c1, "c2": c2, "walker": walker},
         layout=layout,
-        actions=(PermAction(walker, tuple(perm)),),
+        actions=(_coin_swap(graph, layout, v, (c1, c2), walker),),
     )
 
 
@@ -193,7 +187,7 @@ def make_coin_block(graph, layout, assignments, walker) -> OperatorSpec:
 def make_data_controlled_coin(graph, layout, v, controls, s, swap, walker) -> OperatorSpec:
     """Swap of coins `swap` = (c1, c2) at vertex v, applied iff the
     control qubits (all local to v) are in computational pattern s."""
-    vid = graph.vertex_id(v)
+    graph.vertex_id(v)  # an unknown node is reported before any other fault
     layout._check_walker(walker)
     controls = list(controls)
     if len(s) != len(controls) or any(ch not in "01" for ch in s):
@@ -204,10 +198,7 @@ def make_data_controlled_coin(graph, layout, v, controls, s, swap, walker) -> Op
     for name in controls:
         if name not in local:
             raise OperatorError(f"control qubit {name!r} is not at node {v!r}")
-    matrix = _swap_matrix(graph, layout, v, swap)
-    conditions = [(layout.vertex_bit_positions(walker), vid)]
-    for name, bit in zip(controls, s):
-        conditions.append(((layout.data_bit(v, name),), int(bit)))
+    conditions = [((layout.data_bit(v, name),), int(bit)) for name, bit in zip(controls, s)]
     return OperatorSpec(
         kind="datactrl",
         params={
@@ -219,13 +210,7 @@ def make_data_controlled_coin(graph, layout, v, controls, s, swap, walker) -> Op
             "action": ["swap", *swap],
         },
         layout=layout,
-        actions=(
-            BlockAction(
-                target_bits=layout.coin_bit_positions(walker),
-                matrix=matrix,
-                conditions=tuple(conditions),
-            ),
-        ),
+        actions=(_coin_swap(graph, layout, v, swap, walker, conditions),),
     )
 
 
@@ -277,11 +262,9 @@ def make_walk_interaction(
     layout._check_walker(control_walker)
     layout._check_walker(target_walker)
     _check_coin(graph, v, coin)
-    matrix = _swap_matrix(graph, layout, v, swap)
     conditions = (
         (layout.vertex_bit_positions(control_walker), vid),
         (layout.coin_bit_positions(control_walker), coin),
-        (layout.vertex_bit_positions(target_walker), vid),
     )
     return OperatorSpec(
         kind="interact",
@@ -294,13 +277,7 @@ def make_walk_interaction(
             "action": ["swap", *swap],
         },
         layout=layout,
-        actions=(
-            BlockAction(
-                target_bits=layout.coin_bit_positions(target_walker),
-                matrix=matrix,
-                conditions=conditions,
-            ),
-        ),
+        actions=(_coin_swap(graph, layout, v, swap, target_walker, conditions),),
     )
 
 
@@ -376,7 +353,7 @@ def invert_operator(op: OperatorSpec) -> OperatorSpec:
     for act in op.actions:
         if isinstance(act, PermAction):
             inverted_actions.append(
-                PermAction(act.walker, tuple(np.argsort(np.asarray(act.perm))))
+                PermAction(act.walker, tuple(np.argsort(np.asarray(act.perm))), act.conditions)
             )
         else:
             inverted_actions.append(

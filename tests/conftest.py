@@ -80,6 +80,18 @@ def btree7_json():
     )
 
 
+def binary_tree_json(depth):
+    """Binary tree network: root A, the children of v are v0 and v1; a
+    data qubit a at the root and t at every leaf."""
+    levels = [["A"]]
+    for _ in range(depth):
+        levels.append([v + i for v in levels[-1] for i in "01"])
+    nodes = [v for level in levels for v in level]
+    edges = [(v[:-1], v) for v in nodes[1:]]
+    data = {"A": ["a"], **{leaf: ["t"] for leaf in levels[-1]}}
+    return network_json(nodes, edges, data), edges, levels[-1]
+
+
 @pytest.fixture
 def grid3():
     return load_network(grid3_json())

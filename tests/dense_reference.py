@@ -22,36 +22,43 @@ from qwcp.statevec import (
 )
 
 
-def _apply_perm(amps: np.ndarray, layout: RegisterLayout, act: PermAction) -> np.ndarray:
-    reg = 1 << layout.walker_bits
-    pre = 1 << (act.walker * layout.walker_bits)
-    arr = amps.reshape(pre, reg, -1)
-    inverse = np.argsort(np.asarray(act.perm))
-    return np.take(arr, inverse, axis=1).reshape(-1)
-
-
-def _apply_block(amps: np.ndarray, layout: RegisterLayout, act: BlockAction) -> np.ndarray:
+def _apply_on_bits(amps, layout: RegisterLayout, targets, conditions, apply) -> np.ndarray:
+    """`apply` to the matrix of the selected amplitudes whose rows are
+    indexed by the target bits, first bit most significant; the selected
+    amplitudes are those whose other bits hold the values `conditions` fix."""
     n = layout.total_bits
     out = amps.copy().reshape((2,) * n)
     index: list[object] = [slice(None)] * n
-    for bits, value in act.conditions:
+    for bits, value in conditions:
         for offset, pos in enumerate(bits):
             bit = (value >> (len(bits) - 1 - offset)) & 1
             if isinstance(index[pos], int) and index[pos] != bit:
                 return amps  # contradictory conditions select nothing
             index[pos] = bit
-    for pos in act.target_bits:
+    for pos in targets:
         if isinstance(index[pos], int):
             raise StateError("operator targets one of its own control bits")
     sub = out[tuple(index)]
     free = [p for p in range(n) if isinstance(index[p], slice)]
-    axes = [free.index(p) for p in act.target_bits]
+    axes = [free.index(p) for p in targets]
     t = len(axes)
     moved = np.moveaxis(sub, axes, range(t))
     shape = moved.shape
-    res = act.matrix @ moved.reshape(1 << t, -1)
+    res = apply(moved.reshape(1 << t, -1))
     out[tuple(index)] = np.moveaxis(res.reshape(shape), range(t), axes)
     return out.reshape(-1)
+
+
+def _apply_perm(amps: np.ndarray, layout: RegisterLayout, act: PermAction) -> np.ndarray:
+    register = range(act.walker * layout.walker_bits, (act.walker + 1) * layout.walker_bits)
+    inverse = np.argsort(np.asarray(act.perm))
+    return _apply_on_bits(amps, layout, register, act.conditions, lambda m: m[inverse])
+
+
+def _apply_block(amps: np.ndarray, layout: RegisterLayout, act: BlockAction) -> np.ndarray:
+    return _apply_on_bits(
+        amps, layout, act.target_bits, act.conditions, lambda m: act.matrix @ m
+    )
 
 
 def apply_actions(amps: np.ndarray, layout: RegisterLayout, actions) -> np.ndarray:

@@ -9,7 +9,8 @@ limited to DENSE_MAX_BITS bits, so a test can never allocate 2^62 entries.
 
 The sparse references of the stacked branch path live here too: the cut
 matrix and its purity, the per-state oracle comparison built from them,
-and the Z on one bit of one state.
+and the Z on one bit of one state. So does the dense matrix of a coin
+swap, the block that each coin swap remap is checked against.
 """
 from __future__ import annotations
 
@@ -83,6 +84,14 @@ def dump_reference(state: StateVector) -> bytes:
             state.indices[shown].tolist(), state.amplitudes[shown].tolist()
         )
     ).encode("ascii")
+
+
+def swap_matrix(nc: int, c1: int, c2: int) -> np.ndarray:
+    """The 2^nc coin register permutation exchanging coins c1 and c2, as a
+    dense matrix."""
+    full = np.eye(1 << nc, dtype=complex)
+    full[[c1, c2]] = full[[c2, c1]]
+    return full
 
 
 def apply_z(state: StateVector, bit: int) -> StateVector:

@@ -351,15 +351,23 @@ def test_criterion_8_invariant_suite():
                 assert labels <= closed
             prev = sup
 
-    # (d) every operator of every collected schedule passes the unitarity check
+    # (d) every operator of every collected schedule passes the unitarity
+    # check, and every walk move and coin swap is a remap of one walker's
+    # register, conditioned only on bits outside it
     from qwcp.statevec import BlockAction, PermAction
 
     seen = 0
     schedules = {id(c): c for _, c, _ in COLLECTED_RUNS}
     for compiled in schedules.values():
+        lay = compiled.layout
         for ts in compiled.schedule.timesteps:
             for op in list(ts.pre_ops) + [ts.shift]:
                 for act in op.iter_actions():
+                    if op.kind in ("shift", "coinperm", "datactrl", "interact", "fanout"):
+                        assert isinstance(act, PermAction)
+                        register = set(lay.vertex_bit_positions(act.walker))
+                        register.update(lay.coin_bit_positions(act.walker))
+                        assert not register & {p for bits, _ in act.conditions for p in bits}
                     if isinstance(act, PermAction):
                         assert sorted(act.perm) == list(range(len(act.perm)))
                     else:

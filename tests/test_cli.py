@@ -12,7 +12,9 @@ from qwcp import cli
 from qwcp.cli import Script, ScriptError, execute, main, parse_script
 from qwcp.statevec import DUMP_CHUNK
 
-from conftest import btree7_json, grid3_json, line_json, network_json, triangle_json
+from conftest import (
+    binary_tree_json, btree7_json, grid3_json, line_json, network_json, triangle_json,
+)
 from instruments import dump_reference, to_dense
 
 
@@ -389,6 +391,24 @@ def test_main_bad_input_exit_2(tmp_path, capsys, network, commands):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "coinperm node=Z c1=-1 c2=0 walker=0",
+        "datactrl node=Z controls=a string=1 swap=-1,0 walker=0",
+        "interact node=Z coin=-1 swap=-1,0 control=0 target=1",
+    ],
+    ids=["coinperm", "datactrl", "interact"],
+)
+def test_main_unknown_node_wins_over_bad_coin(tmp_path, capsys, command):
+    # the node is looked up before its coins are checked, so an unknown
+    # node is a parse error (2), not a bad coin (3)
+    net = write_script(tmp_path, PATH3_NET, name="net.json")
+    script = write_script(tmp_path, f"network {net}\nwalkers 2\nstep {command}\n")
+    assert main(["run", str(script)]) == 2
+    assert "unknown node 'Z'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mode", ["branch", "sample"])
 def test_main_negative_seed_exit_2(path3_file, tmp_path, capsys, mode):
     script = write_script(tmp_path, cnot_script(path3_file, "separation=measure"))
@@ -469,18 +489,6 @@ def test_main_ghz_gate_matrix_cap_exit_3(tmp_path, capsys):
     script = write_script(tmp_path, f"network {net}\nghz_path path=A,B qubits={members},B.b\n")
     assert main(["run", str(script)]) == 3
     assert f"GHZ gate matrix would hold {1 << 60} entries" in capsys.readouterr().err
-
-
-def binary_tree_json(depth):
-    """Binary tree network: root A, the children of v are v0 and v1; a
-    data qubit a at the root and t at every leaf."""
-    levels = [["A"]]
-    for _ in range(depth):
-        levels.append([v + i for v in levels[-1] for i in "01"])
-    nodes = [v for level in levels for v in level]
-    edges = [(v[:-1], v) for v in nodes[1:]]
-    data = {"A": ["a"], **{leaf: ["t"] for leaf in levels[-1]}}
-    return network_json(nodes, edges, data), edges, levels[-1]
 
 
 def test_main_runs_a_57_bit_tree(tmp_path):

@@ -5,8 +5,9 @@ timestep with a flip-flop shift, and applies it to the state. The norm
 must hold after every operator and no amplitude may sit on an invalid
 vertex or coin code; running the schedule from the start state
 must give the state built step by step, and running `invert_schedule` of
-it afterwards must give back the start state. Layouts go up to 39 bits,
-wider than a dense vector could ever be.
+it afterwards must give back the start state. Layouts go up to 57 bits,
+wider than a dense vector could ever be and near the top bits of the int64
+index.
 """
 import numpy as np
 from hypothesis import settings
@@ -33,6 +34,7 @@ from qwcp import (
 from qwcp.statevec import apply_operator
 
 from conftest import (
+    binary_tree_json,
     btree7_json,
     draw_init_state,
     draw_operator,
@@ -45,13 +47,14 @@ from conftest import (
 from instruments import check_no_invalid_amplitude
 
 TOL = 1e-12
-# (network, walker count): 6, 14, 25, 25 and 39 bits
+# (network, walker count): 6, 14, 25, 25, 39 and 57 bits
 NETWORKS = [
     (line_json(["A", "u", "B"], {"A": ["a"], "B": ["b"]}), 1),
     (triangle_json(), 2),
     (grid3_json(), 3),
     (btree7_json(), 4),
     (grid3_json(), 5),
+    (binary_tree_json(3)[0], 8),
 ]
 # operators that can spread the state are drawn only up to this many
 # nonzeros, which keeps the wide layouts fast

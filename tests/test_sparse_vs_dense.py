@@ -49,26 +49,37 @@ NETWORKS = [
     ),
 ]
 
+def draw_conditions(data, bits):
+    """Conditions on some of the given bits, contradictory half the time
+    there are any."""
+    controls = data.draw(st.lists(st.sampled_from(bits), max_size=3))
+    conditions = [((pos,), data.draw(st.integers(0, 1))) for pos in controls]
+    if conditions and data.draw(st.booleans()):
+        # one bit asked for both values: the action selects nothing
+        (pos,), bit = conditions[0]
+        conditions.append(((pos,), 1 - bit))
+    return tuple(conditions)
+
+
 def draw_actions(data, g, lay, rng):
     """Primitive actions of one random operator. Besides the walkops
     constructors, `perm` and `block` give a PermAction with an arbitrary
     register permutation (walkops builds only involutions) and a
-    BlockAction on arbitrary bits under arbitrary conditions."""
+    BlockAction on arbitrary bits, each under arbitrary conditions on bits
+    it does not act on."""
     kind = data.draw(st.sampled_from(operator_kinds(lay) + ["perm", "block"]))
+    all_bits = range(lay.total_bits)
     if kind == "perm":
         walker = data.draw(st.integers(0, lay.k - 1))
-        return [PermAction(walker, tuple(rng.permutation(1 << lay.walker_bits)))]
+        register = range(walker * lay.walker_bits, (walker + 1) * lay.walker_bits)
+        conditions = draw_conditions(data, [pos for pos in all_bits if pos not in register])
+        perm = tuple(rng.permutation(1 << lay.walker_bits))
+        return [PermAction(walker, perm, conditions)]
     if kind == "block":
-        targets = subset(data, list(range(lay.total_bits)), max_size=2)
-        others = [pos for pos in range(lay.total_bits) if pos not in targets]
-        controls = data.draw(st.lists(st.sampled_from(others), max_size=3))
-        conditions = [((pos,), data.draw(st.integers(0, 1))) for pos in controls]
-        if conditions and data.draw(st.booleans()):
-            # one bit asked for both values: the action selects nothing
-            (pos,), bit = conditions[0]
-            conditions.append(((pos,), 1 - bit))
+        targets = subset(data, list(all_bits), max_size=2)
+        conditions = draw_conditions(data, [pos for pos in all_bits if pos not in targets])
         matrix = random_unitary(rng, 1 << len(targets))
-        return [BlockAction(tuple(targets), matrix, tuple(conditions))]
+        return [BlockAction(tuple(targets), matrix, conditions)]
     return list(draw_operator(data, g, lay, rng, kind).iter_actions())
 
 

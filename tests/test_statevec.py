@@ -250,6 +250,16 @@ def test_block_action_rejects_target_in_condition(path3):
         apply_actions(s, [BlockAction((bit,), HADAMARD, (((bit,), 1),))])
 
 
+def test_perm_action_rejects_condition_on_its_register(path3):
+    # a remap conditioned on a bit it moves would merge entries
+    lay = RegisterLayout.for_network(path3, 2)
+    s = random_state(lay, np.random.default_rng(0))
+    perm = tuple(np.roll(np.arange(1 << lay.walker_bits), 1))
+    for bit in (*lay.vertex_bit_positions(1), *lay.coin_bit_positions(1)):
+        with pytest.raises(StateError, match="its own control bits"):
+            apply_actions(s, [PermAction(1, perm, (((bit,), 0),))])
+
+
 def test_measure_z_branches(path3):
     lay = RegisterLayout.for_network(path3, 1)
     s = init_state(path3, lay, [("A", 0)], {("A", "a"): (HADAMARD[0, 0], HADAMARD[1, 0])})

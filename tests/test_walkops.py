@@ -26,11 +26,11 @@ from qwcp import (
     operator_to_json,
     walker_vertex_support,
 )
-from qwcp.statevec import apply_operator
-from qwcp.walkops import OperatorSpec
+from qwcp import walkops
+from qwcp.statevec import BlockAction, StateVector, apply_actions, apply_operator
 
-from conftest import network_json, random_state
-from instruments import fidelity, from_dense, to_dense
+from conftest import binary_tree_json, btree7_json, network_json, random_state, subset
+from instruments import fidelity, from_dense, swap_matrix, to_dense
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -203,6 +203,67 @@ def test_walk_interaction_conditions_on_both_walkers(small):
     assert walker_vertex_support(out2, 1) == {g.vertex_id("A")}
 
 
+# (network, walker count): 20 and 57 bits
+SWAP_NETWORKS = [(btree7_json(), 3), (binary_tree_json(3)[0], 8)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_coin_swap_remap_equals_swap_block(data):
+    """The remap of a coin swap against the dense swap block on the
+    walker's coin bits, conditioned on the remap's conditions and the
+    walker's vertex: the same indices, and the same amplitude bits once
+    each part is `x + 0.0` (the block multiplies by 1.0, which can turn a
+    -0.0 part into 0.0)."""
+    network, k = data.draw(st.sampled_from(SWAP_NETWORKS))
+    g = load_network(network)
+    lay = RegisterLayout.for_network(g, k)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    v = data.draw(st.sampled_from(g.nodes))
+    vid = g.vertex_id(v)
+    c1, c2 = data.draw(st.permutations(range(g.port_count(v))))[:2]
+    if data.draw(st.integers(0, 3)) == 0:
+        c2 = c1  # the identity swap
+    coin = data.draw(st.integers(0, g.port_count(v) - 1))
+    walker, other = data.draw(st.permutations(range(k)))[:2]
+    conditions = []
+    if data.draw(st.booleans()):
+        conditions += [(lay.vertex_bit_positions(other), vid),
+                       (lay.coin_bit_positions(other), coin)]
+    for pos in subset(data, list(lay.data_bit_positions()), min_size=0, max_size=3):
+        conditions.append(((pos,), data.draw(st.integers(0, 1))))
+    if conditions and data.draw(st.booleans()):
+        bits, value = conditions[0]
+        conditions.append((bits, value ^ 1))  # contradictory: selects nothing
+
+    # every walker register holds one of a few codes, the swapped and the
+    # conditioned ones among them, so the conditions select some entries
+    size = data.draw(st.integers(16, 64))
+    codes = [(vid << lay.nc) | c for c in (c1, c2, coin)]
+    codes += rng.integers(0, 1 << lay.walker_bits, 2).tolist()
+    indices = rng.integers(0, 1 << lay.data_bits, size)
+    for j in range(k):
+        indices |= rng.choice(codes, size) << (lay.total_bits - (j + 1) * lay.walker_bits)
+    indices = np.unique(indices)
+    parts = rng.normal(size=(len(indices), 2))
+    # a signed zero in one part of about half of the entries
+    rows = np.flatnonzero(rng.random(len(indices)) < 0.5)
+    cols = rng.integers(0, 2, len(rows))
+    parts[rows, cols] = np.copysign(0.0, parts[rows, cols])
+    state = StateVector(lay, indices, parts.view(complex).ravel())
+
+    remap = walkops._coin_swap(g, lay, v, (c1, c2), walker, conditions)
+    block = BlockAction(
+        lay.coin_bit_positions(walker), swap_matrix(lay.nc, c1, c2),
+        (*conditions, (lay.vertex_bit_positions(walker), vid)),
+    )
+    got, want = apply_actions(state, [remap]), apply_actions(state, [block])
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(
+        (got.amplitudes + 0.0).view(np.int64), (want.amplitudes + 0.0).view(np.int64)
+    )
+
+
 def test_fanout_spreads_control_to_helpers(small):
     g, lay = small
     c = g.port_of("A", "B")
@@ -341,7 +402,7 @@ def test_invert_schedule_shape(small):
     assert inv.timesteps[0].pre_ops == []
     assert inv.timesteps[-1].shift.params["mode"] == "identity"
     for ts in inv.timesteps:
-        assert isinstance(ts.shift, OperatorSpec) and ts.shift.kind == "shift"
+        assert isinstance(ts.shift, walkops.OperatorSpec) and ts.shift.kind == "shift"
 
 
 def test_norm_preserved_over_many_random_ops(small):
