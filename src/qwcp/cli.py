@@ -26,6 +26,8 @@ Gates: a library name (X, Y, Z, H, S, T, I) or a custom unitary
 `U[re,im,re,im;...]` listing columns separated by `;`, each column a
 flat re,im sequence. A script holds either one protocol command or a
 sequence of `step` commands, of which `step measure` must be the last.
+`walkers` and `place` belong to step scripts only: a protocol command
+runs as many walkers as its request needs.
 A key may appear once per command; only group keys repeat (`path=`,
 `target=` and `couple=`, each followed by its group's other keys).
 
@@ -276,12 +278,11 @@ def _int_pair(text, line):
 
 # -- compilation ----------------------------------------------------------
 #
-# Each `_compile_*` parses its arguments into specs and hands them, with
-# the script's `walkers`, to a compiler, which sizes the layout: those
-# walkers, or else the walkers the request needs.
+# Each `_compile_*` parses its arguments into specs and hands them to a
+# compiler, which sizes the layout to the walkers the request needs.
 
 
-def _compile_remote_gate(graph, walkers, args, line, multi=False) -> CompiledProtocol:
+def _compile_remote_gate(graph, args, line, multi=False) -> CompiledProtocol:
     """`remote_cu` (controls at the path start, reverse or measure
     separation) or, with `multi`, `remote_mcu` (controls along the path)."""
     control_key = "controls" if multi else "control"
@@ -294,13 +295,11 @@ def _compile_remote_gate(graph, walkers, args, line, multi=False) -> CompiledPro
     request = GateRequest.build(graph, controls, targets, _parse_gate(kv["gate"], line))
     path = PathSpec.in_graph(graph, kv["path"].split(","))
     if multi:
-        return schedule_multi_control(graph, request, path, walkers=walkers)
-    return schedule_remote_cu(
-        graph, request, path, kv.get("separation", "reverse"), walkers=walkers
-    )
+        return schedule_multi_control(graph, request, path)
+    return schedule_remote_cu(graph, request, path, kv.get("separation", "reverse"))
 
 
-def _compile_multipath(graph, walkers, args, line) -> CompiledProtocol:
+def _compile_multipath(graph, args, line) -> CompiledProtocol:
     kv, groups = _args(
         args, line, required=("control",), optional=("string",),
         head="path", members=("target", "gate"),
@@ -315,10 +314,10 @@ def _compile_multipath(graph, walkers, args, line) -> CompiledProtocol:
         requests.append(
             GateRequest.build(graph, controls, targets, _parse_gate(g["gate"], line))
         )
-    return schedule_multipath(graph, requests, paths, walkers=walkers)
+    return schedule_multipath(graph, requests, paths)
 
 
-def _compile_tree(graph, walkers, args, line) -> CompiledProtocol:
+def _compile_tree(graph, args, line) -> CompiledProtocol:
     kv, groups = _args(
         args, line, required=("control", "edges"), optional=("string",),
         head="target", members=("gate",),
@@ -341,10 +340,10 @@ def _compile_tree(graph, walkers, args, line) -> CompiledProtocol:
         if node in target_map:
             raise ScriptError(f"duplicate target node {node!r}", line)
         target_map[node] = ([q for _, q in refs], _parse_gate(g["gate"], line))
-    return schedule_tree(graph, tree, controls, target_map, walkers=walkers)
+    return schedule_tree(graph, tree, controls, target_map)
 
 
-def _compile_ghz(graph, walkers, args, line) -> CompiledProtocol:
+def _compile_ghz(graph, args, line) -> CompiledProtocol:
     _, groups = _args(args, line, head="path", members=("qubits",))
     if not groups:
         raise ScriptError("ghz_path needs at least one path=", line)
@@ -355,10 +354,10 @@ def _compile_ghz(graph, walkers, args, line) -> CompiledProtocol:
         for node, qubit in _qubit_refs(g["qubits"], line):
             qmap.setdefault(node, []).append(qubit)
         qubit_sets.append(qmap)
-    return schedule_ghz_path(graph, paths, qubit_sets, walkers=walkers)
+    return schedule_ghz_path(graph, paths, qubit_sets)
 
 
-def _compile_linklevel(graph, walkers, args, line) -> CompiledProtocol:
+def _compile_linklevel(graph, args, line) -> CompiledProtocol:
     _, groups = _args(args, line, head="couple")
     couple = {}
     for g in groups:
@@ -373,7 +372,7 @@ def _compile_linklevel(graph, walkers, args, line) -> CompiledProtocol:
         if (u, v) in couple or (v, u) in couple:
             raise ScriptError("edge {},{} is coupled twice".format(*sorted((u, v))), line)
         couple[(u, v)] = (qu, qv)
-    return schedule_linklevel(graph, couple, walkers=walkers)
+    return schedule_linklevel(graph, couple)
 
 
 _PROTOCOL_COMPILERS = {
@@ -499,9 +498,11 @@ def _prepare(script: Script, network_override: str | None = None):
     if name == "step":
         compiled = _compile_steps(graph, script)
     else:
-        compiled = _PROTOCOL_COMPILERS[name](graph, script.walkers, args, line)
+        compiled = _PROTOCOL_COMPILERS[name](graph, args, line)
         if script.places:
             raise ScriptError("place is only valid in step scripts")
+        if script.walkers is not None:
+            raise ScriptError("walkers is only valid in step scripts")
 
     data_inits = {}
     for node, qubit, state in script.inits:
@@ -595,7 +596,7 @@ def execute(
                 "outcome": list(r.outcome),
                 "probability": r.probability,
             }
-            for r in trace.records
+            for r in (trace.branches.records if trace.branches is not None else ())
         ],
         "classical_messages": trace.classical_messages,
         "supports": {

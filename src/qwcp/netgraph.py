@@ -236,10 +236,6 @@ class TreeSpec:
                 seen.append(c)
         return tuple(seen)
 
-    @property
-    def leaves(self) -> tuple[str, ...]:
-        return tuple(v for v in self.tree_nodes if not self.successors(v))
-
     def parent(self, v: str) -> str:
         for p, c in self.edges:
             if c == v:

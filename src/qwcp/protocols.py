@@ -1,15 +1,16 @@
 """Compile distributed-gate and entanglement procedures into schedules.
 
-Every walk goes through one compiler, `_walk`, over a forest of visits
-(one visit is one stop of a walker): local data launches a walker at a
-root, the walker is passed on hop by hop, fans out to further walkers at
-a branch and is parked at each leaf. A single path is a chain, multipath
-is a root with one chain per path, a tree is itself, and GHZ
-distribution is a forest of chains. The `schedule_*` builders validate a
-request and lay out its visits, oracle gates and metadata; one tail,
-`_compile`, sizes the register layout to the walkers the forest uses
-and adds the separation. `schedule_linklevel` has no walk, sizes its
-layout to the network's edges and builds its own timesteps.
+Every walk goes through one compiler, `_compile`, over a forest of
+visits (one visit is one stop of a walker): local data launches a walker
+at a root, the walker is passed on hop by hop, fans out to further
+walkers at a branch and is parked at each leaf. A single path is a
+chain, multipath is a root with one chain per path, a tree is itself,
+and GHZ distribution is a forest of chains. The `schedule_*` builders
+validate a request and lay out its visits, oracle gates and metadata;
+`_compile` sizes the register layout to exactly the walkers the forest
+uses, builds the walk and adds the separation. `schedule_linklevel` has
+no walk, sizes its layout to one walker per network edge and builds its
+own timesteps. No builder takes a walker count: the request fixes it.
 
 Every builder returns a CompiledProtocol bundling the schedule, walker
 initial positions, the oracle gate list used for verification, and timing
@@ -64,7 +65,7 @@ GATE_LIBRARY: dict[str, np.ndarray] = {
 
 
 class ProtocolError(ValueError):
-    """Request inconsistent with the graph, path, or walker budget."""
+    """Request inconsistent with the graph or path."""
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,6 @@ class GateRequest:
 class RunTrace:
     initial_support: dict
     supports: list
-    records: list = field(default_factory=list)
     branches: BranchStack | None = None
     classical_messages: list = field(default_factory=list)
 
@@ -183,31 +183,31 @@ def _forest(visits):
     return depth, kids, walker, inits
 
 
-def _walk(graph, walkers, visits, name):
-    """Forward propagation of a visit forest: one timestep per depth, its
-    operators in visit-list order, walkers numbered by `_forest`.
+def _compile(name, graph, visits, oracle_gates, meta, measure=None):
+    """Compile the walk of a visit forest into protocol `name`: one
+    forward timestep per depth, then the separation. That is the unitary
+    reversal of the walk operators, or, with `measure=(a_node, b_node,
+    qubit)`, `separate_measure`. The layout holds the walkers `_forest`
+    numbers, and no others.
 
     A root launches its walker with a data-controlled coin; an interior
     visit passes the walker on, or, when it has controls, parks it and
     launches it again; a visit with several children fans out; a leaf
-    parks the walker on its self-loop. Every shift but the last is a
-    flip-flop on the forest's walkers; a parked walker sits on its
-    self-loop, where the flip-flop is the identity.
+    parks the walker on its self-loop. A timestep holds its data gates,
+    then its walk operators, each in visit-list order; reversal skips the
+    data gates. Every shift but the last is a flip-flop on all walkers; a
+    parked walker sits on its self-loop, where the flip-flop is the
+    identity.
 
-    The layout holds `walkers` walkers, by default as many as the forest
-    uses; fewer is an error of protocol `name`. Returns (layout,
-    timesteps, gates, walker inits): `gates` maps a timestep to its data
-    gates, which go in front of the walk operators and which reversal
-    skips. The inits cover all layout.k walkers; those the walk does not
-    use are parked with walker 0."""
+    The data gates condition only on a walker's vertex, which the
+    same-step coin operations never change, so they go first; at the
+    launch step this lets a local preparation precede the data-controlled
+    coin. `meta` gains `propagation_steps`, the depth of the forest."""
     depth, kids, walker, inits = _forest(visits)
-    k = walkers or len(inits)
-    if k < len(inits):
-        raise ProtocolError(f"walker budget {k} insufficient, {name} needs {len(inits)}")
-    layout = RegisterLayout.for_network(graph, k)
+    layout = RegisterLayout.for_network(graph, len(inits))
 
     ops: list[list] = [[] for _ in range(max(depth) + 1)]
-    gates: dict[int, list] = {}
+    gates: list[list] = [[] for _ in ops]
     for i, visit in enumerate(visits):
         v, w, step = visit.node, walker[i], ops[depth[i]]
         succ = [visits[child].node for child in kids[i]]
@@ -230,36 +230,20 @@ def _walk(graph, walkers, visits, name):
                 step.append(make_coin_perm(graph, layout, v, c_in, c_out, w))
         if visit.gate is not None:
             qnames, matrix = visit.gate
-            gates.setdefault(depth[i], []).append(
+            gates[depth[i]].append(
                 make_coin_controlled_data(graph, layout, v, qnames, matrix, w)
             )
 
-    shift = make_flipflop_shift(graph, layout, range(len(inits)))
-    timesteps = [Timestep(step, shift) for step in ops]
-    timesteps[-1].shift = make_identity_shift(layout)
-    inits += [inits[0]] * (k - len(inits))
-    return layout, timesteps, gates, inits
-
-
-def _compile(name, graph, walkers, visits, oracle_gates, meta, measure=None):
-    """Compile the walk of `visits` into protocol `name`: forward
-    timesteps, each with its data gates before its walk operators, then
-    the separation. That is the unitary reversal of the walk operators,
-    or, with `measure=(a_node, b_node, qubit)`, `separate_measure`.
-
-    The data gates condition only on a walker's vertex, which the
-    same-step coin operations never change, so they go first; at the
-    launch step this lets a local preparation precede the data-controlled
-    coin. `meta` gains `propagation_steps`, the depth of the forest."""
-    layout, prop, gates, inits = _walk(graph, walkers, visits, name)
-    forward = [Timestep(gates.get(t, []) + list(ts.pre_ops), ts.shift)
-               for t, ts in enumerate(prop)]
+    shifts = [make_flipflop_shift(graph, layout)] * (len(ops) - 1)
+    shifts.append(make_identity_shift(layout))
+    forward = [Timestep(g + step, shift) for g, step, shift in zip(gates, ops, shifts)]
     if measure is None:
-        sched = Schedule(forward + invert_schedule(Schedule(prop)).timesteps)
+        walk = Schedule([Timestep(step, shift) for step, shift in zip(ops, shifts)])
+        sched = Schedule(forward + invert_schedule(walk).timesteps)
     else:
         sched = Schedule(forward, measure=separate_measure(graph, layout, *measure))
     return CompiledProtocol(name, layout, sched, inits, oracle_gates,
-                            {"propagation_steps": len(prop) - 1, **meta})
+                            {"propagation_steps": len(ops) - 1, **meta})
 
 
 def _pattern(controls) -> str:
@@ -280,7 +264,7 @@ def _oracle_gate(controls, node, qnames, matrix) -> OracleGate:
 
 
 def schedule_remote_cu(
-    graph, request: GateRequest, path: PathSpec, separation: str = "reverse", walkers=None
+    graph, request: GateRequest, path: PathSpec, separation: str = "reverse"
 ) -> CompiledProtocol:
     """Remote controlled gate over one path, walker 0 as carrier."""
     A, B = path.start, path.end
@@ -303,7 +287,7 @@ def schedule_remote_cu(
     visits: list = []
     _path_visits(visits, path.nodes, controls={A: request.controls},
                  gates={B: request.data_gate})
-    return _compile("remote_cu", graph, walkers, visits, [request.oracle_gate()],
+    return _compile("remote_cu", graph, visits, [request.oracle_gate()],
                     {"arrival": {B: path.hops}}, measure)
 
 
@@ -342,7 +326,7 @@ def separate_measure(graph, layout, a_node, b_node, correction_qubit, walker=0) 
 # -- multiple control nodes ----------------------------------------------
 
 
-def schedule_multi_control(graph, request: GateRequest, path: PathSpec, walkers=None) -> CompiledProtocol:
+def schedule_multi_control(graph, request: GateRequest, path: PathSpec) -> CompiledProtocol:
     """Controlled gate whose control qubits live at several nodes visited
     in order along the path; reverse separation only."""
     if path.hops < 1:
@@ -364,14 +348,14 @@ def schedule_multi_control(graph, request: GateRequest, path: PathSpec, walkers=
     visits: list = []
     _path_visits(visits, path.nodes, controls=by_node,
                  gates={path.end: request.data_gate})
-    return _compile("remote_mcu", graph, walkers, visits, [request.oracle_gate()],
+    return _compile("remote_mcu", graph, visits, [request.oracle_gate()],
                     {"arrival": {path.end: path.hops}})
 
 
 # -- parallel propagation -------------------------------------------------
 
 
-def schedule_multipath(graph, requests, paths, walkers=None) -> CompiledProtocol:
+def schedule_multipath(graph, requests, paths) -> CompiledProtocol:
     """One walker per path, fanned out from the shared control node. Gates
     apply on arrival, so the oracle takes them by path length, stably."""
     if len(requests) != len(paths) or not paths:
@@ -400,11 +384,11 @@ def schedule_multipath(graph, requests, paths, walkers=None) -> CompiledProtocol
         _path_visits(visits, p.nodes[1:], 0, gates={p.end: req.data_gate})
     oracle_gates = [req.oracle_gate() for req, _ in
                     sorted(zip(requests, paths), key=lambda rp: rp[1].hops)]
-    return _compile("multipath", graph, walkers, visits, oracle_gates,
+    return _compile("multipath", graph, visits, oracle_gates,
                     {"arrival": {p.end: p.hops for p in paths}})
 
 
-def schedule_tree(graph, tree: TreeSpec, controls, targets, walkers=None) -> CompiledProtocol:
+def schedule_tree(graph, tree: TreeSpec, controls, targets) -> CompiledProtocol:
     """Tree propagation: pass-through coins at chain nodes, fan-outs at
     branch nodes, one walker per leaf.
 
@@ -434,7 +418,7 @@ def schedule_tree(graph, tree: TreeSpec, controls, targets, walkers=None) -> Com
         _oracle_gate(controls, v, qnames, matrix)
         for v, (qnames, matrix) in targets.items()
     ]
-    return _compile("tree", graph, walkers, visits, oracle_gates, {
+    return _compile("tree", graph, visits, oracle_gates, {
         "arrival": {v: depth_of[v] for v in tree.tree_nodes if v != A},
         "walker_of": dict(zip(order, walker)),
         "spawn_node": {w: inits[w][0] for w in range(1, len(inits))},
@@ -457,7 +441,7 @@ def _ghz_prep_matrix(m: int) -> np.ndarray:
     return mat
 
 
-def schedule_ghz_path(graph, paths, qubit_sets, walkers=None) -> CompiledProtocol:
+def schedule_ghz_path(graph, paths, qubit_sets) -> CompiledProtocol:
     """GHZ distribution: local GHZ prep at each path start, then a walk
     whose per-node coin also X-flips that node's member qubits.
 
@@ -498,11 +482,11 @@ def schedule_ghz_path(graph, paths, qubit_sets, walkers=None) -> CompiledProtoco
         oracle_gates.append(OracleGate((), (first,), HADAMARD))
         for other in member_qubits[1:]:
             oracle_gates.append(OracleGate(((first, 1),), (other,), x1))
-    return _compile("ghz_path", graph, walkers, visits, oracle_gates,
+    return _compile("ghz_path", graph, visits, oracle_gates,
                     {"arrival": {p.end: p.hops for p in paths}})
 
 
-def schedule_linklevel(graph, couple: dict | None = None, walkers=None) -> CompiledProtocol:
+def schedule_linklevel(graph, couple: dict | None = None) -> CompiledProtocol:
     """One walker per proper edge: a two-level coin then a single flip-flop
     shift entangles each walker across its edge.
 
@@ -516,11 +500,7 @@ def schedule_linklevel(graph, couple: dict | None = None, walkers=None) -> Compi
     edges = graph.edges()
     if not edges:
         raise ProtocolError("graph has no proper edges")
-    layout = RegisterLayout.for_network(graph, walkers or len(edges))
-    if layout.k < len(edges):
-        raise ProtocolError(
-            f"walker budget {layout.k} insufficient for {len(edges)} edges"
-        )
+    layout = RegisterLayout.for_network(graph, len(edges))
     pairs = {}  # sorted edge -> (u, v, qubit_at_u, qubit_at_v)
     coupled_qubits = set()
     for (u, v), (qu, qv) in (couple or {}).items():
@@ -558,15 +538,12 @@ def schedule_linklevel(graph, couple: dict | None = None, walkers=None) -> Compi
             oracle_gates.append(OracleGate((), ((u, qu),), hmat))
             oracle_gates.append(OracleGate((((u, qu), 1),), ((v, qv),), x1))
 
-    steps = [
-        Timestep(t0_ops, make_flipflop_shift(graph, layout, list(range(len(edges)))))
-    ]
+    steps = [Timestep(t0_ops, make_flipflop_shift(graph, layout))]
     if coupled_walkers:
         steps.append(
             Timestep(t1_ops, make_flipflop_shift(graph, layout, coupled_walkers))
         )
         steps.append(Timestep(t2_ops, make_identity_shift(layout)))
-    inits += [inits[0]] * (layout.k - len(inits))
     return CompiledProtocol(
         name="linklevel",
         layout=layout,
@@ -629,7 +606,6 @@ def run_schedule(
         for record in stack.records:
             parity = sum(record.outcome[pos] for pos in params["parity_positions"]) % 2
             odd.append(parity == 1)
-            trace.records.append(record)
             trace.classical_messages.append(
                 {
                     "to": params["allowed_vertices"][1],

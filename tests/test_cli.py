@@ -245,16 +245,10 @@ def test_walkers_needed_defaults(tmp_path, capsys, network, command, walkers):
     assert report["protocol"] == command.split()[0]
     assert report["passed"] is True
     assert len(report["supports"]["initial"]) == walkers
-    # one walker more than needed: it idles, parked with walker 0
-    report, _, _ = execute(parse_script(f"network {net}\nwalkers {walkers + 1}\n{command}\n"))
-    assert report["passed"] is True
-    initial = report["supports"]["initial"]
-    assert len(initial) == walkers + 1
-    assert initial[str(walkers)] == initial["0"]
-    if walkers > 1:
-        script = write_script(tmp_path, f"network {net}\nwalkers {walkers - 1}\n{command}\n")
-        assert main(["run", str(script)]) == 3
-        assert "walker budget" in capsys.readouterr().err
+    # a protocol command sizes its own walkers, so a walker count is refused
+    script = write_script(tmp_path, f"network {net}\nwalkers {walkers}\n{command}\n")
+    assert main(["run", str(script)]) == 2
+    assert "walkers is only valid in step scripts" in capsys.readouterr().err
 
 
 def test_network_override(path3_file, tmp_path):
@@ -352,8 +346,7 @@ FORK_NET = network_json(
         (PATH3_NET, "walkers 1\nplace 5 A\nstep coinperm node=u c1=1 c2=2 walker=0\n"),
         (PATH3_NET, "step datactrl node=A controls=a string=1 swap=1 walker=0\n"),
         (triangle_json(), "linklevel couple=A,p:B,p couple=B,q:A,q\n"),
-        # the gate is parsed before the layout is sized, so the parse error
-        # wins over the 106-bit layout
+        # the gate is parsed before the script's walker count is refused
         (PATH3_NET, "walkers 26\n" + CNOT_LINE.replace("gate=X", "gate=Q")),
         (
             line_json(["A", "B"], {"A": ["a"], "B": ["b"]}),
@@ -451,14 +444,19 @@ def test_main_calls_share_no_state(path3_file, tmp_path, capsys):
     assert json.loads(second)["passed"] is True
 
 
-def test_main_precondition_error_exit_3(path3_file, tmp_path):
-    # walker count blows the register-size cap
+def test_main_precondition_error_exit_3(tmp_path, capsys):
+    # the depth-4 tree needs one walker per leaf: 16 walkers of 7 bits
+    # (31 nodes, up to 4 ports) and 17 data qubits blow the 62-bit cap
+    network, edges, leaves = binary_tree_json(4)
+    net = write_script(tmp_path, network, name="net.json")
+    targets = " ".join(f"target={leaf}.t gate=X" for leaf in leaves)
     script = write_script(
         tmp_path,
-        f"network {path3_file}\nwalkers 26\n"
-        "remote_cu control=A.a target=B.b path=A,u,B gate=X\n",
+        f"network {net}\ntree control=A.a "
+        f"edges={','.join(f'{u}>{v}' for u, v in edges)} {targets}\n",
     )
     assert main(["run", str(script)]) == 3
+    assert "layout needs 129 bits" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("request_line", [

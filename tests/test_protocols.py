@@ -173,8 +173,7 @@ def test_stacked_correction_matches_per_branch_apply_z(grid3, path, gate):
         want[outcome] = (qubits, bases, p), branch
 
     _, trace = run_schedule(state, comp.schedule, grid3)
-    assert [r.outcome for r in trace.records] == list(want)
-    assert [r for r, _ in trace.branches] == trace.records
+    assert [r.outcome for r in trace.branches.records] == list(want)
     assert {m["parity"] for m in trace.classical_messages} == {0, 1}
     runs = list(trace.branches)
     for seed in range(4):
@@ -196,7 +195,7 @@ def test_remote_cu_measure_sample_mode(path3):
     state = init_state(path3, comp.layout, comp.walker_inits, di)
     rng = np.random.default_rng(11)
     final, trace = run_schedule(state, comp.schedule, path3, mode="sample", rng=rng)
-    assert len(trace.records) == 1
+    assert len(trace.branches.records) == 1
     oracle_out = oracle_apply(
         init_state(path3, data_layout(path3), [], di), comp.oracle_gates
     )
@@ -436,14 +435,6 @@ def test_tree_four_leaf_targets(btree7):
     assert len(set(comp.meta["walker_of"][leaf] for leaf in targets)) == 4
 
 
-def test_tree_walker_budget_enforced(btree7):
-    with pytest.raises(ProtocolError):
-        schedule_tree(
-            btree7, btree_spec(btree7), [("A", "a", 1)],
-            {"c00": (["t"], GATE_LIBRARY["X"])}, walkers=2,
-        )
-
-
 def test_tree_rejects_target_at_root(btree7):
     with pytest.raises(ProtocolError):
         schedule_tree(
@@ -650,11 +641,6 @@ def test_linklevel_coupled_bell_pairs(triangle):
         bits = (comp.layout.data_bit(u, qu), comp.layout.data_bit(v, qv))
         rho = reduced_density(final, bits)
         assert float(np.vdot(bell, rho @ bell).real) >= 1 - 1e-9
-
-
-def test_linklevel_walker_budget(triangle):
-    with pytest.raises(ProtocolError):
-        schedule_linklevel(triangle, walkers=2)
 
 
 def test_linklevel_rejects_noncoupling_edge(triangle):

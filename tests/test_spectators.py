@@ -65,7 +65,8 @@ def reference(script, mode, seed):
             "timesteps": [_support_json(s) for s in trace.supports],
         },
         "measurements": [
-            (list(r.qubits), r.bases, list(r.outcome), r.probability) for r in trace.records
+            (list(r.qubits), r.bases, list(r.outcome), r.probability)
+            for r in (trace.branches.records if trace.branches is not None else ())
         ],
         "classical_messages": trace.classical_messages,
         "passed": None, "fidelity_vs_oracle": None, "walker_purity": None,
