@@ -10,7 +10,8 @@ Script grammar (line-oriented, `#` starts a comment):
               gate=G [separation=reverse|measure]
     remote_mcu controls=A0.a,A1.b string=11 target=B.c path=A0,A1,B gate=G
     multipath control=A.a path=... target=... gate=... path=... target=... gate=...
-    tree control=A.a edges=A>u,A>w target=u.b gate=G [target=... gate=...]
+    tree control=A.a[,A.b] [string=BITS] edges=A>u,A>w,u>v
+         target=u.b[,u.c] gate=G [target=... gate=...]
     ghz_path path=A,B,C qubits=A.g,B.g,C.g [path=... qubits=...]
     linklevel [couple=U,qu:V,qv ...]
     step coinperm node=V c1=N c2=N walker=W
@@ -30,6 +31,10 @@ sequence of `step` commands, of which `step measure` must be the last.
 runs as many walkers as its request needs.
 A key may appear once per command; only group keys repeat (`path=`,
 `target=` and `couple=`, each followed by its group's other keys).
+`multipath` needs at least one `path=` and `tree` at least one
+`target=`; each of their groups is one gate, on qubits at one node,
+under the command's shared controls, and a tree names each target node
+once.
 
 Exit codes: 0 success, 2 script/network parse error or an unreadable
 script or unwritable `--out`/`--dump-state` path, 3 precondition or
@@ -84,15 +89,6 @@ from .walkops import (
     make_identity_shift,
     make_walk_interaction,
     schedule_to_json,
-)
-
-PROTOCOL_COMMANDS = (
-    "remote_cu",
-    "remote_mcu",
-    "multipath",
-    "tree",
-    "ghz_path",
-    "linklevel",
 )
 
 DATA_INIT_STATES = {
@@ -170,7 +166,7 @@ def parse_script(text: str) -> Script:
             if not args[0].isdecimal() or (len(args) == 3 and not args[2].isdecimal()):
                 raise ScriptError("place walker/coin must be integers", lineno)
             places.append((int(args[0]), args[1], int(args[2]) if len(args) == 3 else 0))
-        elif name in PROTOCOL_COMMANDS or name == "step":
+        elif name in _PROTOCOL_COMPILERS or name == "step":
             commands.append((name, tuple(_parse_kv(t, lineno) for t in args), lineno))
         else:
             raise ScriptError(f"unknown command {name!r}", lineno)
@@ -322,6 +318,8 @@ def _compile_tree(graph, args, line) -> CompiledProtocol:
         args, line, required=("control", "edges"), optional=("string",),
         head="target", members=("gate",),
     )
+    if not groups:
+        raise ScriptError("tree needs at least one target=", line)
     edges = []
     for pair in kv["edges"].split(","):
         parent, sep, child = pair.partition(">")
@@ -330,17 +328,12 @@ def _compile_tree(graph, args, line) -> CompiledProtocol:
         edges.append((parent, child))
     controls = _controls(kv["control"], kv.get("string"), line)
     tree = TreeSpec.in_graph(graph, edges[0][0], edges)
-    target_map = {}
-    for g in groups:
-        refs = _qubit_refs(g["target"], line)
-        nodes = {n for n, _ in refs}
-        if len(nodes) != 1:
-            raise ScriptError("a tree target group must sit at one node", line)
-        (node,) = nodes
-        if node in target_map:
-            raise ScriptError(f"duplicate target node {node!r}", line)
-        target_map[node] = ([q for _, q in refs], _parse_gate(g["gate"], line))
-    return schedule_tree(graph, tree, controls, target_map)
+    requests = [
+        GateRequest.build(graph, controls, _qubit_refs(g["target"], line),
+                          _parse_gate(g["gate"], line))
+        for g in groups
+    ]
+    return schedule_tree(graph, tree, requests)
 
 
 def _compile_ghz(graph, args, line) -> CompiledProtocol:
@@ -570,7 +563,7 @@ def execute(
     if seed is not None and seed < 0:
         raise ScriptError("--seed must be a non-negative integer")
     rng = np.random.default_rng(0 if seed is None else seed) if mode == "sample" else None
-    final, trace = run_schedule(state, compiled.schedule, graph, mode=mode, rng=rng)
+    final, trace = run_schedule(state, compiled.schedule, graph, rng)
 
     comparison = None
     if compiled.oracle_gates is not None:

@@ -199,17 +199,20 @@ class PathSpec:
 
 @dataclass(frozen=True)
 class TreeSpec:
-    """Directed rooted tree inside the network, as (parent, child) edges."""
+    """Directed rooted tree inside the network. `nodes` lists the root,
+    then the other tree nodes by depth, nodes of equal depth in the order
+    of the (parent, child) edges naming them; `parents[i]` is the index in
+    `nodes` of node i's parent, None for the root."""
 
-    root: str
-    edges: tuple[tuple[str, str], ...]
+    nodes: tuple[str, ...]
+    parents: tuple[int | None, ...]
 
     @classmethod
     def in_graph(cls, graph: NetworkGraph, root: str, edges) -> "TreeSpec":
         graph.vertex_id(root)
-        edges = tuple((str(p), str(c)) for p, c in edges)
         parent: dict[str, str] = {}
         for p, c in edges:
+            p, c = str(p), str(c)
             if c not in graph.neighbors(p):
                 raise NetworkError(f"tree edge ({p!r}, {c!r}) is not a network edge")
             if c == root:
@@ -218,6 +221,7 @@ class TreeSpec:
                 raise NetworkError(f"node {c!r} has two predecessors in tree")
             parent[c] = p
         # every non-root node must hang off the root through tree edges
+        depth = {}
         for c in parent:
             seen = set()
             v = c
@@ -226,28 +230,11 @@ class TreeSpec:
                     raise NetworkError(f"tree edge chain from {c!r} does not reach root")
                 seen.add(v)
                 v = parent[v]
-        return cls(root, edges)
+            depth[c] = len(seen)
+        nodes = (root, *sorted(parent, key=depth.__getitem__))
+        index = {v: i for i, v in enumerate(nodes)}
+        return cls(nodes, (None, *(index[parent[v]] for v in nodes[1:])))
 
     @property
-    def tree_nodes(self) -> tuple[str, ...]:
-        seen = [self.root]
-        for p, c in self.edges:
-            if c not in seen:
-                seen.append(c)
-        return tuple(seen)
-
-    def parent(self, v: str) -> str:
-        for p, c in self.edges:
-            if c == v:
-                return p
-        raise NetworkError(f"{v!r} has no parent in tree")
-
-    def successors(self, v: str) -> tuple[str, ...]:
-        return tuple(c for p, c in self.edges if p == v)
-
-    def depth(self, v: str) -> int:
-        d = 0
-        while v != self.root:
-            v = self.parent(v)
-            d += 1
-        return d
+    def root(self) -> str:
+        return self.nodes[0]

@@ -4,9 +4,12 @@ Every walk goes through one compiler, `_compile`, over a forest of
 visits (one visit is one stop of a walker): local data launches a walker
 at a root, the walker is passed on hop by hop, fans out to further
 walkers at a branch and is parked at each leaf. A single path is a
-chain, multipath is a root with one chain per path, a tree is itself,
-and GHZ distribution is a forest of chains. The `schedule_*` builders
-validate a request and lay out its visits, oracle gates and metadata;
+chain, multipath is a root with one chain per path, a tree is its own
+nodes in `TreeSpec` order, and GHZ distribution is a forest of chains.
+The `schedule_*` builders validate a request and lay out its visits,
+oracle gates and metadata. The controlled-gate builders take
+`GateRequest`s; the two fan-out forms, multipath and tree, take one per
+target node and check their shared controls alike.
 `_compile` sizes the register layout to exactly the walkers the forest
 uses, builds the walk and adds the separation. `schedule_linklevel` has
 no walk, sizes its layout to one walker per network edge and builds its
@@ -109,7 +112,12 @@ class GateRequest:
         return [q for _, q in self.targets], self.unitary
 
     def oracle_gate(self) -> OracleGate:
-        return _oracle_gate(self.controls, self.target_node, *self.data_gate)
+        """The gate as the oracle applies it."""
+        return OracleGate(
+            controls=tuple(((n, q), b) for n, q, b in self.controls),
+            targets=self.targets,
+            matrix=self.unitary,
+        )
 
 
 @dataclass
@@ -250,16 +258,6 @@ def _pattern(controls) -> str:
     return "".join(str(bit) for _, _, bit in controls)
 
 
-def _oracle_gate(controls, node, qnames, matrix) -> OracleGate:
-    """The gate `matrix` on `node`'s qubits `qnames` under (node, qubit,
-    bit) `controls`, as the oracle applies it."""
-    return OracleGate(
-        controls=tuple(((n, q), b) for n, q, b in controls),
-        targets=tuple((node, q) for q in qnames),
-        matrix=np.asarray(matrix, dtype=complex),
-    )
-
-
 # -- single path ----------------------------------------------------------
 
 
@@ -355,23 +353,32 @@ def schedule_multi_control(graph, request: GateRequest, path: PathSpec) -> Compi
 # -- parallel propagation -------------------------------------------------
 
 
+def _shared_controls(requests, root):
+    """The control qubits of `requests`, which they must all share, all at
+    `root`, the node the walk fans out from."""
+    if not requests:
+        raise ProtocolError("at least one gate request required")
+    controls = requests[0].controls
+    for req in requests:
+        if req.controls != controls:
+            raise ProtocolError("all gates must share the same control qubits")
+    if not controls or any(node != root for node, _, _ in controls):
+        raise ProtocolError("control qubits must sit at the shared start node")
+    return controls
+
+
 def schedule_multipath(graph, requests, paths) -> CompiledProtocol:
     """One walker per path, fanned out from the shared control node. Gates
     apply on arrival, so the oracle takes them by path length, stably."""
     if len(requests) != len(paths) or not paths:
         raise ProtocolError("one gate request per path required")
     A = paths[0].start
-    controls = requests[0].controls
     for p in paths:
         if p.start != A:
             raise ProtocolError("all paths must share the control node")
         if p.hops < 1:
             raise ProtocolError("each path must have at least one hop")
-    for req in requests:
-        if req.controls != controls:
-            raise ProtocolError("all gates must share the same control qubits")
-        if any(node != A for node, _, _ in req.controls) or not req.controls:
-            raise ProtocolError("control qubits must sit at the shared start node")
+    controls = _shared_controls(requests, A)
     for req, p in zip(requests, paths):
         if req.target_node != p.end:
             raise ProtocolError("each target must sit at its path end")
@@ -388,39 +395,32 @@ def schedule_multipath(graph, requests, paths) -> CompiledProtocol:
                     {"arrival": {p.end: p.hops for p in paths}})
 
 
-def schedule_tree(graph, tree: TreeSpec, controls, targets) -> CompiledProtocol:
+def schedule_tree(graph, tree: TreeSpec, requests) -> CompiledProtocol:
     """Tree propagation: pass-through coins at chain nodes, fan-outs at
-    branch nodes, one walker per leaf.
-
-    controls: (node, qubit, bit) entries, all at the tree root.
-    targets: {node: (qubit_names, matrix)} for non-root tree nodes."""
-    A = tree.root
-    controls = tuple(controls)
-    if not controls or any(node != A for node, _, _ in controls):
-        raise ProtocolError("tree controls must sit at the root")
-    if not tree.edges:
-        raise ProtocolError("tree must contain at least one edge")
-    for v in targets:
-        if v not in tree.tree_nodes:
+    branch nodes, one walker per leaf. The requests share their controls,
+    at the tree root, and each targets its own non-root tree node, where
+    its gate applies on arrival; the oracle takes them in request order.
+    The visits are the tree's nodes in its own order, so a node's walker
+    reaches it at the node's depth."""
+    controls = _shared_controls(requests, tree.root)
+    gates = {}
+    for req in requests:
+        v = req.target_node
+        if v not in tree.nodes:
             raise ProtocolError(f"target node {v!r} is outside the tree")
-        if v == A:
+        if v == tree.root:
             raise ProtocolError("target at the control node needs no propagation")
+        if v in gates:
+            raise ProtocolError(f"duplicate target node {v!r}")
+        gates[v] = req.data_gate
 
-    depth_of = {v: tree.depth(v) for v in tree.tree_nodes}
-    order = sorted(tree.tree_nodes, key=depth_of.__getitem__)
-    visits = [
-        _Visit(v, None, controls) if v == A
-        else _Visit(v, order.index(tree.parent(v)), gate=targets.get(v))
-        for v in order
-    ]
-    _, _, walker, inits = _forest(visits)
-    oracle_gates = [
-        _oracle_gate(controls, v, qnames, matrix)
-        for v, (qnames, matrix) in targets.items()
-    ]
-    return _compile("tree", graph, visits, oracle_gates, {
-        "arrival": {v: depth_of[v] for v in tree.tree_nodes if v != A},
-        "walker_of": dict(zip(order, walker)),
+    visits = [_Visit(tree.root, controls=controls)]
+    visits += [_Visit(v, p, gate=gates.get(v))
+               for v, p in zip(tree.nodes[1:], tree.parents[1:])]
+    depth, _, walker, inits = _forest(visits)
+    return _compile("tree", graph, visits, [req.oracle_gate() for req in requests], {
+        "arrival": dict(zip(tree.nodes[1:], depth[1:])),
+        "walker_of": dict(zip(tree.nodes, walker)),
         "spawn_node": {w: inits[w][0] for w in range(1, len(inits))},
     })
 
@@ -567,11 +567,11 @@ def run_schedule(
     state: StateVector,
     sched: Schedule,
     graph: NetworkGraph,
-    mode: str = "branch",
     rng=None,
 ) -> tuple[StateVector, RunTrace]:
     """Apply each timestep (coins/interactions, then the shift), then the
-    terminal measurement if present. Records per-step walker supports.
+    terminal measurement if present, which samples one branch with `rng`
+    and keeps them all without. Records per-step walker supports.
 
     The measured branches stay one `BranchStack`. The classical Z
     correction of the branches whose outcome parity is odd is one sign
@@ -601,7 +601,7 @@ def run_schedule(
                 "measurement separation precondition violated: walker support "
                 f"{sorted(found[params['walker']])} outside {sorted(allowed)}"
             )
-        stack = measure(state, params["qubits"], params["bases"], mode=mode, rng=rng)
+        stack = measure(state, params["qubits"], params["bases"], rng)
         odd = []
         for record in stack.records:
             parity = sum(record.outcome[pos] for pos in params["parity_positions"]) % 2

@@ -397,15 +397,14 @@ def measure(
     state: StateVector,
     qubits,
     bases: str,
-    mode: str = "branch",
     rng: np.random.Generator | None = None,
 ) -> BranchStack:
     """Projective measurement of the given bits, as a `BranchStack`.
 
-    Branch mode keeps every nonzero-probability branch with its exact
-    probability; sample mode draws a single branch with Born statistics
-    (an rng is then required). Collapsed branches are renormalized and
-    X-measured qubits are left in the corresponding |+>/|-> state.
+    Without `rng` every nonzero-probability branch is kept with its exact
+    probability; with it, a single branch is drawn with Born statistics.
+    Collapsed branches are renormalized and X-measured qubits are left in
+    the corresponding |+>/|-> state.
 
     The state is rotated into the measured bases once. Each step then runs
     once over the kept entries of all branches, each tagged with its
@@ -430,17 +429,13 @@ def measure(
     outcome = _gather(indices, n, qubits)
     probs = np.bincount(outcome, weights=np.abs(amps) ** 2, minlength=1 << m)
 
-    if mode == "sample":
-        if rng is None:
-            raise StateError("sample mode needs a seeded rng")
+    if rng is not None:
         outcomes = np.array([rng.choice(len(probs), p=probs / probs.sum())])
         kept = outcome == outcomes[0]
-    elif mode == "branch":
+    else:
         possible = probs > 1e-12
         outcomes = np.flatnonzero(possible)
         kept = possible[outcome]
-    else:
-        raise StateError(f"unknown measurement mode {mode!r}")
 
     tags = outcome[kept]
     indices, amps = indices[kept], amps[kept] / np.sqrt(probs[tags])

@@ -86,10 +86,10 @@ def measure(
     layout: RegisterLayout,
     qubits,
     bases: str,
-    mode: str = "branch",
     rng: np.random.Generator | None = None,
 ) -> list[tuple[MeasurementRecord, np.ndarray]]:
-    """Projective measurement; returns (record, collapsed dense vector) pairs."""
+    """Projective measurement; returns (record, collapsed dense vector)
+    pairs: every possible branch, or one drawn with `rng`."""
     qubits = tuple(qubits)
     if len(qubits) != len(bases):
         raise StateError("one basis letter per measured qubit required")
@@ -107,15 +107,10 @@ def measure(
     flat = arr.reshape(1 << m, -1)
     probs = (np.abs(flat) ** 2).sum(axis=1)
 
-    if mode == "sample":
-        if rng is None:
-            raise StateError("sample mode needs a seeded rng")
-        choice = int(rng.choice(len(probs), p=probs / probs.sum()))
-        outcomes = [choice]
-    elif mode == "branch":
-        outcomes = [o for o in range(1 << m) if probs[o] > 1e-12]
+    if rng is not None:
+        outcomes = [int(rng.choice(len(probs), p=probs / probs.sum()))]
     else:
-        raise StateError(f"unknown measurement mode {mode!r}")
+        outcomes = [o for o in range(1 << m) if probs[o] > 1e-12]
 
     branches = []
     for o in outcomes:

@@ -60,8 +60,8 @@ NORM_TOL = 1e-10
 COLLECTED_RUNS = []
 
 
-def _run_and_collect(graph, compiled, state, mode="branch", rng=None):
-    final, trace = run_schedule(state, compiled.schedule, graph, mode=mode, rng=rng)
+def _run_and_collect(graph, compiled, state):
+    final, trace = run_schedule(state, compiled.schedule, graph)
     COLLECTED_RUNS.append((graph, compiled, trace))
     return final, trace
 
@@ -194,10 +194,11 @@ def test_criterion_5_tree_propagation():
         [("A", "b0"), ("A", "b1"), ("b0", "c00"), ("b0", "c01"),
          ("b1", "c10"), ("b1", "c11")],
     )
-    targets = {
-        leaf: (["t"], GATE_LIBRARY["X"]) for leaf in ("c00", "c01", "c10", "c11")
-    }
-    comp = schedule_tree(graph, tree, [("A", "a", 1)], targets)
+    requests = [
+        GateRequest.build(graph, [("A", "a", 1)], [(leaf, "t")], GATE_LIBRARY["X"])
+        for leaf in ("c00", "c01", "c10", "c11")
+    ]
+    comp = schedule_tree(graph, tree, requests)
     plus = np.zeros(1 << comp.layout.data_bits, dtype=complex)
     plus[0] = plus[1 << (comp.layout.data_bits - 1)] = 1 / np.sqrt(2)  # control in |+>
     state = state_with_data(graph, comp.layout, comp.walker_inits, plus)
@@ -211,10 +212,11 @@ def test_criterion_5_tree_propagation():
     # parked at its spawn point
     walker_of = comp.meta["walker_of"]
     spawn_node = comp.meta["spawn_node"]
-    for v in tree.tree_nodes:
-        if v == "A":
-            continue
-        w, d = walker_of[v], tree.depth(v)
+    assert comp.meta["arrival"] == {
+        "b0": 1, "b1": 1, "c00": 2, "c01": 2, "c10": 2, "c11": 2,
+    }
+    for v, d in comp.meta["arrival"].items():
+        w = walker_of[v]
         assert v in trace.supports[d - 1][w]
         for t in range(d - 1):
             assert v not in trace.supports[t][w]

@@ -359,6 +359,7 @@ FORK_NET = network_json(
             "path=A,w target=w.x gate=X\n",
         ),
         (FORK_NET, "tree control=A.a edges=A>u,u>B edges=A>w target=w.x gate=X\n"),
+        (FORK_NET, "tree control=A.a edges=A>u,u>B,A>w\n"),
     ],
     ids=[
         "broken_json",
@@ -375,6 +376,7 @@ FORK_NET = network_json(
         "step_after_measure",
         "multipath_control_twice",
         "tree_edges_twice",
+        "tree_without_target",
     ],
 )
 def test_main_bad_input_exit_2(tmp_path, capsys, network, commands):
@@ -382,6 +384,27 @@ def test_main_bad_input_exit_2(tmp_path, capsys, network, commands):
     script = write_script(tmp_path, f"network {net}\n{commands}")
     assert main(["run", str(script)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("control=A.a edges=A>u,u>B,A>w target=B.b,w.x gate=X",
+         "all target qubits must sit at one node"),
+        ("control=A.a edges=A>u,u>B,A>w target=w.x gate=X target=w.x gate=Z",
+         "duplicate target node 'w'"),
+        ("control=B.b edges=A>u,u>B,A>w target=w.x gate=X",
+         "control qubits must sit at the shared start node"),
+    ],
+    ids=["target_group_spans_two_nodes", "target_node_twice", "control_off_root"],
+)
+def test_main_tree_request_exit_3(tmp_path, capsys, command, message):
+    # a tree request is checked as multipath's is: GateRequest.build, then
+    # schedule_tree, both precondition errors
+    net = write_script(tmp_path, FORK_NET, name="net.json")
+    script = write_script(tmp_path, f"network {net}\ntree {command}\n")
+    assert main(["run", str(script)]) == 3
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

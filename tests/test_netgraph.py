@@ -92,10 +92,17 @@ def test_treespec_structure(btree7):
         [("A", "b0"), ("A", "b1"), ("b0", "c00"), ("b0", "c01"),
          ("b1", "c10"), ("b1", "c11")],
     )
-    assert set(t.tree_nodes) == set(btree7.nodes)
-    assert t.parent("c01") == "b0"
-    assert t.successors("A") == ("b0", "b1")
-    assert t.depth("c11") == 2
+    assert t.root == "A"
+    assert t.nodes == ("A", "b0", "b1", "c00", "c01", "c10", "c11")
+    assert t.parents == (None, 0, 0, 1, 1, 2, 2)
+    # edges listed out of depth order: the nodes still go by depth, and
+    # nodes of equal depth in the order of the edges naming them
+    t = TreeSpec.in_graph(
+        btree7, "A",
+        [("b1", "c10"), ("A", "b0"), ("b0", "c00"), ("A", "b1"), ("b1", "c11")],
+    )
+    assert t.nodes == ("A", "b0", "b1", "c10", "c00", "c11")
+    assert t.parents == (None, 0, 0, 2, 1, 2)
 
 
 def test_treespec_rejects_disconnected(btree7):

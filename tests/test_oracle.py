@@ -146,7 +146,7 @@ def test_stacked_compare_matches_per_state_reference(case, data):
         stack = measure(state, qubits, bases)
     else:
         seed = data.draw(st.integers(0, 2**32 - 1))
-        stack = measure(state, qubits, bases, "sample", np.random.default_rng(seed))
+        stack = measure(state, qubits, bases, np.random.default_rng(seed))
         assert len(stack) == 1
     report = compare(stack, oracle)
     assert len(report.purities) == len(report.fidelities) == len(stack)

@@ -24,3 +24,27 @@ def test_compare_calls_reports_only_the_inserted_record():
     changed = {TEST: [old[TEST][0], record(1, meta={"n": 9}), *old[TEST][2:]]}
     assert parity.compare_calls(old, changed) == [f"{TEST} call 1: .meta.n: 1 != 9"]
     assert parity.compare_calls({}, {TEST: [record(0)]}) == [f"{TEST} call 0: only in new"]
+
+
+def test_runs_line_counts_workload_runs_only(tmp_path, monkeypatch, capsys):
+    for side in ("old", "new"):
+        (tmp_path / side / "qwcp").mkdir(parents=True)
+        (tmp_path / side / "qwcp" / "cli.py").touch()
+    job = {"name": "job", "argv": ["run", "s.qw"], "mode": "branch"}
+    monkeypatch.setattr(parity.workloads, "WORKLOADS", ["w"])
+    monkeypatch.setattr(parity.workloads, "generate", lambda workload, seed, where: [job])
+    monkeypatch.setattr(parity, "compare_fuzz", lambda *args: (5, ["fuzz case 3 differs"]))
+    argv = [str(tmp_path / "old"), str(tmp_path / "new"), "--seeds", "1", "2"]
+
+    def run_side(stdout):
+        return lambda src, argv, outdir: {"exit code": 0, "stdout": stdout(src),
+                                           "out": b'{"measurements": []}'}
+
+    # a differing fuzz case fails the comparison, but no workload run differs
+    monkeypatch.setattr(parity, "run_side", run_side(lambda src: b"same"))
+    assert parity.main(argv) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "5 fuzz cases on each side, 1 differ", "2 runs on each side, 0 differ"]
+    monkeypatch.setattr(parity, "run_side", run_side(lambda src: src.name.encode()))
+    assert parity.main(argv) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "2 runs on each side, 2 differ"

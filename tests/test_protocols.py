@@ -177,8 +177,7 @@ def test_stacked_correction_matches_per_branch_apply_z(grid3, path, gate):
     assert {m["parity"] for m in trace.classical_messages} == {0, 1}
     runs = list(trace.branches)
     for seed in range(4):
-        _, sampled = run_schedule(state, comp.schedule, grid3, mode="sample",
-                                  rng=np.random.default_rng(seed))
+        _, sampled = run_schedule(state, comp.schedule, grid3, np.random.default_rng(seed))
         assert len(sampled.branches) == 1
         runs.append(sampled.branches[0])
     for record, branch in runs:
@@ -194,7 +193,7 @@ def test_remote_cu_measure_sample_mode(path3):
     di = {("A", "a"): (np.sqrt(0.3), np.sqrt(0.7))}
     state = init_state(path3, comp.layout, comp.walker_inits, di)
     rng = np.random.default_rng(11)
-    final, trace = run_schedule(state, comp.schedule, path3, mode="sample", rng=rng)
+    final, trace = run_schedule(state, comp.schedule, path3, rng)
     assert len(trace.branches.records) == 1
     oracle_out = oracle_apply(
         init_state(path3, data_layout(path3), [], di), comp.oracle_gates
@@ -421,12 +420,17 @@ def btree_spec(btree7):
     )
 
 
+def tree_requests(graph, gates, controls=(("A", "a", 1),)):
+    """One request per (node, gate name) pair: the gate on the node's
+    qubit t, under `controls`."""
+    return [GateRequest.build(graph, controls, [(v, "t")], GATE_LIBRARY[g])
+            for v, g in gates]
+
+
 def test_tree_four_leaf_targets(btree7):
     tree = btree_spec(btree7)
-    targets = {
-        leaf: (["t"], GATE_LIBRARY["X"]) for leaf in ("c00", "c01", "c10", "c11")
-    }
-    comp = schedule_tree(btree7, tree, [("A", "a", 1)], targets)
+    targets = ("c00", "c01", "c10", "c11")
+    comp = schedule_tree(btree7, tree, tree_requests(btree7, [(v, "X") for v in targets]))
     rng = np.random.default_rng(10)
     di = {("A", "a"): random_qubit(rng)}
     report, _, trace = verify(comp, btree7, di)
@@ -436,19 +440,25 @@ def test_tree_four_leaf_targets(btree7):
 
 
 def test_tree_rejects_target_at_root(btree7):
-    with pytest.raises(ProtocolError):
-        schedule_tree(
-            btree7, btree_spec(btree7), [("A", "a", 1)],
-            {"A": (["a"], GATE_LIBRARY["X"])},
-        )
+    at_root = GateRequest.build(btree7, [("A", "a", 1)], [("A", "a")], GATE_LIBRARY["X"])
+    with pytest.raises(ProtocolError, match="needs no propagation"):
+        schedule_tree(btree7, btree_spec(btree7), [at_root])
+    # so is a target off the tree, a node targeted twice, or a control off
+    # the root
+    b0_only = TreeSpec.in_graph(btree7, "A", [("A", "b0"), ("b0", "c00")])
+    with pytest.raises(ProtocolError, match="outside the tree"):
+        schedule_tree(btree7, b0_only, tree_requests(btree7, [("c11", "X")]))
+    with pytest.raises(ProtocolError, match="duplicate target node 'c00'"):
+        schedule_tree(btree7, b0_only, tree_requests(btree7, [("c00", "X"), ("c00", "Z")]))
+    off_root = tree_requests(btree7, [("c00", "X")], controls=[("c01", "t", 1)])
+    with pytest.raises(ProtocolError, match="shared start node"):
+        schedule_tree(btree7, b0_only, off_root)
 
 
 def test_tree_interior_target(btree7):
     # target at an interior node fires when that node's walker passes it
     tree = btree_spec(btree7)
-    comp = schedule_tree(
-        btree7, tree, [("A", "a", 1)], {"c11": (["t"], GATE_LIBRARY["H"])}
-    )
+    comp = schedule_tree(btree7, tree, tree_requests(btree7, [("c11", "H")]))
     report, _, _ = verify(comp, btree7, {("A", "a"): random_qubit(np.random.default_rng(12))})
     assert report.passed
 
@@ -460,8 +470,7 @@ def test_tree_edges_out_of_depth_order(btree7):
              ("b1", "c11"), ("b0", "c01")]
     tree = TreeSpec.in_graph(btree7, "A", edges)
     gates = dict(zip(("c00", "c01", "c10", "c11"), "XZHS"))
-    targets = {leaf: (["t"], GATE_LIBRARY[g]) for leaf, g in gates.items()}
-    comp = schedule_tree(btree7, tree, [("A", "a", 1)], targets)
+    comp = schedule_tree(btree7, tree, tree_requests(btree7, gates.items()))
     leaves = [("c10", 1), ("c00", 0), ("c11", 3), ("c01", 2)]
     assert forward_ops(comp) == [
         [("datactrl", "A", 0), ("fanout", "A", [0, 1])],

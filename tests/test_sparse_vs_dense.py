@@ -145,10 +145,8 @@ def test_sparse_engine_matches_dense_reference(data):
         assert_sparse_invariants(branch)
         assert np.abs(to_dense(branch) - ref_branch).max() <= TOL
     seed = data.draw(st.integers(0, 2**32 - 1))
-    (record, _), = measure(state, qubits, bases, "sample", np.random.default_rng(seed))
-    (ref_record, _), = dense.measure(
-        ref, lay, qubits, bases, "sample", np.random.default_rng(seed)
-    )
+    (record, _), = measure(state, qubits, bases, np.random.default_rng(seed))
+    (ref_record, _), = dense.measure(ref, lay, qubits, bases, np.random.default_rng(seed))
     assert record.outcome == ref_record.outcome
 
     # oracle comparison: fidelity against a random data-plane state and the

@@ -54,10 +54,8 @@ def reference(script, mode, seed):
     """(report fields, final state) of the unfactored run."""
     graph, compiled, data_inits = _prepare(script)
     state = init_state(graph, compiled.layout, compiled.walker_inits, data_inits)
-    rng = np.random.default_rng(seed) if seed is not None else None
-    if mode == "sample" and rng is None:
-        rng = np.random.default_rng(0)
-    final, trace = run_schedule(state, compiled.schedule, graph, mode=mode, rng=rng)
+    rng = np.random.default_rng(0 if seed is None else seed) if mode == "sample" else None
+    final, trace = run_schedule(state, compiled.schedule, graph, rng)
     fields = {
         "final_norm": final.norm,
         "supports": {

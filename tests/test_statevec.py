@@ -284,13 +284,11 @@ def test_measure_x_basis_definite_outcome(path3):
     assert fidelity(st_b, s) == pytest.approx(1.0)
 
 
-def test_measure_sample_mode_needs_rng(path3):
+def test_measure_with_rng_draws_one_branch(path3):
     lay = RegisterLayout.for_network(path3, 1)
     s = init_state(path3, lay, [("A", 0)])
-    with pytest.raises(StateError):
-        measure(s, [0], "Z", mode="sample")
     rng = np.random.default_rng(5)
-    (record, _), = measure(s, [0], "Z", mode="sample", rng=rng)
+    (record, _), = measure(s, [0], "Z", rng)
     assert record.probability == pytest.approx(1.0)
 
 

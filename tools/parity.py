@@ -37,7 +37,10 @@ test that fails against the old tree only (say, the regression test of
 a bug the new tree fixes) stops early there, or shrinks a failing
 example, so its records are not counted; such tests are listed by name.
 
-Exits 0 when every run matches, 1 when any differs, and 2 on bad usage.
+The last lines count the differing fuzz cases and the differing
+workload runs and sample replays; the `--tests` line counts the record
+differences. Exits 0 when every run, fuzz case and record matches, 1
+when any differs, and 2 on bad usage.
 Reads `perfbench/` and `tests/` and writes only to a temporary directory.
 """
 from __future__ import annotations
@@ -315,7 +318,7 @@ def main(argv=None) -> int:
             parser.error(f"no qwcp package under {src}")
     old_src, new_src = args.old_src.resolve(), args.new_src.resolve()
 
-    problems, floats, runs = [], [], 0
+    run_problems, floats, runs = [], [], 0
     with tempfile.TemporaryDirectory(prefix="qwcp-parity-") as tmp:
         tmp = Path(tmp)
         for workload in workloads.WORKLOADS:
@@ -326,7 +329,7 @@ def main(argv=None) -> int:
                     outdir = tmp / "out" / f"{workload}-s{seed}-{job['name']}"
                     old = run_side(old_src, job["argv"], outdir / "old")
                     new = run_side(new_src, job["argv"], outdir / "new")
-                    problems += compare_runs(label, old, new, floats)
+                    run_problems += compare_runs(label, old, new, floats)
                     runs += 1
                     if job["mode"] != "branch" or not measures(old["out"]):
                         continue
@@ -336,7 +339,7 @@ def main(argv=None) -> int:
                         # run_side points the dump at its own output directory
                         sample = with_option(sample, "--dump-state", "state.dump")
                         sub = outdir / f"sample{replay}"
-                        problems += compare_runs(
+                        run_problems += compare_runs(
                             f"{label} sample seed {replay}",
                             run_side(old_src, sample, sub / "old"),
                             run_side(new_src, sample, sub / "new"),
@@ -344,7 +347,7 @@ def main(argv=None) -> int:
                         )
                         runs += 1
         fuzz_cases, fuzz_problems = compare_fuzz(old_src, new_src, tmp, floats)
-        problems += fuzz_problems
+        problems = run_problems + fuzz_problems
         if args.tests is not None:
             tests = args.tests.resolve()
             old_code, old_uncollected, old_failed, old_calls = record_calls(
@@ -376,7 +379,7 @@ def main(argv=None) -> int:
         print(f"{len(floats)} outputs differ in floats only, largest difference "
               f"{max(floats)!r}")
     print(f"{fuzz_cases} fuzz cases on each side, {len(fuzz_problems)} differ")
-    print(f"{runs} runs on each side, {len(problems)} differences")
+    print(f"{runs} runs on each side, {len(run_problems)} differ")
     return 1 if problems else 0
 
 
