@@ -33,6 +33,7 @@ from .statevec import (
     RegisterLayout,
     StateError,
     StateVector,
+    check_dump,
     dump_state,
     init_state,
     measure,

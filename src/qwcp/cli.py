@@ -38,7 +38,9 @@ once.
 
 Exit codes: 0 success, 2 script/network parse error or an unreadable
 script or unwritable `--out`/`--dump-state` path, 3 precondition or
-construction error, 4 oracle verification failure.
+construction error (a `--dump-state` dump of more than 2^26 lines
+included, refused before any output is written), 4 oracle verification
+failure.
 """
 from __future__ import annotations
 
@@ -72,9 +74,9 @@ from .statevec import (
     RegisterLayout,
     SQRT1_2,
     StateError,
+    check_dump,
     dump_state,
     init_state,
-    insert_qubits,
 )
 from .walkops import (
     OperatorError,
@@ -542,17 +544,24 @@ def execute(
     seed: int | None = None,
     mode: str = "branch",
 ):
-    """Run a parsed script; returns (report dict, final StateVector, trace).
+    """Run a parsed script; returns (report dict, final core StateVector,
+    spectator factors, trace).
 
     Only the core of the state is run: spectator data qubits (see
     `spectator_qubits`) start in |0> in the protocol and oracle states,
-    and their initial 2-vectors are kept apart. `run_schedule`, `measure`,
-    `oracle_apply` and `compare` see core states, and so do
+    and their initial 2-vectors are kept apart as `factors`, {layout bit:
+    2-vector} for those not in |0>, in layout order. `run_schedule`,
+    `measure`, `oracle_apply` and `compare` see core states, and so do
     `trace.branches`. One `compare` call checks every measured branch (or
     the final state of a run that measures nothing), and the report holds
-    the least fidelity and purity. `final` is the full state, with the
-    spectators inserted at their layout bits, and the report's
-    `final_norm` is its norm."""
+    the least fidelity and purity. The full final state is
+    `insert_qubits(core, factors)`; it is never built here:
+    `dump_state` writes its dump from the two parts, and the report's
+    `final_norm` is the core's norm times each factor's norm, in layout
+    order. `mode` is "branch" (keep every measured branch) or "sample"
+    (draw one, seeded by `seed`)."""
+    if mode not in ("branch", "sample"):
+        raise ScriptError(f"unknown mode {mode!r} (use branch or sample)")
     graph, compiled, data_inits = _prepare(script, network_override)
     layout = compiled.layout
     spectators = spectator_qubits(layout, compiled.schedule, compiled.oracle_gates)
@@ -563,14 +572,16 @@ def execute(
     if seed is not None and seed < 0:
         raise ScriptError("--seed must be a non-negative integer")
     rng = np.random.default_rng(0 if seed is None else seed) if mode == "sample" else None
-    final, trace = run_schedule(state, compiled.schedule, graph, rng)
+    core, trace = run_schedule(state, compiled.schedule, graph, rng)
 
     comparison = None
     if compiled.oracle_gates is not None:
         oracle_in = init_state(graph, data_layout(graph), [], data_inits)
         oracle_out = oracle_apply(oracle_in, compiled.oracle_gates)
-        comparison = compare(final if trace.branches is None else trace.branches, oracle_out)
-    final = insert_qubits(final, factors)
+        comparison = compare(core if trace.branches is None else trace.branches, oracle_out)
+    final_norm = core.norm
+    for q in factors.values():
+        final_norm *= float(np.linalg.norm(q))
 
     report = {
         "schema": 1,
@@ -578,7 +589,7 @@ def execute(
         "mode": mode,
         "seed": seed,
         "steps": len(compiled.schedule.timesteps),
-        "final_norm": final.norm,
+        "final_norm": final_norm,
         "fidelity_vs_oracle": comparison.data_fidelity if comparison else None,
         "walker_purity": comparison.walker_purity if comparison else None,
         "passed": comparison.passed if comparison else None,
@@ -599,7 +610,7 @@ def execute(
         "meta": _meta_json(compiled.meta),
         "schedule": schedule_to_json(compiled.schedule),
     }
-    return report, final, trace
+    return report, core, factors, trace
 
 
 def _support_json(support: dict) -> dict:
@@ -662,9 +673,11 @@ def main(argv=None) -> int:
         return 2
     try:
         script = parse_script(text)
-        report, final, _ = execute(
+        report, core, factors, _ = execute(
             script, network_override=args.network, seed=args.seed, mode=args.mode
         )
+        if args.dump_state:
+            check_dump(core, factors)
     except (ScriptError, NetworkError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -679,7 +692,8 @@ def main(argv=None) -> int:
         else:
             print(rendered)
         if args.dump_state:
-            Path(args.dump_state).write_bytes(dump_state(final))
+            with open(args.dump_state, "wb") as out:
+                dump_state(out, core, factors)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2

@@ -191,7 +191,7 @@ def _forest(visits):
     return depth, kids, walker, inits
 
 
-def _compile(name, graph, visits, oracle_gates, meta, measure=None):
+def _compile(name, graph, visits, oracle_gates, meta, measure=None, forest=None):
     """Compile the walk of a visit forest into protocol `name`: one
     forward timestep per depth, then the separation. That is the unitary
     reversal of the walk operators, or, with `measure=(a_node, b_node,
@@ -210,8 +210,10 @@ def _compile(name, graph, visits, oracle_gates, meta, measure=None):
     The data gates condition only on a walker's vertex, which the
     same-step coin operations never change, so they go first; at the
     launch step this lets a local preparation precede the data-controlled
-    coin. `meta` gains `propagation_steps`, the depth of the forest."""
-    depth, kids, walker, inits = _forest(visits)
+    coin. `meta` gains `propagation_steps`, the depth of the forest.
+    `forest` is `_forest(visits)` when the caller has already numbered
+    the visits."""
+    depth, kids, walker, inits = forest or _forest(visits)
     layout = RegisterLayout.for_network(graph, len(inits))
 
     ops: list[list] = [[] for _ in range(max(depth) + 1)]
@@ -417,12 +419,13 @@ def schedule_tree(graph, tree: TreeSpec, requests) -> CompiledProtocol:
     visits = [_Visit(tree.root, controls=controls)]
     visits += [_Visit(v, p, gate=gates.get(v))
                for v, p in zip(tree.nodes[1:], tree.parents[1:])]
-    depth, _, walker, inits = _forest(visits)
+    forest = _forest(visits)
+    depth, _, walker, inits = forest
     return _compile("tree", graph, visits, [req.oracle_gate() for req in requests], {
         "arrival": dict(zip(tree.nodes[1:], depth[1:])),
         "walker_of": dict(zip(tree.nodes, walker)),
         "spawn_node": {w: inits[w][0] for w in range(1, len(inits))},
-    })
+    }, forest=forest)
 
 
 # -- entanglement distribution -------------------------------------------

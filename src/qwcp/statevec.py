@@ -24,7 +24,7 @@ from .netgraph import NetworkGraph
 NORM_TOL = 1e-10
 SUPPORT_TOL = 1e-9
 DUMP_TOL = 1e-12
-DUMP_CHUNK = 1024  # dump lines built as one byte matrix
+DUMP_CHUNK = 4096  # dump lines laid out and written at a time
 MAX_TOTAL_BITS = 62  # indices are int64 with the sign bit clear
 # entries one array may hold, as many as a dense 26-bit state: the width
 # cap alone does not bound them, so each array that can grow checks this
@@ -367,9 +367,7 @@ def insert_qubits(state: StateVector, factors: dict) -> StateVector:
         return state
     n = state.layout.total_bits
     indices, amps = state.indices, state.amplitudes
-    if np.any(indices & _bit_mask(n, factors)):
-        raise StateError("inserted qubits must be 0 in the state")
-    check_entries(len(indices) * math.prod(int(np.count_nonzero(q)) for q in factors.values()))
+    check_entries(_product_size(state, factors))
     for pos, q in factors.items():
         q = np.asarray(q, dtype=complex)
         bits = np.flatnonzero(q)
@@ -380,17 +378,69 @@ def insert_qubits(state: StateVector, factors: dict) -> StateVector:
     return StateVector(state.layout, *_sorted(indices[nonzero], amps[nonzero]))
 
 
+def _product_size(state: StateVector, factors: dict) -> int:
+    """Entries of the product of `state` with single-qubit `factors`, as
+    `insert_qubits` forms it before dropping zeros: one per stored entry
+    and pattern of the factors' nonzero bits. The state must hold each
+    factor bit at 0."""
+    if np.any(state.indices & _bit_mask(state.layout.total_bits, factors)):
+        raise StateError("inserted qubits must be 0 in the state")
+    pairs = np.array(list(factors.values()), dtype=complex).reshape(-1, 2)
+    return len(state.indices) * math.prod(np.count_nonzero(pairs, axis=1).tolist())
+
+
 # -- measurement ----------------------------------------------------------
 
 
 def _rotate_basis(layout: RegisterLayout, indices, amps, qubits, bases):
-    for pos, basis in zip(qubits, bases):
-        if basis == "X":
-            act = BlockAction((pos,), HADAMARD)
-            indices, amps = _apply_block(layout, indices, amps, act)
-        elif basis != "Z":
+    """The entries rotated into the measured bases: a Hadamard on each
+    X-measured qubit, in measured order, as one `_apply_block` per qubit
+    would apply it, float for float.
+
+    The entries are grouped once by their other bits, into a dense block
+    with one column per value of the X-measured bits. For each qubit, the
+    pairs of columns that differ in its bit go through the same matmul as
+    `_apply_block`'s, on the pairs that hold an entry (a zero counts as
+    no entry, as `_apply_block` drops it), so each two-term sum is the
+    one that path forms."""
+    for basis in bases:
+        if basis not in ("X", "Z"):
             raise StateError(f"unsupported basis {basis!r}")
-    return indices, amps
+    xs = [pos for pos, basis in zip(qubits, bases) if basis == "X"]
+    if not xs:
+        return indices, amps
+    n, x = layout.total_bits, len(xs)
+    rows, row = _unique_inverse(indices & ~_bit_mask(n, xs))
+    check_entries(len(rows) << x)
+    column = _gather(indices, n, xs)
+    block = np.zeros((len(rows), 1 << x), dtype=complex)
+    block[row, column] = amps
+    held = np.zeros(block.shape, dtype=bool)  # the entries, stored zeros included
+    held[row, column] = True
+    # one axis per X-measured qubit; each pass moves its qubit's axis last
+    block = block.reshape((len(rows),) + (2,) * x)
+    for j in range(1, x + 1):
+        moved = block.swapaxes(j, -1)
+        pairs = np.ascontiguousarray(moved).reshape(-1, 2)
+        if j == 1:
+            live = held.reshape(block.shape).swapaxes(1, -1).reshape(-1, 2).any(axis=1)
+        else:
+            live = pairs.any(axis=1)
+        # a matmul of two or more rows gives each row the floats it gives
+        # that row in any other such matmul, but one row takes another path
+        if np.count_nonzero(live) == 1:
+            rotated = np.zeros_like(pairs)
+            rotated[live] = pairs[live] @ HADAMARD.T
+        else:
+            rotated = pairs @ HADAMARD.T
+        rotated[rotated == 0] = 0  # a zero is dropped, and comes back as 0.0
+        block = rotated.reshape(moved.shape).swapaxes(j, -1)
+    new_amps = block.reshape(len(rows), 1 << x).ravel()
+    codes = np.arange(1 << x)[:, None] >> np.arange(x - 1, -1, -1) & 1
+    spread = (codes << (n - 1 - np.array(xs))).sum(axis=1)
+    new_indices = (rows[:, None] | spread[None, :]).ravel()
+    nonzero = new_amps != 0
+    return _sorted(new_indices[nonzero], new_amps[nonzero])
 
 
 def measure(
@@ -475,43 +525,136 @@ def walker_vertex_support(state: StateVector, walker: int) -> set[int]:
     return {int(v) for v in np.flatnonzero(probs > SUPPORT_TOL)}
 
 
-def dump_state(state: StateVector) -> bytes:
-    """One ASCII line per nonzero amplitude: `index_bits  re  im`, ascending,
-    each ending in a newline; empty when no amplitude reaches DUMP_TOL.
+# byte value -> its 8 bits as '0'/'1' characters, read as one uint64
+_BIT_CHARS = (
+    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) + ord("0")
+).view(np.uint64).ravel()
+
+
+def _window(buf: np.ndarray, width: int) -> np.ndarray:
+    """Every run of `width` bytes of `buf` as one element; element k starts
+    at byte k, so assigning to element k writes bytes k..k+width-1."""
+    return np.ndarray((len(buf) - width + 1,), dtype=f"V{width}", buffer=buf, strides=(1,))
+
+
+def check_dump(core: StateVector, factors: dict) -> int:
+    """Line count of the dump of `insert_qubits(core, factors)`, zero
+    amplitudes included: one per core entry and pattern of the factors'
+    nonzero bits. Refuses more than MAX_ENTRIES lines, and a core that
+    sets a factor bit."""
+    lines = _product_size(core, factors)
+    if lines > MAX_ENTRIES:
+        raise StateError(f"state dump would have {lines} lines, cap is {MAX_ENTRIES}")
+    return lines
+
+
+def dump_state(out, core: StateVector, factors: dict) -> None:
+    """Write the dump of `insert_qubits(core, factors)` to the binary file
+    `out`, without building that product: one ASCII line per amplitude of
+    magnitude at least DUMP_TOL, `index_bits  re  im`, ascending, each
+    ending in a newline; nothing when no amplitude reaches DUMP_TOL.
 
     Zeros are printed as `0.0`: each part is written as `x + 0.0`, which
     turns -0.0 into 0.0 and leaves every other value as it is, so the sign
-    of a zero never depends on how the engine computed it. Amplitudes
-    repeat heavily, so each distinct float is formatted with `repr` once,
-    and each distinct (re, im) pair once as its line's tail. DUMP_CHUNK
-    lines at a time are built as one byte matrix, the index bits as
-    '0'/'1' bytes and then each line's tail from a table of tails padded
-    with NUL bytes, and one mask drops the padding. The chunks keep the
-    matrix small next to the text."""
-    n = state.layout.total_bits
-    shown = np.abs(state.amplitudes) >= DUMP_TOL
-    indices = state.indices[shown]
-    if not len(indices):
-        return b""
-    parts = state.amplitudes[shown].view(np.float64) + 0.0  # re, im, re, im, ...
-    values, which = np.unique(parts, return_inverse=True)
-    text = [repr(x) for x in values.tolist()]
-    pairs, tail_of = np.unique(which[0::2] * len(values) + which[1::2], return_inverse=True)
+    of a zero never depends on how the engine computed it.
+
+    A line is one core entry with one pattern of the factors' nonzero
+    bits. Its amplitude is the core amplitude times the factors' values,
+    multiplied in the order of `factors`, as `insert_qubits` multiplies
+    them, so every float is the one the product holds. These products are
+    formed once per distinct core amplitude and distinct sequence of
+    factor values (a qubit in |+> gives one value for both bits); each
+    distinct float is formatted with `repr` once, and each distinct
+    (re, im) pair once as a line tail. The line indices are sorted once.
+    DUMP_CHUNK lines at a time are then laid out in one byte buffer and
+    written: each line's tail from a table of tails, then its index bits
+    from a table of the bit characters of every byte value."""
+    if not check_dump(core, factors):
+        return
+    n = core.layout.total_bits
+    # distinct core amplitudes, bit for bit
+    values, core_of = np.unique(core.amplitudes.view("V16"), return_inverse=True)
+    products = values.view(complex)  # value v with sequence s at v * sequences + s
+    patterns = np.zeros(1, dtype=np.int64)  # the factor bits of each pattern
+    split = []  # for each factor with two nonzero bits: do they hold two values
+    qs = np.array(list(factors.values()), dtype=complex).reshape(-1, 2)
+    for pos, q, nonzero in zip(factors, qs, (qs != 0).tolist()):
+        bits = [b for b in (0, 1) if nonzero[b]]
+        patterns = np.bitwise_or.outer(patterns, [b << (n - 1 - pos) for b in bits]).ravel()
+        two_values = len(bits) == 2 and q[:1].tobytes() != q[1:].tobytes()
+        if len(bits) == 2:
+            split.append(two_values)
+        if two_values:
+            # equal lengths: numpy's vector loop, which `insert_qubits` takes
+            # (a lone pair of scalars can take a loop that rounds apart)
+            products = np.repeat(products, 2) * np.tile(q, len(products))
+        else:
+            products = products * q[bits[0] : bits[0] + 1]
+    # a pattern's sequence: its bits of the factors that hold two values
+    ordinal = np.arange(len(patterns))
+    sequence = np.zeros(len(patterns), dtype=np.intp)
+    for j in np.flatnonzero(split).tolist():
+        sequence = 2 * sequence + ((ordinal >> (len(split) - 1 - j)) & 1)
+    shown = np.abs(products) >= DUMP_TOL
+    if not shown.any():
+        return
+    parts = products[shown].view(np.float64) + 0.0  # re, im, re, im, ...
+    floats, which = np.unique(parts, return_inverse=True)
+    text = [repr(x) for x in floats.tolist()]
+    pairs, tail_of_shown = np.unique(which[0::2] * len(floats) + which[1::2], return_inverse=True)
     tails = [
-        f"  {text[p // len(values)]}  {text[p % len(values)]}\n".encode()
+        f"  {text[p // len(floats)]}  {text[p % len(floats)]}\n".encode()
         for p in pairs.tolist()
     ]
-    width = max(map(len, tails))
-    table = np.frombuffer(
-        b"".join(t.ljust(width, b"\0") for t in tails), dtype=np.uint8
-    ).reshape(-1, width)
-    nbytes = (n + 7) // 8  # low bytes of the big-endian index that hold its bits
-    chunks = []
-    for lo in range(0, len(indices), DUMP_CHUNK):
-        block = indices[lo : lo + DUMP_CHUNK]
-        rows = np.empty((len(block), n + width), dtype=np.uint8)
-        low = block.astype(">i8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes :]
-        np.add(np.unpackbits(low, axis=1)[:, 8 * nbytes - n :], ord("0"), out=rows[:, :n])
-        rows[:, n:] = table[tail_of[lo : lo + DUMP_CHUNK]]
-        chunks.append(rows[rows != 0])
-    return b"".join(chunks)
+    tail_of = np.full(len(products), -1, dtype=np.intp)  # -1: below DUMP_TOL
+    tail_of[shown] = tail_of_shown
+    first = core_of * (len(products) // len(values))  # each core entry's first product
+    # line (i << m) + p is core entry i with pattern p
+    m = len(patterns).bit_length() - 1
+    keys = np.bitwise_or.outer(core.indices, patterns).ravel()
+    lines = np.argsort(keys, kind="stable")
+
+    # Tails are written first, each right-aligned in the widest tail of its
+    # class, so that the bytes before it fall in its line's index bits,
+    # written next. A class spans widths at most n apart.
+    tail_len = np.array([len(t) for t in tails])
+    widths = sorted(set(tail_len.tolist()), reverse=True)
+    tops = [widths[0]]
+    for w in widths:
+        if w < tops[-1] - n:
+            tops.append(w)
+    tail_class = np.searchsorted(-np.array(tops), -tail_len, side="right") - 1
+    tables = [
+        np.frombuffer(b"".join(t.rjust(top, b"\0")[-top:] for t in tails), dtype=f"V{top}")
+        for top in tops
+    ]
+    nbytes = (n + 7) // 8  # low bytes of an index that hold its bits
+    every_shown = shown.all()
+    chunk = min(DUMP_CHUNK, len(lines))
+    buf = np.empty((n + int(tail_len.max())) * chunk, dtype=np.uint8)
+    # the characters of each line's index bytes, the last n of them its bits
+    chars = np.empty((chunk, nbytes), dtype=np.uint64)
+    bit_chars = np.ndarray((chunk,), f"V{n}", chars, 8 * nbytes - n, (8 * nbytes,))
+    for lo in range(0, len(lines), DUMP_CHUNK):
+        block = lines[lo : lo + DUMP_CHUNK]
+        block_tail = tail_of.take(first.take(block >> m) + sequence.take(block & ((1 << m) - 1)))
+        if not every_shown:
+            block, block_tail = block[block_tail >= 0], block_tail[block_tail >= 0]
+            if not len(block):
+                continue
+        if len(widths) == 1:  # lines of one length, a stride apart
+            step = n + widths[0]
+            start, size = slice(0, step * len(block), step), step * len(block)
+            _window(buf[n:], widths[0])[start] = tables[0].take(block_tail)
+        else:
+            length = n + tail_len.take(block_tail)
+            end = np.cumsum(length)
+            start, size = end - length, int(end[-1])
+            for c, (top, table) in enumerate(zip(tops, tables)):
+                sel = slice(None) if len(tops) == 1 else tail_class.take(block_tail) == c
+                _window(buf, top)[end[sel] - top] = table.take(block_tail[sel])
+        index = keys.take(block)
+        for k in range(nbytes):
+            chars[: len(block), k] = _BIT_CHARS.take((index >> (8 * (nbytes - 1 - k))) & 0xFF)
+        _window(buf, n)[start] = bit_chars[: len(block)]
+        out.write(buf[:size])

@@ -7,9 +7,10 @@ dense_reference.py), the check that no amplitude sits on a vertex or coin
 code the network lacks, and the reference state dump. Dense vectors are
 limited to DENSE_MAX_BITS bits, so a test can never allocate 2^62 entries.
 
-The sparse references of the stacked branch path live here too: the cut
-matrix and its purity, the per-state oracle comparison built from them,
-and the Z on one bit of one state. So does the dense matrix of a coin
+The sparse references of the stacked branch path live here too: the
+rotation into the measured bases one qubit at a time, the cut matrix and
+its purity, the per-state oracle comparison built from them, and the Z
+on one bit of one state. So does the dense matrix of a coin
 swap, the block that each coin swap remap is checked against.
 """
 from __future__ import annotations
@@ -19,9 +20,12 @@ import numpy as np
 import dense_reference as dense
 from qwcp.statevec import (
     DUMP_TOL,
+    HADAMARD,
+    BlockAction,
     RegisterLayout,
     StateError,
     StateVector,
+    _apply_block,
     _bit_mask,
     _gather,
     _unique_inverse,
@@ -84,6 +88,17 @@ def dump_reference(state: StateVector) -> bytes:
             state.indices[shown].tolist(), state.amplitudes[shown].tolist()
         )
     ).encode("ascii")
+
+
+def rotate_basis_reference(layout: RegisterLayout, indices, amps, qubits, bases):
+    """`statevec._rotate_basis` as one Hadamard `_apply_block` per
+    X-measured qubit, in measured order."""
+    for pos, basis in zip(qubits, bases):
+        if basis == "X":
+            indices, amps = _apply_block(layout, indices, amps, BlockAction((pos,), HADAMARD))
+        elif basis != "Z":
+            raise StateError(f"unsupported basis {basis!r}")
+    return indices, amps
 
 
 def swap_matrix(nc: int, c1: int, c2: int) -> np.ndarray:

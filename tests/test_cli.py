@@ -10,7 +10,7 @@ import pytest
 import qwcp
 from qwcp import cli
 from qwcp.cli import Script, ScriptError, execute, main, parse_script
-from qwcp.statevec import DUMP_CHUNK
+from qwcp.statevec import DUMP_CHUNK, insert_qubits
 
 from conftest import (
     binary_tree_json, btree7_json, grid3_json, line_json, network_json, triangle_json,
@@ -129,7 +129,7 @@ def cnot_script(path3_file, extra="separation=reverse"):
 
 def test_execute_remote_cnot(path3_file):
     script = parse_script(cnot_script(path3_file))
-    report, final, trace = execute(script)
+    report, *_ = execute(script)
     assert report["schema"] == 1
     assert report["passed"] is True
     assert report["fidelity_vs_oracle"] >= 1 - 1e-9
@@ -140,10 +140,16 @@ def test_execute_remote_cnot(path3_file):
 
 def test_execute_measure_mode_branches(path3_file):
     script = parse_script(cnot_script(path3_file, "separation=measure"))
-    report, _, _ = execute(script, mode="branch")
+    report, *_ = execute(script, mode="branch")
     assert len(report["measurements"]) >= 2
     assert report["passed"] is True
     assert all(msg["to"] == "B" for msg in report["classical_messages"])
+
+
+def test_execute_rejects_unknown_mode(path3_file):
+    script = parse_script(cnot_script(path3_file, "separation=measure"))
+    with pytest.raises(ScriptError, match="unknown mode 'smaple'"):
+        execute(script, mode="smaple")
 
 
 def test_step_measure_separates_the_named_walker(path3_file):
@@ -167,7 +173,7 @@ def test_step_measure_separates_the_named_walker(path3_file):
         "step coindata node=B qubits=b gate=X walker=1\n"
         "step measure a=A b=B qubit=a walker=1\n"
     )
-    report, _, trace = execute(script)
+    report, _, _, trace = execute(script)
     assert report["schedule"]["measure"]["walker"] == 1
     walker1_bits = [4, 5, 6, 7]  # 4-bit walker registers on the 3-node path
     assert [m["qubits"] for m in report["measurements"]] == [walker1_bits] * 2
@@ -194,7 +200,7 @@ def test_execute_step_script(path3_file):
         "place 0 A 1\n"
         "step shift flipflop\n"
     )
-    report, final, _ = execute(script)
+    report, *_ = execute(script)
     assert report["protocol"] == "steps"
     assert report["fidelity_vs_oracle"] is None
     assert report["supports"]["timesteps"][0]["0"] == ["u"]
@@ -211,7 +217,7 @@ def test_execute_step_script_gate_sequence(path3_file):
         "step shift flipflop\n"
         "step coindata node=B qubits=b gate=X walker=0\n"
     )
-    report, final, _ = execute(script)
+    report, final, _, _ = execute(script)  # A.a is a spectator in |0>: no factor
     assert report["supports"]["timesteps"][-1]["0"] == ["B"]
     idx = int(np.flatnonzero(np.abs(to_dense(final)) > 0.5)[0])
     assert idx & 1 == 1  # B.b is the lowest bit and got flipped
@@ -241,7 +247,7 @@ GHZ_NET = line_json(["A", "B", "C", "D"], {v: ["g"] for v in "ABCD"})
 def test_walkers_needed_defaults(tmp_path, capsys, network, command, walkers):
     net = tmp_path / "net.json"
     net.write_text(network)
-    report, _, _ = execute(parse_script(f"network {net}\n{command}\n"))
+    report, *_ = execute(parse_script(f"network {net}\n{command}\n"))
     assert report["protocol"] == command.split()[0]
     assert report["passed"] is True
     assert len(report["supports"]["initial"]) == walkers
@@ -253,7 +259,7 @@ def test_walkers_needed_defaults(tmp_path, capsys, network, command, walkers):
 
 def test_network_override(path3_file, tmp_path):
     script = parse_script("linklevel\n")
-    report, _, _ = execute(script, network_override=str(path3_file))
+    report, *_ = execute(script, network_override=str(path3_file))
     assert report["protocol"] == "linklevel"
     with pytest.raises(ScriptError):
         execute(script)  # no network given anywhere
@@ -309,7 +315,8 @@ def test_main_dump_matches_reference(tmp_path):
     script, dump = write_script(tmp_path, text), tmp_path / "state.txt"
     assert main(["run", str(script), "--out", str(tmp_path / "r.json"),
                  "--dump-state", str(dump)]) == 0
-    _, final, _ = execute(parse_script(text))
+    _, core, factors, _ = execute(parse_script(text))
+    final = insert_qubits(core, factors)
     assert len(final.indices) > DUMP_CHUNK
     assert dump.read_bytes() == dump_reference(final)
 
@@ -488,8 +495,11 @@ def test_main_precondition_error_exit_3(tmp_path, capsys):
     + "0" * 30 + " target=B.b path=A,B gate=X",
 ], ids=["spectators", "controls"])
 def test_main_entry_cap_exit_3(tmp_path, capsys, request_line):
-    # 53 bits is within the width cap, but 50 qubits in |+> would make 2^49
-    # entries (2^30 for the controls alone): refused before it is built
+    # 53 bits is within the width cap, but 50 qubits in |+> would make 2^30
+    # state entries for the controls alone: refused before it is built. As
+    # spectators, 49 of them stay out of the run, which exits 0; their dump
+    # would have 2^49 lines per core entry, and is refused before its file
+    # is opened
     from qwcp.statevec import MAX_ENTRIES
 
     names = [f"q{i}" for i in range(50)]
@@ -497,8 +507,17 @@ def test_main_entry_cap_exit_3(tmp_path, capsys, request_line):
                        name="net.json")
     inits = "".join(f"init A.{q}=+\n" for q in names)
     script = write_script(tmp_path, f"network {net}\n{inits}{request_line}\n")
-    assert main(["run", str(script)]) == 3
-    assert f"cap is {MAX_ENTRIES}" in capsys.readouterr().err
+    spectators = "string=" not in request_line
+    assert main(["run", str(script), "--out", str(tmp_path / "r.json")]) == (
+        0 if spectators else 3
+    )
+    dump = tmp_path / "state.txt"
+    assert main(["run", str(script), "--dump-state", str(dump)]) == 3
+    err = capsys.readouterr().err
+    assert f"cap is {MAX_ENTRIES}" in err
+    if spectators:  # CNOT|+>|0> leaves 2 core entries
+        assert f"state dump would have {2 << 49} lines" in err
+    assert not dump.exists()
 
 
 def test_main_ghz_gate_matrix_cap_exit_3(tmp_path, capsys):
@@ -679,7 +698,7 @@ def test_reports_are_deterministic(path3_file, tmp_path):
 
 def test_report_includes_schedule_json(path3_file):
     script = parse_script(cnot_script(path3_file))
-    report, _, _ = execute(script)
+    report, *_ = execute(script)
     kinds = [op["kind"] for ts in report["schedule"]["timesteps"] for op in ts["ops"]]
     assert "datactrl" in kinds and "coindata" in kinds
 

@@ -2,10 +2,13 @@
 
 `execute` runs only the core of the state: data qubits that no scheduled
 action reads or writes and no oracle gate touches (spectators) start in
-|0>, and their initial 2-vectors are inserted back into the final state.
-The reference here runs the whole state, as `tests/test_protocols.py`
-does: `init_state` with every data init, `run_schedule`, then one
-`compare` over the measured branches or the final state."""
+|0>, and their initial 2-vectors come back apart, as factors. The tests
+build the full final state from the two with `insert_qubits`, and check
+the dump that `dump_state` writes from them against it. The reference
+here runs the whole state, as `tests/test_protocols.py` does:
+`init_state` with every data init, `run_schedule`, then one `compare`
+over the measured branches or the final state."""
+import io
 import tempfile
 from pathlib import Path
 
@@ -41,9 +44,10 @@ from qwcp.cli import (
     parse_script,
     spectator_qubits,
 )
-from qwcp.statevec import insert_qubits
+from qwcp.statevec import dump_state, insert_qubits
 
 from conftest import line_json
+from instruments import dump_reference
 from test_cli_fuzz import cases
 
 REJECTED = (ScriptError, NetworkError, ProtocolError, OperatorError, StateError, OracleError)
@@ -96,7 +100,7 @@ def check_against_reference(network: str, lines: list, mode: str, seed=None):
         net.write_text(network)
         try:
             script = parse_script("\n".join([f"network {net}", *lines]) + "\n")
-            report, final, _ = execute(script, seed=seed, mode=mode)
+            report, core, factors, _ = execute(script, seed=seed, mode=mode)
         except REJECTED as exc:
             event(f"rejected: {type(exc).__name__}")
             # the unfactored run rejects the script the same way
@@ -124,8 +128,14 @@ def check_against_reference(network: str, lines: list, mode: str, seed=None):
         else:
             assert report[key] == pytest.approx(want[key], abs=TOL)
     assert report["final_norm"] == pytest.approx(want["final_norm"], abs=TOL)
+    final = insert_qubits(core, factors)
+    # the report's norm is the core's times the factors', not the product's
+    assert abs(report["final_norm"] - final.norm) <= 1e-15 * (len(factors) + 1)
     assert final.layout == want_final.layout
     assert max_difference(final, want_final) <= TOL
+    out = io.BytesIO()
+    dump_state(out, core, factors)
+    assert out.getvalue() == dump_reference(final)
 
 
 @settings(max_examples=150, deadline=None)
@@ -259,11 +269,13 @@ def test_remote_cu_spectators_and_final_state():
     with tempfile.TemporaryDirectory() as tmp:
         net = Path(tmp, "net.json")
         net.write_text(NET)
-        report, final, trace = execute(parse_script(
+        report, core, factors, _ = execute(parse_script(
             f"network {net}\ninit A.c=+\ninit B.u=1\n"
             "remote_cu control=A.c target=B.t path=A,B gate=X\n"
         ))
     assert report["passed"] is True
+    assert list(factors) == [layout.data_bit("B", "u")]
+    final = insert_qubits(core, factors)
     u_bit = 1 << (layout.total_bits - 1 - layout.data_bit("B", "u"))
     assert np.all(final.indices & u_bit)
     assert len(final.indices) == 2

@@ -1,3 +1,4 @@
+import io
 from itertools import zip_longest
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from qwcp import (
     RegisterLayout,
+    statevec,
     load_network,
     StateError,
     StateVector,
@@ -21,6 +23,7 @@ from qwcp.statevec import (
     DUMP_CHUNK,
     DUMP_TOL,
     HADAMARD,
+    MAX_ENTRIES,
     MAX_TOTAL_BITS,
     SQRT1_2,
     PermAction,
@@ -28,6 +31,7 @@ from qwcp.statevec import (
     _rotate_basis,
     _unique_inverse,
     apply_actions,
+    check_dump,
     insert_qubits,
 )
 
@@ -41,6 +45,7 @@ from instruments import (
     fidelity,
     from_dense,
     reduced_density,
+    rotate_basis_reference,
     to_dense,
 )
 
@@ -338,10 +343,17 @@ def test_check_no_invalid_amplitude(path3):
         check_no_invalid_amplitude(from_dense(lay, bad), path3)
 
 
+def dumped(core, factors=None) -> bytes:
+    """The bytes `dump_state` writes for `core` times `factors`."""
+    out = io.BytesIO()
+    dump_state(out, core, factors or {})
+    return out.getvalue()
+
+
 def test_dump_state_format(path3):
     lay = RegisterLayout.for_network(path3, 1)
     s = init_state(path3, lay, [("u", 1)], {("B", "b"): (0.0, 1.0)})
-    text = dump_state(s)
+    text = dumped(s)
     assert isinstance(text, bytes) and text.endswith(b"\n")
     lines = text.split(b"\n")[:-1]
     assert len(lines) == 1
@@ -442,10 +454,10 @@ def listed_state(n, indices, amps):
 
 
 def mixed_tails_state(count):
-    """`count` dump lines on 12 bits whose tails differ in width and
+    """`count` dump lines on 16 bits whose tails differ in width and
     alternate within each dump chunk."""
     pool = np.array([0.5, SQRT1_2 - 0.5j, -SQRT1_2, 1j, 0.25 + 0.125j, -1.0])
-    return listed_state(12, np.arange(count) * 3, pool[np.arange(count) % len(pool)])
+    return listed_state(16, np.arange(count) * 3, pool[np.arange(count) % len(pool)])
 
 
 @settings(max_examples=200, deadline=None)
@@ -456,10 +468,125 @@ def mixed_tails_state(count):
 @example(mixed_tails_state(DUMP_CHUNK))
 @example(mixed_tails_state(DUMP_CHUNK + 1))
 def test_dump_state_matches_reference(state):
-    text = dump_state(state)
+    text = dumped(state)
     assert first_line_difference(text, dump_reference(state)) is None
     if np.all(np.abs(state.amplitudes) < DUMP_TOL):
         assert text == b""
+
+
+# spectator states |0>, |1>, |+> and |->
+FACTOR_POOL = [(1.0, 0.0), (0.0, 1.0), (SQRT1_2, SQRT1_2), (SQRT1_2, -SQRT1_2)]
+# parts of arbitrary 2-vectors: zeros of both signs, repeats, and values
+# whose products with small core amplitudes underflow to zero
+FACTOR_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1e-200, -1e-170]),
+    st.floats(-2.0, 2.0, allow_subnormal=False),
+)
+
+
+@st.composite
+def factored_states(draw):
+    """(core, factors): a core state on 2 to 40 bits and up to 8 factors,
+    {bit: 2-vector}, at bits the core holds at 0, in drawn order. Core
+    parts come from PART_POOL, from the same values scaled down to 1e-160
+    (so products with small factor values underflow), or from a normal
+    distribution; factors are spectator states or arbitrary 2-vectors."""
+    n = draw(st.integers(2, 40))
+    bits = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=min(8, n - 1)))
+    mask = sum(1 << (n - 1 - pos) for pos in bits)
+    raw = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40))
+    indices = np.unique(np.array(raw, dtype=np.int64) & ~mask)
+    amps = np.empty(len(indices), dtype=complex)
+    source = draw(st.sampled_from(["pool", "small", "normal"]))
+    if source == "normal":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        amps.real, amps.imag = rng.normal(size=(2, len(indices)))
+    else:
+        pool = np.array(PART_POOL) * (1e-160 if source == "small" else 1.0)
+        for part in (amps.real, amps.imag):
+            part[:] = pool[draw(st.lists(st.integers(0, len(pool) - 1),
+                                         min_size=len(indices), max_size=len(indices)))]
+    factors = {}
+    for pos in bits:
+        factors[pos] = draw(st.one_of(
+            st.sampled_from(FACTOR_POOL),
+            st.tuples(*[st.builds(complex, FACTOR_PARTS, FACTOR_PARTS)] * 2),
+        ))
+    return StateVector(wide_layout(n), indices, amps), factors
+
+
+@settings(max_examples=150, deadline=None)
+@given(factored_states(), st.sampled_from([1, 3, 64, DUMP_CHUNK]))
+@example(  # every product underflows to zero
+    (listed_state(3, [0, 1], [1e-160, -1e-160j]), {1: (1e-170, 1e-200)}), 1
+)
+@example((listed_state(4, [], []), {0: (SQRT1_2, SQRT1_2)}), DUMP_CHUNK)
+@example((listed_state(4, [0b0001, 0b0100], [0.6, -0.8j]), {}), 1)
+def test_dump_state_of_product_matches_reference(case, chunk):
+    core, factors = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statevec, "DUMP_CHUNK", chunk)
+        text = dumped(core, factors)
+    want = dump_reference(insert_qubits(core, factors))
+    assert first_line_difference(text, want) is None
+
+
+def test_check_dump_counts_lines_before_the_product():
+    # a dump has one line per core entry and pattern of the factors'
+    # nonzero bits, counted without building them
+    lay = wide_layout(40)
+    core = StateVector(lay, np.array([0, 1 << 10]), np.array([0.6, 0.8j]))
+    plus, one = HADAMARD[:, 0], (0.0, 1.0)
+    assert check_dump(core, {}) == 2
+    assert check_dump(core, {0: plus, 1: one, 2: (0.0, 0.0)}) == 0
+    assert check_dump(core, {pos: plus for pos in range(25)}) == MAX_ENTRIES
+    over = {pos: plus for pos in range(26)}
+    with pytest.raises(StateError, match=f"state dump would have {2 << 26} lines, cap is"):
+        check_dump(core, over)
+    out = io.BytesIO()
+    with pytest.raises(StateError, match="would have"):
+        dump_state(out, core, over)
+    assert out.getvalue() == b""
+    with pytest.raises(StateError, match="inserted qubits must be 0"):
+        check_dump(core, {29: plus})  # the second entry sets bit 29
+
+
+@st.composite
+def rotations(draw):
+    """(state, qubits, bases): a pool state on SMALL_LAYOUT, whose zeros,
+    repeats and opposite values give signed zeros and cancelling sums, or
+    up to 300 normal amplitudes on 1 to 12 bits; 1 to 6 measured qubits."""
+    if draw(st.booleans()):
+        state = draw(pool_states(st.sampled_from([0.0, -0.0, 0.5, -0.5, SQRT1_2, -SQRT1_2])))
+    else:
+        n = draw(st.integers(1, 12))
+        steps = np.arange(draw(st.integers(0, 300)))
+        offset, stride = draw(st.integers(0, (1 << n) - 1)), draw(st.integers(1, 1 << n))
+        indices = np.unique((offset + stride * steps) % (1 << n))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        amps = rng.normal(size=len(indices)) + 1j * rng.normal(size=len(indices))
+        state = listed_state(n, indices, amps)
+    n = state.layout.total_bits
+    qubits = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 6), unique=True))
+    bases = draw(st.text("XZ", min_size=len(qubits), max_size=len(qubits)))
+    return state, tuple(qubits), bases
+
+
+@settings(max_examples=150, deadline=None)
+@given(rotations())
+@example(  # |+>|-> in X: each pair of entries cancels in one sum
+    (listed_state(2, [0, 1, 2, 3], [0.5, -0.5, 0.5, -0.5]), (0, 1), "XX")
+)
+@example((listed_state(3, [5], [1.0]), (2, 0, 1), "XZX"))  # one entry: 1-row blocks
+def test_rotate_basis_matches_one_block_per_qubit(case):
+    """Every X-measured qubit at once, as one Hadamard block per qubit in
+    measured order gives it: the same indices and the same float bits,
+    signed zeros included."""
+    state, qubits, bases = case
+    args = (state.layout, state.indices, state.amplitudes, qubits, bases)
+    got, want = _rotate_basis(*args), rotate_basis_reference(*args)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
 
 
 def canonical_bits(amps):
@@ -470,17 +597,19 @@ def canonical_bits(amps):
 
 
 def measure_reference(state, qubits, bases):
-    """Branch-mode measure that rotates each collapsed branch back with
-    one Hadamard block per X-measured qubit."""
+    """Branch-mode measure that rotates the state, and then each collapsed
+    branch back, with one Hadamard block per X-measured qubit."""
     layout, n, m = state.layout, state.layout.total_bits, len(qubits)
-    indices, amps = _rotate_basis(layout, state.indices, state.amplitudes, qubits, bases)
+    indices, amps = rotate_basis_reference(
+        layout, state.indices, state.amplitudes, qubits, bases
+    )
     outcome = _gather(indices, n, qubits)
     probs = np.bincount(outcome, weights=np.abs(amps) ** 2, minlength=1 << m)
     branches = []
     for o in np.flatnonzero(probs > 1e-12).tolist():
         p = float(probs[o])
         kept = outcome == o
-        branch = _rotate_basis(
+        branch = rotate_basis_reference(
             layout, indices[kept], amps[kept] / np.sqrt(p), qubits, bases
         )
         bits = tuple((o >> (m - 1 - i)) & 1 for i in range(m))
