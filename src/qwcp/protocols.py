@@ -37,7 +37,6 @@ from .statevec import (
     RegisterLayout,
     StateVector,
     apply_operator,
-    check_entries,
     measure,
     walker_vertex_support,
 )
@@ -65,6 +64,8 @@ GATE_LIBRARY: dict[str, np.ndarray] = {
     "S": np.array([[1, 0], [0, 1j]], dtype=complex),
     "T": np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
 }
+# X on the second qubit where the first is 1: control first, as listed
+CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 
 
 class ProtocolError(ValueError):
@@ -107,9 +108,10 @@ class GateRequest:
         return self.targets[0][0]
 
     @property
-    def data_gate(self) -> tuple:
-        """(target qubit names, unitary), applied at the target node."""
-        return [q for _, q in self.targets], self.unitary
+    def data_gate(self) -> list:
+        """The gates applied at the target node: one (target qubit names,
+        unitary) pair."""
+        return [([q for _, q in self.targets], self.unitary)]
 
     def oracle_gate(self) -> OracleGate:
         """The gate as the oracle applies it."""
@@ -147,21 +149,22 @@ class CompiledProtocol:
 class _Visit:
     """One stop of a walker: its node, the index of the visit it came from
     (None at a root), the (node, qubit, bit) controls that launch it from
-    here, and the data gate (qubit names, matrix) applied on arrival."""
+    here, and the data gates, (qubit names, matrix) pairs applied in order
+    on arrival."""
 
     node: str
     parent: int | None = None
     controls: tuple = ()
-    gate: tuple | None = None
+    gates: tuple = ()
 
 
 def _path_visits(visits, nodes, parent=None, controls=None, gates=None):
     """Append one visit per path node to `visits`, each hanging off the one
     before and the first off visit `parent`; `controls` and `gates` map a
-    node to its launch controls and its data gate."""
+    node to its launch controls and its list of data gates."""
     for v in nodes:
         visits.append(_Visit(v, parent, tuple((controls or {}).get(v, ())),
-                             (gates or {}).get(v)))
+                             tuple((gates or {}).get(v, ()))))
         parent = len(visits) - 1
 
 
@@ -238,8 +241,7 @@ def _compile(name, graph, visits, oracle_gates, meta, measure=None, forest=None)
                 ))
             elif not visit.controls:
                 step.append(make_coin_perm(graph, layout, v, c_in, c_out, w))
-        if visit.gate is not None:
-            qnames, matrix = visit.gate
+        for qnames, matrix in visit.gates:
             gates[depth[i]].append(
                 make_coin_controlled_data(graph, layout, v, qnames, matrix, w)
             )
@@ -417,7 +419,7 @@ def schedule_tree(graph, tree: TreeSpec, requests) -> CompiledProtocol:
         gates[v] = req.data_gate
 
     visits = [_Visit(tree.root, controls=controls)]
-    visits += [_Visit(v, p, gate=gates.get(v))
+    visits += [_Visit(v, p, gates=tuple(gates.get(v, ())))
                for v, p in zip(tree.nodes[1:], tree.parents[1:])]
     forest = _forest(visits)
     depth, _, walker, inits = forest
@@ -431,22 +433,11 @@ def schedule_tree(graph, tree: TreeSpec, requests) -> CompiledProtocol:
 # -- entanglement distribution -------------------------------------------
 
 
-def _ghz_prep_matrix(m: int) -> np.ndarray:
-    """Local circuit H(q0); CNOT(q0 -> qi), composed as one 2^m unitary:
-    column `top, rest` goes to rows `rest` and `half | ~rest`, weighted
-    by H's column `top`."""
-    half = 1 << (m - 1)
-    col = np.arange(2 * half)
-    top, rest = col >> (m - 1), col & (half - 1)
-    mat = np.zeros((2 * half, 2 * half), dtype=complex)
-    mat[rest, col] = HADAMARD[0, top]
-    mat[half | (rest ^ (half - 1)), col] = HADAMARD[1, top]
-    return mat
-
-
 def schedule_ghz_path(graph, paths, qubit_sets) -> CompiledProtocol:
-    """GHZ distribution: local GHZ prep at each path start, then a walk
-    whose per-node coin also X-flips that node's member qubits.
+    """GHZ distribution: the oracle's circuit at each path start (H on the
+    first member, then a CNOT from it to each other member there), then a
+    walk whose arrival at each later node X-flips that node's members, one
+    X each.
 
     qubit_sets: one {node: [qubit names]} per path; sets must be disjoint
     across paths and each path start must contribute at least one qubit.
@@ -454,37 +445,34 @@ def schedule_ghz_path(graph, paths, qubit_sets) -> CompiledProtocol:
     H made it, so all members get the oracle's CNOT from it, from any init."""
     if len(paths) != len(qubit_sets) or not paths:
         raise ProtocolError("one qubit map per path required")
-    seen: set[tuple[str, str]] = set()
-    for p, qmap in zip(paths, qubit_sets):
+    seen: dict[tuple[str, str], int] = {}  # qubit -> index of its path
+    for i, (p, qmap) in enumerate(zip(paths, qubit_sets)):
         if p.start not in qmap or not qmap[p.start]:
             raise ProtocolError("each path start must contribute at least one qubit")
         for v, qnames in qmap.items():
             if v not in p.nodes:
                 raise ProtocolError(f"qubit node {v!r} is not on its path")
-            check_entries(1 << 2 * len(qnames), "a GHZ gate matrix")
             for q in qnames:
                 if q not in graph.qubits_at(v):
                     raise ProtocolError(f"qubit {q!r} not declared at node {v!r}")
                 if (v, q) in seen:
-                    raise ProtocolError(f"qubit {(v, q)!r} used by two paths")
-                seen.add((v, q))
+                    why = "listed twice in one path" if seen[v, q] == i else "used by two paths"
+                    raise ProtocolError(f"qubit {(v, q)!r} {why}")
+                seen[v, q] = i
 
     x1 = GATE_LIBRARY["X"]
     visits: list = []
     oracle_gates = []
     for p, qmap in zip(paths, qubit_sets):
-        start_qubits = qmap[p.start]
-        # X on every member qubit of a node: the flipped identity
-        path_gates = {v: (qmap[v], np.eye(1 << len(qmap[v]), dtype=complex)[::-1])
-                      for v in p.nodes[1:] if qmap.get(v)}
-        path_gates[p.start] = (start_qubits, _ghz_prep_matrix(len(start_qubits)))
-        launch = {p.start: [(p.start, start_qubits[0], 1)]}
+        first, *others = qmap[p.start]
+        path_gates = {v: [([q], x1) for q in qmap.get(v, ())] for v in p.nodes[1:]}
+        path_gates[p.start] = [([first], HADAMARD)] + [([first, q], CNOT) for q in others]
+        launch = {p.start: [(p.start, first, 1)]}
         _path_visits(visits, p.nodes, controls=launch, gates=path_gates)
-        member_qubits = [(v, q) for v in p.nodes for q in qmap.get(v, [])]
-        first = member_qubits[0]
-        oracle_gates.append(OracleGate((), (first,), HADAMARD))
-        for other in member_qubits[1:]:
-            oracle_gates.append(OracleGate(((first, 1),), (other,), x1))
+        root, *members = [(v, q) for v in p.nodes for q in qmap.get(v, [])]
+        oracle_gates.append(OracleGate((), (root,), HADAMARD))
+        for other in members:
+            oracle_gates.append(OracleGate(((root, 1),), (other,), x1))
     return _compile("ghz_path", graph, visits, oracle_gates,
                     {"arrival": {p.end: p.hops for p in paths}})
 

@@ -8,10 +8,12 @@ code the network lacks, and the reference state dump. Dense vectors are
 limited to DENSE_MAX_BITS bits, so a test can never allocate 2^62 entries.
 
 The sparse references of the stacked branch path live here too: the
-rotation into the measured bases one qubit at a time, the cut matrix and
-its purity, the per-state oracle comparison built from them, and the Z
-on one bit of one state. So does the dense matrix of a coin
-swap, the block that each coin swap remap is checked against.
+rotation into the measured bases one qubit at a time, the branch-mode
+measure built on it, the cut matrix and its purity, the per-state oracle
+comparison built from them, and the Z on one bit of one state. So do the
+bit patterns that compare amplitudes as dumps print them, and the dense
+matrix of a coin swap, the block that each coin swap remap is checked
+against.
 """
 from __future__ import annotations
 
@@ -99,6 +101,34 @@ def rotate_basis_reference(layout: RegisterLayout, indices, amps, qubits, bases)
         elif basis != "Z":
             raise StateError(f"unsupported basis {basis!r}")
     return indices, amps
+
+
+def canonical_bits(amps):
+    """Bit patterns of the parts after `+ 0.0`, the zero sign dumps print:
+    equal floats compare equal and -0.0 is 0.0, any other sign or last
+    bit still counts."""
+    return (np.asarray(amps, dtype=complex) + 0.0).view(np.int64)
+
+
+def measure_reference(state, qubits, bases):
+    """Branch-mode measure that rotates the state, and then each collapsed
+    branch back, with one Hadamard block per X-measured qubit."""
+    layout, n, m = state.layout, state.layout.total_bits, len(qubits)
+    indices, amps = rotate_basis_reference(
+        layout, state.indices, state.amplitudes, qubits, bases
+    )
+    outcome = _gather(indices, n, qubits)
+    probs = np.bincount(outcome, weights=np.abs(amps) ** 2, minlength=1 << m)
+    branches = []
+    for o in np.flatnonzero(probs > 1e-12).tolist():
+        p = float(probs[o])
+        kept = outcome == o
+        branch = rotate_basis_reference(
+            layout, indices[kept], amps[kept] / np.sqrt(p), qubits, bases
+        )
+        bits = tuple((o >> (m - 1 - i)) & 1 for i in range(m))
+        branches.append(((qubits, bases, bits, p), branch))
+    return branches
 
 
 def swap_matrix(nc: int, c1: int, c2: int) -> np.ndarray:

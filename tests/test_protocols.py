@@ -25,12 +25,18 @@ from qwcp import (
     schedule_tree,
     walker_vertex_support,
 )
-from qwcp.protocols import _ghz_prep_matrix
 from qwcp.walkops import Schedule
 
+import dense_reference as dense
 from conftest import grid3_json, line_json, random_qubit
-from instruments import apply_z, purity_across_cut, reduced_density
-from test_statevec import canonical_bits, measure_reference
+from instruments import (
+    apply_z,
+    canonical_bits,
+    measure_reference,
+    purity_across_cut,
+    reduced_density,
+    to_dense,
+)
 
 
 def verify(compiled, graph, data_inits=None):
@@ -492,41 +498,40 @@ def test_tree_edges_out_of_depth_order(btree7):
 # -- GHZ ------------------------------------------------------------------
 
 
-def test_ghz_prep_matrix_builds_ghz():
-    for m in (1, 2, 3):
-        mat = _ghz_prep_matrix(m)
-        assert np.abs(mat.conj().T @ mat - np.eye(1 << m)).max() < 1e-12
-        out = mat[:, 0]
-        expect = np.zeros(1 << m, dtype=complex)
-        expect[0] = expect[-1] = 1 / np.sqrt(2)
-        assert np.allclose(out, expect)
-
-
-def test_ghz_gate_matrices_match_loop_formulas():
-    # bitwise, signed zeros included, since the report prints each entry
-    qubits = [f"q{i}" for i in range(6)]
+def test_ghz_gates_are_the_oracle_circuit_and_match_dense_reference():
+    # m members at the start node A and m at the later node B: A applies
+    # H on its first member, then a CNOT from it to each other member; B
+    # one X per member. From random inits the run verifies, and the dense
+    # reference engine gives the same final state
+    qubits = [f"q{i}" for i in range(8)]
     g = load_network(line_json(["A", "B"], {"A": qubits, "B": qubits}))
     h, x = GATE_LIBRARY["H"], GATE_LIBRARY["X"]
-    for m in range(1, 7):
-        half = 1 << (m - 1)
-        prep = np.zeros((2 * half, 2 * half), dtype=complex)
-        for col in range(2 * half):
-            top, rest = col >> (m - 1), col & (half - 1)
-            for new_top in range(2):
-                row = (new_top << (m - 1)) | (rest ^ ((half - 1) if new_top else 0))
-                prep[row, col] += h[new_top, top]
-        flips = np.ones((1, 1), dtype=complex)
-        for _ in range(m):
-            flips = np.kron(flips, x)
+    cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]  # control first
+    rng = np.random.default_rng(21)
+    for m in range(1, 9):
+        members = qubits[:m]
         comp = schedule_ghz_path(
-            g, [PathSpec.in_graph(g, ["A", "B"])], [{"A": qubits[:m], "B": qubits[:m]}]
+            g, [PathSpec.in_graph(g, ["A", "B"])], [{"A": members, "B": members}]
         )
-        data_gates = {
-            op.params["node"]: op.actions[0].matrix
-            for ts in comp.schedule.timesteps for op in ts.pre_ops if op.kind == "coindata"
-        }
-        assert data_gates["A"].tobytes() == prep.tobytes() == _ghz_prep_matrix(m).tobytes()
-        assert data_gates["B"].tobytes() == flips.tobytes()
+        got = {"A": [], "B": []}
+        for ts in comp.schedule.timesteps:
+            for op in ts.pre_ops:
+                if op.kind == "coindata":
+                    got[op.params["node"]].append(
+                        (op.params["qubits"], op.actions[0].matrix.tobytes()))
+        first, *others = members
+        assert got["A"] == [([first], h.tobytes())] + [
+            ([first, q], cnot.tobytes()) for q in others]
+        assert got["B"] == [([q], x.tobytes()) for q in members]
+
+        di = {(v, q): random_qubit(rng) for v in "AB" for q in members}
+        report, final, _ = verify(comp, g, di)
+        assert report.passed, m
+        ref = to_dense(init_state(g, comp.layout, comp.walker_inits, di))
+        for ts in comp.schedule.timesteps:
+            for op in [*ts.pre_ops, ts.shift]:
+                ref = dense.apply_actions(ref, comp.layout, op.iter_actions())
+        assert np.abs(to_dense(final) - ref).max() <= 1e-12, m
 
 
 def test_ghz_four_node_path(path4):
@@ -563,11 +568,13 @@ def test_ghz_multiple_qubits_per_node(path4):
 def test_ghz_rejects_overlapping_qubits(path4):
     p1 = PathSpec.in_graph(path4, ["A", "B"])
     p2 = PathSpec.in_graph(path4, ["C", "B"])
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ProtocolError, match=r"\('B', 'g'\) used by two paths"):
         schedule_ghz_path(
             path4, [p1, p2],
             [{"A": ["g"], "B": ["g"]}, {"C": ["g"], "B": ["g"]}],
         )
+    with pytest.raises(ProtocolError, match=r"\('A', 'g'\) listed twice in one path"):
+        schedule_ghz_path(path4, [p1], [{"A": ["g", "g"], "B": ["g"]}])
 
 
 def test_ghz_two_disjoint_paths(path4):
@@ -600,7 +607,8 @@ def test_ghz_zero_hop_path_beside_longer_path():
         [{"A": ["g", "h"]}, {v: ["g"] for v in "BCD"}],
     )
     assert forward_ops(comp) == [
-        [("coindata", "A", 0), ("coindata", "B", 1), ("datactrl", "B", 1)],
+        [("coindata", "A", 0), ("coindata", "A", 0), ("coindata", "B", 1),
+         ("datactrl", "B", 1)],
         [("coindata", "C", 1), ("coinperm", "C", 1)],
         [("coindata", "D", 1), ("coinperm", "D", 1)],
     ]

@@ -38,12 +38,14 @@ from qwcp.statevec import (
 from conftest import line_json, random_state
 from instruments import (
     apply_z,
+    canonical_bits,
     check_no_invalid_amplitude,
     cut_matrix,
     cut_purity,
     dump_reference,
     fidelity,
     from_dense,
+    measure_reference,
     reduced_density,
     rotate_basis_reference,
     to_dense,
@@ -587,34 +589,6 @@ def test_rotate_basis_matches_one_block_per_qubit(case):
     got, want = _rotate_basis(*args), rotate_basis_reference(*args)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
-
-
-def canonical_bits(amps):
-    """Bit patterns of the parts after `+ 0.0`, the zero sign dumps print:
-    equal floats compare equal and -0.0 is 0.0, any other sign or last
-    bit still counts."""
-    return (np.asarray(amps, dtype=complex) + 0.0).view(np.int64)
-
-
-def measure_reference(state, qubits, bases):
-    """Branch-mode measure that rotates the state, and then each collapsed
-    branch back, with one Hadamard block per X-measured qubit."""
-    layout, n, m = state.layout, state.layout.total_bits, len(qubits)
-    indices, amps = rotate_basis_reference(
-        layout, state.indices, state.amplitudes, qubits, bases
-    )
-    outcome = _gather(indices, n, qubits)
-    probs = np.bincount(outcome, weights=np.abs(amps) ** 2, minlength=1 << m)
-    branches = []
-    for o in np.flatnonzero(probs > 1e-12).tolist():
-        p = float(probs[o])
-        kept = outcome == o
-        branch = rotate_basis_reference(
-            layout, indices[kept], amps[kept] / np.sqrt(p), qubits, bases
-        )
-        bits = tuple((o >> (m - 1 - i)) & 1 for i in range(m))
-        branches.append(((qubits, bases, bits, p), branch))
-    return branches
 
 
 @settings(max_examples=100, deadline=None)

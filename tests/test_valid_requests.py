@@ -1,6 +1,6 @@
 """Property test: every valid protocol request verifies.
 
-A random connected network (2 to 7 nodes, 1 or 2 data qubits per node)
+A random connected network (2 to 7 nodes, 1 to 4 data qubits per node)
 and a random valid request for one of the six protocol commands run
 through `qwcp.cli.main`. Paths are random simple walks, trees random
 subtrees, gates library names or random 2x2 unitaries, and data qubits
@@ -43,7 +43,7 @@ def networks(draw):
               if (u, v) not in edges]
     if others:
         edges |= set(draw(st.lists(st.sampled_from(others), max_size=n, unique=True)))
-    qubits = {v: ["a", "b"][:draw(st.integers(1, 2))] for v in labels}
+    qubits = {v: ["a", "b", "c", "d"][:draw(st.integers(1, 4))] for v in labels}
     return labels, sorted(edges), qubits
 
 
