@@ -498,32 +498,78 @@ def test_tree_edges_out_of_depth_order(btree7):
 # -- GHZ ------------------------------------------------------------------
 
 
-def test_ghz_gates_are_the_oracle_circuit_and_match_dense_reference():
-    # m members at the start node A and m at the later node B: A applies
-    # H on its first member, then a CNOT from it to each other member; B
-    # one X per member. From random inits the run verifies, and the dense
-    # reference engine gives the same final state
+def _ghz_data_gates(g, m):
+    """Schedule a GHZ request of m members at A and at B and return each
+    node's data gates in order, as (qubits, matrix) pairs."""
+    members = [f"q{i}" for i in range(m)]
+    comp = schedule_ghz_path(
+        g, [PathSpec.in_graph(g, ["A", "B"])], [{"A": members, "B": members}]
+    )
+    got = {"A": [], "B": []}
+    for ts in comp.schedule.timesteps:
+        for op in ts.pre_ops:
+            if op.kind == "coindata":
+                got[op.params["node"]].append((op.params["qubits"], op.actions[0].matrix))
+    return comp, members, got
+
+
+def _apply_gate_list(state, members, gates):
+    # state has one axis per member, in member order; a gate's first
+    # qubit is the high bit of its matrix index
+    for qs, mat in gates:
+        k = len(qs)
+        axes = [members.index(q) for q in qs]
+        t = np.tensordot(mat.reshape((2,) * 2 * k), state, axes=(list(range(k, 2 * k)), axes))
+        state = np.moveaxis(t, list(range(k)), axes)
+    return state
+
+
+def test_ghz_prep_matrix_builds_ghz():
+    # the start node's gates, composed, are unitary and take |0..0> to GHZ
+    qubits = [f"q{i}" for i in range(6)]
+    g = load_network(line_json(["A", "B"], {"A": qubits, "B": qubits}))
+    for m in range(1, 7):
+        _, members, got = _ghz_data_gates(g, m)
+        mat = np.empty((1 << m, 1 << m), dtype=complex)
+        for col in range(1 << m):
+            basis = np.zeros(1 << m, dtype=complex)
+            basis[col] = 1
+            out = _apply_gate_list(basis.reshape((2,) * m), members, got["A"])
+            mat[:, col] = out.reshape(-1)
+        assert np.abs(mat.conj().T @ mat - np.eye(1 << m)).max() < 1e-12, m
+        expect = np.zeros(1 << m, dtype=complex)
+        expect[0] = expect[-1] = 1 / np.sqrt(2)
+        assert np.allclose(mat[:, 0], expect), m
+
+
+def test_ghz_gate_matrices_match_loop_formulas():
+    # bitwise, signed zeros included, since the report prints each entry:
+    # A applies H on its first member, then a CNOT from it to each other
+    # member; B one X per member
     qubits = [f"q{i}" for i in range(8)]
     g = load_network(line_json(["A", "B"], {"A": qubits, "B": qubits}))
     h, x = GATE_LIBRARY["H"], GATE_LIBRARY["X"]
-    cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]  # control first
+    cnot = np.zeros((4, 4), dtype=complex)
+    for col in range(4):
+        cnot[col ^ (col >> 1), col] += 1  # control is the high bit
+    for m in range(1, 9):
+        _, members, got = _ghz_data_gates(g, m)
+        first, *others = members
+        want_a = [([first], h)] + [([first, q], cnot) for q in others]
+        assert [(qs, mat.tobytes()) for qs, mat in got["A"]] == [
+            (qs, mat.tobytes()) for qs, mat in want_a], m
+        assert [(qs, mat.tobytes()) for qs, mat in got["B"]] == [
+            ([q], x.tobytes()) for q in members], m
+
+
+def test_ghz_run_matches_dense_reference():
+    # from random inits the m-member run verifies, and the dense
+    # reference engine gives the same final state
+    qubits = [f"q{i}" for i in range(8)]
+    g = load_network(line_json(["A", "B"], {"A": qubits, "B": qubits}))
     rng = np.random.default_rng(21)
     for m in range(1, 9):
-        members = qubits[:m]
-        comp = schedule_ghz_path(
-            g, [PathSpec.in_graph(g, ["A", "B"])], [{"A": members, "B": members}]
-        )
-        got = {"A": [], "B": []}
-        for ts in comp.schedule.timesteps:
-            for op in ts.pre_ops:
-                if op.kind == "coindata":
-                    got[op.params["node"]].append(
-                        (op.params["qubits"], op.actions[0].matrix.tobytes()))
-        first, *others = members
-        assert got["A"] == [([first], h.tobytes())] + [
-            ([first, q], cnot.tobytes()) for q in others]
-        assert got["B"] == [([q], x.tobytes()) for q in members]
-
+        comp, members, _ = _ghz_data_gates(g, m)
         di = {(v, q): random_qubit(rng) for v in "AB" for q in members}
         report, final, _ = verify(comp, g, di)
         assert report.passed, m
