@@ -36,9 +36,11 @@ A key may appear once per command; only group keys repeat (`path=`,
 under the command's shared controls, and a tree names each target node
 once.
 
-Exit codes: 0 success, 2 script/network parse error or an unreadable
-script or unwritable `--out`/`--dump-state` path, 3 precondition or
-construction error (a `--dump-state` dump of more than 2^26 lines
+Exit codes: 0 success, 2 script/network parse error (JSON nested too
+deep and numbers of more digits than `int` converts included), a script
+or network file that cannot be read or is not UTF-8, or an unwritable
+`--out`/`--dump-state` path (then no report is written), 3 precondition
+or construction error (a `--dump-state` dump of more than 2^26 lines
 included, refused before any output is written), 4 oracle verification
 failure.
 """
@@ -47,6 +49,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
@@ -149,7 +152,7 @@ def parse_script(text: str) -> Script:
                 raise ScriptError("network takes exactly one file path", lineno)
             network = args[0]
         elif name == "walkers":
-            if len(args) != 1 or not args[0].isdecimal() or int(args[0]) < 1:
+            if len(args) != 1 or not args[0].isdecimal() or _int(args[0], lineno) < 1:
                 raise ScriptError("walkers takes one positive integer", lineno)
             walkers = int(args[0])
         elif name == "init":
@@ -167,7 +170,8 @@ def parse_script(text: str) -> Script:
                 raise ScriptError("place takes WALKER NODE [COIN]", lineno)
             if not args[0].isdecimal() or (len(args) == 3 and not args[2].isdecimal()):
                 raise ScriptError("place walker/coin must be integers", lineno)
-            places.append((int(args[0]), args[1], int(args[2]) if len(args) == 3 else 0))
+            coin = _int(args[2], lineno) if len(args) == 3 else 0
+            places.append((_int(args[0], lineno), args[1], coin))
         elif name in _PROTOCOL_COMPILERS or name == "step":
             commands.append((name, tuple(_parse_kv(t, lineno) for t in args), lineno))
         else:
@@ -484,7 +488,7 @@ def _prepare(script: Script, network_override: str | None = None):
         raise ScriptError("no network file given (script line or --network)")
     try:
         network_text = Path(network_path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScriptError(f"cannot read network file: {exc}") from None
     graph = load_network(network_text)
     if not script.commands:
@@ -668,7 +672,7 @@ def main(argv=None) -> int:
 
     try:
         text = Path(args.script).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read script: {exc}", file=sys.stderr)
         return 2
     try:
@@ -687,13 +691,14 @@ def main(argv=None) -> int:
 
     rendered = render_report(report)
     try:
-        if args.out:
-            Path(args.out).write_text(rendered + "\n")
-        else:
-            print(rendered)
-        if args.dump_state:
-            with open(args.dump_state, "wb") as out:
-                dump_state(out, core, factors)
+        # every output is opened before any is written: a failed open leaves no report
+        with (
+            open(args.out, "w") if args.out else nullcontext(sys.stdout) as report_out,
+            open(args.dump_state, "wb") if args.dump_state else nullcontext() as dump_out,
+        ):
+            print(rendered, file=report_out)
+            if dump_out is not None:
+                dump_state(dump_out, core, factors)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2

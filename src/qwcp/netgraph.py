@@ -103,7 +103,7 @@ def load_network(text: str) -> NetworkGraph:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise NetworkError(f"network file is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise NetworkError("network file must be a JSON object")

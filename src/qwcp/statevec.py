@@ -214,19 +214,6 @@ def _sorted(indices: np.ndarray, amps: np.ndarray):
     return indices[order], amps[order]
 
 
-def _unique_inverse(keys: np.ndarray):
-    """`np.unique(keys, return_inverse=True)` through the same stable sort
-    as `_sorted`, for keys that come as a few sorted runs."""
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    first = np.empty(len(keys), dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    inverse = np.empty(len(keys), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return ordered[first], inverse
-
-
 def _selected(n: int, indices: np.ndarray, conditions, targets):
     """Mask of the entries whose bits hold the values `conditions` fix, or
     None when the conditions ask one bit for both values and so select
@@ -269,7 +256,7 @@ def _apply_block(layout: RegisterLayout, indices, amps, act: BlockAction):
     # one row per setting of the non-target bits, one column per target value
     t = len(act.target_bits)
     target_mask = _bit_mask(n, act.target_bits)
-    bases, row = _unique_inverse(sel_indices & ~target_mask)
+    bases, row = np.unique(sel_indices & ~target_mask, return_inverse=True)
     check_entries(len(bases) << t)
     block = np.zeros((len(bases), 1 << t), dtype=complex)
     block[row, _gather(sel_indices, n, act.target_bits)] = amps[selected]
@@ -393,54 +380,15 @@ def _product_size(state: StateVector, factors: dict) -> int:
 
 
 def _rotate_basis(layout: RegisterLayout, indices, amps, qubits, bases):
-    """The entries rotated into the measured bases: a Hadamard on each
-    X-measured qubit, in measured order, as one `_apply_block` per qubit
-    would apply it, float for float.
-
-    The entries are grouped once by their other bits, into a dense block
-    with one column per value of the X-measured bits. For each qubit, the
-    pairs of columns that differ in its bit go through the same matmul as
-    `_apply_block`'s, on the pairs that hold an entry (a zero counts as
-    no entry, as `_apply_block` drops it), so each two-term sum is the
-    one that path forms."""
+    """The entries rotated into the measured bases: one Hadamard
+    `_apply_block` per X-measured qubit, in measured order."""
     for basis in bases:
         if basis not in ("X", "Z"):
             raise StateError(f"unsupported basis {basis!r}")
-    xs = [pos for pos, basis in zip(qubits, bases) if basis == "X"]
-    if not xs:
-        return indices, amps
-    n, x = layout.total_bits, len(xs)
-    rows, row = _unique_inverse(indices & ~_bit_mask(n, xs))
-    check_entries(len(rows) << x)
-    column = _gather(indices, n, xs)
-    block = np.zeros((len(rows), 1 << x), dtype=complex)
-    block[row, column] = amps
-    held = np.zeros(block.shape, dtype=bool)  # the entries, stored zeros included
-    held[row, column] = True
-    # one axis per X-measured qubit; each pass moves its qubit's axis last
-    block = block.reshape((len(rows),) + (2,) * x)
-    for j in range(1, x + 1):
-        moved = block.swapaxes(j, -1)
-        pairs = np.ascontiguousarray(moved).reshape(-1, 2)
-        if j == 1:
-            live = held.reshape(block.shape).swapaxes(1, -1).reshape(-1, 2).any(axis=1)
-        else:
-            live = pairs.any(axis=1)
-        # a matmul of two or more rows gives each row the floats it gives
-        # that row in any other such matmul, but one row takes another path
-        if np.count_nonzero(live) == 1:
-            rotated = np.zeros_like(pairs)
-            rotated[live] = pairs[live] @ HADAMARD.T
-        else:
-            rotated = pairs @ HADAMARD.T
-        rotated[rotated == 0] = 0  # a zero is dropped, and comes back as 0.0
-        block = rotated.reshape(moved.shape).swapaxes(j, -1)
-    new_amps = block.reshape(len(rows), 1 << x).ravel()
-    codes = np.arange(1 << x)[:, None] >> np.arange(x - 1, -1, -1) & 1
-    spread = (codes << (n - 1 - np.array(xs))).sum(axis=1)
-    new_indices = (rows[:, None] | spread[None, :]).ravel()
-    nonzero = new_amps != 0
-    return _sorted(new_indices[nonzero], new_amps[nonzero])
+    for pos, basis in zip(qubits, bases):
+        if basis == "X":
+            indices, amps = _apply_block(layout, indices, amps, BlockAction((pos,), HADAMARD))
+    return indices, amps
 
 
 def measure(
@@ -456,7 +404,8 @@ def measure(
     Collapsed branches are renormalized and X-measured qubits are left in
     the corresponding |+>/|-> state.
 
-    The state is rotated into the measured bases once. Each step then runs
+    The state is rotated into the measured bases once, with one Hadamard
+    block per X-measured qubit (`_rotate_basis`). Each step then runs
     once over the kept entries of all branches, each tagged with its
     outcome: the division by the square root of the branch probability,
     then, for each X-measured qubit in measured order, the doubling of

@@ -8,9 +8,11 @@ code the network lacks, and the reference state dump. Dense vectors are
 limited to DENSE_MAX_BITS bits, so a test can never allocate 2^62 entries.
 
 The sparse references of the stacked branch path live here too: the
-rotation into the measured bases one qubit at a time, the branch-mode
-measure built on it, the cut matrix and its purity, the per-state oracle
-comparison built from them, and the Z on one bit of one state. So do the
+rotation into the measured bases as one Hadamard block per X-measured
+qubit, which `statevec._rotate_basis` must match float for float, the
+branch-mode measure built on it, the cut matrix and its purity, the
+per-state oracle comparison built from them, and the Z on one bit of one
+state. So do the
 bit patterns that compare amplitudes as dumps print them, and the dense
 matrix of a coin swap, the block that each coin swap remap is checked
 against.
@@ -30,7 +32,6 @@ from qwcp.statevec import (
     _apply_block,
     _bit_mask,
     _gather,
-    _unique_inverse,
     check_entries,
 )
 
@@ -93,8 +94,9 @@ def dump_reference(state: StateVector) -> bytes:
 
 
 def rotate_basis_reference(layout: RegisterLayout, indices, amps, qubits, bases):
-    """`statevec._rotate_basis` as one Hadamard `_apply_block` per
-    X-measured qubit, in measured order."""
+    """The rotation into the measured bases as one Hadamard `_apply_block`
+    per X-measured qubit, in measured order: the indices and floats that
+    `statevec._rotate_basis` must give, however it computes them."""
     for pos, basis in zip(qubits, bases):
         if basis == "X":
             indices, amps = _apply_block(layout, indices, amps, BlockAction((pos,), HADAMARD))
@@ -159,8 +161,8 @@ def cut_matrix(state: StateVector, bits):
     n = state.layout.total_bits
     rows = _gather(state.indices, n, bits)
     cols = state.indices & ~_bit_mask(n, bits)
-    row_keys, r = _unique_inverse(rows)
-    col_keys, c = _unique_inverse(cols)
+    row_keys, r = np.unique(rows, return_inverse=True)
+    col_keys, c = np.unique(cols, return_inverse=True)
     check_entries(len(row_keys) * len(col_keys), "cut matrix")
     mat = np.zeros((len(row_keys), len(col_keys)), dtype=complex)
     mat[r, c] = state.amplitudes

@@ -284,9 +284,26 @@ def test_main_success_writes_report(path3_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("flag", ["--out", "--dump-state"])
 def test_main_unwritable_output_exit_2(path3_file, tmp_path, capsys, flag):
+    # every output is opened before any is written, so no report is left
     script = write_script(tmp_path, cnot_script(path3_file))
-    assert main(["run", str(script), flag, str(tmp_path / "missing" / "f.txt")]) == 2
-    assert "error: cannot write" in capsys.readouterr().err
+    argv = ["run", str(script), flag, str(tmp_path / "missing" / "f.txt")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error: cannot write" in captured.err
+    assert captured.out == ""
+    if flag == "--dump-state":
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists() or out.read_text() == ""
+
+
+@pytest.mark.parametrize("which", ["script", "network file"])
+def test_main_undecodable_file_exit_2(tmp_path, capsys, which):
+    net = write_script(tmp_path, PATH3_NET, name="net.json")
+    script = write_script(tmp_path, f"network {net}\n{CNOT_LINE}")
+    (script if which == "script" else net).write_bytes(b"\xff\xfe not utf-8\n")
+    assert main(["run", str(script)]) == 2
+    assert f"error: cannot read {which}: " in capsys.readouterr().err
 
 
 def test_main_dump_matches_reference(tmp_path):
@@ -367,6 +384,11 @@ FORK_NET = network_json(
         ),
         (FORK_NET, "tree control=A.a edges=A>u,u>B edges=A>w target=w.x gate=X\n"),
         (FORK_NET, "tree control=A.a edges=A>u,u>B,A>w\n"),
+        # too deep a nesting for json.loads, more digits than int() converts
+        ("[" * 200_000 + "]" * 200_000, "linklevel\n"),
+        ('{"nodes": ["A", "B"], "edges": [], "n": ' + "1" * 5000 + "}", "linklevel\n"),
+        (PATH3_NET, f"walkers {'1' * 5000}\nstep shift identity\n"),
+        (PATH3_NET, f"walkers 1\nplace {'1' * 5000} A\nstep shift identity\n"),
     ],
     ids=[
         "broken_json",
@@ -384,6 +406,10 @@ FORK_NET = network_json(
         "multipath_control_twice",
         "tree_edges_twice",
         "tree_without_target",
+        "network_nested_too_deep",
+        "network_integer_too_long",
+        "walkers_too_many_digits",
+        "place_too_many_digits",
     ],
 )
 def test_main_bad_input_exit_2(tmp_path, capsys, network, commands):

@@ -29,7 +29,6 @@ from qwcp.statevec import (
     PermAction,
     _gather,
     _rotate_basis,
-    _unique_inverse,
     apply_actions,
     check_dump,
     insert_qubits,
@@ -579,11 +578,12 @@ def rotations(draw):
 @example(  # |+>|-> in X: each pair of entries cancels in one sum
     (listed_state(2, [0, 1, 2, 3], [0.5, -0.5, 0.5, -0.5]), (0, 1), "XX")
 )
-@example((listed_state(3, [5], [1.0]), (2, 0, 1), "XZX"))  # one entry: 1-row blocks
+@example((listed_state(3, [5], [1.0]), (2, 0, 1), "XZX"))  # one entry
 def test_rotate_basis_matches_one_block_per_qubit(case):
-    """Every X-measured qubit at once, as one Hadamard block per qubit in
-    measured order gives it: the same indices and the same float bits,
-    signed zeros included."""
+    """The rotation `measure` applies gives what one Hadamard block per
+    X-measured qubit in measured order gives: the same indices and the
+    same float bits, signed zeros included. A faster rotation must keep
+    them."""
     state, qubits, bases = case
     args = (state.layout, state.indices, state.amplitudes, qubits, bases)
     got, want = _rotate_basis(*args), rotate_basis_reference(*args)
@@ -666,27 +666,6 @@ def test_gather_matches_per_bit_reference(data):
     got = _gather(indices, n, positions)
     assert got.dtype == np.int64
     assert np.array_equal(got, gather_reference(indices, n, positions))
-
-
-@st.composite
-def run_keys(draw):
-    """int64 keys as a few sorted runs, the shape the primitives produce,
-    or in any order; small values make repeats likely."""
-    values = st.one_of(st.integers(0, 20), st.integers(0, 2**62))
-    runs = draw(st.lists(st.lists(values, max_size=30), max_size=5))
-    if draw(st.booleans()):
-        runs = [sorted(run) for run in runs]
-    return np.array([key for run in runs for key in run], dtype=np.int64)
-
-
-@settings(max_examples=100, deadline=None)
-@given(run_keys())
-def test_unique_inverse_matches_numpy(keys):
-    got_keys, got_inverse = _unique_inverse(keys)
-    want_keys, want_inverse = np.unique(keys, return_inverse=True)
-    assert got_keys.dtype == want_keys.dtype
-    assert np.array_equal(got_keys, want_keys)
-    assert np.array_equal(got_inverse, want_inverse)
 
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
