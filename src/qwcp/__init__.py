@@ -15,9 +15,9 @@ from .oracle import CompareReport, OracleError, OracleGate, compare, data_layout
 from .protocols import (
     GATE_LIBRARY,
     CompiledProtocol,
-    GateRequest,
     ProtocolError,
     RunTrace,
+    gate_request,
     run_schedule,
     schedule_ghz_path,
     schedule_linklevel,
@@ -53,7 +53,6 @@ from .walkops import (
     make_fanout,
     make_flipflop_shift,
     make_identity_shift,
-    make_measure_and_correct,
     make_walk_interaction,
     operator_to_json,
     schedule_to_json,

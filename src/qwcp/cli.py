@@ -38,16 +38,17 @@ once.
 
 Exit codes: 0 success, 2 script/network parse error (JSON nested too
 deep and numbers of more digits than `int` converts included), a script
-or network file that cannot be read or is not UTF-8, or an unwritable
-`--out`/`--dump-state` path (then no report is written), 3 precondition
-or construction error (a `--dump-state` dump of more than 2^26 lines
-included, refused before any output is written), 4 oracle verification
-failure.
+or network file that cannot be read or is not UTF-8, an unwritable
+`--out`/`--dump-state` path or one file named by both (then no report is
+written), 3 precondition or construction error (a `--dump-state` dump of
+more than 2^26 lines included, refused before any output is written), 4
+oracle verification failure.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -61,8 +62,8 @@ from .oracle import OracleError, compare, data_layout, oracle_apply
 from .protocols import (
     GATE_LIBRARY,
     CompiledProtocol,
-    GateRequest,
     ProtocolError,
+    gate_request,
     run_schedule,
     schedule_ghz_path,
     schedule_linklevel,
@@ -254,27 +255,32 @@ def _controls(text, string, line):
         string = "1" * len(refs)
     if len(string) != len(refs) or any(ch not in "01" for ch in string):
         raise ScriptError("string= must be a bit per control qubit", line)
-    return [(n, q, int(b)) for (n, q), b in zip(refs, string)]
+    return [(ref, int(b)) for ref, b in zip(refs, string)]
+
+
+def _shown(text):
+    """`text` as an error echoes it: its repr, cut after 20 characters."""
+    return repr(text[:20]) + ("..." if len(text) > 20 else "")
 
 
 def _int(text, line):
     try:
         return int(text)
     except ValueError:
-        raise ScriptError(f"expected integer, got {text!r}", line) from None
+        raise ScriptError(f"expected integer, got {_shown(text)}", line) from None
 
 
 def _int_list(text, line):
     try:
         return [int(x) for x in text.split(",")]
     except ValueError:
-        raise ScriptError(f"expected integer list, got {text!r}", line) from None
+        raise ScriptError(f"expected integer list, got {_shown(text)}", line) from None
 
 
 def _int_pair(text, line):
     values = _int_list(text, line)
     if len(values) != 2:
-        raise ScriptError(f"expected two integers, got {text!r}", line)
+        raise ScriptError(f"expected two integers, got {_shown(text)}", line)
     return values
 
 
@@ -294,7 +300,7 @@ def _compile_remote_gate(graph, args, line, multi=False) -> CompiledProtocol:
     )
     controls = _controls(kv[control_key], kv.get("string"), line)
     targets = _qubit_refs(kv["target"], line)
-    request = GateRequest.build(graph, controls, targets, _parse_gate(kv["gate"], line))
+    request = gate_request(graph, controls, targets, _parse_gate(kv["gate"], line))
     path = PathSpec.in_graph(graph, kv["path"].split(","))
     if multi:
         return schedule_multi_control(graph, request, path)
@@ -313,9 +319,7 @@ def _compile_multipath(graph, args, line) -> CompiledProtocol:
     for g in groups:
         paths.append(PathSpec.in_graph(graph, g["path"].split(",")))
         targets = _qubit_refs(g["target"], line)
-        requests.append(
-            GateRequest.build(graph, controls, targets, _parse_gate(g["gate"], line))
-        )
+        requests.append(gate_request(graph, controls, targets, _parse_gate(g["gate"], line)))
     return schedule_multipath(graph, requests, paths)
 
 
@@ -335,8 +339,8 @@ def _compile_tree(graph, args, line) -> CompiledProtocol:
     controls = _controls(kv["control"], kv.get("string"), line)
     tree = TreeSpec.in_graph(graph, edges[0][0], edges)
     requests = [
-        GateRequest.build(graph, controls, _qubit_refs(g["target"], line),
-                          _parse_gate(g["gate"], line))
+        gate_request(graph, controls, _qubit_refs(g["target"], line),
+                     _parse_gate(g["gate"], line))
         for g in groups
     ]
     return schedule_tree(graph, tree, requests)
@@ -648,6 +652,15 @@ def _fmt_support(sup: dict) -> str:
     )
 
 
+def _same_file(a, b) -> bool:
+    """Whether paths `a` and `b` name one file: two existing ones by device
+    and inode, so hard links too, else by their resolved paths."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 @cache
 def _parser() -> argparse.ArgumentParser:
     """The `qwcp` argument parser, built on first use and shared."""
@@ -689,6 +702,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
+    if args.out and args.dump_state and _same_file(args.out, args.dump_state):
+        print("error: --out and --dump-state name the same file", file=sys.stderr)
+        return 2
     rendered = render_report(report)
     try:
         # every output is opened before any is written: a failed open leaves no report

@@ -7,9 +7,11 @@ walkers at a branch and is parked at each leaf. A single path is a
 chain, multipath is a root with one chain per path, a tree is its own
 nodes in `TreeSpec` order, and GHZ distribution is a forest of chains.
 The `schedule_*` builders validate a request and lay out its visits,
-oracle gates and metadata. The controlled-gate builders take
-`GateRequest`s; the two fan-out forms, multipath and tree, take one per
-target node and check their shared controls alike.
+oracle gates and metadata. A controlled-gate request is the
+`OracleGate` that `gate_request` checks, and its builder hands it to the
+oracle unchanged. `remote_cu` is the `remote_mcu` walk with every control
+at the path start; the two fan-out forms, multipath and tree, take one
+request per target node and check their shared controls alike.
 `_compile` sizes the register layout to exactly the walkers the forest
 uses, builds the walk and adds the separation. `schedule_linklevel` has
 no walk, sizes its layout to one walker per network edge and builds its
@@ -52,7 +54,6 @@ from .walkops import (
     make_fanout,
     make_flipflop_shift,
     make_identity_shift,
-    make_measure_and_correct,
 )
 
 GATE_LIBRARY: dict[str, np.ndarray] = {
@@ -72,54 +73,36 @@ class ProtocolError(ValueError):
     """Request inconsistent with the graph or path."""
 
 
-@dataclass(frozen=True)
-class GateRequest:
-    """A controlled gate: control qubits with required bits, and target
-    qubits (all at one node) carrying the unitary."""
+def gate_request(graph, controls, targets, unitary) -> OracleGate:
+    """A controlled gate: control qubits, each ((node, qubit), required
+    bit) and listed once, and target qubits, all at one node, carrying the
+    unitary."""
+    controls = tuple(((str(n), str(q)), int(b)) for (n, q), b in controls)
+    targets = tuple((str(n), str(q)) for n, q in targets)
+    for i, ((node, qubit), bit) in enumerate(controls):
+        if qubit not in graph.qubits_at(node):
+            raise ProtocolError(f"control qubit {qubit!r} not declared at {node!r}")
+        if bit not in (0, 1):
+            raise ProtocolError("control bits must be 0 or 1")
+        if (node, qubit) in (q for q, _ in controls[:i]):
+            raise ProtocolError(f"control qubit {(node, qubit)!r} listed twice")
+    if not targets:
+        raise ProtocolError("gate needs at least one target qubit")
+    if len({n for n, _ in targets}) != 1:
+        raise ProtocolError("all target qubits must sit at one node")
+    for node, qubit in targets:
+        if qubit not in graph.qubits_at(node):
+            raise ProtocolError(f"target qubit {qubit!r} not declared at {node!r}")
+    unitary = np.asarray(unitary, dtype=complex)
+    if unitary.shape != (1 << len(targets),) * 2:
+        raise ProtocolError("unitary size does not match target count")
+    return OracleGate(controls, targets, unitary)
 
-    controls: tuple[tuple[str, str, int], ...]
-    targets: tuple[tuple[str, str], ...]
-    unitary: np.ndarray
 
-    @classmethod
-    def build(cls, graph, controls, targets, unitary):
-        controls = tuple((str(n), str(q), int(b)) for n, q, b in controls)
-        targets = tuple((str(n), str(q)) for n, q in targets)
-        for node, qubit, bit in controls:
-            if qubit not in graph.qubits_at(node):
-                raise ProtocolError(f"control qubit {qubit!r} not declared at {node!r}")
-            if bit not in (0, 1):
-                raise ProtocolError("control bits must be 0 or 1")
-        if not targets:
-            raise ProtocolError("gate needs at least one target qubit")
-        target_nodes = {n for n, _ in targets}
-        if len(target_nodes) != 1:
-            raise ProtocolError("all target qubits must sit at one node")
-        for node, qubit in targets:
-            if qubit not in graph.qubits_at(node):
-                raise ProtocolError(f"target qubit {qubit!r} not declared at {node!r}")
-        unitary = np.asarray(unitary, dtype=complex)
-        if unitary.shape != (1 << len(targets),) * 2:
-            raise ProtocolError("unitary size does not match target count")
-        return cls(controls, targets, unitary)
-
-    @property
-    def target_node(self) -> str:
-        return self.targets[0][0]
-
-    @property
-    def data_gate(self) -> list:
-        """The gates applied at the target node: one (target qubit names,
-        unitary) pair."""
-        return [([q for _, q in self.targets], self.unitary)]
-
-    def oracle_gate(self) -> OracleGate:
-        """The gate as the oracle applies it."""
-        return OracleGate(
-            controls=tuple(((n, q), b) for n, q, b in self.controls),
-            targets=self.targets,
-            matrix=self.unitary,
-        )
+def _data_gate(request: OracleGate) -> list:
+    """The gates applied at the target node: one (target qubit names,
+    unitary) pair."""
+    return [([q for _, q in request.targets], request.matrix)]
 
 
 @dataclass
@@ -148,7 +131,7 @@ class CompiledProtocol:
 @dataclass(frozen=True)
 class _Visit:
     """One stop of a walker: its node, the index of the visit it came from
-    (None at a root), the (node, qubit, bit) controls that launch it from
+    (None at a root), the ((node, qubit), bit) controls that launch it from
     here, and the data gates, (qubit names, matrix) pairs applied in order
     on arrival."""
 
@@ -231,8 +214,8 @@ def _compile(name, graph, visits, oracle_gates, meta, measure=None, forest=None)
             c_out = graph.port_of(v, succ[0])
             if visit.controls:
                 step.append(make_data_controlled_coin(
-                    graph, layout, v, [q for _, q, _ in visit.controls],
-                    _pattern(visit.controls), (0, c_out), w,
+                    graph, layout, v, [q for (_, q), _ in visit.controls],
+                    "".join(str(bit) for _, bit in visit.controls), (0, c_out), w,
                 ))
             if len(succ) > 1:
                 step.append(make_fanout(
@@ -258,39 +241,60 @@ def _compile(name, graph, visits, oracle_gates, meta, measure=None, forest=None)
                             {"propagation_steps": len(ops) - 1, **meta})
 
 
-def _pattern(controls) -> str:
-    return "".join(str(bit) for _, _, bit in controls)
-
-
 # -- single path ----------------------------------------------------------
 
 
-def schedule_remote_cu(
-    graph, request: GateRequest, path: PathSpec, separation: str = "reverse"
-) -> CompiledProtocol:
-    """Remote controlled gate over one path, walker 0 as carrier."""
-    A, B = path.start, path.end
+def _single_path(name, graph, request, path, measure=None) -> CompiledProtocol:
+    """Protocol `name`: one walker launched at the path start and
+    relaunched at each later control node, the gate applied at the path
+    end, and `measure` passed on to `_compile`."""
     if path.hops < 1:
         raise ProtocolError("path must have at least one hop")
-    if any(node != A for node, _, _ in request.controls) or not request.controls:
-        raise ProtocolError("remote_cu needs all control qubits at the path start")
-    if request.target_node != B:
+    by_node: dict[str, list] = {}
+    for (node, qubit), bit in request.controls:
+        if node not in path.nodes:
+            raise ProtocolError(f"control node {node!r} is not on the path")
+        if node == path.end:
+            raise ProtocolError("controls at the target node are unsupported")
+        by_node.setdefault(node, []).append(((node, qubit), bit))
+    if not by_node:
+        raise ProtocolError("at least one control qubit required")
+    if path.start not in by_node:
+        raise ProtocolError("the path must start at a control node")
+    if request.targets[0][0] != path.end:
         raise ProtocolError("target qubits must sit at the path end")
+
+    visits: list = []
+    _path_visits(visits, path.nodes, controls=by_node,
+                 gates={path.end: _data_gate(request)})
+    return _compile(name, graph, visits, [request], {"arrival": {path.end: path.hops}},
+                    measure)
+
+
+def schedule_remote_cu(
+    graph, request: OracleGate, path: PathSpec, separation: str = "reverse"
+) -> CompiledProtocol:
+    """Remote controlled gate over one path, walker 0 as carrier: the
+    `remote_mcu` walk with every control at the path start, separated by
+    reversal or by `separate_measure`."""
+    if any(node != path.start for (node, _), _ in request.controls) or not request.controls:
+        raise ProtocolError("remote_cu needs all control qubits at the path start")
     if separation not in ("reverse", "measure"):
         raise ProtocolError(f"unknown separation {separation!r}")
     measure = None
     if separation == "measure":
-        if len(request.controls) != 1 or request.controls[0][2] != 1:
+        if len(request.controls) != 1 or request.controls[0][1] != 1:
             raise ProtocolError(
                 "measure separation supports a single plain control qubit"
             )
-        measure = (A, B, request.controls[0][1])
+        measure = (path.start, path.end, request.controls[0][0][1])
+    return _single_path("remote_cu", graph, request, path, measure)
 
-    visits: list = []
-    _path_visits(visits, path.nodes, controls={A: request.controls},
-                 gates={B: request.data_gate})
-    return _compile("remote_cu", graph, visits, [request.oracle_gate()],
-                    {"arrival": {B: path.hops}}, measure)
+
+def schedule_multi_control(graph, request: OracleGate, path: PathSpec) -> CompiledProtocol:
+    """Controlled gate whose control qubits live at several nodes visited
+    in order along the path; reverse separation only."""
+    return _single_path("remote_mcu", graph, request, path)
 
 
 def separate_measure(graph, layout, a_node, b_node, correction_qubit, walker=0) -> OperatorSpec:
@@ -314,44 +318,15 @@ def separate_measure(graph, layout, a_node, b_node, correction_qubit, walker=0) 
     for pos in layout.coin_bit_positions(walker):
         qubits.append(pos)
         bases.append("Z")
-    return make_measure_and_correct(
-        layout,
-        qubits,
-        "".join(bases),
-        parity_positions,
-        layout.data_bit(a_node, correction_qubit),
-        [a_node, b_node],
-        walker=walker,
-    )
-
-
-# -- multiple control nodes ----------------------------------------------
-
-
-def schedule_multi_control(graph, request: GateRequest, path: PathSpec) -> CompiledProtocol:
-    """Controlled gate whose control qubits live at several nodes visited
-    in order along the path; reverse separation only."""
-    if path.hops < 1:
-        raise ProtocolError("path must have at least one hop")
-    by_node: dict[str, list] = {}
-    for node, qubit, bit in request.controls:
-        if node not in path.nodes:
-            raise ProtocolError(f"control node {node!r} is not on the path")
-        if node == path.end:
-            raise ProtocolError("controls at the target node are unsupported")
-        by_node.setdefault(node, []).append((node, qubit, bit))
-    if not by_node:
-        raise ProtocolError("at least one control qubit required")
-    if path.start not in by_node:
-        raise ProtocolError("the path must start at a control node")
-    if request.target_node != path.end:
-        raise ProtocolError("target qubits must sit at the path end")
-
-    visits: list = []
-    _path_visits(visits, path.nodes, controls=by_node,
-                 gates={path.end: request.data_gate})
-    return _compile("remote_mcu", graph, visits, [request.oracle_gate()],
-                    {"arrival": {path.end: path.hops}})
+    params = {
+        "qubits": qubits,
+        "bases": "".join(bases),
+        "parity_positions": parity_positions,
+        "correct_bit": layout.data_bit(a_node, correction_qubit),
+        "allowed_vertices": [a_node, b_node],
+        "walker": walker,
+    }
+    return OperatorSpec("measure", params, layout)
 
 
 # -- parallel propagation -------------------------------------------------
@@ -366,7 +341,7 @@ def _shared_controls(requests, root):
     for req in requests:
         if req.controls != controls:
             raise ProtocolError("all gates must share the same control qubits")
-    if not controls or any(node != root for node, _, _ in controls):
+    if not controls or any(node != root for (node, _), _ in controls):
         raise ProtocolError("control qubits must sit at the shared start node")
     return controls
 
@@ -384,7 +359,7 @@ def schedule_multipath(graph, requests, paths) -> CompiledProtocol:
             raise ProtocolError("each path must have at least one hop")
     controls = _shared_controls(requests, A)
     for req, p in zip(requests, paths):
-        if req.target_node != p.end:
+        if req.targets[0][0] != p.end:
             raise ProtocolError("each target must sit at its path end")
     first_hops = [p.nodes[1] for p in paths]
     if len(set(first_hops)) != len(first_hops):
@@ -392,9 +367,8 @@ def schedule_multipath(graph, requests, paths) -> CompiledProtocol:
 
     visits = [_Visit(A, controls=controls)]
     for req, p in zip(requests, paths):
-        _path_visits(visits, p.nodes[1:], 0, gates={p.end: req.data_gate})
-    oracle_gates = [req.oracle_gate() for req, _ in
-                    sorted(zip(requests, paths), key=lambda rp: rp[1].hops)]
+        _path_visits(visits, p.nodes[1:], 0, gates={p.end: _data_gate(req)})
+    oracle_gates = [req for req, _ in sorted(zip(requests, paths), key=lambda rp: rp[1].hops)]
     return _compile("multipath", graph, visits, oracle_gates,
                     {"arrival": {p.end: p.hops for p in paths}})
 
@@ -409,21 +383,21 @@ def schedule_tree(graph, tree: TreeSpec, requests) -> CompiledProtocol:
     controls = _shared_controls(requests, tree.root)
     gates = {}
     for req in requests:
-        v = req.target_node
+        v = req.targets[0][0]
         if v not in tree.nodes:
             raise ProtocolError(f"target node {v!r} is outside the tree")
         if v == tree.root:
             raise ProtocolError("target at the control node needs no propagation")
         if v in gates:
             raise ProtocolError(f"duplicate target node {v!r}")
-        gates[v] = req.data_gate
+        gates[v] = _data_gate(req)
 
     visits = [_Visit(tree.root, controls=controls)]
     visits += [_Visit(v, p, gates=tuple(gates.get(v, ())))
                for v, p in zip(tree.nodes[1:], tree.parents[1:])]
     forest = _forest(visits)
     depth, _, walker, inits = forest
-    return _compile("tree", graph, visits, [req.oracle_gate() for req in requests], {
+    return _compile("tree", graph, visits, list(requests), {
         "arrival": dict(zip(tree.nodes[1:], depth[1:])),
         "walker_of": dict(zip(tree.nodes, walker)),
         "spawn_node": {w: inits[w][0] for w in range(1, len(inits))},
@@ -467,7 +441,7 @@ def schedule_ghz_path(graph, paths, qubit_sets) -> CompiledProtocol:
         first, *others = qmap[p.start]
         path_gates = {v: [([q], x1) for q in qmap.get(v, ())] for v in p.nodes[1:]}
         path_gates[p.start] = [([first], HADAMARD)] + [([first, q], CNOT) for q in others]
-        launch = {p.start: [(p.start, first, 1)]}
+        launch = {p.start: [((p.start, first), 1)]}
         _path_visits(visits, p.nodes, controls=launch, gates=path_gates)
         root, *members = [(v, q) for v in p.nodes for q in qmap.get(v, [])]
         oracle_gates.append(OracleGate((), (root,), HADAMARD))

@@ -26,8 +26,8 @@ class OperatorSpec:
     """Tagged description of one unitary step (or terminal instrument).
 
     kinds: shift, coinperm, coinblock, datactrl, coindata, interact,
-    fanout (its parts' actions in order), measure (instrument, terminal
-    only).
+    fanout (its parts' actions in order), measure (terminal instrument,
+    built by `protocols.separate_measure`).
     """
 
     kind: str
@@ -195,9 +195,11 @@ def make_data_controlled_coin(graph, layout, v, controls, s, swap, walker) -> Op
     if not controls:
         raise OperatorError("at least one control qubit required")
     local = graph.qubits_at(v)
-    for name in controls:
+    for i, name in enumerate(controls):
         if name not in local:
             raise OperatorError(f"control qubit {name!r} is not at node {v!r}")
+        if name in controls[:i]:
+            raise OperatorError(f"control qubit {name!r} listed twice")
     conditions = [((layout.data_bit(v, name),), int(bit)) for name, bit in zip(controls, s)]
     return OperatorSpec(
         kind="datactrl",
@@ -318,28 +320,6 @@ def make_fanout(graph, layout, v, coin, successors, walkers) -> OperatorSpec:
         },
         layout=layout,
         actions=tuple(act for part in parts for act in part.actions),
-    )
-
-
-def make_measure_and_correct(
-    layout, qubits, bases, parity_positions, correct_bit, allowed_vertices, walker=0
-) -> OperatorSpec:
-    """Terminal instrument: measure walker bits, then conditionally apply
-    Z on the correction qubit when the X outcomes have odd parity."""
-    qubits = list(qubits)
-    if len(qubits) != len(bases):
-        raise OperatorError("one basis per measured qubit required")
-    return OperatorSpec(
-        kind="measure",
-        params={
-            "qubits": qubits,
-            "bases": bases,
-            "parity_positions": list(parity_positions),
-            "correct_bit": correct_bit,
-            "allowed_vertices": list(allowed_vertices),
-            "walker": walker,
-        },
-        layout=layout,
     )
 
 

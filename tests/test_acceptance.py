@@ -11,12 +11,12 @@ import pytest
 
 from qwcp import (
     GATE_LIBRARY,
-    GateRequest,
     PathSpec,
     RegisterLayout,
     TreeSpec,
     compare,
     data_layout,
+    gate_request,
     init_state,
     invert_schedule,
     load_network,
@@ -82,9 +82,7 @@ def _random_data_vec(layout, rng):
 
 def grid_cnot_instance(separation="reverse"):
     graph = load_network(grid3_json())
-    req = GateRequest.build(
-        graph, [("n00", "a", 1)], [("n12", "b")], GATE_LIBRARY["X"]
-    )
+    req = gate_request(graph, [(("n00", "a"), 1)], [("n12", "b")], GATE_LIBRARY["X"])
     path = PathSpec.in_graph(graph, ["n00", "n01", "n02", "n12"])
     return graph, schedule_remote_cu(graph, req, path, separation=separation)
 
@@ -136,8 +134,8 @@ def test_criterion_3_remote_toffoli():
     graph = load_network(
         line_json(["A0", "A1", "B"], {"A0": ["a"], "A1": ["b"], "B": ["c"]})
     )
-    req = GateRequest.build(
-        graph, [("A0", "a", 1), ("A1", "b", 1)], [("B", "c")], GATE_LIBRARY["X"]
+    req = gate_request(
+        graph, [(("A0", "a"), 1), (("A1", "b"), 1)], [("B", "c")], GATE_LIBRARY["X"]
     )
     comp = schedule_multi_control(
         graph, req, PathSpec.in_graph(graph, ["A0", "A1", "B"])
@@ -164,10 +162,10 @@ def test_criterion_3_remote_toffoli():
 
 def test_criterion_4_multipath_two_walkers():
     graph = load_network(grid3_json())
-    ctrl = [("n00", "a", 1)]
+    ctrl = [(("n00", "a"), 1)]
     reqs = [
-        GateRequest.build(graph, ctrl, [("n02", "b")], GATE_LIBRARY["X"]),
-        GateRequest.build(graph, ctrl, [("n20", "c")], GATE_LIBRARY["X"]),
+        gate_request(graph, ctrl, [("n02", "b")], GATE_LIBRARY["X"]),
+        gate_request(graph, ctrl, [("n20", "c")], GATE_LIBRARY["X"]),
     ]
     comp = schedule_multipath(
         graph, reqs,
@@ -195,7 +193,7 @@ def test_criterion_5_tree_propagation():
          ("b1", "c10"), ("b1", "c11")],
     )
     requests = [
-        GateRequest.build(graph, [("A", "a", 1)], [(leaf, "t")], GATE_LIBRARY["X"])
+        gate_request(graph, [(("A", "a"), 1)], [(leaf, "t")], GATE_LIBRARY["X"])
         for leaf in ("c00", "c01", "c10", "c11")
     ]
     comp = schedule_tree(graph, tree, requests)

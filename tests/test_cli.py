@@ -297,6 +297,25 @@ def test_main_unwritable_output_exit_2(path3_file, tmp_path, capsys, flag):
         assert not out.exists() or out.read_text() == ""
 
 
+@pytest.mark.parametrize("alias", ["dot_dot", "hard_link"])
+def test_main_one_file_for_both_outputs_exit_2(path3_file, tmp_path, capsys, alias):
+    # the two names are one file, which neither output may write
+    script = write_script(tmp_path, cnot_script(path3_file))
+    out = tmp_path / "f.txt"
+    if alias == "dot_dot":
+        (tmp_path / "sub").mkdir()
+        dump = f"{tmp_path}/sub/../f.txt"
+    else:
+        out.touch()
+        dump = tmp_path / "g.txt"
+        os.link(out, dump)
+    argv = ["run", str(script), "--out", str(out), "--dump-state", str(dump)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --out and --dump-state name the same file\n"
+    assert captured.out == "" and (not out.exists() or out.read_text() == "")
+
+
 @pytest.mark.parametrize("which", ["script", "network file"])
 def test_main_undecodable_file_exit_2(tmp_path, capsys, which):
     net = write_script(tmp_path, PATH3_NET, name="net.json")
@@ -416,7 +435,10 @@ def test_main_bad_input_exit_2(tmp_path, capsys, network, commands):
     net = write_script(tmp_path, network, name="net.json")
     script = write_script(tmp_path, f"network {net}\n{commands}")
     assert main(["run", str(script)]) == 2
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" in err
+    # an overlong token is echoed cut short, not in full
+    assert len(err) < 200 and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(
@@ -432,12 +454,32 @@ def test_main_bad_input_exit_2(tmp_path, capsys, network, commands):
     ids=["target_group_spans_two_nodes", "target_node_twice", "control_off_root"],
 )
 def test_main_tree_request_exit_3(tmp_path, capsys, command, message):
-    # a tree request is checked as multipath's is: GateRequest.build, then
+    # a tree request is checked as multipath's is: gate_request, then
     # schedule_tree, both precondition errors
     net = write_script(tmp_path, FORK_NET, name="net.json")
     script = write_script(tmp_path, f"network {net}\ntree {command}\n")
     assert main(["run", str(script)]) == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "remote_cu control=A.a,A.a string=10 target=B.b path=A,u,B gate=X",
+        "remote_mcu controls=A.a,A.a string=11 target=B.b path=A,u,B gate=X",
+        "multipath control=A.a,A.a string=10 path=A,u,B target=B.b gate=X",
+        "tree control=A.a,A.a string=10 edges=A>u,u>B target=B.b gate=X",
+        "step datactrl node=A controls=a,a string=10 swap=0,1 walker=0",
+    ],
+    ids=["remote_cu", "remote_mcu", "multipath", "tree", "step_datactrl"],
+)
+def test_main_control_listed_twice_exit_3(tmp_path, capsys, command):
+    # two bits of one control qubit: a pattern that can never hold, or says
+    # one thing twice, is refused rather than run
+    net = write_script(tmp_path, PATH3_NET, name="net.json")
+    script = write_script(tmp_path, f"network {net}\n{command}\n")
+    assert main(["run", str(script)]) == 3
+    assert "listed twice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

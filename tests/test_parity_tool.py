@@ -1,10 +1,19 @@
-"""The compiler-record diff of `tools/parity.py`."""
+"""The compiler-record diff of `tools/parity.py` and the recording plugin
+`tools/record_schedules.py`."""
+import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 import parity  # noqa: E402
+import record_schedules  # noqa: E402
+
+import qwcp  # noqa: E402
+from qwcp import cli, protocols  # noqa: E402
+
+from conftest import line_json  # noqa: E402
 
 TEST = "tests/test_x.py::test_y"
 
@@ -48,3 +57,39 @@ def test_runs_line_counts_workload_runs_only(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(parity, "run_side", run_side(lambda src: src.name.encode()))
     assert parity.main(argv) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "2 runs on each side, 2 differ"
+
+
+def test_recorder_wraps_the_step_compiler(tmp_path, monkeypatch):
+    # the plugin rebinds these names; monkeypatch puts the originals back
+    monkeypatch.setattr(cli, "_compile_steps", cli._compile_steps)
+    for name in record_schedules.COMPILERS:
+        for module in (protocols, qwcp, cli):
+            monkeypatch.setattr(module, name, getattr(module, name))
+    plugins: dict = {}
+    out = tmp_path / "calls.jsonl"
+    config = SimpleNamespace(
+        getoption=lambda option: str(out),
+        pluginmanager=SimpleNamespace(register=lambda p, name: plugins.setdefault(name, p),
+                                      get_plugin=plugins.get),
+    )
+    record_schedules.pytest_configure(config)
+    net = tmp_path / "net.json"
+    net.write_text(line_json(["A", "B"], {"A": ["a"], "B": ["b"]}))
+    scripts = [
+        "init A.a=+\nstep datactrl node=A controls=a string=1 swap=0,1 walker=0\n"
+        "step shift flipflop\nstep measure a=A b=B qubit=a\n",
+        "step measure a=A b=A qubit=a\n",
+        "remote_cu control=A.a target=B.b path=A,B gate=X\n",
+    ]
+    for i, text in enumerate(scripts):
+        script = tmp_path / f"s{i}.qws"
+        script.write_text(f"network {net}\n{text}")
+        cli.main(["run", str(script), "--out", str(tmp_path / "r.json")])
+    record_schedules.pytest_unconfigure(config)
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["compiler"] for r in records] == [
+        "_compile_steps", "_compile_steps", "schedule_remote_cu"]
+    steps, refused, _ = records
+    assert steps["schedule"]["measure"]["bases"] == "XZ"
+    assert steps["oracle_gates"] == [] and steps["walker_inits"] == [["A", 0]]
+    assert refused["error"] == "ProtocolError: measurement separation needs two distinct nodes"

@@ -5,13 +5,13 @@ import pytest
 
 from qwcp import (
     GATE_LIBRARY,
-    GateRequest,
     PathSpec,
     ProtocolError,
     StateVector,
     TreeSpec,
     compare,
     data_layout,
+    gate_request,
     init_state,
     load_network,
     oracle_apply,
@@ -68,29 +68,33 @@ def shift_walkers(comp):
     ]
 
 
-# -- GateRequest ----------------------------------------------------------
+# -- gate_request ---------------------------------------------------------
 
 
 def test_gate_request_validations(path3):
     with pytest.raises(ProtocolError):
-        GateRequest.build(path3, [("A", "zz", 1)], [("B", "b")], GATE_LIBRARY["X"])
+        gate_request(path3, [(("A", "zz"), 1)], [("B", "b")], GATE_LIBRARY["X"])
     with pytest.raises(ProtocolError):
-        GateRequest.build(path3, [("A", "a", 2)], [("B", "b")], GATE_LIBRARY["X"])
+        gate_request(path3, [(("A", "a"), 2)], [("B", "b")], GATE_LIBRARY["X"])
     with pytest.raises(ProtocolError):
-        GateRequest.build(path3, [("A", "a", 1)], [], GATE_LIBRARY["X"])
+        gate_request(path3, [(("A", "a"), 1)], [], GATE_LIBRARY["X"])
     with pytest.raises(ProtocolError):
-        GateRequest.build(
-            path3, [("A", "a", 1)], [("A", "a"), ("B", "b")], np.eye(4)
+        gate_request(
+            path3, [(("A", "a"), 1)], [("A", "a"), ("B", "b")], np.eye(4)
         )  # targets at two nodes
     with pytest.raises(ProtocolError):
-        GateRequest.build(path3, [("A", "a", 1)], [("B", "b")], np.eye(4))
+        gate_request(path3, [(("A", "a"), 1)], [("B", "b")], np.eye(4))
+    with pytest.raises(ProtocolError, match=r"control qubit \('A', 'a'\) listed twice"):
+        gate_request(path3, [(("A", "a"), 1), (("A", "a"), 0)], [("B", "b")], GATE_LIBRARY["X"])
+    gate = gate_request(path3, [(("A", "a"), 1)], [("B", "b")], GATE_LIBRARY["X"])
+    assert gate.controls == ((("A", "a"), 1),) and gate.targets == (("B", "b"),)
 
 
 # -- remote controlled-U --------------------------------------------------
 
 
 def cnot_instance(path3, separation="reverse"):
-    req = GateRequest.build(path3, [("A", "a", 1)], [("B", "b")], GATE_LIBRARY["X"])
+    req = gate_request(path3, [(("A", "a"), 1)], [("B", "b")], GATE_LIBRARY["X"])
     path = PathSpec.in_graph(path3, ["A", "u", "B"])
     return schedule_remote_cu(path3, req, path, separation=separation)
 
@@ -116,7 +120,7 @@ def test_remote_cu_arbitrary_gate(path3):
     rng = np.random.default_rng(7)
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     u, _ = np.linalg.qr(m)
-    req = GateRequest.build(path3, [("A", "a", 1)], [("B", "b")], u)
+    req = gate_request(path3, [(("A", "a"), 1)], [("B", "b")], u)
     comp = schedule_remote_cu(
         path3, req, PathSpec.in_graph(path3, ["A", "u", "B"])
     )
@@ -125,7 +129,7 @@ def test_remote_cu_arbitrary_gate(path3):
 
 
 def test_remote_cu_zero_control_pattern(path3):
-    req = GateRequest.build(path3, [("A", "a", 0)], [("B", "b")], GATE_LIBRARY["X"])
+    req = gate_request(path3, [(("A", "a"), 0)], [("B", "b")], GATE_LIBRARY["X"])
     comp = schedule_remote_cu(
         path3, req, PathSpec.in_graph(path3, ["A", "u", "B"])
     )
@@ -162,7 +166,7 @@ def test_stacked_correction_matches_per_branch_apply_z(grid3, path, gate):
     measurement, then `apply_z` on each branch of odd outcome parity. Both
     parities occur in the one stack. Each sample-mode run gives the
     reference branch of the outcome it drew."""
-    req = GateRequest.build(grid3, [("n00", "a", 1)], [("n12", "b")], GATE_LIBRARY[gate])
+    req = gate_request(grid3, [(("n00", "a"), 1)], [("n12", "b")], GATE_LIBRARY[gate])
     comp = schedule_remote_cu(grid3, req, PathSpec.in_graph(grid3, path), separation="measure")
     plus = (2 ** -0.5, 2 ** -0.5)
     di = {q: plus for q in comp.layout.data_order}
@@ -209,16 +213,16 @@ def test_remote_cu_measure_sample_mode(path3):
 
 def test_remote_cu_measure_restrictions(path3):
     path = PathSpec.in_graph(path3, ["A", "u", "B"])
-    req0 = GateRequest.build(path3, [("A", "a", 0)], [("B", "b")], GATE_LIBRARY["X"])
+    req0 = gate_request(path3, [(("A", "a"), 0)], [("B", "b")], GATE_LIBRARY["X"])
     with pytest.raises(ProtocolError):
         schedule_remote_cu(path3, req0, path, separation="measure")
-    req = GateRequest.build(path3, [("A", "a", 1)], [("B", "b")], GATE_LIBRARY["X"])
+    req = gate_request(path3, [(("A", "a"), 1)], [("B", "b")], GATE_LIBRARY["X"])
     with pytest.raises(ProtocolError):
         schedule_remote_cu(path3, req, path, separation="teleport")
 
 
 def test_remote_cu_path_endpoint_checks(path3):
-    req = GateRequest.build(path3, [("A", "a", 1)], [("B", "b")], GATE_LIBRARY["X"])
+    req = gate_request(path3, [(("A", "a"), 1)], [("B", "b")], GATE_LIBRARY["X"])
     with pytest.raises(ProtocolError):
         schedule_remote_cu(
             path3, req, PathSpec.in_graph(path3, ["B", "u", "A"])
@@ -241,8 +245,8 @@ def toffoli_net():
 
 def test_multi_control_toffoli_truth_table():
     g = toffoli_net()
-    req = GateRequest.build(
-        g, [("A0", "a", 1), ("A1", "b", 1)], [("B", "c")], GATE_LIBRARY["X"]
+    req = gate_request(
+        g, [(("A0", "a"), 1), (("A1", "b"), 1)], [("B", "c")], GATE_LIBRARY["X"]
     )
     comp = schedule_multi_control(g, req, PathSpec.in_graph(g, ["A0", "A1", "B"]))
     for bits in range(8):
@@ -262,8 +266,8 @@ def test_multi_control_toffoli_truth_table():
 def test_multi_control_mixed_pattern():
     g = toffoli_net()
     # fires when a=1 and b=0
-    req = GateRequest.build(
-        g, [("A0", "a", 1), ("A1", "b", 0)], [("B", "c")], GATE_LIBRARY["X"]
+    req = gate_request(
+        g, [(("A0", "a"), 1), (("A1", "b"), 0)], [("B", "c")], GATE_LIBRARY["X"]
     )
     comp = schedule_multi_control(g, req, PathSpec.in_graph(g, ["A0", "A1", "B"]))
     rng = np.random.default_rng(6)
@@ -279,8 +283,8 @@ def test_multi_control_mixed_pattern():
 
 def test_multi_control_rejects_controls_at_target():
     g = toffoli_net()
-    req = GateRequest.build(
-        g, [("A0", "a", 1), ("B", "c", 1)], [("B", "c")], GATE_LIBRARY["X"]
+    req = gate_request(
+        g, [(("A0", "a"), 1), (("B", "c"), 1)], [("B", "c")], GATE_LIBRARY["X"]
     )
     with pytest.raises(ProtocolError):
         schedule_multi_control(g, req, PathSpec.in_graph(g, ["A0", "A1", "B"]))
@@ -288,7 +292,7 @@ def test_multi_control_rejects_controls_at_target():
 
 def test_multi_control_requires_start_control():
     g = toffoli_net()
-    req = GateRequest.build(g, [("A1", "b", 1)], [("B", "c")], GATE_LIBRARY["X"])
+    req = gate_request(g, [(("A1", "b"), 1)], [("B", "c")], GATE_LIBRARY["X"])
     with pytest.raises(ProtocolError):
         schedule_multi_control(g, req, PathSpec.in_graph(g, ["A0", "A1", "B"]))
 
@@ -297,9 +301,9 @@ def test_multi_control_requires_start_control():
 
 
 def test_multipath_two_gates(grid3):
-    ctrl = [("n00", "a", 1)]
-    r1 = GateRequest.build(grid3, ctrl, [("n02", "b")], GATE_LIBRARY["X"])
-    r2 = GateRequest.build(grid3, ctrl, [("n20", "c")], GATE_LIBRARY["Z"])
+    ctrl = [(("n00", "a"), 1)]
+    r1 = gate_request(grid3, ctrl, [("n02", "b")], GATE_LIBRARY["X"])
+    r2 = gate_request(grid3, ctrl, [("n20", "c")], GATE_LIBRARY["Z"])
     comp = schedule_multipath(
         grid3, [r1, r2],
         [
@@ -318,9 +322,9 @@ def test_multipath_two_gates(grid3):
 
 
 def test_multipath_unequal_lengths(grid3):
-    ctrl = [("n00", "a", 1)]
-    r1 = GateRequest.build(grid3, ctrl, [("n12", "b")], GATE_LIBRARY["X"])
-    r2 = GateRequest.build(grid3, ctrl, [("n20", "c")], GATE_LIBRARY["X"])
+    ctrl = [(("n00", "a"), 1)]
+    r1 = gate_request(grid3, ctrl, [("n12", "b")], GATE_LIBRARY["X"])
+    r2 = gate_request(grid3, ctrl, [("n20", "c")], GATE_LIBRARY["X"])
     comp = schedule_multipath(
         grid3, [r1, r2],
         [
@@ -336,9 +340,9 @@ def test_multipath_unequal_lengths(grid3):
 def test_multipath_unequal_lengths_shift_all_walkers(grid3):
     # every flip-flop but the last lists both walkers, also while walker 1
     # is parked at n20: on its self-loop the flip-flop leaves it in place
-    ctrl = [("n00", "a", 1)]
-    r1 = GateRequest.build(grid3, ctrl, [("n12", "b")], GATE_LIBRARY["X"])
-    r2 = GateRequest.build(grid3, ctrl, [("n20", "c")], GATE_LIBRARY["X"])
+    ctrl = [(("n00", "a"), 1)]
+    r1 = gate_request(grid3, ctrl, [("n12", "b")], GATE_LIBRARY["X"])
+    r2 = gate_request(grid3, ctrl, [("n20", "c")], GATE_LIBRARY["X"])
     comp = schedule_multipath(
         grid3, [r1, r2],
         [
@@ -363,9 +367,9 @@ def test_multipath_paths_meet_again():
     doc = json.loads(grid3_json())
     doc["data_qubits"]["n21"] = ["d"]
     g = load_network(json.dumps(doc))
-    ctrl = [("n00", "a", 1)]
-    r1 = GateRequest.build(g, ctrl, [("n12", "b")], GATE_LIBRARY["X"])
-    r2 = GateRequest.build(g, ctrl, [("n21", "d")], GATE_LIBRARY["H"])
+    ctrl = [(("n00", "a"), 1)]
+    r1 = gate_request(g, ctrl, [("n12", "b")], GATE_LIBRARY["X"])
+    r2 = gate_request(g, ctrl, [("n21", "d")], GATE_LIBRARY["H"])
     comp = schedule_multipath(
         g, [r1, r2],
         [
@@ -389,9 +393,9 @@ def test_multipath_paths_meet_again():
 
 
 def test_multipath_rejects_shared_first_edge(grid3):
-    ctrl = [("n00", "a", 1)]
-    r1 = GateRequest.build(grid3, ctrl, [("n02", "b")], GATE_LIBRARY["X"])
-    r2 = GateRequest.build(grid3, ctrl, [("n12", "b")], GATE_LIBRARY["X"])
+    ctrl = [(("n00", "a"), 1)]
+    r1 = gate_request(grid3, ctrl, [("n02", "b")], GATE_LIBRARY["X"])
+    r2 = gate_request(grid3, ctrl, [("n12", "b")], GATE_LIBRARY["X"])
     with pytest.raises(ProtocolError):
         schedule_multipath(
             grid3, [r1, r2],
@@ -403,8 +407,8 @@ def test_multipath_rejects_shared_first_edge(grid3):
 
 
 def test_multipath_rejects_mismatched_controls(grid3):
-    r1 = GateRequest.build(grid3, [("n00", "a", 1)], [("n02", "b")], GATE_LIBRARY["X"])
-    r2 = GateRequest.build(grid3, [("n00", "a", 0)], [("n20", "c")], GATE_LIBRARY["X"])
+    r1 = gate_request(grid3, [(("n00", "a"), 1)], [("n02", "b")], GATE_LIBRARY["X"])
+    r2 = gate_request(grid3, [(("n00", "a"), 0)], [("n20", "c")], GATE_LIBRARY["X"])
     with pytest.raises(ProtocolError):
         schedule_multipath(
             grid3, [r1, r2],
@@ -426,10 +430,10 @@ def btree_spec(btree7):
     )
 
 
-def tree_requests(graph, gates, controls=(("A", "a", 1),)):
+def tree_requests(graph, gates, controls=((("A", "a"), 1),)):
     """One request per (node, gate name) pair: the gate on the node's
     qubit t, under `controls`."""
-    return [GateRequest.build(graph, controls, [(v, "t")], GATE_LIBRARY[g])
+    return [gate_request(graph, controls, [(v, "t")], GATE_LIBRARY[g])
             for v, g in gates]
 
 
@@ -446,7 +450,7 @@ def test_tree_four_leaf_targets(btree7):
 
 
 def test_tree_rejects_target_at_root(btree7):
-    at_root = GateRequest.build(btree7, [("A", "a", 1)], [("A", "a")], GATE_LIBRARY["X"])
+    at_root = gate_request(btree7, [(("A", "a"), 1)], [("A", "a")], GATE_LIBRARY["X"])
     with pytest.raises(ProtocolError, match="needs no propagation"):
         schedule_tree(btree7, btree_spec(btree7), [at_root])
     # so is a target off the tree, a node targeted twice, or a control off
@@ -456,7 +460,7 @@ def test_tree_rejects_target_at_root(btree7):
         schedule_tree(btree7, b0_only, tree_requests(btree7, [("c11", "X")]))
     with pytest.raises(ProtocolError, match="duplicate target node 'c00'"):
         schedule_tree(btree7, b0_only, tree_requests(btree7, [("c00", "X"), ("c00", "Z")]))
-    off_root = tree_requests(btree7, [("c00", "X")], controls=[("c01", "t", 1)])
+    off_root = tree_requests(btree7, [("c00", "X")], controls=[(("c01", "t"), 1)])
     with pytest.raises(ProtocolError, match="shared start node"):
         schedule_tree(btree7, b0_only, off_root)
 
@@ -722,7 +726,7 @@ def test_linklevel_rejects_qubit_in_two_couplings(triangle):
 
 
 def test_supports_expand_only_to_neighbors(grid3):
-    req = GateRequest.build(grid3, [("n00", "a", 1)], [("n12", "b")], GATE_LIBRARY["X"])
+    req = gate_request(grid3, [(("n00", "a"), 1)], [("n12", "b")], GATE_LIBRARY["X"])
     comp = schedule_remote_cu(
         grid3, req, PathSpec.in_graph(grid3, ["n00", "n01", "n02", "n12"])
     )

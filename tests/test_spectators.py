@@ -23,6 +23,7 @@ from qwcp import (
     OracleError,
     OracleGate,
     OperatorError,
+    OperatorSpec,
     ProtocolError,
     RegisterLayout,
     Schedule,
@@ -32,7 +33,6 @@ from qwcp import (
     data_layout,
     init_state,
     load_network,
-    make_measure_and_correct,
     oracle_apply,
     run_schedule,
 )
@@ -252,9 +252,8 @@ def test_oracle_gate_qubits_are_not_spectators():
 
 def test_measured_and_corrected_bits_are_not_spectators():
     layout = RegisterLayout.for_network(load_network(NET), 1)
-    measure = make_measure_and_correct(
-        layout, [layout.data_bit("A", "s")], "Z", [], layout.data_bit("B", "u"), ["A", "B"]
-    )
+    params = {"qubits": [layout.data_bit("A", "s")], "correct_bit": layout.data_bit("B", "u")}
+    measure = OperatorSpec("measure", params, layout)
     assert spectator_qubits(layout, Schedule([], measure), None) == [("A", "c"), ("B", "t")]
 
 

@@ -6,10 +6,13 @@ through `qwcp.cli.main`. Paths are random simple walks, trees random
 subtrees, gates library names or random 2x2 unitaries, and data qubits
 start in a random one of 0, 1, + and -. Every run must exit 0 with
 `passed: true`, and a reverse-separated run must end with the walker
-supports it started with. A layout over the bit cap must exit 3 with the
-cap message; hypothesis counts it as an event, and it never counts as a
-pass. Two metamorphic variants of a drawn request, its nodes renamed and
-a leaf with an unused |+> qubit added, must give the same verdict.
+supports it started with. A single-path request with every control at
+the path start compiles to the same walk as `remote_cu` with reverse
+separation and as `remote_mcu`. A layout over the bit cap must exit 3
+with the cap message; hypothesis counts it as an event, and it never
+counts as a pass. Two metamorphic variants of a drawn request, its nodes
+renamed and a leaf with an unused |+> qubit added, must give the same
+verdict.
 """
 import contextlib
 import io
@@ -23,8 +26,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from qwcp import GATE_LIBRARY, load_network
-from qwcp.cli import main
+from qwcp import GATE_LIBRARY, load_network, schedule_to_json
+from qwcp.cli import _compile_remote_gate, main, parse_script
 from qwcp.statevec import MAX_TOTAL_BITS
 
 from conftest import network_json
@@ -203,6 +206,32 @@ def test_every_valid_request_verifies(kind, data):
     if reverse:
         supports = report["supports"]
         assert supports["timesteps"][-1] == supports["initial"], lines
+    if kind in ("remote_cu", "remote_mcu"):
+        assert_single_path_merge(network, lines[-1])
+
+
+def assert_single_path_merge(network, line):
+    """With every control at the path start, a `remote_cu` or `remote_mcu`
+    request compiles as `remote_cu` with reverse separation and as
+    `remote_mcu` to the same schedule, walker inits, meta, layout and
+    oracle gates; only the name differs."""
+    (_, args, _), = parse_script(line).commands
+    kv = dict(args)
+    refs = kv.get("control") or kv["controls"]
+    if any(ref.rpartition(".")[0] != kv["path"].split(",")[0] for ref in refs.split(",")):
+        return
+    event("single-path merge checked")
+    rest = [(k, v) for k, v in args if k not in ("control", "controls", "separation")]
+    graph = load_network(network)
+    cu = _compile_remote_gate(graph, [("control", refs), *rest], 1)
+    mcu = _compile_remote_gate(graph, [("controls", refs), *rest], 1, multi=True)
+    assert (cu.name, mcu.name) == ("remote_cu", "remote_mcu")
+    assert schedule_to_json(cu.schedule) == schedule_to_json(mcu.schedule), line
+    assert (cu.walker_inits, cu.meta, cu.layout) == (mcu.walker_inits, mcu.meta, mcu.layout)
+    assert len(cu.oracle_gates) == len(mcu.oracle_gates) == 1
+    (a,), (b,) = cu.oracle_gates, mcu.oracle_gates
+    assert (a.controls, a.targets) == (b.controls, b.targets)
+    assert np.array_equal(a.matrix, b.matrix)
 
 
 def assert_same_verdict(got, want, lines):

@@ -21,9 +21,9 @@ from qwcp import (
     make_fanout,
     make_flipflop_shift,
     make_identity_shift,
-    make_measure_and_correct,
     make_walk_interaction,
     operator_to_json,
+    separate_measure,
     walker_vertex_support,
 )
 from qwcp import walkops
@@ -168,6 +168,8 @@ def test_data_controlled_coin_requires_local_controls(small):
     g, lay = small
     with pytest.raises(OperatorError):
         make_data_controlled_coin(g, lay, "A", ["c"], "1", (0, 1), 0)
+    with pytest.raises(OperatorError, match="control qubit 'a' listed twice"):
+        make_data_controlled_coin(g, lay, "A", ["a", "a"], "10", (0, 1), 0)
 
 
 def test_coin_controlled_data_fires_at_vertex(small):
@@ -321,7 +323,7 @@ def _random_unitary(n, seed):
 
 def test_measure_op_has_no_inverse(small):
     g, lay = small
-    m = make_measure_and_correct(lay, [0], "Z", [], lay.data_bit("A", "a"), ["A"])
+    m = separate_measure(g, lay, "A", "B", "a")
     with pytest.raises(OperatorError):
         invert_operator(m)
     with pytest.raises(OperatorError):
@@ -435,7 +437,7 @@ def test_operator_json_round_trip(small):
         make_coin_controlled_data(g, lay, "C", ["c"], PAULI_X, 1, coin=1),
         make_walk_interaction(g, lay, "A", c_ab, (0, c_ab), 0, 1),
         make_fanout(g, lay, "A", c_ab, ["B", "C"], [0, 1]),
-        make_measure_and_correct(lay, [0, 1], "ZX", [1], lay.data_bit("A", "a"), ["A", "B"]),
+        separate_measure(g, lay, "A", "B", "a", walker=1),
         invert_operator(
             make_coin_block(g, lay, {"A": ([0, 1, 2], _random_unitary(3, 4))}, 0)
         ),

@@ -23,19 +23,20 @@ its script and counts as one difference.
 
 With `--tests DIR`, the pytest suite in DIR also runs once against each
 tree under the `record_schedules` plugin (this directory), and every
-protocol compiler call the tests make must give the same record: the
-compiler, `schedule_to_json`, `walker_inits`, `meta`, the oracle gates,
-or the error text. Each test's records are diffed as a sequence, so a
-call made by one tree only counts once, as inserted or removed, and the
-calls after it still pair up. Both runs use hypothesis seed 0 and a fresh example
-database, so they draw the same examples. Collection goes on past a test
-module that fails to import (say, one that imports a name only the new
-tree has), so the other modules still yield records; every module that
-failed to collect on either side is named and counts as a difference.
-Every test that fails against the new tree counts as a difference. A
-test that fails against the old tree only (say, the regression test of
-a bug the new tree fixes) stops early there, or shrinks a failing
-example, so its records are not counted; such tests are listed by name.
+protocol or step-script compiler call the tests make must give the same
+record: the compiler, `schedule_to_json`, `walker_inits`, `meta`, the
+oracle gates, or the error text. Each test's records are diffed as a
+sequence, so a call made by one tree only counts once, as inserted or
+removed, and the calls after it still pair up. Both runs use hypothesis
+seed 0 and a fresh example database, so they draw the same examples.
+Collection goes on past a test module that fails to import (say, one
+that imports a name only the new tree has), so the other modules still
+yield records; every module that failed to collect on either side is
+named and counts as a difference. Every test that fails against the new
+tree counts as a difference. A test that fails against the old tree only
+(say, the regression test of a bug the new tree fixes) stops early
+there, or shrinks a failing example, so its records are not counted;
+such tests are listed by name.
 
 The last lines count the differing fuzz cases and the differing
 workload runs and sample replays; the `--tests` line counts the record

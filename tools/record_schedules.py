@@ -4,12 +4,14 @@
         --record-schedules FILE [TESTS]
 
 While the tests run, every call of a `schedule_*` compiler in
-`qwcp.protocols` (direct, or through `qwcp.cli`) appends one JSON line
-to FILE: the test's node id, the call's position in that test, the
-compiler name and either the result (`schedule_to_json`, `walker_inits`,
-`meta` and the oracle gates) or the error type and text. A test module
-that fails to collect appends `{"collect_error": node id}` instead, and a
-test that fails appends `{"failed": node id}` after its calls.
+`qwcp.protocols` (direct, or through `qwcp.cli`) and of the step-script
+compiler `qwcp.cli._compile_steps` appends one JSON line to FILE: the
+test's node id, the call's position in that test, the compiler name and
+either the result (`schedule_to_json`, `walker_inits`, `meta` and the
+oracle gates, none for a step script) or the error type and text. A
+test module that fails to collect appends `{"collect_error": node id}`
+instead, and a test that fails appends `{"failed": node id}` after its
+calls.
 `tools/parity.py --tests` compares the records of two source trees.
 """
 from __future__ import annotations
@@ -50,7 +52,7 @@ def result_record(compiled) -> dict:
         "oracle_gates": [
             {"controls": _json_value(g.controls), "targets": _json_value(g.targets),
              "matrix": _json_value(np.asarray(g.matrix, dtype=complex))}
-            for g in compiled.oracle_gates
+            for g in compiled.oracle_gates or ()
         ],
     }
 
@@ -116,6 +118,7 @@ def pytest_configure(config):
         wrapped = recorder.wrap(name, getattr(protocols, name))
         for module in (protocols, qwcp, cli):
             setattr(module, name, wrapped)
+    cli._compile_steps = recorder.wrap("_compile_steps", cli._compile_steps)
     config.pluginmanager.register(recorder, "record-schedules-recorder")
 
 
