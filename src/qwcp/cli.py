@@ -28,7 +28,8 @@ Gates: a library name (X, Y, Z, H, S, T, I) or a custom unitary
 flat re,im sequence. A script holds either one protocol command or a
 sequence of `step` commands, of which `step measure` must be the last.
 `walkers` and `place` belong to step scripts only: a protocol command
-runs as many walkers as its request needs.
+runs as many walkers as its request needs. A second `network` or
+`walkers` line, `init` of one qubit or `place` of one walker is an error.
 A key may appear once per command; only group keys repeat (`path=`,
 `target=` and `couple=`, each followed by its group's other keys).
 `multipath` needs at least one `path=` and `tree` at least one
@@ -139,8 +140,8 @@ def _parse_kv(token: str, line: int):
 def parse_script(text: str) -> Script:
     network = None
     walkers = None
-    inits: list = []
-    places: list = []
+    inits: dict = {}  # (node, qubit) -> state label
+    places: dict = {}  # walker -> (node, coin)
     commands: list = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -151,10 +152,14 @@ def parse_script(text: str) -> Script:
         if name == "network":
             if len(args) != 1:
                 raise ScriptError("network takes exactly one file path", lineno)
+            if network is not None:
+                raise ScriptError("second network line", lineno)
             network = args[0]
         elif name == "walkers":
             if len(args) != 1 or not args[0].isdecimal() or _int(args[0], lineno) < 1:
                 raise ScriptError("walkers takes one positive integer", lineno)
+            if walkers is not None:
+                raise ScriptError("second walkers line", lineno)
             walkers = int(args[0])
         elif name == "init":
             if len(args) != 1:
@@ -165,14 +170,19 @@ def parse_script(text: str) -> Script:
                 raise ScriptError(
                     f"unknown initial state {state!r} (use 0, 1, +, -)", lineno
                 )
-            inits.append((node, qubit, state))
+            if (node, qubit) in inits:
+                raise ScriptError(f"second init of {_shown(ref)}", lineno)
+            inits[node, qubit] = state
         elif name == "place":
             if len(args) not in (2, 3):
                 raise ScriptError("place takes WALKER NODE [COIN]", lineno)
             if not args[0].isdecimal() or (len(args) == 3 and not args[2].isdecimal()):
                 raise ScriptError("place walker/coin must be integers", lineno)
             coin = _int(args[2], lineno) if len(args) == 3 else 0
-            places.append((_int(args[0], lineno), args[1], coin))
+            walker = _int(args[0], lineno)
+            if walker in places:
+                raise ScriptError(f"second place of walker {_shown(args[0])}", lineno)
+            places[walker] = (args[1], coin)
         elif name in _PROTOCOL_COMPILERS or name == "step":
             commands.append((name, tuple(_parse_kv(t, lineno) for t in args), lineno))
         else:
@@ -182,7 +192,8 @@ def parse_script(text: str) -> Script:
         raise ScriptError("a script may hold at most one protocol command")
     if protocol_count and any(name == "step" for name, _, _ in commands):
         raise ScriptError("protocol and step commands cannot be mixed")
-    return Script(network, walkers, tuple(inits), tuple(places), tuple(commands))
+    return Script(network, walkers, tuple((*q, s) for q, s in inits.items()),
+                  tuple((w, *p) for w, p in places.items()), tuple(commands))
 
 
 def _parse_qubit_ref(text: str, line: int) -> tuple[str, str]:
@@ -419,9 +430,8 @@ def _compile_step(graph, layout, args, line) -> OperatorSpec:
     if op_name == "coinblock":
         kv, _ = _args(rest, line, required=("node", "coins", "gate", "walker"))
         return make_coin_block(
-            graph, layout,
-            {kv["node"]: (_int_list(kv["coins"], line), _parse_gate(kv["gate"], line))},
-            _int(kv["walker"], line),
+            graph, layout, kv["node"], _int_list(kv["coins"], line),
+            _parse_gate(kv["gate"], line), _int(kv["walker"], line),
         )
     if op_name == "datactrl":
         kv, _ = _args(rest, line, required=("node", "controls", "string", "swap", "walker"))

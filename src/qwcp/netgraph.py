@@ -21,12 +21,12 @@ class NetworkGraph:
     """Symmetric graph with self-loops and port-numbered edges.
 
     `ports[v][c]` is the node reached from v with coin value c;
-    `ports[v][0] == v` always. Vertex ids are positions in the sorted
-    label list. Instances are immutable and safe to share.
+    `ports[v][0] == v` always. It is the one adjacency table: neighbors,
+    port counts and edges are read from it. Vertex ids are positions in
+    the sorted label list. Instances are immutable and safe to share.
     """
 
     nodes: tuple[str, ...]
-    adjacency: dict[str, tuple[str, ...]]
     ports: dict[str, tuple[str, ...]]
     data_qubits: dict[str, tuple[str, ...]]
     _ids: dict[str, int] = field(repr=False, compare=False, default_factory=dict)
@@ -54,44 +54,39 @@ class NetworkGraph:
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         self.vertex_id(v)
-        return self.adjacency[v]
-
-    def degree(self, v: str) -> int:
-        return len(self.neighbors(v))
+        return self.ports[v][1:]
 
     def port_count(self, v: str) -> int:
         """Valid coin values at v: self-loop plus one per neighbor."""
-        return self.degree(v) + 1
+        return len(self.neighbors(v)) + 1
 
     def neighbor_of_port(self, v: str, c: int) -> str:
-        targets = self.ports[self._require(v)]
+        self.vertex_id(v)
+        targets = self.ports[v]
         if not 0 <= c < len(targets):
             raise NetworkError(f"node {v!r} has no port {c}")
         return targets[c]
 
     def port_of(self, v: str, u: str) -> int:
-        index = self._port_index[self._require(v)]
+        self.vertex_id(v)
+        index = self._port_index[v]
         if u not in index:
             raise NetworkError(f"no edge from {v!r} to {u!r}")
         return index[u]
 
     def edges(self) -> list[tuple[str, str]]:
         """Proper edges, each once as (u, v) with u < v, in sorted order."""
-        return sorted({tuple(sorted((v, u))) for v in self.nodes for u in self.adjacency[v]})
+        return [(v, u) for v in self.nodes for u in self.neighbors(v) if v < u]
 
     def qubits_at(self, v: str) -> tuple[str, ...]:
-        self._require(v)
-        return self.data_qubits.get(v, ())
-
-    def _require(self, v: str) -> str:
         self.vertex_id(v)
-        return v
+        return self.data_qubits.get(v, ())
 
     def vertex_bits(self) -> int:
         return max(1, math.ceil(math.log2(len(self.nodes))))
 
     def coin_bits(self) -> int:
-        widest = max(self.port_count(v) for v in self.nodes)
+        widest = max(map(len, self.ports.values()))
         return max(1, math.ceil(math.log2(widest)))
 
 
@@ -142,10 +137,7 @@ def load_network(text: str) -> NetworkGraph:
         if (v, u) not in edges:
             raise NetworkError(f"asymmetric edge list: ({u!r}, {v!r}) has no reverse")
 
-    adjacency = {
-        v: tuple(sorted(u for (w, u) in edges if w == v)) for v in nodes
-    }
-    ports = {v: (v,) + adjacency[v] for v in nodes}
+    ports = {v: (v, *sorted(u for (w, u) in edges if w == v)) for v in nodes}
 
     raw_data = doc.get("data_qubits") or {}
     if not isinstance(raw_data, dict):
@@ -163,7 +155,7 @@ def load_network(text: str) -> NetworkGraph:
             raise NetworkError(f"duplicate data qubit name at node {v!r}")
         data_qubits[v] = tuple(names)
 
-    return NetworkGraph(nodes, adjacency, ports, data_qubits)
+    return NetworkGraph(nodes, ports, data_qubits)
 
 
 @dataclass(frozen=True)

@@ -139,9 +139,6 @@ def compare(
     fidelities = np.bincount(
         branch[run_starts], weights=np.abs(overlaps) ** 2, minlength=branches
     )
-    if layout.k == 0:
-        return CompareReport(np.ones(branches), fidelities)
-
     branch_start = starts[branch]
     row, rows = _rank_in_branch(first_run, branch_start)
     order = np.lexsort((data, branch))  # keeps `branch` as it is

@@ -490,7 +490,7 @@ def schedule_linklevel(graph, couple: dict | None = None) -> CompiledProtocol:
         u, v, qu, qv = pairs.get(edge, (*edge, None, None))
         c_uv = graph.port_of(u, v)
         inits.append((u, 0))
-        t0_ops.append(make_coin_block(graph, layout, {u: ([0, c_uv], hmat)}, w))
+        t0_ops.append(make_coin_block(graph, layout, u, [0, c_uv], hmat, w))
         if qu is not None:
             t0_ops.append(
                 make_coin_controlled_data(graph, layout, u, [qu], x1, w, coin=c_uv)

@@ -98,9 +98,6 @@ class RegisterLayout:
         base = self.k * self.walker_bits
         return tuple(range(base, base + self.data_bits))
 
-    def walker_bit_positions(self) -> tuple[int, ...]:
-        return tuple(range(self.k * self.walker_bits))
-
     def _check_walker(self, walker: int) -> None:
         if not 0 <= walker < self.k:
             raise StateError(f"walker {walker} outside 0..{self.k - 1}")
@@ -348,8 +345,7 @@ def insert_qubits(state: StateVector, factors: dict) -> StateVector:
     nonzero amplitude of each factor, with that factor's bit set to match;
     a product that underflows to zero is dropped. Factors are multiplied
     in on the right, in the order given, so a product comes out as
-    `np.kron` would form it. `init_state` and the spectator insert build
-    their products here."""
+    `np.kron` would form it. `init_state` builds its product here."""
     if not factors:
         return state
     n = state.layout.total_bits

@@ -154,33 +154,27 @@ def make_coin_perm(graph, layout, v, c1, c2, walker) -> OperatorSpec:
     )
 
 
-def make_coin_block(graph, layout, assignments, walker) -> OperatorSpec:
-    """Block-diagonal coin: per assigned vertex, a unitary on listed coins.
-
-    assignments: {node: (coins, matrix)}; unassigned vertices act as
-    identity."""
+def make_coin_block(graph, layout, v, coins, matrix, walker) -> OperatorSpec:
+    """Coin unitary `matrix` on the listed coins of one walker at vertex v;
+    every other vertex and coin is left alone."""
     layout._check_walker(walker)
-    actions = []
-    json_assign = {}
-    for v, (coins, matrix) in assignments.items():
-        vid = graph.vertex_id(v)
-        for c in coins:
-            _check_coin(graph, v, c)
-        _check_unitary(matrix, f"coin block at {v!r}")
-        embedded = _embed_coin_matrix(layout, coins, matrix)
-        actions.append(
-            BlockAction(
-                target_bits=layout.coin_bit_positions(walker),
-                matrix=embedded,
-                conditions=((layout.vertex_bit_positions(walker), vid),),
-            )
-        )
-        json_assign[v] = [list(coins), _matrix_to_json(matrix)]
+    vid = graph.vertex_id(v)
+    for c in coins:
+        _check_coin(graph, v, c)
+    _check_unitary(matrix, f"coin block at {v!r}")
+    action = BlockAction(
+        target_bits=layout.coin_bit_positions(walker),
+        matrix=_embed_coin_matrix(layout, coins, matrix),
+        conditions=((layout.vertex_bit_positions(walker), vid),),
+    )
     return OperatorSpec(
         kind="coinblock",
-        params={"assignments": json_assign, "walker": walker},
+        params={
+            "assignments": {v: [list(coins), _matrix_to_json(matrix)]},
+            "walker": walker,
+        },
         layout=layout,
-        actions=tuple(actions),
+        actions=(action,),
     )
 
 
@@ -329,27 +323,20 @@ def make_fanout(graph, layout, v, coin, successors, walkers) -> OperatorSpec:
 def invert_operator(op: OperatorSpec) -> OperatorSpec:
     if op.kind == "measure":
         raise OperatorError("a measurement has no inverse")
-    inverted_actions = []
-    for act in op.actions:
-        if isinstance(act, PermAction):
-            inverted_actions.append(
-                PermAction(act.walker, tuple(np.argsort(np.asarray(act.perm))), act.conditions)
-            )
-        else:
-            inverted_actions.append(
-                BlockAction(act.target_bits, act.matrix.conj().T, act.conditions)
-            )
-    inverted_actions.reverse()
+    inverses = [
+        PermAction(act.walker, tuple(np.argsort(act.perm)), act.conditions)
+        if isinstance(act, PermAction)
+        else BlockAction(act.target_bits, act.matrix.conj().T, act.conditions)
+        for act in op.actions
+    ]
     # a fan-out is never self-inverse: its `inverted` flag always toggles
-    self_inverse = op.kind != "fanout" and all(
-        isinstance(a, PermAction)
-        and tuple(np.argsort(np.asarray(a.perm))) == tuple(a.perm)
-        or isinstance(a, BlockAction)
-        and np.abs(a.matrix - a.matrix.conj().T).max() <= UNITARY_TOL
-        for a in op.actions
-    ) and len(op.actions) <= 1
+    self_inverse = op.kind != "fanout" and len(inverses) <= 1 and all(
+        act.perm == inv.perm if isinstance(act, PermAction)
+        else np.abs(act.matrix - inv.matrix).max() <= UNITARY_TOL
+        for act, inv in zip(op.actions, inverses)
+    )
     params = op.params if self_inverse else {**op.params, "inverted": not op.params.get("inverted", False)}
-    return OperatorSpec(op.kind, params, op.layout, actions=tuple(inverted_actions))
+    return OperatorSpec(op.kind, params, op.layout, actions=tuple(reversed(inverses)))
 
 
 def invert_schedule(sched: Schedule) -> Schedule:

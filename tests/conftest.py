@@ -203,7 +203,7 @@ def draw_operator(data, g, lay, rng, kind, near=None):
         )
     elif kind == "coinblock":
         coins = subset(data, ports)
-        op = make_coin_block(g, lay, {v: (coins, random_unitary(rng, len(coins)))}, walker)
+        op = make_coin_block(g, lay, v, coins, random_unitary(rng, len(coins)), walker)
     elif kind == "datactrl":
         controls = subset(data, list(g.qubits_at(v)))
         pattern = "".join(data.draw(st.sampled_from("01")) for _ in controls)
@@ -223,7 +223,7 @@ def draw_operator(data, g, lay, rng, kind, near=None):
             data.draw(swap), control, target,
         )
     else:
-        size = min(lay.k, g.degree(v))
+        size = min(lay.k, len(g.neighbors(v)))
         successors = subset(data, list(g.neighbors(v)), max_size=size)
         walkers = subset(data, list(range(lay.k)), min_size=len(successors),
                          max_size=len(successors))

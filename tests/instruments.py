@@ -16,15 +16,25 @@ state. So do the
 bit patterns that compare amplitudes as dumps print them, and the dense
 matrix of a coin swap, the block that each coin swap remap is checked
 against.
+
+`process_check` verifies a compiled protocol as a channel, on every
+input at once, rather than on the one input a script's inits name.
 """
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
 import dense_reference as dense
+from qwcp.cli import _PROTOCOL_COMPILERS, parse_script, spectator_qubits
+from qwcp.netgraph import load_network
+from qwcp.oracle import compare, data_layout, oracle_apply
+from qwcp.protocols import CNOT, run_schedule
 from qwcp.statevec import (
     DUMP_TOL,
     HADAMARD,
+    MAX_TOTAL_BITS,
     BlockAction,
     RegisterLayout,
     StateError,
@@ -32,7 +42,9 @@ from qwcp.statevec import (
     _apply_block,
     _bit_mask,
     _gather,
+    apply_actions,
     check_entries,
+    init_state,
 )
 
 DENSE_MAX_BITS = 20  # 16 MiB of complex128
@@ -185,10 +197,55 @@ def compare_reference(protocol_output: StateVector, oracle_output: StateVector):
     purity, and the overlap of each walker slice with the oracle state on
     the data keys the two share."""
     layout = protocol_output.layout
-    _, data_keys, slices = cut_matrix(protocol_output, layout.walker_bit_positions())
+    walker_bits = tuple(range(layout.k * layout.walker_bits))
+    _, data_keys, slices = cut_matrix(protocol_output, walker_bits)
     purity = cut_purity(slices) if layout.k > 0 else 1.0
     _, cols, hits = np.intersect1d(
         data_keys, oracle_output.indices, assume_unique=True, return_indices=True
     )
     overlaps = slices[:, cols] @ oracle_output.amplitudes[hits].conj()
     return purity, float(np.sum(np.abs(overlaps) ** 2))
+
+
+def process_check(network: str, line: str):
+    """The oracle comparison of the protocol command `line` run on a Choi
+    state, or None when its layout plus reference qubits is over
+    MAX_TOTAL_BITS.
+
+    Each touched data qubit, one neither a spectator nor in the protocol's
+    `fresh_qubits`, gets a reference qubit at its own node in a copy of the
+    network JSON, named with a trailing prime, and each pair starts in a
+    Bell state: H on the reference, then one `protocols.CNOT` block from
+    it. The protocol is compiled again on that network, its schedule run
+    by `run_schedule` and the oracle's gates by `oracle_apply`, and
+    `compare` takes the two as they are. Its data fidelity is then the
+    entanglement fidelity F_e of the compiled channel against the oracle's
+    unitary, over every input at once, on each measured branch."""
+    graph = load_network(network)
+    (name, args, lineno), = parse_script(line).commands
+    compiled = _PROTOCOL_COMPILERS[name](graph, args, lineno)
+    untouched = {*spectator_qubits(compiled.layout, compiled.schedule, compiled.oracle_gates),
+                 *compiled.fresh_qubits}
+    touched = [q for q in compiled.layout.data_order if q not in untouched]
+    if compiled.layout.total_bits + len(touched) > MAX_TOTAL_BITS:
+        return None
+    doc = json.loads(network)
+    for v, q in touched:
+        doc["data_qubits"][v] = [*doc["data_qubits"][v], q + "'"]
+    graph = load_network(json.dumps(doc))
+    compiled = _PROTOCOL_COMPILERS[name](graph, args, lineno)
+
+    def choi(state):
+        bit = state.layout.data_bit
+        return apply_actions(state, [
+            act for v, q in touched for act in (
+                BlockAction((bit(v, q + "'"),), HADAMARD),
+                BlockAction((bit(v, q + "'"), bit(v, q)), CNOT),
+            )
+        ])
+
+    state = choi(init_state(graph, compiled.layout, compiled.walker_inits))
+    final, trace = run_schedule(state, compiled.schedule, graph)
+    oracle_out = oracle_apply(choi(init_state(graph, data_layout(graph), [])),
+                              compiled.oracle_gates)
+    return compare(final if trace.branches is None else trace.branches, oracle_out)

@@ -231,7 +231,7 @@ def test_criterion_5_tree_propagation():
     mid, _ = run_schedule(state, forward, graph)
     # 25 bits: too wide for a dense vector, so the purity comes from the
     # compressed cut matrix, as the oracle comparison takes it
-    walker_cut = cut_matrix(mid, comp.layout.walker_bit_positions())[2]
+    walker_cut = cut_matrix(mid, tuple(range(comp.layout.k * comp.layout.walker_bits)))[2]
     assert cut_purity(walker_cut) == pytest.approx(0.5, abs=FID_TOL)
     print("criterion 5: PASS - tree propagation, visit timing + fan-out purity 0.5")
 
@@ -249,7 +249,8 @@ def test_criterion_6_ghz_four_node_path():
     ghz[0] = ghz[15] = 1 / np.sqrt(2)
     rho = reduced_density(final, comp.layout.data_bit_positions())
     assert float(np.vdot(ghz, rho @ ghz).real) >= 1 - FID_TOL
-    assert purity_across_cut(final, comp.layout.walker_bit_positions()) >= 1 - FID_TOL
+    walker_bits = tuple(range(comp.layout.k * comp.layout.walker_bits))
+    assert purity_across_cut(final, walker_bits) >= 1 - FID_TOL
     print("criterion 6: PASS - 4-node GHZ in 3 propagation steps")
 
 
@@ -330,7 +331,7 @@ def test_criterion_8_invariant_suite():
     pool = [
         make_flipflop_shift(pool_graph, lay),
         make_coin_perm(pool_graph, lay, "A", 0, 1, 0),
-        make_coin_block(pool_graph, lay, {"B": ([0, 1], h)}, 1),
+        make_coin_block(pool_graph, lay, "B", [0, 1], h, 1),
         make_data_controlled_coin(pool_graph, lay, "A", ["p"], "1", (0, 2), 0),
         make_walk_interaction(pool_graph, lay, "B", 1, (0, 1), 0, 1),
     ]

@@ -408,6 +408,11 @@ FORK_NET = network_json(
         ('{"nodes": ["A", "B"], "edges": [], "n": ' + "1" * 5000 + "}", "linklevel\n"),
         (PATH3_NET, f"walkers {'1' * 5000}\nstep shift identity\n"),
         (PATH3_NET, f"walkers 1\nplace {'1' * 5000} A\nstep shift identity\n"),
+        # a repeated header line is refused, not an override of the first
+        (PATH3_NET, "init A.a=0\ninit A.a=1\n" + CNOT_LINE),
+        (PATH3_NET, "walkers 2\nplace 0 A 0\nplace 0 B 0\nstep shift identity\n"),
+        (PATH3_NET, "network net.json\n" + CNOT_LINE),
+        (PATH3_NET, "walkers 1\nwalkers 2\nstep shift identity\n"),
     ],
     ids=[
         "broken_json",
@@ -429,9 +434,15 @@ FORK_NET = network_json(
         "network_integer_too_long",
         "walkers_too_many_digits",
         "place_too_many_digits",
+        "init_twice",
+        "place_twice",
+        "network_twice",
+        "walkers_twice",
     ],
 )
-def test_main_bad_input_exit_2(tmp_path, capsys, network, commands):
+def test_main_bad_input_exit_2(tmp_path, capsys, monkeypatch, network, commands):
+    # run from tmp_path, so that a relative `network net.json` names this network
+    monkeypatch.chdir(tmp_path)
     net = write_script(tmp_path, network, name="net.json")
     script = write_script(tmp_path, f"network {net}\n{commands}")
     assert main(["run", str(script)]) == 2
@@ -439,6 +450,22 @@ def test_main_bad_input_exit_2(tmp_path, capsys, network, commands):
     assert "error" in err
     # an overlong token is echoed cut short, not in full
     assert len(err) < 200 and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("init A.a=0\ninit A.a=1\n", "line 2: second init of 'A.a'"),
+        ("walkers 2\nplace 0 A\n# B\nplace 0 B 1\n", "line 4: second place of walker '0'"),
+        ("network a.json\nnetwork b.json\n", "line 2: second network line"),
+        ("walkers 1\ninit A.a=+\nwalkers 1\n", "line 3: second walkers line"),
+    ],
+    ids=["init", "place", "network", "walkers"],
+)
+def test_parse_refuses_repeated_header_line(text, message):
+    with pytest.raises(ScriptError) as info:
+        parse_script(text)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(

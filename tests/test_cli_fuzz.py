@@ -7,7 +7,11 @@ script with one never exits 4.
 A case is a small network and a script in the grammar of `qwcp.cli`.
 Paths follow the network's edges and qubit references name declared
 qubits, so that most runs get past parsing into compilation and the
-engine; every value is sometimes replaced by a bad one or left out."""
+engine; every value is sometimes replaced by a bad one or left out. Bad
+values include an integer of more than 20 digits and a control list
+that names one qubit twice; a header line, the network line included,
+is sometimes repeated, and the state dump is sometimes pointed at the
+report's own path."""
 import contextlib
 import io
 import json
@@ -32,6 +36,8 @@ GATES = [
     "U[1,0]",
     "U[1,0,0,0,0,0,0,0;0,0,1,0,0,0,0,0;0,0,0,0,1,0,0,0;0,0,0,0,0,0,0,1]",
 ]
+LONG_INTEGER = "9" * 24
+NETWORK_LINE = "network NET"  # stands for the case's own network file
 BROKEN_NETWORKS = [
     "", "{", "[]", "null", '{"nodes": 5}', '{"nodes": ["A", "A"]}',
     '{"nodes": ["A", "B"], "edges": [["A", "B"]]}',
@@ -65,7 +71,7 @@ def cases(draw):
         return spoil(draw(st.sampled_from(nodes)), "Z")
 
     def integer(high=3):
-        return spoil(str(draw(st.integers(0, high))), "-1", "x", "9")
+        return spoil(str(draw(st.integers(0, high))), "-1", "x", "9", LONG_INTEGER)
 
     def ints(size):
         return spoil(",".join(integer() for _ in range(size)), "0", "x,y", "0,1,2")
@@ -76,6 +82,10 @@ def cases(draw):
     def ref(at=None):
         at = at or node()
         return f"{at}.{spoil(draw(st.sampled_from(qubits.get(at) or QUBITS)), 'zz')}"
+
+    def twice(refs):
+        """The list `refs`, or sometimes `refs` with its first entry again."""
+        return spoil(refs, [*refs, refs[0]])
 
     def walk(start=None):
         path = [start or draw(st.sampled_from(nodes))]
@@ -98,22 +108,23 @@ def cases(draw):
         kind = draw(st.sampled_from(PROTOCOLS))
         path = walk()
         if kind == "remote_cu":
-            parts = [("control", ref(path[0])), ("target", ref(path[-1])),
+            controls = twice([ref(path[0])])
+            parts = [("control", ",".join(controls)), ("target", ref(path[-1])),
                      ("path", ",".join(path)), ("gate", gate())]
             if draw(st.booleans()):
-                parts.append(("string", bits(1)))
+                parts.append(("string", bits(len(controls))))
             if draw(st.booleans()):
                 parts.append(
                     ("separation", spoil(draw(st.sampled_from(["reverse", "measure"])), "x"))
                 )
             return line(kind, *parts)
         if kind == "remote_mcu":
-            controls = [ref(v) for v in path[:-1]] or [ref()]
+            controls = twice([ref(v) for v in path[:-1]] or [ref()])
             return line(kind, ("controls", ",".join(controls)),
                         ("string", bits(len(controls))), ("target", ref(path[-1])),
                         ("path", ",".join(path)), ("gate", gate()))
         if kind == "multipath":
-            parts = [("control", ref(path[0]))]
+            parts = [("control", ",".join(twice([ref(path[0])])))]
             for _ in range(draw(st.integers(1, 2))):
                 branch = walk(path[0])
                 parts += [("path", ",".join(branch)), ("target", ref(branch[-1])),
@@ -124,7 +135,7 @@ def cases(draw):
             other = walk(path[0])
             tree_edges += [f"{u}>{v}" for u, v in zip(other, other[1:])
                            if v not in path and draw(st.booleans())]
-            return line(kind, ("control", ref(path[0])),
+            return line(kind, ("control", ",".join(twice([ref(path[0])]))),
                         ("edges", ",".join(tree_edges)), ("target", ref(path[-1])),
                         ("gate", gate()))
         if kind == "ghz_path":
@@ -149,8 +160,10 @@ def cases(draw):
                         ("walker", integer(1)))
         if kind == "datactrl":
             at = node()
-            return line(name, ("node", at), ("controls", ref(at)[len(at) + 1:]),
-                        ("string", bits(1)), ("swap", ints(2)), ("walker", integer(1)))
+            controls = twice([ref(at)[len(at) + 1:]])
+            return line(name, ("node", at), ("controls", ",".join(controls)),
+                        ("string", bits(len(controls))), ("swap", ints(2)),
+                        ("walker", integer(1)))
         if kind == "coindata":
             at = node()
             parts = [("node", at), ("qubits", ref(at)[len(at) + 1:]), ("gate", gate()),
@@ -174,11 +187,14 @@ def cases(draw):
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(["walkers", "init", "place"]))
         if kind == "walkers":
-            header.append(f"walkers {spoil(str(draw(st.integers(1, 3))), '0', 'x')}")
+            count = spoil(str(draw(st.integers(1, 3))), "0", "x", LONG_INTEGER)
+            header.append(f"walkers {count}")
         elif kind == "init":
             header.append(f"init {ref()}={spoil(draw(st.sampled_from('01+-')), '2')}")
         else:
             header.append(f"place {integer(2)} {node()} {integer()}".rstrip())
+    # a repeated header line, the network line (see `script_text`) included
+    header += spoil([], [draw(st.sampled_from([*header, NETWORK_LINE]))])
     if draw(st.booleans()):
         body = [protocol()]
     else:
@@ -186,18 +202,39 @@ def cases(draw):
     return spoil(network, *BROKEN_NETWORKS), header + body
 
 
+def script_text(net, lines) -> str:
+    """The script of a case whose network file is `net`: a `network` line,
+    then `lines`, each `NETWORK_LINE` among them naming `net` again."""
+    return "".join(f"network {net}\n" if line == NETWORK_LINE else line + "\n"
+                   for line in [NETWORK_LINE, *lines])
+
+
+def write_case(tmp, network, lines, mode, extras, seed):
+    """Write a case's network and script to the directory `tmp` and return
+    its `qwcp run` argv. `extras` adds `--seed`, `--trace` and a state
+    dump, which "same" points at the report's path."""
+    net = Path(tmp, "net.json")
+    net.write_text(network)
+    script = Path(tmp, "script.qw")
+    script.write_text(script_text(net, lines))
+    argv = ["run", str(script), "--mode", mode, "--out", str(Path(tmp, "r.json"))]
+    if extras:
+        dump = "r.json" if extras == "same" else "d.txt"
+        argv += ["--seed", str(seed), "--trace", "--dump-state", str(Path(tmp, dump))]
+    return argv
+
+
+MODES = st.sampled_from(["branch", "sample"])
+EXTRAS = st.sampled_from([False, True, True, "same"])
+SEEDS = st.integers(-3, 9)
+
+
 @settings(max_examples=200, deadline=None)
-@given(cases(), st.sampled_from(["branch", "sample"]), st.booleans(), st.integers(-3, 9))
+@given(cases(), MODES, EXTRAS, SEEDS)
 def test_main_exit_code_contract(case, mode, extras, seed):
     network, lines = case
     with tempfile.TemporaryDirectory() as tmp:
-        net = Path(tmp, "net.json")
-        net.write_text(network)
-        script = Path(tmp, "script.qw")
-        script.write_text("\n".join([f"network {net}", *lines]) + "\n")
-        argv = ["run", str(script), "--mode", mode, "--out", str(Path(tmp, "r.json"))]
-        if extras:
-            argv += ["--seed", str(seed), "--trace", "--dump-state", str(Path(tmp, "d.txt"))]
+        argv = write_case(tmp, network, lines, mode, extras, seed)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)

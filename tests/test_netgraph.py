@@ -128,8 +128,8 @@ def random_graphs(draw, max_nodes=8):
 def test_port_tables_consistent_on_random_graphs(g):
     for v in g.nodes:
         assert g.ports[v][0] == v
-        assert g.ports[v][1:] == g.adjacency[v]
-        assert list(g.adjacency[v]) == sorted(g.adjacency[v])
+        assert g.ports[v][1:] == g.neighbors(v)
+        assert list(g.neighbors(v)) == sorted(g.neighbors(v))
         for c in range(1, g.port_count(v)):
             u = g.neighbor_of_port(v, c)
             assert g.neighbor_of_port(u, g.port_of(u, v)) == v
@@ -139,7 +139,7 @@ def test_round_trip_through_json(grid3):
     doc = json.dumps(
         {
             "nodes": list(grid3.nodes),
-            "edges": [[u, v] for u in grid3.nodes for v in grid3.adjacency[u]],
+            "edges": [[u, v] for u in grid3.nodes for v in grid3.neighbors(u)],
             "data_qubits": {v: list(q) for v, q in grid3.data_qubits.items()},
         }
     )

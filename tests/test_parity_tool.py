@@ -59,6 +59,34 @@ def test_runs_line_counts_workload_runs_only(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "2 runs on each side, 2 differ"
 
 
+def test_tests_line_counts_uncompared_new_calls(tmp_path, monkeypatch, capsys):
+    for side in ("old", "new"):
+        (tmp_path / side / "qwcp").mkdir(parents=True)
+        (tmp_path / side / "qwcp" / "cli.py").touch()
+    monkeypatch.setattr(parity.workloads, "WORKLOADS", [])
+    monkeypatch.setattr(parity, "compare_fuzz", lambda *args: (0, []))
+    fixed, unfixed = "tests/test_a.py::test_fix", "tests/test_a.py::test_same"
+    gone = "tests/test_b.py::test_new_name"
+    calls = {fixed: [record(0)], unfixed: [record(0), record(1)]}
+    new_calls = {**calls, fixed: [record(0), record(1), record(2)], gone: [record(0)] * 2}
+    sides = {
+        "old": (1, ["tests/test_b.py"], {fixed}, calls),
+        "new": (0, [], set(), new_calls),
+    }
+    monkeypatch.setattr(parity, "record_calls",
+                        lambda src, tests, workdir: sides[workdir.name.split("-")[1]])
+    argv = [str(tmp_path / "old"), str(tmp_path / "new"), "--tests", str(tmp_path)]
+    assert parity.main(argv) == 1
+    out = capsys.readouterr().out.splitlines()
+    # the test fixed by the new tree and the module the old tree cannot
+    # import leave 3 + 2 new calls uncompared; the other test's calls pair up
+    assert out[0].endswith("3 and 7 compiler calls, 1 differences, 5 new-tree calls not compared")
+    assert out[1] == (f"{fixed}: fails against old tree only; "
+                      "its 3 new-tree compiler calls are not compared")
+    assert out[2] == ("tests/test_b.py: failed to collect against old tree, "
+                      "2 new-tree compiler calls not compared")
+
+
 def test_recorder_wraps_the_step_compiler(tmp_path, monkeypatch):
     # the plugin rebinds these names; monkeypatch puts the originals back
     monkeypatch.setattr(cli, "_compile_steps", cli._compile_steps)

@@ -25,6 +25,8 @@ from qwcp import (
     schedule_tree,
     walker_vertex_support,
 )
+from qwcp import protocols
+from qwcp.cli import execute, parse_script
 from qwcp.walkops import Schedule
 
 import dense_reference as dense
@@ -33,6 +35,7 @@ from instruments import (
     apply_z,
     canonical_bits,
     measure_reference,
+    process_check,
     purity_across_cut,
     reduced_density,
     to_dense,
@@ -742,3 +745,25 @@ def test_supports_expand_only_to_neighbors(grid3):
                 closed.update(grid3.neighbors(v))
             assert labels <= closed
         prev = sup
+
+
+def test_process_check_fails_a_compile_right_only_from_default_inits(tmp_path, monkeypatch):
+    # a wrong compile: the target's H applied twice, which is the identity.
+    # With no init line the control starts in |0>, where the oracle's
+    # controlled H is the identity too, so the run verifies. Over every
+    # input the channel is the identity against controlled-H on two
+    # qubits: F_e = |Tr(CH) / 4|^2 = 1/4.
+    def twice(request):
+        return 2 * [([q for _, q in request.targets], request.matrix)]
+
+    monkeypatch.setattr(protocols, "_data_gate", twice)
+    network = line_json(["A", "u", "B"], {"A": ["a"], "B": ["b"]})
+    line = "remote_cu control=A.a target=B.b path=A,u,B gate=H"
+    net = tmp_path / "net.json"
+    net.write_text(network)
+    report, *_ = execute(parse_script(f"network {net}\n{line}\n"))
+    assert report["passed"] is True
+    check = process_check(network, line)
+    assert check.data_fidelity == pytest.approx(0.25, abs=1e-12)
+    assert check.walker_purity == pytest.approx(1.0, abs=1e-12)
+    assert not check.passed

@@ -48,7 +48,7 @@ from qwcp.statevec import dump_state, insert_qubits
 
 from conftest import line_json
 from instruments import dump_reference
-from test_cli_fuzz import cases
+from test_cli_fuzz import cases, script_text
 
 REJECTED = (ScriptError, NetworkError, ProtocolError, OperatorError, StateError, OracleError)
 TOL = 1e-12
@@ -99,14 +99,13 @@ def check_against_reference(network: str, lines: list, mode: str, seed=None):
         net = Path(tmp, "net.json")
         net.write_text(network)
         try:
-            script = parse_script("\n".join([f"network {net}", *lines]) + "\n")
+            script = parse_script(script_text(net, lines))
             report, core, factors, _ = execute(script, seed=seed, mode=mode)
         except REJECTED as exc:
             event(f"rejected: {type(exc).__name__}")
             # the unfactored run rejects the script the same way
             with pytest.raises(type(exc)) as again:
-                reference(parse_script("\n".join([f"network {net}", *lines]) + "\n"),
-                          mode, seed)
+                reference(parse_script(script_text(net, lines)), mode, seed)
             assert str(again.value) == str(exc)
             return
         want, want_final = reference(script, mode, seed)

@@ -301,7 +301,7 @@ def test_measure_with_rng_draws_one_branch(path3):
 def test_purity_and_reduced_density_product_vs_entangled(path3):
     lay = RegisterLayout.for_network(path3, 1)
     s = init_state(path3, lay, [("A", 0)])
-    cut = lay.walker_bit_positions()
+    cut = tuple(range(lay.k * lay.walker_bits))
     assert cut_purity(cut_matrix(s, cut)[2]) == pytest.approx(1.0)
     # entangle walker coin bit with the data qubit
     bit_a = lay.data_bit("A", "a")
@@ -318,7 +318,7 @@ def test_purity_matches_dense_reduced_density(path3):
     lay = RegisterLayout.for_network(path3, 2)
     rng = np.random.default_rng(7)
     s = random_state(lay, rng)
-    cut = lay.walker_bit_positions()
+    cut = tuple(range(lay.k * lay.walker_bits))
     rho = reduced_density(s, cut)
     assert cut_purity(cut_matrix(s, cut)[2]) == pytest.approx(
         float(np.trace(rho @ rho).real), abs=1e-12

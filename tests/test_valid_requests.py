@@ -6,7 +6,10 @@ through `qwcp.cli.main`. Paths are random simple walks, trees random
 subtrees, gates library names or random 2x2 unitaries, and data qubits
 start in a random one of 0, 1, + and -. Every run must exit 0 with
 `passed: true`, and a reverse-separated run must end with the walker
-supports it started with. A single-path request with every control at
+supports it started with. The compiled request must also pass
+`process_check`, which compares it with the oracle on every input at
+once, whenever its layout plus one reference qubit per touched data
+qubit fits the bit cap. A single-path request with every control at
 the path start compiles to the same walk as `remote_cu` with reverse
 separation and as `remote_mcu`. A layout over the bit cap must exit 3
 with the cap message; hypothesis counts it as an event, and it never
@@ -31,6 +34,7 @@ from qwcp.cli import _compile_remote_gate, main, parse_script
 from qwcp.statevec import MAX_TOTAL_BITS
 
 from conftest import network_json
+from instruments import process_check
 
 PROTOCOLS = ["remote_cu", "remote_mcu", "multipath", "tree", "ghz_path", "linklevel"]
 
@@ -206,6 +210,11 @@ def test_every_valid_request_verifies(kind, data):
     if reverse:
         supports = report["supports"]
         assert supports["timesteps"][-1] == supports["initial"], lines
+    check = process_check(network, lines[-1])
+    if check is None:
+        event("process check over the bit cap")
+    else:
+        assert check.passed, (lines, check.data_fidelity, check.walker_purity)
     if kind in ("remote_cu", "remote_mcu"):
         assert_single_path_merge(network, lines[-1])
 

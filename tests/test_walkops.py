@@ -139,7 +139,7 @@ def test_coin_perm_rejects_invalid_coin(small):
 
 def test_coin_block_hadamard_splits_support(small):
     g, lay = small
-    op = make_coin_block(g, lay, {"A": ([0, g.port_of("A", "B")], HADAMARD)}, 0)
+    op = make_coin_block(g, lay, "A", [0, g.port_of("A", "B")], HADAMARD, 0)
     s = init_state(g, lay, [("A", 0), ("C", 0)])
     out = apply_operator(s, op)
     moved = apply_operator(out, make_flipflop_shift(g, lay, [0]))
@@ -149,7 +149,7 @@ def test_coin_block_hadamard_splits_support(small):
 def test_coin_block_rejects_nonunitary(small):
     g, lay = small
     with pytest.raises(OperatorError):
-        make_coin_block(g, lay, {"A": ([0, 1], np.ones((2, 2)))}, 0)
+        make_coin_block(g, lay, "A", [0, 1], np.ones((2, 2)), 0)
 
 
 def test_data_controlled_coin_fires_on_pattern(small):
@@ -295,7 +295,7 @@ def test_all_constructed_operators_are_unitary(small):
         make_flipflop_shift(g, lay),
         make_identity_shift(lay),
         make_coin_perm(g, lay, "B", 0, 1, 1),
-        make_coin_block(g, lay, {"A": ([0, c_ab], HADAMARD)}, 0),
+        make_coin_block(g, lay, "A", [0, c_ab], HADAMARD, 0),
         make_data_controlled_coin(g, lay, "A", ["a"], "0", (0, c_ab), 0),
         make_coin_controlled_data(g, lay, "C", ["c"], HADAMARD, 1),
         make_walk_interaction(g, lay, "A", c_ab, (0, c_ab), 0, 1),
@@ -308,7 +308,7 @@ def test_all_constructed_operators_are_unitary(small):
 
 def test_invert_operator_is_the_matrix_inverse(small):
     g, lay = small
-    op = make_coin_block(g, lay, {"A": ([0, 1, 2], _random_unitary(3, 11))}, 0)
+    op = make_coin_block(g, lay, "A", [0, 1, 2], _random_unitary(3, 11), 0)
     mat = dense_matrix(op, lay)
     inv = dense_matrix(invert_operator(op), lay)
     assert np.abs(inv @ mat - np.eye(mat.shape[0])).max() < 1e-10
@@ -345,7 +345,7 @@ def _random_schedule(g, lay, rng, steps=4):
             elif kind == 1:
                 pre.append(
                     make_coin_block(
-                        g, lay, {"A": ([0, c_ab], _random_unitary(2, int(rng.integers(0, 99))))}, 0
+                        g, lay, "A", [0, c_ab], _random_unitary(2, int(rng.integers(0, 99))), 0
                     )
                 )
             elif kind == 2:
@@ -432,14 +432,14 @@ def test_operator_json_round_trip(small):
         make_flipflop_shift(g, lay, [0]),
         make_identity_shift(lay),
         make_coin_perm(g, lay, "B", 0, 1, 1),
-        make_coin_block(g, lay, {"A": ([0, c_ab], HADAMARD)}, 0),
+        make_coin_block(g, lay, "A", [0, c_ab], HADAMARD, 0),
         make_data_controlled_coin(g, lay, "A", ["a"], "1", (0, c_ab), 0),
         make_coin_controlled_data(g, lay, "C", ["c"], PAULI_X, 1, coin=1),
         make_walk_interaction(g, lay, "A", c_ab, (0, c_ab), 0, 1),
         make_fanout(g, lay, "A", c_ab, ["B", "C"], [0, 1]),
         separate_measure(g, lay, "A", "B", "a", walker=1),
         invert_operator(
-            make_coin_block(g, lay, {"A": ([0, 1, 2], _random_unitary(3, 4))}, 0)
+            make_coin_block(g, lay, "A", [0, 1, 2], _random_unitary(3, 4), 0)
         ),
     ]
     assert operator_to_json(ops[-1])["inverted"] is True

@@ -36,12 +36,14 @@ named and counts as a difference. Every test that fails against the new
 tree counts as a difference. A test that fails against the old tree only
 (say, the regression test of a bug the new tree fixes) stops early
 there, or shrinks a failing example, so its records are not counted;
-such tests are listed by name.
+such tests are listed by name. Beside each such test, and each module
+that fails to collect against the old tree, stands the number of
+new-tree compiler calls it made, which went uncompared.
 
 The last lines count the differing fuzz cases and the differing
 workload runs and sample replays; the `--tests` line counts the record
-differences. Exits 0 when every run, fuzz case and record matches, 1
-when any differs, and 2 on bad usage.
+differences and the uncompared new-tree calls. Exits 0 when every run,
+fuzz case and record matches, 1 when any differs, and 2 on bad usage.
 Reads `perfbench/` and `tests/` and writes only to a temporary directory.
 """
 from __future__ import annotations
@@ -215,14 +217,13 @@ def draw_fuzz_corpus(out: Path) -> None:
     """Write FUZZ_CASES cases of the `test_cli_fuzz` grammar to `out` as
     JSON. `tests` and a qwcp tree must be importable."""
     from hypothesis import HealthCheck, Phase, given, settings
-    from hypothesis import strategies as st
-    from test_cli_fuzz import cases
+    from test_cli_fuzz import EXTRAS, MODES, SEEDS, cases
 
     corpus = []
 
     @settings(max_examples=FUZZ_CASES, derandomize=True, database=None, deadline=None,
               phases=[Phase.generate], suppress_health_check=list(HealthCheck))
-    @given(cases(), st.sampled_from(["branch", "sample"]), st.booleans(), st.integers(-3, 9))
+    @given(cases(), MODES, EXTRAS, SEEDS)
     def collect(case, mode, extras, seed):
         network, lines = case
         corpus.append({"network": network, "lines": lines, "mode": mode,
@@ -236,18 +237,14 @@ def replay_fuzz_corpus(corpus: Path, out: Path) -> None:
     """Run every case of `corpus` through `qwcp.cli.main` in this process,
     as `test_cli_fuzz` does, and write each one's outputs to `out`."""
     from qwcp.cli import main
+    from test_cli_fuzz import write_case
 
     results = []
     for case in json.loads(corpus.read_text()):
         with tempfile.TemporaryDirectory() as tmp:
-            net, script = Path(tmp, "net.json"), Path(tmp, "script.qw")
-            net.write_text(case["network"])
-            script.write_text("\n".join([f"network {net}", *case["lines"]]) + "\n")
+            argv = write_case(tmp, case["network"], case["lines"], case["mode"],
+                              case["extras"], case["seed"])
             files = {"out": Path(tmp, "r.json"), "dump-state": Path(tmp, "d.txt")}
-            argv = ["run", str(script), "--mode", case["mode"], "--out", str(files["out"])]
-            if case["extras"]:
-                argv += ["--seed", str(case["seed"]), "--trace",
-                         "--dump-state", str(files["dump-state"])]
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 try:
@@ -292,7 +289,8 @@ def compare_fuzz(old_src: Path, new_src: Path, tmp: Path, floats: list) -> tuple
     for i, (case, old, new) in enumerate(zip(cases, *sides)):
         found = compare_runs(f"fuzz case {i}", old, new, floats)
         if found:
-            extras = f" --seed {case['seed']} --trace --dump-state" if case["extras"] else ""
+            dump = " --dump-state" + (" at --out" if case["extras"] == "same" else "")
+            extras = f" --seed {case['seed']} --trace{dump}" if case["extras"] else ""
             script = "".join(f"\n    {line}" for line in case["lines"])
             problems.append("\n".join(found) + f"\n  --mode {case['mode']}{extras}; "
                             f"network {case['network']}; script:{script}")
@@ -355,13 +353,22 @@ def main(argv=None) -> int:
                 old_src, tests, tmp / "calls-old")
             new_code, new_uncollected, new_failed, new_calls = record_calls(
                 new_src, tests, tmp / "calls-new")
+            # the new tree's calls in tests that fail, or do not collect,
+            # against the old tree have nothing to be compared with
+            unpaired = {test: len(calls) for test, calls in new_calls.items()
+                        if test.split("::")[0] in old_uncollected}
             old_only = old_failed - new_failed
-            call_problems = compare_calls(old_calls, new_calls, old_only)
+            unpaired.update({test: len(new_calls.get(test, ())) for test in old_only})
+            call_problems = compare_calls(old_calls, new_calls, set(unpaired))
             call_problems += [f"{test}: fails against new tree" for test in sorted(new_failed)]
-            call_problems += [f"{module}: failed to collect against {side} tree"
-                              for side, modules in (("old", old_uncollected),
-                                                    ("new", new_uncollected))
-                              for module in modules]
+            for side, modules in (("old", old_uncollected), ("new", new_uncollected)):
+                for module in modules:
+                    problem = f"{module}: failed to collect against {side} tree"
+                    if side == "old":
+                        left = sum(n for test, n in unpaired.items()
+                                   if test.split("::")[0] == module)
+                        problem += f", {left} new-tree compiler calls not compared"
+                    call_problems.append(problem)
             # 1 only says some tests failed; any other code means pytest
             # itself did not run them, so their records are missing
             call_problems += [f"{tests}: pytest exit {code} against {side} tree"
@@ -371,9 +378,11 @@ def main(argv=None) -> int:
             print(f"{tests}: pytest exit {old_code} (old), {new_code} (new); "
                   f"{sum(map(len, old_calls.values()))} and "
                   f"{sum(map(len, new_calls.values()))} compiler calls, "
-                  f"{len(call_problems)} differences")
+                  f"{len(call_problems)} differences, "
+                  f"{sum(unpaired.values())} new-tree calls not compared")
             for test in sorted(old_only):
-                print(f"{test}: fails against old tree only; its records are not counted")
+                print(f"{test}: fails against old tree only; its {unpaired[test]} "
+                      "new-tree compiler calls are not compared")
     for problem in problems:
         print(problem)
     if floats:
