@@ -546,8 +546,8 @@ def run_schedule(
 
     def supports(s):
         return {
-            j: {graph.label_of(v) for v in walker_vertex_support(s, j)}
-            for j in range(layout.k)
+            j: {graph.label_of(v) for v in vertices}
+            for j, vertices in enumerate(walker_vertex_support(s))
         }
 
     trace = RunTrace(initial_support=supports(state), supports=[])

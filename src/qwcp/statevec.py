@@ -160,10 +160,13 @@ class BranchStack:
 @dataclass(frozen=True)
 class PermAction:
     """Permutation of one walker's combined vertex+coin register, gated on
-    fixed values of bits outside that register (as in BlockAction)."""
+    fixed values of bits outside that register (as in BlockAction).
+
+    `perm` is the register table, a read-only int64 array mapping each old
+    register code to its new one; actions may share one table."""
 
     walker: int
-    perm: tuple[int, ...]  # old register index -> new register index
+    perm: np.ndarray
     conditions: tuple[tuple[tuple[int, ...], int], ...] = ()
 
 
@@ -231,9 +234,8 @@ def _selected(n: int, indices: np.ndarray, conditions, targets):
 def _apply_perm(layout: RegisterLayout, indices, amps, act: PermAction):
     shift = layout.total_bits - (act.walker + 1) * layout.walker_bits
     mask = (1 << layout.walker_bits) - 1
-    table = np.asarray(act.perm, dtype=np.int64)
     reg = (indices >> shift) & mask
-    moved = (indices & ~(mask << shift)) | (table[reg] << shift)
+    moved = (indices & ~(mask << shift)) | (act.perm[reg] << shift)
     if act.conditions:
         register = layout.vertex_bit_positions(act.walker) + layout.coin_bit_positions(act.walker)
         selected = _selected(layout.total_bits, indices, act.conditions, register)
@@ -458,16 +460,26 @@ def measure(
 # -- analysis -------------------------------------------------------------
 
 
-def walker_vertex_support(state: StateVector, walker: int) -> set[int]:
-    """Vertex ids whose marginal probability for the walker exceeds SUPPORT_TOL."""
+def walker_vertex_support(state: StateVector) -> list[set[int]]:
+    """Each walker's vertex ids whose marginal probability exceeds
+    SUPPORT_TOL, walker 0 first.
+
+    One `bincount` covers every walker: bin (w << nv) + v sums walker w's
+    entries at vertex v in index order, the same additions in the same
+    order as a pass of that walker alone, so the marginals are bit for
+    bit those of one pass per walker."""
     layout = state.layout
-    layout._check_walker(walker)
-    shift = layout.total_bits - walker * layout.walker_bits - layout.nv
-    vertex = (state.indices >> shift) & ((1 << layout.nv) - 1)
-    probs = np.bincount(
-        vertex, weights=np.abs(state.amplitudes) ** 2, minlength=1 << layout.nv
-    )
-    return {int(v) for v in np.flatnonzero(probs > SUPPORT_TOL)}
+    k, nv, wb = layout.k, layout.nv, layout.walker_bits
+    top = layout.total_bits - nv  # shift of walker 0's vertex field
+    # one row per entry, one column per walker
+    keys = (state.indices[:, None] >> np.arange(top, top - k * wb, -wb)) & ((1 << nv) - 1)
+    keys += np.arange(0, k << nv, 1 << nv)
+    weights = np.repeat(np.abs(state.amplitudes) ** 2, k)
+    probs = np.bincount(keys.ravel(), weights=weights, minlength=k << nv)
+    supports: list[set[int]] = [set() for _ in range(k)]
+    for key in (probs > SUPPORT_TOL).nonzero()[0].tolist():
+        supports[key >> nv].add(key & ((1 << nv) - 1))
+    return supports
 
 
 # byte value -> its 8 bits as '0'/'1' characters, read as one uint64

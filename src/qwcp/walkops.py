@@ -95,6 +95,12 @@ def _matrix_to_json(matrix: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix, dtype=complex)]
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    """`table`, locked against writes: a PermAction's table may be shared."""
+    table.flags.writeable = False
+    return table
+
+
 def _coin_swap(graph, layout, v, swap, walker, conditions=()) -> PermAction:
     """The walker's register remap exchanging codes (v, c1) and (v, c2),
     `swap` = (c1, c2) both valid at vertex v, on the entries that meet
@@ -104,10 +110,10 @@ def _coin_swap(graph, layout, v, swap, walker, conditions=()) -> PermAction:
     _check_coin(graph, v, c1)
     _check_coin(graph, v, c2)
     layout._check_walker(walker)
-    perm = list(range(1 << layout.walker_bits))
+    perm = np.arange(1 << layout.walker_bits, dtype=np.int64)
     a, b = (vid << layout.nc) | c1, (vid << layout.nc) | c2
-    perm[a], perm[b] = perm[b], perm[a]
-    return PermAction(walker, tuple(perm), tuple(conditions))
+    perm[a], perm[b] = b, a
+    return PermAction(walker, _read_only(perm), tuple(conditions))
 
 
 # -- constructors ---------------------------------------------------------
@@ -131,12 +137,12 @@ def make_flipflop_shift(graph, layout, walkers=None) -> OperatorSpec:
             perm[(vid << layout.nc) | c] = (graph.vertex_id(u) << layout.nc) | c_back
     if sorted(perm) != list(range(reg)):
         raise OperatorError("flip-flop map is not a bijection; bad port tables")
-    perm = tuple(perm)
+    table = _read_only(np.array(perm, dtype=np.int64))  # one table for every walker
     return OperatorSpec(
         kind="shift",
         params={"mode": "flipflop", "walkers": list(walkers)},
         layout=layout,
-        actions=tuple(PermAction(j, perm) for j in walkers),
+        actions=tuple(PermAction(j, table) for j in walkers),
     )
 
 
@@ -324,14 +330,14 @@ def invert_operator(op: OperatorSpec) -> OperatorSpec:
     if op.kind == "measure":
         raise OperatorError("a measurement has no inverse")
     inverses = [
-        PermAction(act.walker, tuple(np.argsort(act.perm)), act.conditions)
+        PermAction(act.walker, _read_only(np.argsort(act.perm)), act.conditions)
         if isinstance(act, PermAction)
         else BlockAction(act.target_bits, act.matrix.conj().T, act.conditions)
         for act in op.actions
     ]
     # a fan-out is never self-inverse: its `inverted` flag always toggles
     self_inverse = op.kind != "fanout" and len(inverses) <= 1 and all(
-        act.perm == inv.perm if isinstance(act, PermAction)
+        np.array_equal(act.perm, inv.perm) if isinstance(act, PermAction)
         else np.abs(act.matrix - inv.matrix).max() <= UNITARY_TOL
         for act, inv in zip(op.actions, inverses)
     )

@@ -19,6 +19,7 @@ from qwcp import (
     make_identity_shift,
     make_walk_interaction,
 )
+from qwcp import cli
 from qwcp.cli import DATA_INIT_STATES
 
 from instruments import from_dense
@@ -90,6 +91,22 @@ def binary_tree_json(depth):
     edges = [(v[:-1], v) for v in nodes[1:]]
     data = {"A": ["a"], **{leaf: ["t"] for leaf in levels[-1]}}
     return network_json(nodes, edges, data), edges, levels[-1]
+
+
+@pytest.fixture(autouse=True, scope="session")
+def reports_render_as_json_dumps():
+    """Every report `qwcp.cli.main` renders during the tests must be
+    `json.dumps(report, sort_keys=True, indent=2)`, byte for byte."""
+    render = cli.render_report
+
+    def checked(report):
+        text = render(report)
+        assert text == json.dumps(report, sort_keys=True, indent=2)
+        return text
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "render_report", checked)
+        yield
 
 
 @pytest.fixture

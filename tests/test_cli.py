@@ -6,10 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qwcp
 from qwcp import cli
-from qwcp.cli import Script, ScriptError, execute, main, parse_script
+from qwcp.cli import Script, ScriptError, execute, main, parse_script, render_report
 from qwcp.statevec import DUMP_CHUNK, insert_qubits
 
 from conftest import (
@@ -791,6 +793,85 @@ def test_reports_are_deterministic(path3_file, tmp_path):
         ) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not json"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not json"
+
+
+class _Str(str):
+    pass
+
+
+# every character class json escapes or passes: quotes, backslashes,
+# control characters, non-ASCII (astral too) and lone surrogates
+JSON_CHARS = st.one_of(
+    st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\x80\u2028\ud800\udfff\U0001f600')
+)
+TEXT = st.text(JSON_CHARS, max_size=8)
+FLOATS = st.one_of(
+    st.floats(), st.sampled_from([-0.0, 5e-324, -2.5e-310, float("nan"), float("inf"),
+                                  float("-inf"), 1e16, 1.0]),
+)
+INTS = st.one_of(st.integers(-3, 3), st.integers(-10**40, 10**40))
+SCALARS = st.one_of(
+    st.none(), st.booleans(), INTS, FLOATS, TEXT,
+    INTS.map(_Int), FLOATS.map(_Float), FLOATS.map(np.float64), TEXT.map(_Str),
+)
+# a dict's keys: of one kind, or numbers mixed (bools among ints), or of
+# any kind, which mostly fails to sort
+KEY_KINDS = [
+    TEXT, st.one_of(INTS, st.booleans()), st.one_of(INTS, FLOATS, st.booleans()),
+    st.none(), st.one_of(TEXT, INTS, FLOATS, st.booleans(), st.none()),
+]
+NOT_JSON = st.sampled_from([{1, 2}, frozenset(), np.int64(3), np.array([1.0]), b"x", 1j])
+
+
+def json_values(leaves):
+    return st.recursive(leaves, lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        *(st.dictionaries(keys, children, max_size=4) for keys in KEY_KINDS),
+    ), max_leaves=16)
+
+
+def assert_renders_as_json_dumps(value):
+    try:
+        want = json.dumps(value, sort_keys=True, indent=2)
+    except TypeError:
+        with pytest.raises(TypeError):
+            render_report(value)
+    else:
+        assert render_report(value) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_values(SCALARS))
+def test_render_report_is_json_dumps(value):
+    assert_renders_as_json_dumps(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_values(st.one_of(SCALARS, NOT_JSON)))
+def test_render_report_raises_type_error_where_json_dumps_does(value):
+    assert_renders_as_json_dumps(value)
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, np.int64(1), [1, {"a": np.int64(2)}], {"a": [frozenset()]}, {(1,): 0},
+    {"a": 1, 2: 3}, {None: 1, 0: 2}, {np.int64(1): 0},
+])
+def test_render_report_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        render_report(value)
 
 
 def test_report_includes_schedule_json(path3_file):

@@ -11,7 +11,9 @@ engine; every value is sometimes replaced by a bad one or left out. Bad
 values include an integer of more than 20 digits and a control list
 that names one qubit twice; a header line, the network line included,
 is sometimes repeated, and the state dump is sometimes pointed at the
-report's own path."""
+report's own path. Header lines are otherwise drawn with one line per
+subject (`walkers`, a qubit's `init`, a walker's `place`), so that no
+other case stops at the repeated-line refusal."""
 import contextlib
 import io
 import json
@@ -183,16 +185,23 @@ def cases(draw):
         return line(name, ("a", a), ("b", walk(a)[-1]), ("qubit", ref(a)[len(a) + 1:]),
                     ("walker", integer(1)))
 
-    header = []
+    header, subjects = [], set()
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(["walkers", "init", "place"]))
         if kind == "walkers":
+            subject = "walkers"
             count = spoil(str(draw(st.integers(1, 3))), "0", "x", LONG_INTEGER)
-            header.append(f"walkers {count}")
+            text = f"walkers {count}"
         elif kind == "init":
-            header.append(f"init {ref()}={spoil(draw(st.sampled_from('01+-')), '2')}")
+            subject = ref()
+            text = f"init {subject}={spoil(draw(st.sampled_from('01+-')), '2')}"
         else:
-            header.append(f"place {integer(2)} {node()} {integer()}".rstrip())
+            subject = integer(2)
+            text = f"place {subject} {node()} {integer()}".rstrip()
+        # a second line of one subject only as the spoil below
+        if (kind, subject) not in subjects:
+            subjects.add((kind, subject))
+            header.append(text)
     # a repeated header line, the network line (see `script_text`) included
     header += spoil([], [draw(st.sampled_from([*header, NETWORK_LINE]))])
     if draw(st.booleans()):

@@ -91,8 +91,8 @@ class ScheduleRoundTrip(RuleBasedStateMachine):
         near = {}
         if data.draw(st.booleans()):
             # an operator on a walker at its own node acts on the state
-            for j in range(self.layout.k):
-                for v in walker_vertex_support(self.state, j):
+            for j, vertices in enumerate(walker_vertex_support(self.state)):
+                for v in vertices:
                     near.setdefault(self.graph.label_of(v), []).append(j)
         op = draw_operator(data, self.graph, self.layout, self.rng, kind, near)
         self.pending.append(op)

@@ -690,7 +690,7 @@ def test_linklevel_uncoupled_single_shift(triangle):
     final, _ = run_schedule(state, comp.schedule, triangle)
     # each walker is spread across its own edge, in a pure single-walker state
     for w, (u, v) in enumerate(comp.meta["edges"]):
-        sup = walker_vertex_support(final, w)
+        sup = walker_vertex_support(final)[w]
         assert sup == {triangle.vertex_id(u), triangle.vertex_id(v)}
         bits = comp.layout.vertex_bit_positions(w) + comp.layout.coin_bit_positions(w)
         assert purity_across_cut(final, bits) == pytest.approx(1.0)

@@ -136,7 +136,7 @@ def test_init_state_places_walker_and_data(path3):
     expect = np.zeros(1 << lay.total_bits, dtype=complex)
     expect[idx] = 1.0
     assert np.array_equal(to_dense(s), expect)
-    assert walker_vertex_support(s, 0) == {2}
+    assert walker_vertex_support(s)[0] == {2}
 
 
 def test_init_state_validations(path3):
@@ -218,7 +218,7 @@ def test_perm_action_moves_one_walker_only(path3):
     rng = np.random.default_rng(0)
     s = random_state(lay, rng)
     reg = 1 << lay.walker_bits
-    perm = tuple(np.roll(np.arange(reg), 3))
+    perm = np.roll(np.arange(reg), 3)
     moved = apply_actions(s, [PermAction(1, perm)])
     # walker 0 marginal unchanged
     a0 = to_dense(s).reshape(reg, reg, -1)
@@ -260,7 +260,7 @@ def test_perm_action_rejects_condition_on_its_register(path3):
     # a remap conditioned on a bit it moves would merge entries
     lay = RegisterLayout.for_network(path3, 2)
     s = random_state(lay, np.random.default_rng(0))
-    perm = tuple(np.roll(np.arange(1 << lay.walker_bits), 1))
+    perm = np.roll(np.arange(1 << lay.walker_bits), 1)
     for bit in (*lay.vertex_bit_positions(1), *lay.coin_bit_positions(1)):
         with pytest.raises(StateError, match="its own control bits"):
             apply_actions(s, [PermAction(1, perm, (((bit,), 0),))])
@@ -331,7 +331,7 @@ def test_walker_vertex_support_ignores_tiny_amplitude(path3):
     amps = to_dense(s)
     amps[-1] = 1e-8  # below support tolerance in probability
     s2 = from_dense(lay, amps / np.linalg.norm(amps))
-    assert walker_vertex_support(s2, 0) == {0}
+    assert walker_vertex_support(s2)[0] == {0}
 
 
 def test_check_no_invalid_amplitude(path3):

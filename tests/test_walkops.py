@@ -73,16 +73,16 @@ def test_flipflop_moves_walker_along_edge(small):
     s = init_state(g, lay, [("A", g.port_of("A", "B")), ("C", 0)])
     shift = make_flipflop_shift(g, lay)
     moved = apply_operator(s, shift)
-    assert walker_vertex_support(moved, 0) == {g.vertex_id("B")}
-    assert walker_vertex_support(moved, 1) == {g.vertex_id("C")}  # self-loop rests
+    assert walker_vertex_support(moved)[0] == {g.vertex_id("B")}
+    assert walker_vertex_support(moved)[1] == {g.vertex_id("C")}  # self-loop rests
 
 
 def test_flipflop_selected_walkers_only(small):
     g, lay = small
     s = init_state(g, lay, [("A", 1), ("A", 1)])
     moved = apply_operator(s, make_flipflop_shift(g, lay, [1]))
-    assert walker_vertex_support(moved, 0) == {g.vertex_id("A")}
-    assert walker_vertex_support(moved, 1) == {g.vertex_id("B")}
+    assert walker_vertex_support(moved)[0] == {g.vertex_id("A")}
+    assert walker_vertex_support(moved)[1] == {g.vertex_id("B")}
 
 
 @st.composite
@@ -116,6 +116,13 @@ def test_flipflop_involution_statewise(small):
     assert np.allclose(to_dense(twice), to_dense(s))
 
 
+def test_flipflop_walkers_share_one_read_only_table(small):
+    g, lay = small
+    first, second = make_flipflop_shift(g, lay).actions
+    assert first.perm is second.perm
+    assert first.perm.dtype == np.int64 and not first.perm.flags.writeable
+
+
 # -- coin operators -------------------------------------------------------
 
 
@@ -126,7 +133,7 @@ def test_coin_perm_acts_only_at_vertex(small):
     out = apply_operator(s_a, op)
     # coin 0 -> 1 at A
     shift = make_flipflop_shift(g, lay, [0])
-    assert walker_vertex_support(apply_operator(out, shift), 0) == {g.vertex_id("B")}
+    assert walker_vertex_support(apply_operator(out, shift))[0] == {g.vertex_id("B")}
     s_b = init_state(g, lay, [("B", 0), ("A", 0)])
     assert np.allclose(to_dense(apply_operator(s_b, op)), to_dense(s_b))
 
@@ -143,7 +150,7 @@ def test_coin_block_hadamard_splits_support(small):
     s = init_state(g, lay, [("A", 0), ("C", 0)])
     out = apply_operator(s, op)
     moved = apply_operator(out, make_flipflop_shift(g, lay, [0]))
-    assert walker_vertex_support(moved, 0) == {g.vertex_id("A"), g.vertex_id("B")}
+    assert walker_vertex_support(moved)[0] == {g.vertex_id("A"), g.vertex_id("B")}
 
 
 def test_coin_block_rejects_nonunitary(small):
@@ -158,10 +165,10 @@ def test_data_controlled_coin_fires_on_pattern(small):
     shift = make_flipflop_shift(g, lay, [0])
     s0 = init_state(g, lay, [("A", 0), ("C", 0)])
     stay = apply_operator(apply_operator(s0, op), shift)
-    assert walker_vertex_support(stay, 0) == {g.vertex_id("A")}
+    assert walker_vertex_support(stay)[0] == {g.vertex_id("A")}
     s1 = init_state(g, lay, [("A", 0), ("C", 0)], {("A", "a"): (0.0, 1.0)})
     go = apply_operator(apply_operator(s1, op), shift)
-    assert walker_vertex_support(go, 0) == {g.vertex_id("B")}
+    assert walker_vertex_support(go)[0] == {g.vertex_id("B")}
 
 
 def test_data_controlled_coin_requires_local_controls(small):
@@ -199,10 +206,10 @@ def test_walk_interaction_conditions_on_both_walkers(small):
     shift = make_flipflop_shift(g, lay, [1])
     both = init_state(g, lay, [("A", c), ("A", 0)])
     out = apply_operator(apply_operator(both, op), shift)
-    assert walker_vertex_support(out, 1) == {g.vertex_id("B")}
+    assert walker_vertex_support(out)[1] == {g.vertex_id("B")}
     wrong_coin = init_state(g, lay, [("A", 0), ("A", 0)])
     out2 = apply_operator(apply_operator(wrong_coin, op), shift)
-    assert walker_vertex_support(out2, 1) == {g.vertex_id("A")}
+    assert walker_vertex_support(out2)[1] == {g.vertex_id("A")}
 
 
 # (network, walker count): 20 and 57 bits
@@ -273,8 +280,8 @@ def test_fanout_spreads_control_to_helpers(small):
     s = init_state(g, lay, [("A", c), ("A", 0)])
     out = apply_operator(s, op)
     moved = apply_operator(out, make_flipflop_shift(g, lay))
-    assert walker_vertex_support(moved, 0) == {g.vertex_id("B")}
-    assert walker_vertex_support(moved, 1) == {g.vertex_id("C")}
+    assert walker_vertex_support(moved)[0] == {g.vertex_id("B")}
+    assert walker_vertex_support(moved)[1] == {g.vertex_id("C")}
 
 
 def test_fanout_validations(small):
@@ -312,6 +319,30 @@ def test_invert_operator_is_the_matrix_inverse(small):
     mat = dense_matrix(op, lay)
     inv = dense_matrix(invert_operator(op), lay)
     assert np.abs(inv @ mat - np.eye(mat.shape[0])).max() < 1e-10
+
+
+def test_double_inversion_gives_back_the_forward_tables(small):
+    g, lay = small
+    c_ab = g.port_of("A", "B")
+    cycle = np.roll(np.arange(1 << lay.walker_bits), 1)  # not an involution
+    cycle.flags.writeable = False
+    ops = [
+        make_flipflop_shift(g, lay),
+        make_coin_perm(g, lay, "B", 0, 1, 1),
+        make_data_controlled_coin(g, lay, "A", ["a"], "0", (0, c_ab), 0),
+        make_walk_interaction(g, lay, "A", c_ab, (0, c_ab), 0, 1),
+        make_fanout(g, lay, "A", c_ab, ["B", "C"], [0, 1]),
+        walkops.OperatorSpec("coinperm", {}, lay, (walkops.PermAction(1, cycle),)),
+    ]
+    for op in ops:
+        once = invert_operator(op)
+        twice = invert_operator(once)
+        assert len(twice.actions) == len(op.actions)
+        for forward, back in zip(op.actions, twice.actions):
+            assert back.perm.dtype == np.int64 and not back.perm.flags.writeable
+            assert np.array_equal(back.perm, forward.perm)
+            assert (back.walker, back.conditions) == (forward.walker, forward.conditions)
+    assert not np.array_equal(once.actions[0].perm, cycle)
 
 
 def _random_unitary(n, seed):

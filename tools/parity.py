@@ -12,10 +12,11 @@ An output whose lines differ only in float literals is reported as such,
 with its largest absolute float difference, and the largest one over all
 runs is printed at the end; it still counts as a difference.
 
-The workload runs all exit 0, so a fixed corpus of 2,000 cases of the
-grammar in `tests/test_cli_fuzz.py` is replayed as well, to cover the
-error paths: the cases, with mode, extras and seed drawn as in its test,
-are drawn once (derandomized, so every call draws the same corpus), and
+The workload runs all exit 0, so a fixed corpus of 2,000 distinct cases
+of the grammar in `tests/test_cli_fuzz.py` is replayed as well, to cover
+the error paths: the cases, with mode, extras and seed drawn as in its
+test, are drawn once (derandomized, so every call draws the same corpus;
+a case drawn again is skipped, and the distinct count is printed), and
 each tree runs all of them through `qwcp.cli.main` in one subprocess,
 with each case's temporary directory written as TMP. Exit code, stdout,
 stderr, report and dump must match; each differing case is printed with
@@ -69,7 +70,8 @@ import workloads  # noqa: E402
 RUN_MAIN = "import sys; from qwcp.cli import main; sys.exit(main(sys.argv[1:]))"
 # runs one function of this module on file arguments, in a subprocess
 RUN_HERE = "import sys, pathlib, parity; getattr(parity, sys.argv[1])(*map(pathlib.Path, sys.argv[2:]))"
-FUZZ_CASES = 2000
+FUZZ_CASES = 2000  # distinct cases in the replayed corpus
+FUZZ_DRAWS = 6000  # examples drawn at most to find them
 REPLAY_SEEDS = range(8)
 OUTPUT_FLAGS = ("--out", "--dump-state")
 # a float literal as repr or JSON writes it; digits alone are integers or index bits
@@ -213,23 +215,42 @@ def compare_calls(old: dict, new: dict, skipped=frozenset()) -> list:
     return problems
 
 
+class _CorpusFull(Exception):
+    """Raised by the corpus draw once it holds FUZZ_CASES cases, to stop it."""
+
+
 def draw_fuzz_corpus(out: Path) -> None:
-    """Write FUZZ_CASES cases of the `test_cli_fuzz` grammar to `out` as
-    JSON. `tests` and a qwcp tree must be importable."""
+    """Write FUZZ_CASES distinct cases of the `test_cli_fuzz` grammar to
+    `out` as JSON, in the order drawn. Hypothesis repeats many examples
+    (often the one just before), so a case equal to one already kept is
+    skipped and drawing goes on until FUZZ_CASES are kept, or fails after
+    FUZZ_DRAWS draws. `tests` and a qwcp tree must be importable."""
     from hypothesis import HealthCheck, Phase, given, settings
     from test_cli_fuzz import EXTRAS, MODES, SEEDS, cases
 
-    corpus = []
+    corpus, seen = [], set()
 
-    @settings(max_examples=FUZZ_CASES, derandomize=True, database=None, deadline=None,
-              phases=[Phase.generate], suppress_health_check=list(HealthCheck))
+    @settings(max_examples=FUZZ_DRAWS, derandomize=True, database=None, deadline=None,
+              phases=[Phase.generate], report_multiple_bugs=False,
+              suppress_health_check=list(HealthCheck))
     @given(cases(), MODES, EXTRAS, SEEDS)
     def collect(case, mode, extras, seed):
+        if len(corpus) == FUZZ_CASES:
+            raise _CorpusFull
         network, lines = case
-        corpus.append({"network": network, "lines": lines, "mode": mode,
-                       "extras": extras, "seed": seed})
+        entry = {"network": network, "lines": lines, "mode": mode, "extras": extras,
+                 "seed": seed}
+        key = json.dumps(entry, sort_keys=True)
+        if key not in seen:
+            seen.add(key)
+            corpus.append(entry)
 
-    collect()
+    try:
+        collect()
+    except _CorpusFull:
+        pass
+    if len(corpus) < FUZZ_CASES:
+        raise RuntimeError(f"{FUZZ_DRAWS} draws gave only {len(corpus)} distinct fuzz cases")
     out.write_text(json.dumps(corpus))
 
 
@@ -275,6 +296,8 @@ def compare_fuzz(old_src: Path, new_src: Path, tmp: Path, floats: list) -> tuple
     if proc.returncode:
         return 0, [f"fuzz corpus: drawing failed: {proc.stderr.decode()[-2000:]}"]
     cases = json.loads(corpus.read_text())
+    distinct = len({json.dumps(case, sort_keys=True) for case in cases})
+    print(f"fuzz corpus: {len(cases)} cases, {distinct} distinct")
     sides = []
     for side, src in (("old", old_src), ("new", new_src)):
         out = tmp / f"fuzz-{side}.json"
