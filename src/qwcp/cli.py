@@ -42,8 +42,9 @@ deep and numbers of more digits than `int` converts included), a script
 or network file that cannot be read or is not UTF-8, an unwritable
 `--out`/`--dump-state` path or one file named by both (then no report is
 written), 3 precondition or construction error (a `--dump-state` dump of
-more than 2^26 lines included, refused before any output is written), 4
-oracle verification failure.
+more than 2^26 lines included, refused before any output is written) or
+out of memory (`error: out of memory in MODULE.FUNCTION`, the innermost
+qwcp frame that was allocating), 4 oracle verification failure.
 """
 from __future__ import annotations
 
@@ -61,6 +62,7 @@ import numpy as np
 
 from .netgraph import NetworkError, PathSpec, TreeSpec, load_network
 from .oracle import OracleError, compare, data_layout, oracle_apply
+from .pcg64 import Pcg64
 from .protocols import (
     GATE_LIBRARY,
     CompiledProtocol,
@@ -578,7 +580,8 @@ def execute(
     `dump_state` writes its dump from the two parts, and the report's
     `final_norm` is the core's norm times each factor's norm, in layout
     order. `mode` is "branch" (keep every measured branch) or "sample"
-    (draw one, seeded by `seed`)."""
+    (draw one from `Pcg64(seed)`, numpy's `default_rng(seed)` stream; seed
+    0 when `seed` is None)."""
     if mode not in ("branch", "sample"):
         raise ScriptError(f"unknown mode {mode!r} (use branch or sample)")
     graph, compiled, data_inits = _prepare(script, network_override)
@@ -590,7 +593,7 @@ def execute(
     state = init_state(graph, layout, compiled.walker_inits, data_inits)
     if seed is not None and seed < 0:
         raise ScriptError("--seed must be a non-negative integer")
-    rng = np.random.default_rng(0 if seed is None else seed) if mode == "sample" else None
+    rng = Pcg64(0 if seed is None else seed) if mode == "sample" else None
     core, trace = run_schedule(state, compiled.schedule, graph, rng)
 
     comparison = None
@@ -782,7 +785,26 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    try:
+        return _run(args)
+    except MemoryError as exc:
+        print(f"error: out of memory in {_allocating_frame(exc)}", file=sys.stderr)
+        return 3
 
+
+def _allocating_frame(exc: BaseException) -> str:
+    """`module.function` of the innermost qwcp frame in `exc`'s traceback."""
+    here, site = os.path.dirname(__file__), "cli.main"
+    tb = exc.__traceback__
+    while tb is not None:
+        code = tb.tb_frame.f_code
+        if os.path.dirname(code.co_filename) == here:
+            site = f"{Path(code.co_filename).stem}.{code.co_name}"
+        tb = tb.tb_next
+    return site
+
+
+def _run(args) -> int:
     try:
         text = Path(args.script).read_text()
     except (OSError, UnicodeDecodeError) as exc:

@@ -291,7 +291,7 @@ def apply_operator(state: StateVector, op) -> StateVector:
     if op.layout != state.layout:
         raise StateError("operator built for a different layout")
     result = apply_actions(state, op.iter_actions())
-    if abs(result.norm - 1.0) > NORM_TOL:
+    if abs(math.sqrt(np.vdot(result.amplitudes, result.amplitudes).real) - 1.0) > NORM_TOL:
         raise StateError(f"norm drifted to {result.norm!r}")
     return result
 
@@ -393,12 +393,13 @@ def measure(
     state: StateVector,
     qubits,
     bases: str,
-    rng: np.random.Generator | None = None,
+    rng=None,
 ) -> BranchStack:
     """Projective measurement of the given bits, as a `BranchStack`.
 
     Without `rng` every nonzero-probability branch is kept with its exact
-    probability; with it, a single branch is drawn with Born statistics.
+    probability; with it, a single branch is drawn with Born statistics,
+    by `Generator.choice`'s rule from one `rng.random()` in [0, 1).
     Collapsed branches are renormalized and X-measured qubits are left in
     the corresponding |+>/|-> state.
 
@@ -427,7 +428,8 @@ def measure(
     probs = np.bincount(outcome, weights=np.abs(amps) ** 2, minlength=1 << m)
 
     if rng is not None:
-        outcomes = np.array([rng.choice(len(probs), p=probs / probs.sum())])
+        cdf = np.cumsum(probs / probs.sum())
+        outcomes = np.array([(cdf / cdf[-1]).searchsorted(rng.random(), side="right")])
         kept = outcome == outcomes[0]
     else:
         possible = probs > 1e-12

@@ -536,6 +536,20 @@ def test_main_negative_seed_exit_2(path3_file, tmp_path, capsys, mode):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def fresh_main(argv):
+    """`main(argv)` in a fresh interpreter: its exit code, and whether
+    numpy.random was imported by the end of the run."""
+    probe = (
+        "import sys; from qwcp.cli import main; "
+        f"code = main({argv!r}); print(code, 'numpy.random' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(qwcp.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout.split()
+
+
 def test_main_branch_mode_builds_no_rng(path3_file, tmp_path):
     script = write_script(tmp_path, cnot_script(path3_file, "separation=measure"))
     here, unseeded, out = (tmp_path / n for n in ("here.json", "unseeded.json", "sub.json"))
@@ -545,16 +559,67 @@ def test_main_branch_mode_builds_no_rng(path3_file, tmp_path):
     # the seed shows in the report and nowhere else
     assert json.loads(here.read_text()) == {**json.loads(unseeded.read_text()), "seed": 3}
     # in a fresh interpreter the same run never imports numpy.random
-    probe = (
-        "import sys; from qwcp.cli import main; "
-        f"code = main({argv + [str(out)]!r}); print(code, 'numpy.random' in sys.modules)"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(qwcp.__file__).parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert done.stdout.split() == ["0", "False"]
+    assert fresh_main(argv + [str(out)]) == ["0", "False"]
     assert out.read_bytes() == here.read_bytes()
+
+
+def test_main_sample_mode_imports_no_numpy_random(path3_file, tmp_path, monkeypatch):
+    """A sampled run draws from qwcp's own copy of `default_rng`'s stream:
+    it reports what a run drawing from a numpy Generator seeded alike
+    reports, and in a fresh interpreter it never imports numpy.random."""
+    script = write_script(tmp_path, cnot_script(path3_file, "separation=measure"))
+    own, numpy_rng, sub = (tmp_path / n for n in ("own.json", "numpy.json", "sub.json"))
+    for seed in [*range(6), 2**32, 2**64 + 1, 10**40]:
+        argv = ["run", str(script), "--mode", "sample", "--seed", str(seed), "--out"]
+        assert main(argv + [str(own)]) == 0
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "Pcg64", np.random.default_rng)
+            assert main(argv + [str(numpy_rng)]) == 0
+        assert own.read_bytes() == numpy_rng.read_bytes()
+    assert fresh_main(argv + [str(sub)]) == ["0", "False"]
+    assert sub.read_bytes() == own.read_bytes()
+
+
+def test_main_memory_error_names_innermost_qwcp_frame(path3_file, tmp_path, monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "compare", exhausted)
+    script = write_script(tmp_path, cnot_script(path3_file))
+    assert main(["run", str(script)]) == 3
+    assert capsys.readouterr() == ("", "error: out of memory in cli.execute\n")
+
+
+def test_main_out_of_memory_exit_3(tmp_path):
+    """A run that exhausts its address space exits 3, naming the qwcp
+    function whose allocation failed, with no traceback. 21 controls in
+    |+> hold 2^21 entries (32 MiB of amplitudes) per state; the child's
+    address space is capped at 300 MB."""
+    resource = pytest.importorskip("resource")
+    controls = [f"c{i}" for i in range(21)]
+    net = tmp_path / "net.json"
+    net.write_text(line_json(["A", "u", "B"], {"A": controls, "B": ["b"]}))
+    script = write_script(tmp_path, "".join(
+        [f"network {net}\n", *(f"init A.{c}=+\n" for c in controls),
+         f"remote_cu control={','.join(f'A.{c}' for c in controls)} target=B.b "
+         "path=A,u,B gate=X\n"]))
+    cap = 300 << 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(qwcp.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from qwcp.cli import main; sys.exit(main())",
+         "run", str(script)],
+        env=env, preexec_fn=limit, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 3, done.stderr
+    assert done.stdout == ""
+    module, _, function = done.stderr.removeprefix("error: out of memory in ").partition(".")
+    assert module in {"statevec", "oracle", "protocols", "walkops", "cli"}, done.stderr
+    assert function.rstrip("\n").isidentifier() and done.stderr.count("\n") == 1
 
 
 def test_main_calls_share_no_state(path3_file, tmp_path, capsys):

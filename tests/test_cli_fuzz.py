@@ -235,7 +235,7 @@ def write_case(tmp, network, lines, mode, extras, seed):
 
 MODES = st.sampled_from(["branch", "sample"])
 EXTRAS = st.sampled_from([False, True, True, "same"])
-SEEDS = st.integers(-3, 9)
+SEEDS = st.one_of(st.integers(-3, 9), st.integers(2**32, 2**130))  # one to five 32-bit words
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,6 +1,8 @@
 """The compiler-record diff of `tools/parity.py` and the recording plugin
 `tools/record_schedules.py`."""
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -121,3 +123,38 @@ def test_recorder_wraps_the_step_compiler(tmp_path, monkeypatch):
     assert steps["schedule"]["measure"]["bases"] == "XZ"
     assert steps["oracle_gates"] == [] and steps["walker_inits"] == [["A", 0]]
     assert refused["error"] == "ProtocolError: measurement separation needs two distinct nodes"
+
+
+DRAWS = """\
+from hypothesis import given, settings, strategies as st
+
+import literals  # hypothesis reads constants from local modules that are not tests
+
+
+@settings(max_examples=200, database=None)
+@given(st.integers())
+def test_draw(x):
+    with open("draws.txt", "a") as f:
+        f.write(f"{x}\\n")
+"""
+
+
+def test_recorded_draws_ignore_source_literals(tmp_path):
+    """Under the plugin, hypothesis draws the same examples from seed 0
+    beside two source modules that hold different literals."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(qwcp.__file__).parents[1]), str(Path(record_schedules.__file__).parent)]))
+    draws = []
+    for side, values in (("a", "()"), ("b", "(918273645, -5550123, 2**40 + 7)")):
+        tests = tmp_path / side
+        tests.mkdir()
+        (tests / "literals.py").write_text(f"VALUES = {values}\n")
+        (tests / "test_draw.py").write_text(DRAWS)
+        subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "record_schedules",
+             "-p", "no:cacheprovider", "--hypothesis-seed=0",
+             "--record-schedules", str(tests / "calls.jsonl"), str(tests)],
+            cwd=tests, env=env, capture_output=True, check=True, timeout=120,
+        )
+        draws.append((tests / "draws.txt").read_text().split())
+    assert len(draws[0]) >= 100 and draws[0] == draws[1]

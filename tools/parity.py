@@ -6,11 +6,13 @@ Every job that `perfbench/workloads.generate` builds for the three
 workloads at the given seeds runs as `qwcp run` in a subprocess, once with
 PYTHONPATH=OLD_SRC and once with PYTHONPATH=NEW_SRC. Each branch-mode job
 that measures is replayed in `--mode sample` with `--dump-state` at
-sample seeds 0-7. Exit codes, stdout, stderr, report bytes and dump bytes
-must match exactly; a changed signed zero in a dump counts as a difference.
-An output whose lines differ only in float literals is reported as such,
-with its largest absolute float difference, and the largest one over all
-runs is printed at the end; it still counts as a difference.
+sample seeds 0-7, 2^32, 2^64 + 1 and 10^40 (the last three of two, three
+and five 32-bit words). Exit codes, stdout, stderr, report bytes and dump
+bytes must match exactly; a changed signed zero in a dump counts as a
+difference. An output whose lines differ only in float literals is
+reported as such, with its largest absolute float difference, and the
+largest one over all runs is printed at the end; it still counts as a
+difference.
 
 The workload runs all exit 0, so a fixed corpus of 2,000 distinct cases
 of the grammar in `tests/test_cli_fuzz.py` is replayed as well, to cover
@@ -29,7 +31,9 @@ record: the compiler, `schedule_to_json`, `walker_inits`, `meta`, the
 oracle gates, or the error text. Each test's records are diffed as a
 sequence, so a call made by one tree only counts once, as inserted or
 removed, and the calls after it still pair up. Both runs use hypothesis
-seed 0 and a fresh example database, so they draw the same examples.
+seed 0, a fresh example database and no constants taken from the source
+(the plugin turns that off), so they draw the same examples even when
+the two trees hold different literals.
 Collection goes on past a test module that fails to import (say, one
 that imports a name only the new tree has), so the other modules still
 yield records; every module that failed to collect on either side is
@@ -72,7 +76,7 @@ RUN_MAIN = "import sys; from qwcp.cli import main; sys.exit(main(sys.argv[1:]))"
 RUN_HERE = "import sys, pathlib, parity; getattr(parity, sys.argv[1])(*map(pathlib.Path, sys.argv[2:]))"
 FUZZ_CASES = 2000  # distinct cases in the replayed corpus
 FUZZ_DRAWS = 6000  # examples drawn at most to find them
-REPLAY_SEEDS = range(8)
+REPLAY_SEEDS = (*range(8), 2**32, 2**64 + 1, 10**40)
 OUTPUT_FLAGS = ("--out", "--dump-state")
 # a float literal as repr or JSON writes it; digits alone are integers or index bits
 FLOAT = re.compile(rb"(-?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+|inf|nan|Infinity|NaN))")

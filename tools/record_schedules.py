@@ -11,7 +11,8 @@ either the result (`schedule_to_json`, `walker_inits`, `meta` and the
 oracle gates, none for a step script) or the error type and text. A
 test module that fails to collect appends `{"collect_error": node id}`
 instead, and a test that fails appends `{"failed": node id}` after its
-calls.
+calls. Hypothesis takes no constants from local source files, the tree
+under test included, so two trees draw the same examples.
 `tools/parity.py --tests` compares the records of two source trees.
 """
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis.internal.conjecture import providers
 
 COMPILERS = (
     "schedule_remote_cu",
@@ -63,6 +65,7 @@ class Recorder:
         self.test = None
         self.calls = 0
         self.out = open(path, "w")
+        self.local_constants = None  # hypothesis's own, while it is replaced
 
     def wrap(self, name, fn):
         def recorded(*args, **kwargs):
@@ -120,9 +123,18 @@ def pytest_configure(config):
             setattr(module, name, wrapped)
     cli._compile_steps = recorder.wrap("_compile_steps", cli._compile_steps)
     config.pluginmanager.register(recorder, "record-schedules-recorder")
+    # hypothesis mixes the literals it finds in the source of local modules
+    # into its draws, so two trees whose literals differ would draw
+    # different examples from one seed; offered none, both draw alike
+    if hasattr(providers, "_get_local_constants"):
+        recorder.local_constants = providers._get_local_constants
+        empty = type(providers._local_constants)()
+        providers._get_local_constants = lambda: empty
 
 
 def pytest_unconfigure(config):
     recorder = config.pluginmanager.get_plugin("record-schedules-recorder")
     if recorder is not None:
         recorder.out.close()
+        if recorder.local_constants is not None:
+            providers._get_local_constants = recorder.local_constants
