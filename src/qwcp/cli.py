@@ -54,9 +54,9 @@ import math
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,8 +117,7 @@ class ScriptError(ValueError):
         super().__init__(f"line {line}: {message}" if line else message)
 
 
-@dataclass(frozen=True)
-class Script:
+class Script(NamedTuple):
     """Parsed protocol script; commands keep their source line for errors."""
 
     network: str | None
@@ -491,6 +490,7 @@ def _compile_steps(graph, script: Script) -> CompiledProtocol:
         schedule=Schedule(timesteps, measure),
         walker_inits=[placed.get(w, (graph.nodes[0], 0)) for w in range(k)],
         oracle_gates=None,
+        meta={},
     )
 
 

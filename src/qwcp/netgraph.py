@@ -9,35 +9,42 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class NetworkError(ValueError):
     """Malformed network description or invalid graph reference."""
 
 
-@dataclass(frozen=True)
 class NetworkGraph:
     """Symmetric graph with self-loops and port-numbered edges.
 
     `ports[v][c]` is the node reached from v with coin value c;
     `ports[v][0] == v` always. It is the one adjacency table: neighbors,
     port counts and edges are read from it. Vertex ids are positions in
-    the sorted label list. Instances are immutable and safe to share.
+    the sorted label list. Instances are read-only and safe to share, and
+    equal when their nodes, ports and data qubits are.
     """
 
-    nodes: tuple[str, ...]
-    ports: dict[str, tuple[str, ...]]
-    data_qubits: dict[str, tuple[str, ...]]
-    _ids: dict[str, int] = field(repr=False, compare=False, default_factory=dict)
-    _port_index: dict[str, dict[str, int]] = field(
-        repr=False, compare=False, default_factory=dict
-    )
+    __slots__ = ("nodes", "ports", "data_qubits", "_ids", "_port_index")
 
-    def __post_init__(self):
-        self._ids.update({v: i for i, v in enumerate(self.nodes)})
-        for v, targets in self.ports.items():
-            self._port_index[v] = {u: c for c, u in enumerate(targets)}
+    def __init__(self, nodes: tuple[str, ...], ports: dict[str, tuple[str, ...]],
+                 data_qubits: dict[str, tuple[str, ...]]):
+        ids = {v: i for i, v in enumerate(nodes)}
+        port_index = {v: {u: c for c, u in enumerate(targets)} for v, targets in ports.items()}
+        for name, value in zip(self.__slots__, (nodes, ports, data_qubits, ids, port_index)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"NetworkGraph is read-only: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not NetworkGraph:
+            return NotImplemented
+        return (self.nodes, self.ports, self.data_qubits) == (
+            other.nodes, other.ports, other.data_qubits)
 
     # -- lookups ---------------------------------------------------------
 
@@ -158,8 +165,7 @@ def load_network(text: str) -> NetworkGraph:
     return NetworkGraph(nodes, ports, data_qubits)
 
 
-@dataclass(frozen=True)
-class PathSpec:
+class PathSpec(NamedTuple):
     """A simple path given as an ordered node list."""
 
     nodes: tuple[str, ...]
@@ -189,8 +195,7 @@ class PathSpec:
         return self.nodes[-1]
 
 
-@dataclass(frozen=True)
-class TreeSpec:
+class TreeSpec(NamedTuple):
     """Directed rooted tree inside the network. `nodes` lists the root,
     then the other tree nodes by depth, nodes of equal depth in the order
     of the (parent, child) edges naming them; `parents[i]` is the index in

@@ -6,7 +6,7 @@ runs are compared against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ class OracleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class OracleGate:
+class OracleGate(NamedTuple):
     """One gate: unitary on target qubits, gated on control qubits."""
 
     controls: tuple[tuple[tuple[str, str], int], ...]  # ((node, name), bit)
@@ -36,8 +35,7 @@ class OracleGate:
     matrix: np.ndarray
 
 
-@dataclass(frozen=True)
-class CompareReport:
+class CompareReport(NamedTuple):
     """Walker purity and data fidelity of each compared branch; the
     report's values are the least of each, and it passes when both do."""
 

@@ -27,7 +27,7 @@ correction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,22 +105,20 @@ def _data_gate(request: OracleGate) -> list:
     return [([q for _, q in request.targets], request.matrix)]
 
 
-@dataclass
-class RunTrace:
+class RunTrace(NamedTuple):
     initial_support: dict
     supports: list
-    branches: BranchStack | None = None
-    classical_messages: list = field(default_factory=list)
+    branches: BranchStack | None
+    classical_messages: list
 
 
-@dataclass
-class CompiledProtocol:
+class CompiledProtocol(NamedTuple):
     name: str
     layout: RegisterLayout
     schedule: Schedule
     walker_inits: list
     oracle_gates: list
-    meta: dict = field(default_factory=dict)
+    meta: dict
     # data qubits the schedule assumes start in |0>, as (node, name)
     fresh_qubits: tuple = ()
 
@@ -128,8 +126,7 @@ class CompiledProtocol:
 # -- the walk compiler ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Visit:
+class _Visit(NamedTuple):
     """One stop of a walker: its node, the index of the visit it came from
     (None at a root), the ((node, qubit), bit) controls that launch it from
     here, and the data gates, (qubit names, matrix) pairs applied in order
@@ -550,17 +547,17 @@ def run_schedule(
             for j, vertices in enumerate(walker_vertex_support(s))
         }
 
-    trace = RunTrace(initial_support=supports(state), supports=[])
+    initial, steps, branches, messages = supports(state), [], None, []
     for ts in sched.timesteps:
         for op in ts.pre_ops:
             state = apply_operator(state, op)
         state = apply_operator(state, ts.shift)
-        trace.supports.append(supports(state))
+        steps.append(supports(state))
 
     if sched.measure is not None:
         params = sched.measure.params
         allowed = set(params["allowed_vertices"])
-        found = trace.supports[-1] if trace.supports else trace.initial_support
+        found = steps[-1] if steps else initial
         if not found[params["walker"]] <= allowed:
             raise ProtocolError(
                 "measurement separation precondition violated: walker support "
@@ -571,7 +568,7 @@ def run_schedule(
         for record in stack.records:
             parity = sum(record.outcome[pos] for pos in params["parity_positions"]) % 2
             odd.append(parity == 1)
-            trace.classical_messages.append(
+            messages.append(
                 {
                     "to": params["allowed_vertices"][1],
                     "outcomes": list(record.outcome),
@@ -582,6 +579,6 @@ def run_schedule(
         t = 1 << (layout.total_bits - 1 - params["correct_bit"])
         flip = np.repeat(odd, np.diff(stack.starts)) & ((stack.indices & t) != 0)
         amps = np.negative(stack.amplitudes, out=stack.amplitudes.copy(), where=flip)
-        trace.branches = replace(stack, amplitudes=amps)
-        state = trace.branches[0][1]
-    return state, trace
+        branches = BranchStack(layout, stack.indices, amps, stack.starts, stack.records)
+        state = branches[0][1]
+    return state, RunTrace(initial, steps, branches, messages)

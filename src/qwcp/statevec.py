@@ -15,7 +15,7 @@ through register permutations and small controlled blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,20 +43,41 @@ def check_entries(count: int, what: str = "state") -> None:
         raise StateError(f"{what} would hold {count} entries, cap is {MAX_ENTRIES}")
 
 
-@dataclass(frozen=True)
 class RegisterLayout:
-    """Bit layout for k walker registers plus named data qubits."""
+    """Bit layout for k walker registers plus named data qubits. Read-only;
+    equal, and hashed alike, when nv, nc, k and data_order are."""
 
-    nv: int
-    nc: int
-    k: int
-    data_order: tuple[tuple[str, str], ...]
+    __slots__ = ("nv", "nc", "k", "data_order", "walker_bits", "data_bits", "total_bits")
 
-    def __post_init__(self):
-        if self.total_bits > MAX_TOTAL_BITS:
-            raise StateError(f"layout needs {self.total_bits} bits, cap is {MAX_TOTAL_BITS}")
+    def __init__(self, nv: int, nc: int, k: int, data_order: tuple[tuple[str, str], ...]):
+        walker_bits, data_bits = nv + nc, len(data_order)
+        total_bits = k * walker_bits + data_bits
+        if total_bits > MAX_TOTAL_BITS:
+            raise StateError(f"layout needs {total_bits} bits, cap is {MAX_TOTAL_BITS}")
         # the shift and coin operators tabulate every code of one register
-        check_entries(1 << self.walker_bits, "a walker register table")
+        check_entries(1 << walker_bits, "a walker register table")
+        for name, value in zip(self.__slots__, (nv, nc, k, data_order, walker_bits,
+                                                data_bits, total_bits)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"RegisterLayout is read-only: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return self.nv, self.nc, self.k, self.data_order
+
+    def __eq__(self, other):
+        if type(other) is not RegisterLayout:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "RegisterLayout(nv={!r}, nc={!r}, k={!r}, data_order={!r})".format(*self._key())
 
     @classmethod
     def for_network(cls, graph: NetworkGraph, k: int) -> "RegisterLayout":
@@ -64,18 +85,6 @@ class RegisterLayout:
             (v, name) for v in graph.nodes for name in graph.qubits_at(v)
         )
         return cls(graph.vertex_bits(), graph.coin_bits(), k, data_order)
-
-    @property
-    def walker_bits(self) -> int:
-        return self.nv + self.nc
-
-    @property
-    def data_bits(self) -> int:
-        return len(self.data_order)
-
-    @property
-    def total_bits(self) -> int:
-        return self.k * self.walker_bits + self.data_bits
 
     def vertex_bit_positions(self, walker: int) -> tuple[int, ...]:
         self._check_walker(walker)
@@ -103,8 +112,7 @@ class RegisterLayout:
             raise StateError(f"walker {walker} outside 0..{self.k - 1}")
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(NamedTuple):
     """Sparse state: `indices` is a sorted, unique int64 array of basis
     indices and `amplitudes` the complex128 values there. Every basis
     index not listed has amplitude exactly zero."""
@@ -118,27 +126,32 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
+class MeasurementRecord(NamedTuple):
     qubits: tuple[int, ...]
     bases: str
     outcome: tuple[int, ...]
     probability: float
 
 
-@dataclass(frozen=True)
 class BranchStack:
     """The branches of one measurement as one sparse array: branch g holds
     the entries `starts[g]:starts[g + 1]` of `indices` and `amplitudes`,
     in ascending index order, and `records[g]` is its outcome. Indexing
     and iteration give one (MeasurementRecord, StateVector) pair per
-    branch, the state a view of the stack."""
+    branch, the state a view of the stack. Read-only."""
 
-    layout: RegisterLayout
-    indices: np.ndarray
-    amplitudes: np.ndarray
-    starts: np.ndarray  # one more than there are branches
-    records: tuple[MeasurementRecord, ...]
+    __slots__ = ("layout", "indices", "amplitudes", "starts", "records")
+
+    def __init__(self, layout: RegisterLayout, indices: np.ndarray, amplitudes: np.ndarray,
+                 starts: np.ndarray, records: tuple[MeasurementRecord, ...]):
+        # `starts` holds one more entry than there are branches
+        for name, value in zip(self.__slots__, (layout, indices, amplitudes, starts, records)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"BranchStack is read-only: cannot set {name!r}")
+
+    __delattr__ = __setattr__
 
     def __len__(self) -> int:
         return len(self.records)
@@ -157,8 +170,7 @@ class BranchStack:
 # shapes, which is all the engine knows how to apply.
 
 
-@dataclass(frozen=True)
-class PermAction:
+class PermAction(NamedTuple):
     """Permutation of one walker's combined vertex+coin register, gated on
     fixed values of bits outside that register (as in BlockAction).
 
@@ -170,8 +182,7 @@ class PermAction:
     conditions: tuple[tuple[tuple[int, ...], int], ...] = ()
 
 
-@dataclass(frozen=True)
-class BlockAction:
+class BlockAction(NamedTuple):
     """Small unitary on target bits, gated on fixed values of other bits."""
 
     target_bits: tuple[int, ...]

@@ -7,7 +7,7 @@ the report renders each schedule.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,7 @@ class OperatorError(ValueError):
     """Invalid operator construction."""
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
+class OperatorSpec(NamedTuple):
     """Tagged description of one unitary step (or terminal instrument).
 
     kinds: shift, coinperm, coinblock, datactrl, coindata, interact,
@@ -33,20 +32,18 @@ class OperatorSpec:
     kind: str
     params: dict
     layout: RegisterLayout
-    actions: tuple = field(default=(), repr=False, compare=False)
+    actions: tuple = ()
 
     def iter_actions(self):
         return iter(self.actions)
 
 
-@dataclass
-class Timestep:
+class Timestep(NamedTuple):
     pre_ops: list
     shift: OperatorSpec
 
 
-@dataclass
-class Schedule:
+class Schedule(NamedTuple):
     """Time-ordered operator list: per timestep, coins/interactions then
     exactly one shift; an optional measurement may only appear at the end."""
 

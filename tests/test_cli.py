@@ -580,6 +580,57 @@ def test_main_sample_mode_imports_no_numpy_random(path3_file, tmp_path, monkeypa
     assert sub.read_bytes() == own.read_bytes()
 
 
+def test_import_cli_imports_no_dataclasses():
+    """qwcp's records are NamedTuples or __slots__ classes, so importing
+    the CLI in a fresh interpreter generates no dataclass code."""
+    probe = "import sys, qwcp.cli; print('dataclasses' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(qwcp.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == ["False"]
+
+
+def test_records_stay_read_only(path3_file):
+    """Each record type that was a frozen dataclass refuses to set or
+    delete a field."""
+    from qwcp.netgraph import PathSpec, TreeSpec
+    from qwcp.oracle import CompareReport
+    from qwcp.protocols import _Visit
+    from qwcp.statevec import BlockAction, PermAction
+
+    script = parse_script(cnot_script(path3_file, "separation=measure"))
+    graph, compiled, _ = cli._prepare(script)
+    _, core, _, trace = execute(script)
+    ops = [op for ts in compiled.schedule.timesteps for op in (*ts.pre_ops, ts.shift)]
+    actions = [act for op in ops for act in op.iter_actions()]
+    records = [
+        (script, "commands"), (graph, "ports"), (PathSpec.in_graph(graph, "AuB"), "nodes"),
+        (TreeSpec.in_graph(graph, "A", ["Au"]), "parents"), (compiled.oracle_gates[0], "matrix"),
+        (CompareReport(np.ones(1), np.ones(1)), "purities"), (_Visit("A"), "parent"),
+        (compiled.layout, "nv"), (core, "amplitudes"), (trace.branches.records[0], "outcome"),
+        (trace.branches, "starts"), (next(a for a in actions if isinstance(a, PermAction)), "perm"),
+        (next(a for a in actions if isinstance(a, BlockAction)), "matrix"),
+        (compiled.schedule.measure, "params"),
+    ]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+
+
+def test_compiles_and_runs_share_no_mutable_default(path3_file):
+    """Two step-script compiles get two `meta` dicts, and two runs two
+    `classical_messages` lists."""
+    steps = parse_script(f"network {path3_file}\nwalkers 1\nstep shift flipflop\n")
+    first, second = (cli._prepare(steps)[1] for _ in range(2))
+    assert first.meta == second.meta == {} and first.meta is not second.meta
+    for script in (steps, parse_script(cnot_script(path3_file, "separation=measure"))):
+        one, two = (execute(script)[3].classical_messages for _ in range(2))
+        assert type(one) is list and one == two and one is not two
+
+
 def test_main_memory_error_names_innermost_qwcp_frame(path3_file, tmp_path, monkeypatch, capsys):
     def exhausted(*args):
         raise MemoryError

@@ -77,6 +77,25 @@ def test_layout_rejects_oversized(grid3):
         wide_layout(63)
 
 
+def test_layout_is_a_read_only_value(path3):
+    """Layouts are equal, and hash alike, when nv, nc, k and data_order
+    are; their widths are set once, at construction, and never change."""
+    lay = RegisterLayout.for_network(path3, 2)
+    twin = RegisterLayout(lay.nv, lay.nc, lay.k, tuple(list(lay.data_order)))
+    assert twin is not lay and twin == lay and not twin != lay and hash(twin) == hash(lay)
+    assert len({lay, twin, RegisterLayout.for_network(path3, 1)}) == 2
+    assert lay != RegisterLayout(lay.nv, lay.nc, lay.k, lay.data_order[:1])
+    assert lay != (lay.nv, lay.nc, lay.k, lay.data_order)
+    assert eval(repr(lay), {"RegisterLayout": RegisterLayout}) == lay
+    for name in ("nv", "k", "data_order", "walker_bits", "data_bits", "total_bits"):
+        with pytest.raises(AttributeError):
+            setattr(lay, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(lay, name)
+    assert (lay.walker_bits, lay.data_bits, lay.total_bits) == (4, 2, 10)
+    assert "total_bits" in vars(RegisterLayout)["__slots__"]
+
+
 def test_entry_cap_is_checked_before_each_growing_array():
     # each array below would exceed MAX_ENTRIES = 2^26; none is built
     from qwcp.statevec import MAX_ENTRIES
