@@ -590,16 +590,17 @@ def execute(
     # spectators leave the data inits; those not in |0> become factors
     factors = {layout.data_bit(*q): data_inits.pop(q) for q in spectators if q in data_inits}
 
-    state = init_state(graph, layout, compiled.walker_inits, data_inits)
-    if seed is not None and seed < 0:
-        raise ScriptError("--seed must be a non-negative integer")
-    rng = Pcg64(0 if seed is None else seed) if mode == "sample" else None
-    core, trace = run_schedule(state, compiled.schedule, graph, rng)
+    # no name holds an initial state: the run frees it once it is applied
+    core, trace = run_schedule(
+        init_state(graph, layout, compiled.walker_inits, data_inits),
+        compiled.schedule, graph, _rng(mode, seed),
+    )
 
     comparison = None
     if compiled.oracle_gates is not None:
-        oracle_in = init_state(graph, data_layout(graph), [], data_inits)
-        oracle_out = oracle_apply(oracle_in, compiled.oracle_gates)
+        oracle_out = oracle_apply(
+            init_state(graph, data_layout(graph), [], data_inits), compiled.oracle_gates
+        )
         comparison = compare(core if trace.branches is None else trace.branches, oracle_out)
     final_norm = core.norm
     for q in factors.values():
@@ -633,6 +634,14 @@ def execute(
         "schedule": schedule_to_json(compiled.schedule),
     }
     return report, core, factors, trace
+
+
+def _rng(mode: str, seed: int | None):
+    """The run's rng: `Pcg64(seed)` in sample mode, seed 0 when `seed` is
+    None, and None in branch mode."""
+    if seed is not None and seed < 0:
+        raise ScriptError("--seed must be a non-negative integer")
+    return Pcg64(0 if seed is None else seed) if mode == "sample" else None
 
 
 def _support_json(support: dict) -> dict:

@@ -95,8 +95,8 @@ def _rank_in_branch(first: np.ndarray, branch_start: np.ndarray):
     """(rank of each entry's key within its branch, the most keys of one
     branch) from `_first_of_key` flags; `branch_start` is the position of
     the first entry of each entry's branch."""
-    key = first.cumsum() - 1
-    rank = key - key[branch_start]
+    rank = first.cumsum()
+    rank -= rank[branch_start]
     return rank, int(rank.max(initial=-1)) + 1
 
 
@@ -123,29 +123,44 @@ def compare(
     else:
         starts = np.array([0, len(indices)])
     branches = len(starts) - 1
+    # each array is freed after its last use: at scale these temporaries,
+    # not the states, set the peak
     branch = np.repeat(np.arange(branches), starts[1:] - starts[:-1])
     new_branch = branch[1:] != branch[:-1]
-    walker = indices >> layout.data_bits
-    data = indices & ((1 << layout.data_bits) - 1)
-    first_run = _first_of_key(walker, new_branch)
+    first_run = _first_of_key(indices >> layout.data_bits, new_branch)
     run_starts = first_run.nonzero()[0]
+    data = indices & ((1 << layout.data_bits) - 1)
 
     phi_indices, phi = oracle_output.indices, oracle_output.amplitudes
-    at = np.minimum(phi_indices.searchsorted(data), len(phi_indices) - 1)
-    terms = np.where(phi_indices[at] == data, phi[at].conj() * amps, 0)
+    at = phi_indices.searchsorted(data)
+    np.minimum(at, len(phi_indices) - 1, out=at)
+    missing = phi_indices[at] != data
+    terms = phi[at]
+    del at
+    np.conjugate(terms, out=terms)
+    terms *= amps
+    terms[missing] = 0
+    del missing
     overlaps = np.add.reduceat(terms, run_starts)
+    del terms
     fidelities = np.bincount(
         branch[run_starts], weights=np.abs(overlaps) ** 2, minlength=branches
     )
     branch_start = starts[branch]
     row, rows = _rank_in_branch(first_run, branch_start)
+    del first_run
     order = np.lexsort((data, branch))  # keeps `branch` as it is
-    rank, cols = _rank_in_branch(_first_of_key(data[order], new_branch), branch_start)
+    first_col = _first_of_key(data[order], new_branch)
+    del data, new_branch
+    rank, cols = _rank_in_branch(first_col, branch_start)
+    del first_col, branch_start
     col = np.empty_like(rank)
     col[order] = rank
+    del order, rank
     check_entries(branches * rows * cols, "cut matrix")
     mat = np.zeros((branches, rows, cols), dtype=complex)
     mat[branch, row, col] = amps
+    del branch, row, col
     adjoint = mat.conj().transpose(0, 2, 1)
     parts = (mat @ adjoint if rows <= cols else adjoint @ mat).view(np.float64)
     return CompareReport((parts * parts).sum(axis=(1, 2)), fidelities)

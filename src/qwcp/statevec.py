@@ -220,9 +220,27 @@ def _sorted(indices: np.ndarray, amps: np.ndarray):
     Every primitive hands over a few sorted runs (the entries it kept and
     the ones it rebuilt, each run in index order), and the stable sort is a
     timsort for int64, which merges such runs in near-linear time where a
-    quicksort starts over. Indices are unique, so the order is the same."""
+    quicksort starts over. Indices are unique, so the order is the same.
+    Arrays passed in as temporaries are freed as soon as they are read."""
     order = np.argsort(indices, kind="stable")
-    return indices[order], amps[order]
+    indices = indices[order]
+    return indices, amps[order]
+
+
+def _unique_inverse(values: np.ndarray):
+    """The sorted distinct values of a 1-D array and the position of each
+    value among them, as numpy's `unique` with `return_inverse` gives
+    them, for an array whose equal values are equal bits (integers, or
+    floats without -0.0 and NaN). It sorts with the stable argsort of
+    `_sorted`: each other sort kernel numpy loads adds to peak RSS."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.empty(len(values), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(len(values), dtype=np.intp)
+    inverse[order] = first.cumsum() - 1
+    return ordered[first], inverse
 
 
 def _selected(n: int, indices: np.ndarray, conditions, targets):
@@ -266,7 +284,7 @@ def _apply_block(layout: RegisterLayout, indices, amps, act: BlockAction):
     # one row per setting of the non-target bits, one column per target value
     t = len(act.target_bits)
     target_mask = _bit_mask(n, act.target_bits)
-    bases, row = np.unique(sel_indices & ~target_mask, return_inverse=True)
+    bases, row = _unique_inverse(sel_indices & ~target_mask)
     check_entries(len(bases) << t)
     block = np.zeros((len(bases), 1 << t), dtype=complex)
     block[row, _gather(sel_indices, n, act.target_bits)] = amps[selected]
@@ -358,7 +376,12 @@ def insert_qubits(state: StateVector, factors: dict) -> StateVector:
     nonzero amplitude of each factor, with that factor's bit set to match;
     a product that underflows to zero is dropped. Factors are multiplied
     in on the right, in the order given, so a product comes out as
-    `np.kron` would form it. `init_state` builds its product here."""
+    `np.kron` would form it. `init_state` builds its product here.
+
+    Each entry is followed by its copies with the factor's bit set, so the
+    product is already in index order when the state sets no bit below
+    the factor positions and the factors come in increasing position, as
+    `init_state` gives them; only a product out of order is sorted."""
     if not factors:
         return state
     n = state.layout.total_bits
@@ -366,12 +389,22 @@ def insert_qubits(state: StateVector, factors: dict) -> StateVector:
     check_entries(_product_size(state, factors))
     for pos, q in factors.items():
         q = np.asarray(q, dtype=complex)
-        bits = np.flatnonzero(q)
-        # one sorted run per bit value
-        indices = (indices[None, :] | (bits[:, None] << (n - 1 - pos))).ravel()
-        amps = (amps[None, :] * q[bits][:, None]).ravel()
+        bits = np.flatnonzero(q).tolist()
+        # one column per bit value, each filled by one loop over the
+        # entries: a broadcast product with a 2-wide inner axis would
+        # allocate numpy's iteration buffers on top
+        shape = (len(indices), len(bits))
+        new_indices, new_amps = np.empty(shape, dtype=np.int64), np.empty(shape, dtype=complex)
+        for j, bit in enumerate(bits):
+            np.bitwise_or(indices, bit << (n - 1 - pos), out=new_indices[:, j])
+            np.multiply(amps, q[bit], out=new_amps[:, j])
+        indices, amps = new_indices.ravel(), new_amps.ravel()
     nonzero = amps != 0
-    return StateVector(state.layout, *_sorted(indices[nonzero], amps[nonzero]))
+    if not nonzero.all():
+        indices, amps = indices[nonzero], amps[nonzero]
+    if np.any(indices[1:] <= indices[:-1]):
+        indices, amps = _sorted(indices, amps)
+    return StateVector(state.layout, indices, amps)
 
 
 def _product_size(state: StateVector, factors: dict) -> int:
@@ -542,9 +575,13 @@ def dump_state(out, core: StateVector, factors: dict) -> None:
     if not check_dump(core, factors):
         return
     n = core.layout.total_bits
-    # distinct core amplitudes, bit for bit
-    values, core_of = np.unique(core.amplitudes.view("V16"), return_inverse=True)
-    products = values.view(complex)  # value v with sequence s at v * sequences + s
+    # distinct core amplitudes, bit for bit: distinct pairs of the bit
+    # patterns of their halves, in an order that never reaches the output
+    halves, half_of = _unique_inverse(core.amplitudes.view(np.int64))
+    codes, core_of = _unique_inverse(half_of[0::2] * len(halves) + half_of[1::2])
+    values = np.empty(len(codes), dtype=complex)
+    values[core_of] = core.amplitudes  # the entries of one value hold the same bits
+    products = values  # value v with sequence s at v * sequences + s
     patterns = np.zeros(1, dtype=np.int64)  # the factor bits of each pattern
     split = []  # for each factor with two nonzero bits: do they hold two values
     qs = np.array(list(factors.values()), dtype=complex).reshape(-1, 2)
@@ -569,9 +606,9 @@ def dump_state(out, core: StateVector, factors: dict) -> None:
     if not shown.any():
         return
     parts = products[shown].view(np.float64) + 0.0  # re, im, re, im, ...
-    floats, which = np.unique(parts, return_inverse=True)
+    floats, which = _unique_inverse(parts)
     text = [repr(x) for x in floats.tolist()]
-    pairs, tail_of_shown = np.unique(which[0::2] * len(floats) + which[1::2], return_inverse=True)
+    pairs, tail_of_shown = _unique_inverse(which[0::2] * len(floats) + which[1::2])
     tails = [
         f"  {text[p // len(floats)]}  {text[p % len(floats)]}\n".encode()
         for p in pairs.tolist()

@@ -327,7 +327,7 @@ def invert_operator(op: OperatorSpec) -> OperatorSpec:
     if op.kind == "measure":
         raise OperatorError("a measurement has no inverse")
     inverses = [
-        PermAction(act.walker, _read_only(np.argsort(act.perm)), act.conditions)
+        PermAction(act.walker, _read_only(np.argsort(act.perm, kind="stable")), act.conditions)
         if isinstance(act, PermAction)
         else BlockAction(act.target_bits, act.matrix.conj().T, act.conditions)
         for act in op.actions

@@ -228,24 +228,25 @@ def test_execute_step_script_gate_sequence(path3_file):
 GHZ_NET = line_json(["A", "B", "C", "D"], {v: ["g"] for v in "ABCD"})
 
 
-@pytest.mark.parametrize(
-    "network, command, walkers",
-    [
-        (triangle_json(), "linklevel", 3),  # one per edge
-        (line_json(["A", "u", "B"], {"A": ["a"], "B": ["b"]}),
-         "remote_cu control=A.a target=B.b path=A,u,B gate=X", 1),
-        (line_json(["A0", "A1", "B"], {"A0": ["a"], "A1": ["b"], "B": ["c"]}),
-         "remote_mcu controls=A0.a,A1.b target=B.c path=A0,A1,B gate=X", 1),
-        (grid3_json(),
-         "multipath control=n00.a path=n00,n01,n02 target=n02.b gate=X "
-         "path=n00,n10,n20 target=n20.c gate=Z", 2),  # one per path
-        (btree7_json(),
-         "tree control=A.a edges=A>b0,A>b1,b0>c00,b0>c01,b1>c10 target=c10.t gate=X",
-         3),  # one per leaf
-        (GHZ_NET, "ghz_path path=A,B qubits=A.g,B.g path=D qubits=D.g", 2),
-    ],
-    ids=["linklevel", "remote_cu", "remote_mcu", "multipath", "tree", "ghz_path"],
-)
+# one request of each protocol, with the walkers it sizes for itself
+PROTOCOL_REQUESTS = [
+    (triangle_json(), "linklevel", 3),  # one per edge
+    (line_json(["A", "u", "B"], {"A": ["a"], "B": ["b"]}),
+     "remote_cu control=A.a target=B.b path=A,u,B gate=X", 1),
+    (line_json(["A0", "A1", "B"], {"A0": ["a"], "A1": ["b"], "B": ["c"]}),
+     "remote_mcu controls=A0.a,A1.b target=B.c path=A0,A1,B gate=X", 1),
+    (grid3_json(),
+     "multipath control=n00.a path=n00,n01,n02 target=n02.b gate=X "
+     "path=n00,n10,n20 target=n20.c gate=Z", 2),  # one per path
+    (btree7_json(),
+     "tree control=A.a edges=A>b0,A>b1,b0>c00,b0>c01,b1>c10 target=c10.t gate=X",
+     3),  # one per leaf
+    (GHZ_NET, "ghz_path path=A,B qubits=A.g,B.g path=D qubits=D.g", 2),
+]
+
+
+@pytest.mark.parametrize("network, command, walkers", PROTOCOL_REQUESTS,
+                         ids=[command.split()[0] for _, command, _ in PROTOCOL_REQUESTS])
 def test_walkers_needed_defaults(tmp_path, capsys, network, command, walkers):
     net = tmp_path / "net.json"
     net.write_text(network)
@@ -578,6 +579,59 @@ def test_main_sample_mode_imports_no_numpy_random(path3_file, tmp_path, monkeypa
         assert own.read_bytes() == numpy_rng.read_bytes()
     assert fresh_main(argv + [str(sub)]) == ["0", "False"]
     assert sub.read_bytes() == own.read_bytes()
+
+
+STEP_SCRIPTS = [
+    # datactrl, interact, both shifts, coinblock, coinperm and coindata
+    "walkers 2\ninit A.a=+\nplace 1 A 0\n"
+    "step datactrl node=A controls=a string=1 swap=0,1 walker=0\n"
+    "step interact node=A coin=1 swap=0,1 control=0 target=1\n"
+    "step shift flipflop walkers=0,1\n"
+    "step coinblock node=u coins=1,2 gate=H walker=1\n"
+    "step coinperm node=u c1=1 c2=2 walker=0\n"
+    "step shift flipflop\n"
+    "step coindata node=B qubits=b gate=X walker=0\n"
+    "step shift identity\n",
+    # the measurement instrument
+    "init A.a=+\n"
+    "step datactrl node=A controls=a string=1 swap=0,1 walker=0\n"
+    "step shift flipflop\nstep coinperm node=u c1=1 c2=2 walker=0\nstep shift flipflop\n"
+    "step coinperm node=B c1=1 c2=0 walker=0\nstep coindata node=B qubits=b gate=X walker=0\n"
+    "step measure a=A b=B qubit=a\n",
+]
+
+
+def test_runs_sort_with_the_stable_argsort_only(tmp_path, monkeypatch):
+    """Every sort and grouping of a run is the stable argsort: each other
+    sort kernel numpy loads, and `np.unique`'s, adds to peak RSS. One run
+    of each protocol and step command, a sampled run and a dump."""
+    stable_argsort, kinds = np.argsort, []
+
+    def argsort(a, *args, kind=None, **kwargs):
+        kinds.append(kind)
+        return stable_argsort(a, *args, kind=kind, **kwargs)
+
+    def unique(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "argsort", argsort)
+    monkeypatch.setattr(np, "unique", unique)
+    path3 = line_json(["A", "u", "B"], {"A": ["a", "s"], "B": ["b"]})
+    runs = [(network, command, []) for network, command, _ in PROTOCOL_REQUESTS]
+    runs += [(path3, text, []) for text in STEP_SCRIPTS]
+    # a spectator in |+> and a Y on the target: the dump has factors and
+    # amplitudes with both parts nonzero
+    request = ("init A.a=+\ninit A.s=+\n"
+               "remote_cu control=A.a target=B.b path=A,u,B gate=Y separation=measure")
+    runs += [(path3, request, ["--mode", "sample", "--seed", "3"]),
+             (path3, request, ["--dump-state", str(tmp_path / "dump.txt")])]
+    net = tmp_path / "net.json"
+    for network, text, options in runs:
+        net.write_text(network)
+        script = write_script(tmp_path, f"network {net}\n{text}\n")
+        assert main(["run", str(script), "--out", str(tmp_path / "r.json"), *options]) == 0
+    assert (tmp_path / "dump.txt").read_text().count("\n") > 1
+    assert kinds and set(kinds) == {"stable"}
 
 
 def test_import_cli_imports_no_dataclasses():

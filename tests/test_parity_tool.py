@@ -89,6 +89,32 @@ def test_tests_line_counts_uncompared_new_calls(tmp_path, monkeypatch, capsys):
                       "2 new-tree compiler calls not compared")
 
 
+def test_module_new_to_the_suite_without_compiler_calls_is_a_note(tmp_path, monkeypatch,
+                                                                  capsys):
+    for side in ("old", "new"):
+        (tmp_path / side / "qwcp").mkdir(parents=True)
+        (tmp_path / side / "qwcp" / "cli.py").touch()
+    monkeypatch.setattr(parity.workloads, "WORKLOADS", [])
+    monkeypatch.setattr(parity, "compare_fuzz", lambda *args: (0, []))
+    calls = {TEST: [record(0)]}
+    sides = {"old": (1, ["tests/test_new.py"], set(), calls), "new": (0, [], set(), calls)}
+    monkeypatch.setattr(parity, "record_calls",
+                        lambda src, tests, workdir: sides[workdir.name.split("-")[1]])
+    argv = [str(tmp_path / "old"), str(tmp_path / "new"), "--tests", str(tmp_path)]
+    # the module imports a name only the new tree has, and compiles nothing
+    assert parity.main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].endswith("1 and 1 compiler calls, 0 differences, 0 new-tree calls not compared")
+    assert out[1] == ("note: tests/test_new.py: failed to collect against old tree, "
+                      "0 new-tree compiler calls not compared")
+    # a module that fails against both trees still counts
+    sides["new"] = (1, ["tests/test_new.py"], set(), calls)
+    assert parity.main(argv) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].endswith("2 differences, 0 new-tree calls not compared")
+    assert not any(line.startswith("note: ") for line in out)
+
+
 def test_recorder_wraps_the_step_compiler(tmp_path, monkeypatch):
     # the plugin rebinds these names; monkeypatch puts the originals back
     monkeypatch.setattr(cli, "_compile_steps", cli._compile_steps)

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from itertools import zip_longest
 
 import numpy as np
@@ -230,6 +231,86 @@ def test_init_state_matches_kron_bitwise(data):
     want = kron_reference(graph, layout, walker_inits, data_inits)
     assert np.array_equal(got.indices, np.flatnonzero(want))
     assert np.array_equal(canonical_bits(to_dense(got)), canonical_bits(want))
+
+
+PARTS = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 1e-170, -3e-200]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_insert_qubits_matches_kron_in_any_order(data):
+    """Factors at any positions, in any order, into states that set bits
+    below them (and amplitudes and factors whose products can underflow):
+    the product is sorted, unique, and `np.kron`'s, bit for bit."""
+    n = data.draw(st.integers(1, 8))
+    layout = RegisterLayout(1, 1, 0, tuple(("A", f"q{i}") for i in range(n)))
+    positions = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=4))
+    factor_bits = sum(1 << (n - 1 - pos) for pos in positions)
+    free = [i for i in range(1 << n) if not i & factor_bits]
+    indices = sorted(data.draw(st.lists(st.sampled_from(free), min_size=1, max_size=8,
+                                        unique=True)))
+    amps = [data.draw(st.builds(complex, PARTS, PARTS).filter(bool)) for _ in indices]
+    factors = {pos: data.draw(st.one_of(qubit_states(), st.tuples(
+        st.sampled_from([0.0, 1e-170, 0.6]), st.sampled_from([1e-160, -0.8j]))))
+        for pos in positions}
+    got = insert_qubits(StateVector(layout, np.array(indices, dtype=np.int64),
+                                    np.array(amps, dtype=complex)), factors)
+    want = {}
+    for index, amp in zip(indices, amps):
+        vec = np.array([amp])
+        for q in factors.values():
+            vec = np.kron(vec, np.asarray(q, dtype=complex))
+        for pattern, value in enumerate(vec):
+            for j, pos in enumerate(positions):
+                index |= ((pattern >> (len(positions) - 1 - j)) & 1) << (n - 1 - pos)
+            if value != 0:
+                want[index] = value
+            index &= ~factor_bits
+    assert np.all(got.indices[1:] > got.indices[:-1])
+    assert got.indices.tolist() == sorted(want)
+    assert np.array_equal(got.amplitudes.view(np.int64),
+                          np.array([want[i] for i in sorted(want)], dtype=complex).view(np.int64))
+
+
+def test_run_peak_bytes_per_entry(tmp_path, monkeypatch):
+    """Traced memory of a `remote_cu` run whose states hold 2^14 entries,
+    14 controls in |+>; a state stores 24 B per entry. Tracing starts with
+    the run. `init_state` peaks at most 40 B per entry above the memory
+    live when it starts, and the run at most 109 B per entry (99
+    measured, and a tenth more)."""
+    from qwcp import cli
+
+    controls = [f"c{i}" for i in range(14)]
+    net = tmp_path / "net.json"
+    net.write_text(line_json(["A", "u", "B"], {"A": controls, "B": ["b"]}))
+    script = tmp_path / "s.qws"
+    script.write_text("".join([
+        f"network {net}\n", *(f"init A.{c}=+\n" for c in controls),
+        f"remote_cu control={','.join(f'A.{c}' for c in controls)} target=B.b "
+        "path=A,u,B gate=X\n"]))
+    argv = ["run", str(script), "--out", str(tmp_path / "r.json")]
+    assert cli.main(argv) == 0  # lazy set-up is done before measuring
+    peaks, init_above = [], []
+
+    def init_state(*args):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        state = statevec.init_state(*args)
+        init_above.append(tracemalloc.get_traced_memory()[1] - start)
+        return state
+
+    monkeypatch.setattr(cli, "init_state", init_state)
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = max(peaks + [tracemalloc.get_traced_memory()[1]])
+    finally:
+        tracemalloc.stop()
+    entries = 1 << 14
+    assert len(init_above) == 2  # the protocol's state and the oracle's
+    assert max(init_above) <= 40 * entries
+    assert peak <= 109 * entries
 
 
 def test_perm_action_moves_one_walker_only(path3):

@@ -37,7 +37,10 @@ the two trees hold different literals.
 Collection goes on past a test module that fails to import (say, one
 that imports a name only the new tree has), so the other modules still
 yield records; every module that failed to collect on either side is
-named and counts as a difference. Every test that fails against the new
+named and counts as a difference, except a module that fails against
+the old tree only and makes no compiler call against the new one (say,
+the test module of a new qwcp module): it leaves nothing uncompared, and
+is printed as a note. Every test that fails against the new
 tree counts as a difference. A test that fails against the old tree only
 (say, the regression test of a bug the new tree fixes) stops early
 there, or shrinks a failing example, so its records are not counted;
@@ -388,6 +391,7 @@ def main(argv=None) -> int:
             unpaired.update({test: len(new_calls.get(test, ())) for test in old_only})
             call_problems = compare_calls(old_calls, new_calls, set(unpaired))
             call_problems += [f"{test}: fails against new tree" for test in sorted(new_failed)]
+            notes = []
             for side, modules in (("old", old_uncollected), ("new", new_uncollected)):
                 for module in modules:
                     problem = f"{module}: failed to collect against {side} tree"
@@ -395,6 +399,9 @@ def main(argv=None) -> int:
                         left = sum(n for test, n in unpaired.items()
                                    if test.split("::")[0] == module)
                         problem += f", {left} new-tree compiler calls not compared"
+                        if not left and module not in new_uncollected:
+                            notes.append(problem)
+                            continue
                     call_problems.append(problem)
             # 1 only says some tests failed; any other code means pytest
             # itself did not run them, so their records are missing
@@ -410,6 +417,8 @@ def main(argv=None) -> int:
             for test in sorted(old_only):
                 print(f"{test}: fails against old tree only; its {unpaired[test]} "
                       "new-tree compiler calls are not compared")
+            for note in notes:
+                print(f"note: {note}")
     for problem in problems:
         print(problem)
     if floats:
