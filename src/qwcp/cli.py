@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from contextlib import nullcontext
@@ -653,8 +652,10 @@ def _meta_json(meta: dict) -> dict:
 
 
 def render_report(report: dict) -> str:
-    """`json.dumps(report, sort_keys=True, indent=2)`, byte for byte, and a
-    TypeError wherever that raises one, for any value without cycles.
+    """`json.dumps(report, sort_keys=True, indent=2)`, byte for byte, for a
+    report: dicts with str keys, lists, and finite str, int, float, bool
+    and None values, each of exactly its type. Anything else, a tuple, a
+    non-str key or a subclass such as `np.float64`, raises TypeError.
 
     With an indent, json runs its pure-Python encoder, a chain of nested
     generators; this writes the same text in one recursive pass into one
@@ -664,49 +665,26 @@ def render_report(report: dict) -> str:
     return "".join(out)
 
 
-def _float_json(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
 _encode_str = json.encoder.encode_basestring_ascii
-# exact type -> JSON text; subclasses of str, int and float take `_render`'s
-# isinstance path, which formats them as their base type, as json does
+# exact type -> JSON text
 _SCALAR_JSON = {
     str: _encode_str,
     int: int.__repr__,
-    float: _float_json,
+    float: float.__repr__,
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
 }
 
 
-def _key_json(key) -> str:
-    """A dict key as json writes it: a string, or the quoted JSON text of
-    a float, bool, None or int key."""
-    if isinstance(key, str):
-        return _encode_str(key)
-    for kind in (float, bool, type(None), int):  # bool before its base, int
-        if isinstance(key, kind):
-            return '"' + _SCALAR_JSON[kind](key) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
 def _render(value, head: str, newline: str, out: list) -> None:
     """Append `head`, then the JSON text of `value`, to `out`; `newline` is
     a line break and the indent of the line `value` starts on. Container
-    items and keys of an exact scalar type are formatted in place, without
-    a call. No type is both a container and a str, int or float, so
-    testing containers first keeps json's outcome."""
+    items of a scalar type are formatted in place, without a call, and
+    `_encode_str` raises TypeError for a key that is not a str."""
     scalar = _SCALAR_JSON.get(type(value))
     if scalar is not None:
         out.append(head + scalar(value))
-    elif isinstance(value, (list, tuple)):
+    elif type(value) is list:
         if not value:
             out.append(head + "[]")
             return
@@ -720,14 +698,14 @@ def _render(value, head: str, newline: str, out: list) -> None:
                 _render(item, head, inner, out)
             head = "," + inner
         out.append(newline + "]")
-    elif isinstance(value, dict):
+    elif type(value) is dict:
         if not value:
             out.append(head + "{}")
             return
         inner = newline + "  "
         head += "{" + inner
         for key, item in sorted(value.items()):
-            head += (_encode_str(key) if type(key) is str else _key_json(key)) + ": "
+            head += _encode_str(key) + ": "
             scalar = _SCALAR_JSON.get(type(item))
             if scalar is not None:
                 out.append(head + scalar(item))
@@ -735,14 +713,8 @@ def _render(value, head: str, newline: str, out: list) -> None:
                 _render(item, head, inner, out)
             head = "," + inner
         out.append(newline + "}")
-    elif isinstance(value, str):
-        out.append(head + _encode_str(value))
-    elif isinstance(value, int):
-        out.append(head + int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(head + _float_json(value))
     else:
-        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+        raise TypeError(f"Object of type {value.__class__.__name__} is not a report value")
 
 
 def render_trace(report: dict) -> str:

@@ -174,7 +174,7 @@ def _forest(visits):
     return depth, kids, walker, inits
 
 
-def _compile(name, graph, visits, oracle_gates, meta, measure=None, forest=None):
+def _compile(name, graph, visits, oracle_gates, meta, measure=None):
     """Compile the walk of a visit forest into protocol `name`: one
     forward timestep per depth, then the separation. That is the unitary
     reversal of the walk operators, or, with `measure=(a_node, b_node,
@@ -193,10 +193,8 @@ def _compile(name, graph, visits, oracle_gates, meta, measure=None, forest=None)
     The data gates condition only on a walker's vertex, which the
     same-step coin operations never change, so they go first; at the
     launch step this lets a local preparation precede the data-controlled
-    coin. `meta` gains `propagation_steps`, the depth of the forest.
-    `forest` is `_forest(visits)` when the caller has already numbered
-    the visits."""
-    depth, kids, walker, inits = forest or _forest(visits)
+    coin. `meta` gains `propagation_steps`, the depth of the forest."""
+    depth, kids, walker, inits = _forest(visits)
     layout = RegisterLayout.for_network(graph, len(inits))
 
     ops: list[list] = [[] for _ in range(max(depth) + 1)]
@@ -392,13 +390,12 @@ def schedule_tree(graph, tree: TreeSpec, requests) -> CompiledProtocol:
     visits = [_Visit(tree.root, controls=controls)]
     visits += [_Visit(v, p, gates=tuple(gates.get(v, ())))
                for v, p in zip(tree.nodes[1:], tree.parents[1:])]
-    forest = _forest(visits)
-    depth, _, walker, inits = forest
+    depth, _, walker, inits = _forest(visits)
     return _compile("tree", graph, visits, list(requests), {
         "arrival": dict(zip(tree.nodes[1:], depth[1:])),
         "walker_of": dict(zip(tree.nodes, walker)),
         "spawn_node": {w: inits[w][0] for w in range(1, len(inits))},
-    }, forest=forest)
+    })
 
 
 # -- entanglement distribution -------------------------------------------

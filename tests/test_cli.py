@@ -697,11 +697,11 @@ def test_main_memory_error_names_innermost_qwcp_frame(path3_file, tmp_path, monk
 
 def test_main_out_of_memory_exit_3(tmp_path):
     """A run that exhausts its address space exits 3, naming the qwcp
-    function whose allocation failed, with no traceback. 21 controls in
-    |+> hold 2^21 entries (32 MiB of amplitudes) per state; the child's
-    address space is capped at 300 MB."""
+    function whose allocation failed, with no traceback. 24 controls in
+    |+> hold 2^24 entries per state, 384 MiB at 24 B an entry (amplitude
+    and index), more than the child's address space, capped at 300 MB."""
     resource = pytest.importorskip("resource")
-    controls = [f"c{i}" for i in range(21)]
+    controls = [f"c{i}" for i in range(24)]
     net = tmp_path / "net.json"
     net.write_text(line_json(["A", "u", "B"], {"A": controls, "B": ["b"]}))
     script = write_script(tmp_path, "".join(
@@ -966,13 +966,11 @@ def test_reports_are_deterministic(path3_file, tmp_path):
 
 
 class _Int(int):
-    def __repr__(self):
-        return "not json"
+    pass
 
 
 class _Float(float):
-    def __repr__(self):
-        return "not json"
+    pass
 
 
 class _Str(str):
@@ -986,51 +984,36 @@ JSON_CHARS = st.one_of(
 )
 TEXT = st.text(JSON_CHARS, max_size=8)
 FLOATS = st.one_of(
-    st.floats(), st.sampled_from([-0.0, 5e-324, -2.5e-310, float("nan"), float("inf"),
-                                  float("-inf"), 1e16, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e16, 1.0]),
 )
 INTS = st.one_of(st.integers(-3, 3), st.integers(-10**40, 10**40))
-SCALARS = st.one_of(
-    st.none(), st.booleans(), INTS, FLOATS, TEXT,
-    INTS.map(_Int), FLOATS.map(_Float), FLOATS.map(np.float64), TEXT.map(_Str),
-)
-# a dict's keys: of one kind, or numbers mixed (bools among ints), or of
-# any kind, which mostly fails to sort
-KEY_KINDS = [
-    TEXT, st.one_of(INTS, st.booleans()), st.one_of(INTS, FLOATS, st.booleans()),
-    st.none(), st.one_of(TEXT, INTS, FLOATS, st.booleans(), st.none()),
-]
-NOT_JSON = st.sampled_from([{1, 2}, frozenset(), np.int64(3), np.array([1.0]), b"x", 1j])
+# what a report holds: exact scalars, lists, and dicts with str keys
+SCALARS = st.one_of(st.none(), st.booleans(), INTS, FLOATS, TEXT)
 
 
 def json_values(leaves):
     return st.recursive(leaves, lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        *(st.dictionaries(keys, children, max_size=4) for keys in KEY_KINDS),
+        st.lists(children, max_size=4), st.dictionaries(TEXT, children, max_size=4),
     ), max_leaves=16)
-
-
-def assert_renders_as_json_dumps(value):
-    try:
-        want = json.dumps(value, sort_keys=True, indent=2)
-    except TypeError:
-        with pytest.raises(TypeError):
-            render_report(value)
-    else:
-        assert render_report(value) == want
 
 
 @settings(max_examples=400, deadline=None)
 @given(json_values(SCALARS))
 def test_render_report_is_json_dumps(value):
-    assert_renders_as_json_dumps(value)
+    assert render_report(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
-@settings(max_examples=100, deadline=None)
-@given(json_values(st.one_of(SCALARS, NOT_JSON)))
-def test_render_report_raises_type_error_where_json_dumps_does(value):
-    assert_renders_as_json_dumps(value)
+@pytest.mark.parametrize("value", [
+    (1, 2), {"a": [(1,)]}, {1: 0}, {"a": {None: 0}}, [{1.5: 0}], np.float64(1.0),
+    {"a": np.float64(0.5)}, [np.int64(1)], {"a": _Int(1)}, [_Float(1.0)], _Str("a"),
+    {"a": [_Str("b")]}, {1, 2}, [b"x"],
+], ids=["tuple", "tuple item", "int key", "None key", "float key", "np.float64",
+        "np.float64 item", "np.int64 item", "int subclass", "float subclass", "str subclass",
+        "str subclass item", "set", "bytes"])
+def test_render_report_refuses_what_a_report_cannot_hold(value):
+    with pytest.raises(TypeError):
+        render_report(value)
 
 
 @pytest.mark.parametrize("value", [
