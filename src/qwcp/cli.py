@@ -39,9 +39,10 @@ once.
 
 Exit codes: 0 success, 2 script/network parse error (JSON nested too
 deep and numbers of more digits than `int` converts included), a script
-or network file that cannot be read or is not UTF-8, an unwritable
-`--out`/`--dump-state` path or one file named by both (then no report is
-written), 3 precondition or construction error (a `--dump-state` dump of
+or network file that cannot be read or is not UTF-8 (in any locale), an
+unwritable `--out`/`--dump-state` path or one file named by both (then no
+report is written), a `--trace` that stdout cannot take (after the
+report), 3 precondition or construction error (a `--dump-state` dump of
 more than 2^26 lines included, refused before any output is written) or
 out of memory (`error: out of memory in MODULE.FUNCTION`, the innermost
 qwcp frame that was allocating), 4 oracle verification failure.
@@ -54,7 +55,6 @@ import os
 import sys
 from contextlib import nullcontext
 from functools import cache, partial
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -503,7 +503,8 @@ def _prepare(script: Script, network_override: str | None = None):
     if network_path is None:
         raise ScriptError("no network file given (script line or --network)")
     try:
-        network_text = Path(network_path).read_text()
+        with open(network_path, encoding="utf-8") as f:
+            network_text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ScriptError(f"cannot read network file: {exc}") from None
     graph = load_network(network_text)
@@ -780,14 +781,15 @@ def _allocating_frame(exc: BaseException) -> str:
     while tb is not None:
         code = tb.tb_frame.f_code
         if os.path.dirname(code.co_filename) == here:
-            site = f"{Path(code.co_filename).stem}.{code.co_name}"
+            site = f"{os.path.splitext(os.path.basename(code.co_filename))[0]}.{code.co_name}"
         tb = tb.tb_next
     return site
 
 
 def _run(args) -> int:
     try:
-        text = Path(args.script).read_text()
+        with open(args.script, encoding="utf-8") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read script: {exc}", file=sys.stderr)
         return 2
@@ -818,11 +820,12 @@ def _run(args) -> int:
             print(rendered, file=report_out)
             if dump_out is not None:
                 dump_state(dump_out, core, factors)
-    except OSError as exc:
+        if args.trace:
+            # a label stdout's encoding cannot hold fails here, after the report
+            print(render_trace(report))
+    except (OSError, UnicodeEncodeError) as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
-    if args.trace:
-        print(render_trace(report))
 
     if report["passed"] is False:
         print("verification failed", file=sys.stderr)

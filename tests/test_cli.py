@@ -1,3 +1,4 @@
+import codecs
 import json
 import os
 import subprocess
@@ -328,6 +329,55 @@ def test_main_undecodable_file_exit_2(tmp_path, capsys, which):
     assert f"error: cannot read {which}: " in capsys.readouterr().err
 
 
+def python_process(args, **env) -> subprocess.CompletedProcess:
+    """`python args` in a fresh interpreter that imports this qwcp, with
+    `env` added to its environment."""
+    env = {**os.environ, "PYTHONPATH": str(Path(qwcp.__file__).parents[1]), **env}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120)
+
+
+# a path whose end node's label is not ASCII, and its remote CNOT
+E_ACUTE_NET = line_json(["A", "u", "C\u00e9"], {"A": ["a"], "C\u00e9": ["b"]})
+E_ACUTE_SCRIPT = "init A.a=+\nremote_cu control=A.a target=C\u00e9.b path=A,u,C\u00e9 gate=X\n"
+
+
+def test_main_reads_utf8_in_an_ascii_locale(tmp_path):
+    """Both input files are decoded as UTF-8 whatever the locale: in the C
+    locale without UTF-8 mode, a script and a network file naming `Cé`
+    run as they do in UTF-8 mode, to the same report bytes."""
+    ascii_locale = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+    probe = python_process(
+        ["-c", "import locale; print(locale.getpreferredencoding(False))"], **ascii_locale
+    )
+    if codecs.lookup(probe.stdout.decode().strip()).name != "ascii":
+        pytest.skip("the C locale's encoding is not ASCII on this platform")
+    net, script = tmp_path / "net.json", tmp_path / "script.qws"
+    net.write_bytes(json.dumps(json.loads(E_ACUTE_NET), ensure_ascii=False).encode())
+    script.write_bytes(f"network {net}\n{E_ACUTE_SCRIPT}".encode())
+    reports = []
+    for name, env in (("ascii.json", ascii_locale), ("utf8.json", {"PYTHONUTF8": "1"})):
+        done = python_process(["-m", "qwcp.cli", "run", str(script), "--out",
+                               str(tmp_path / name)], **env)
+        assert (done.returncode, done.stderr) == (0, b"")
+        reports.append((tmp_path / name).read_bytes())
+    assert reports[0] == reports[1]
+    assert b'"C\\u00e9"' in reports[0]
+
+
+def test_main_unencodable_trace_exit_2(tmp_path):
+    """A `--trace` that stdout's encoding cannot hold exits 2 as any other
+    output failure does, with no traceback; the report is already written."""
+    net = write_script(tmp_path, E_ACUTE_NET, name="net.json")
+    script = write_script(tmp_path, f"network {net}\n{E_ACUTE_SCRIPT}")
+    out = tmp_path / "r.json"
+    done = python_process(["-m", "qwcp.cli", "run", str(script), "--out", str(out), "--trace"],
+                          PYTHONIOENCODING="ascii")
+    assert done.returncode == 2
+    assert done.stderr.startswith(b"error: cannot write output: 'ascii' codec can't encode")
+    assert b"Traceback" not in done.stderr and done.stderr.count(b"\n") == 1
+    assert json.loads(out.read_bytes())["passed"] is True
+
+
 def test_main_dump_matches_reference(tmp_path):
     # a 3x3 remote CNOT with measure separation and ten spectators in |+>,
     # as the benchmark's 4x4 run: every core entry times 2^10 spectator
@@ -544,11 +594,9 @@ def fresh_main(argv):
         "import sys; from qwcp.cli import main; "
         f"code = main({argv!r}); print(code, 'numpy.random' in sys.modules)"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(qwcp.__file__).parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    return done.stdout.split()
+    done = python_process(["-c", probe])
+    assert done.returncode == 0, done.stderr
+    return done.stdout.decode().split()
 
 
 def test_main_branch_mode_builds_no_rng(path3_file, tmp_path):
@@ -601,10 +649,29 @@ STEP_SCRIPTS = [
 ]
 
 
+def run_every_kind(tmp_path, run=main):
+    """Call `run` (`main`) on one script of each protocol and step command,
+    a sampled run, and a run with a dump and a trace; each must exit 0."""
+    path3 = line_json(["A", "u", "B"], {"A": ["a", "s"], "B": ["b"]})
+    runs = [(network, command, []) for network, command, _ in PROTOCOL_REQUESTS]
+    runs += [(path3, text, []) for text in STEP_SCRIPTS]
+    # a spectator in |+> and a Y on the target: the dump has factors and
+    # amplitudes with both parts nonzero
+    request = ("init A.a=+\ninit A.s=+\n"
+               "remote_cu control=A.a target=B.b path=A,u,B gate=Y separation=measure")
+    runs += [(path3, request, ["--mode", "sample", "--seed", "3"]),
+             (path3, request, ["--dump-state", str(tmp_path / "dump.txt"), "--trace"])]
+    net = tmp_path / "net.json"
+    for network, text, options in runs:
+        net.write_text(network)
+        script = write_script(tmp_path, f"network {net}\n{text}\n")
+        assert run(["run", str(script), "--out", str(tmp_path / "r.json"), *options]) == 0
+    assert (tmp_path / "dump.txt").read_text().count("\n") > 1
+
+
 def test_runs_sort_with_the_stable_argsort_only(tmp_path, monkeypatch):
     """Every sort and grouping of a run is the stable argsort: each other
-    sort kernel numpy loads, and `np.unique`'s, adds to peak RSS. One run
-    of each protocol and step command, a sampled run and a dump."""
+    sort kernel numpy loads, and `np.unique`'s, adds to peak RSS."""
     stable_argsort, kinds = np.argsort, []
 
     def argsort(a, *args, kind=None, **kwargs):
@@ -616,22 +683,28 @@ def test_runs_sort_with_the_stable_argsort_only(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np, "argsort", argsort)
     monkeypatch.setattr(np, "unique", unique)
-    path3 = line_json(["A", "u", "B"], {"A": ["a", "s"], "B": ["b"]})
-    runs = [(network, command, []) for network, command, _ in PROTOCOL_REQUESTS]
-    runs += [(path3, text, []) for text in STEP_SCRIPTS]
-    # a spectator in |+> and a Y on the target: the dump has factors and
-    # amplitudes with both parts nonzero
-    request = ("init A.a=+\ninit A.s=+\n"
-               "remote_cu control=A.a target=B.b path=A,u,B gate=Y separation=measure")
-    runs += [(path3, request, ["--mode", "sample", "--seed", "3"]),
-             (path3, request, ["--dump-state", str(tmp_path / "dump.txt")])]
-    net = tmp_path / "net.json"
-    for network, text, options in runs:
-        net.write_text(network)
-        script = write_script(tmp_path, f"network {net}\n{text}\n")
-        assert main(["run", str(script), "--out", str(tmp_path / "r.json"), *options]) == 0
-    assert (tmp_path / "dump.txt").read_text().count("\n") > 1
+    run_every_kind(tmp_path)
     assert kinds and set(kinds) == {"stable"}
+
+
+def test_main_interns_nothing(tmp_path, monkeypatch):
+    """`main` reads its inputs without pathlib, which interns every path
+    component: each such string that dies leaves a dead slot in CPython's
+    interned-string table, and each rebuild of that table raises a
+    long-lived caller's peak RSS by about 0.9 MB."""
+    interned = []
+
+    def counting(text):
+        interned.append(text)
+        return text
+
+    def counted_main(argv):
+        with monkeypatch.context() as patched:
+            patched.setattr(sys, "intern", counting)
+            return main(argv)
+
+    run_every_kind(tmp_path, counted_main)
+    assert interned == []
 
 
 def test_import_cli_imports_no_dataclasses():

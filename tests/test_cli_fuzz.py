@@ -7,13 +7,15 @@ script with one never exits 4.
 A case is a small network and a script in the grammar of `qwcp.cli`.
 Paths follow the network's edges and qubit references name declared
 qubits, so that most runs get past parsing into compilation and the
-engine; every value is sometimes replaced by a bad one or left out. Bad
-values include an integer of more than 20 digits and a control list
-that names one qubit twice; a header line, the network line included,
-is sometimes repeated, and the state dump is sometimes pointed at the
-report's own path. Header lines are otherwise drawn with one line per
-subject (`walkers`, a qubit's `init`, a walker's `place`), so that no
-other case stops at the repeated-line refusal."""
+engine; one node label is not ASCII (`É`), so report escaping, error
+echoes and traces meet one. Every value is sometimes replaced by a bad
+one or left out. Bad values include an integer of more than 20 digits
+and a control list that names one qubit twice; a header line, the
+network line included, is sometimes repeated, and the state dump is
+sometimes pointed at the report's own path. Header lines are otherwise
+drawn with one line per subject (`walkers`, a qubit's `init`, a
+walker's `place`), so that no other case stops at the repeated-line
+refusal."""
 import contextlib
 import io
 import json
@@ -26,7 +28,7 @@ from hypothesis import strategies as st
 from qwcp.cli import main
 
 PROTOCOLS = ["remote_cu", "remote_mcu", "multipath", "tree", "ghz_path", "linklevel"]
-LABELS = ["A", "B", "C", "D"]
+LABELS = ["A", "B", "C", "D", "É"]  # one not ASCII
 QUBITS = ["a", "b"]
 GATES = [
     "X", "Z", "H", "T", "I", "Q",
@@ -225,7 +227,7 @@ def write_case(tmp, network, lines, mode, extras, seed):
     net = Path(tmp, "net.json")
     net.write_text(network)
     script = Path(tmp, "script.qw")
-    script.write_text(script_text(net, lines))
+    script.write_text(script_text(net, lines), encoding="utf-8")
     argv = ["run", str(script), "--mode", mode, "--out", str(Path(tmp, "r.json"))]
     if extras:
         dump = "r.json" if extras == "same" else "d.txt"
