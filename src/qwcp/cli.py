@@ -536,19 +536,19 @@ def _prepare(script: Script, network_override: str | None = None):
 
 def spectator_qubits(layout: RegisterLayout, schedule: Schedule, oracle_gates) -> list:
     """Data qubits, as (node, name) in layout order, that no action of the
-    schedule reads or writes (conditions, block targets, measured bits,
-    the corrected bit) and no oracle gate touches. Such a qubit stays in
-    its initial single-qubit state for the whole run."""
+    schedule reads or writes (conditions, block targets, the measure op's
+    correction), none measures and no oracle gate touches. Such a qubit
+    stays in its initial single-qubit state for the whole run."""
+    ops = [op for ts in schedule.timesteps for op in (*ts.pre_ops, ts.shift)]
     touched = set()
-    for ts in schedule.timesteps:
-        for op in (*ts.pre_ops, ts.shift):
-            for act in op.iter_actions():
-                touched.update(pos for bits, _ in act.conditions for pos in bits)
-                if isinstance(act, BlockAction):
-                    touched.update(act.target_bits)
     if schedule.measure is not None:
+        ops.append(schedule.measure)
         touched.update(schedule.measure.params["qubits"])
-        touched.add(schedule.measure.params["correct_bit"])
+    for op in ops:
+        for act in op.iter_actions():
+            touched.update(pos for bits, _ in act.conditions for pos in bits)
+            if isinstance(act, BlockAction):
+                touched.update(act.target_bits)
     gate_qubits = set()
     for gate in oracle_gates or ():
         gate_qubits.update(q for q, _ in gate.controls)

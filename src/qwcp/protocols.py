@@ -21,8 +21,10 @@ Every builder returns a CompiledProtocol bundling the schedule, walker
 initial positions, the oracle gate list used for verification, and timing
 metadata. Separation restores a walker/data product state either by
 unitary reversal of the propagation history or, for the single-path
-controlled gate, by measuring the walker registers with a classical
-correction.
+controlled gate, by measuring the walker register. The classical Z
+correction that measurement calls for is applied by deferred
+measurement: as the measure op's action, a swap of the walker's two end
+vertices where the corrected qubit is 1, before the measurement.
 """
 from __future__ import annotations
 
@@ -36,8 +38,10 @@ from .oracle import OracleGate
 from .statevec import (
     HADAMARD,
     BranchStack,
+    PermAction,
     RegisterLayout,
     StateVector,
+    apply_actions,
     apply_operator,
     measure,
     walker_vertex_support,
@@ -46,6 +50,7 @@ from .walkops import (
     OperatorSpec,
     Schedule,
     Timestep,
+    _read_only,
     invert_schedule,
     make_coin_block,
     make_coin_controlled_data,
@@ -295,33 +300,30 @@ def schedule_multi_control(graph, request: OracleGate, path: PathSpec) -> Compil
 def separate_measure(graph, layout, a_node, b_node, correction_qubit, walker=0) -> OperatorSpec:
     """Measurement separation for a single-path controlled gate: measure
     the walker's vertex bits in X where the two end vertex ids differ and
-    in Z elsewhere, and its coin bits in Z; an odd X parity calls for a Z
-    correction on `correction_qubit` at `a_node`."""
+    in Z elsewhere, and its coin bits in Z. An odd X parity calls for a Z
+    on `correction_qubit` at `a_node`, and `params` name the X positions
+    and that bit. By deferred measurement the Z is the op's one action,
+    applied before the measurement: where the qubit is 1, the walker's
+    vertex bits that differ between the ends flip, which exchanges
+    `a_node` and `b_node`."""
     a_id, b_id = graph.vertex_id(a_node), graph.vertex_id(b_node)
     if a_id == b_id:
         raise ProtocolError("measurement separation needs two distinct nodes")
-    qubits, bases, parity_positions = [], [], []
-    for offset, pos in enumerate(layout.vertex_bit_positions(walker)):
-        bit_a = (a_id >> (layout.nv - 1 - offset)) & 1
-        bit_b = (b_id >> (layout.nv - 1 - offset)) & 1
-        qubits.append(pos)
-        if bit_a == bit_b:
-            bases.append("Z")
-        else:
-            parity_positions.append(len(bases))
-            bases.append("X")
-    for pos in layout.coin_bit_positions(walker):
-        qubits.append(pos)
-        bases.append("Z")
+    diff = a_id ^ b_id
+    flips = [(diff >> (layout.nv - 1 - offset)) & 1 for offset in range(layout.nv)]
+    qubits = [*layout.vertex_bit_positions(walker), *layout.coin_bit_positions(walker)]
+    correct_bit = layout.data_bit(a_node, correction_qubit)
     params = {
         "qubits": qubits,
-        "bases": "".join(bases),
-        "parity_positions": parity_positions,
-        "correct_bit": layout.data_bit(a_node, correction_qubit),
+        "bases": "".join("X" if f else "Z" for f in flips) + "Z" * layout.nc,
+        "parity_positions": [i for i, f in enumerate(flips) if f],
+        "correct_bit": correct_bit,
         "allowed_vertices": [a_node, b_node],
         "walker": walker,
     }
-    return OperatorSpec("measure", params, layout)
+    swap = _read_only(np.arange(1 << layout.walker_bits, dtype=np.int64) ^ (diff << layout.nc))
+    return OperatorSpec("measure", params, layout,
+                        actions=(PermAction(walker, swap, (((correct_bit,), 1),)),))
 
 
 # -- parallel propagation -------------------------------------------------
@@ -529,14 +531,10 @@ def run_schedule(
     rng=None,
 ) -> tuple[StateVector, RunTrace]:
     """Apply each timestep (coins/interactions, then the shift), then the
-    terminal measurement if present, which samples one branch with `rng`
-    and keeps them all without. Records per-step walker supports.
-
-    The measured branches stay one `BranchStack`. The classical Z
-    correction of the branches whose outcome parity is odd is one sign
-    flip over the stack, of their entries with the corrected bit set: the
-    indices and their order stay, so nothing is grouped or re-sorted."""
-    layout = state.layout
+    terminal measurement if present: its actions, the correction deferred
+    to before the measurement, then `measure`, which samples one branch
+    with `rng` and keeps them all without. Records per-step walker
+    supports, and one classical message per measured branch."""
 
     def supports(s):
         return {
@@ -560,11 +558,10 @@ def run_schedule(
                 "measurement separation precondition violated: walker support "
                 f"{sorted(found[params['walker']])} outside {sorted(allowed)}"
             )
-        stack = measure(state, params["qubits"], params["bases"], rng)
-        odd = []
-        for record in stack.records:
+        branches = measure(apply_actions(state, sched.measure.actions),
+                           params["qubits"], params["bases"], rng)
+        for record in branches.records:
             parity = sum(record.outcome[pos] for pos in params["parity_positions"]) % 2
-            odd.append(parity == 1)
             messages.append(
                 {
                     "to": params["allowed_vertices"][1],
@@ -573,9 +570,5 @@ def run_schedule(
                     "correction": "Z" if parity else None,
                 }
             )
-        t = 1 << (layout.total_bits - 1 - params["correct_bit"])
-        flip = np.repeat(odd, np.diff(stack.starts)) & ((stack.indices & t) != 0)
-        amps = np.negative(stack.amplitudes, out=stack.amplitudes.copy(), where=flip)
-        branches = BranchStack(layout, stack.indices, amps, stack.starts, stack.records)
         state = branches[0][1]
     return state, RunTrace(initial, steps, branches, messages)

@@ -26,7 +26,8 @@ class OperatorSpec(NamedTuple):
 
     kinds: shift, coinperm, coinblock, datactrl, coindata, interact,
     fanout (its parts' actions in order), measure (terminal instrument,
-    built by `protocols.separate_measure`).
+    built by `protocols.separate_measure`; its actions are its
+    correction, applied before the measurement).
     """
 
     kind: str

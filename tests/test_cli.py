@@ -84,6 +84,9 @@ def test_parse_round_trips(path3_file):
         "remote_cu control=A.a target=B.b path=A,u,B gate=",
         "place x A",
         "walkers \u00b2",
+        "network a.json b.json",
+        "init A.a=+ B.b=0",
+        "place 0",
     ],
 )
 def test_parse_rejects_bad_lines(line):
@@ -429,78 +432,109 @@ FORK_NET = network_json(
 )
 
 
+# one line per case: network, commands, a part of the error message, id
+BAD_INPUTS = [
+    ("{broken", "linklevel\n", "not valid JSON", "broken_json"),
+    ('{"nodes": ["A", "B"], "data_qubits": [1]}', "linklevel\n",
+     '"data_qubits" must map', "data_qubits_not_object"),
+    ('{"nodes": ["A", "B"], "edges": 5}', "linklevel\n",
+     '"edges" must be a list', "edges_not_list"),
+    ('{"nodes": ["A", "B"], "edges": [[["A"], "B"]]}', "linklevel\n",
+     "edge endpoints must be node labels", "edge_endpoint_not_label"),
+    (PATH3_NET, "step coinperm node=A c1=x c2=1 walker=0\n",
+     "expected integer, got 'x'", "step_int_not_integer"),
+    (PATH3_NET, CNOT_LINE.replace("gate=X", "gate=U[a,b]"),
+     "gate entries must be numbers", "gate_entry_not_number"),
+    (PATH3_NET, CNOT_LINE.replace("gate=X", "gate=U[1,0;0,0,1,0]"),
+     "custom gate must be square", "gate_columns_ragged"),
+    (PATH3_NET, "walkers 1\nplace 5 A\nstep coinperm node=u c1=1 c2=2 walker=0\n",
+     "place names walker 5", "place_walker_out_of_range"),
+    (PATH3_NET, "step datactrl node=A controls=a string=1 swap=1 walker=0\n",
+     "expected two integers", "step_swap_not_a_pair"),
+    (triangle_json(), "linklevel couple=A,p:B,p couple=B,q:A,q\n",
+     "edge A,B is coupled twice", "linklevel_edge_coupled_twice"),
+    # the gate is parsed before the script's walker count is refused
+    (PATH3_NET, "walkers 26\n" + CNOT_LINE.replace("gate=X", "gate=Q"),
+     "unknown gate 'Q'", "unknown_gate_with_oversized_layout"),
+    (line_json(["A", "B"], {"A": ["a"], "B": ["b"]}),
+     "init A.a=+\nstep measure a=A b=B qubit=a\n"
+     "step coinperm node=A c1=0 c2=1 walker=0\nstep shift flipflop\n",
+     "measure must be the last step", "step_after_measure"),
+    (FORK_NET,
+     "multipath control=A.a control=A.c path=A,u,B target=B.b gate=X "
+     "path=A,w target=w.x gate=X\n",
+     "duplicate argument 'control'", "multipath_control_twice"),
+    (FORK_NET, "tree control=A.a edges=A>u,u>B edges=A>w target=w.x gate=X\n",
+     "duplicate argument 'edges'", "tree_edges_twice"),
+    (FORK_NET, "tree control=A.a edges=A>u,u>B,A>w\n",
+     "tree needs at least one target=", "tree_without_target"),
+    # too deep a nesting for json.loads, more digits than int() converts
+    ("[" * 200_000 + "]" * 200_000, "linklevel\n", "not valid JSON",
+     "network_nested_too_deep"),
+    ('{"nodes": ["A", "B"], "edges": [], "n": ' + "1" * 5000 + "}", "linklevel\n",
+     "not valid JSON", "network_integer_too_long"),
+    (PATH3_NET, f"walkers {'1' * 5000}\nstep shift identity\n",
+     "expected integer", "walkers_too_many_digits"),
+    (PATH3_NET, f"walkers 1\nplace {'1' * 5000} A\nstep shift identity\n",
+     "expected integer", "place_too_many_digits"),
+    # a repeated header line is refused, not an override of the first
+    (PATH3_NET, "init A.a=0\ninit A.a=1\n" + CNOT_LINE, "second init", "init_twice"),
+    (PATH3_NET, "walkers 2\nplace 0 A 0\nplace 0 B 0\nstep shift identity\n",
+     "second place", "place_twice"),
+    (PATH3_NET, "network net.json\n" + CNOT_LINE, "second network line", "network_twice"),
+    (PATH3_NET, "walkers 1\nwalkers 2\nstep shift identity\n",
+     "second walkers line", "walkers_twice"),
+    # command arguments
+    (PATH3_NET, CNOT_LINE.replace("gate=X", "string=10 gate=X"),
+     "string= must be a bit per control qubit", "control_string_too_long"),
+    (FORK_NET, "multipath control=A.a\n", "multipath needs at least one path=",
+     "multipath_without_path"),
+    (PATH3_NET, "ghz_path\n", "ghz_path needs at least one path=", "ghz_path_without_path"),
+    (FORK_NET, "tree control=A.a edges=A-u target=u.b gate=X\n",
+     "tree edge must be parent>child", "tree_edge_without_arrow"),
+    (PATH3_NET, "tree control=A.a edges=A>u,B>u target=B.b gate=X\n",
+     "node 'u' has two predecessors in tree", "tree_node_two_parents"),
+    (triangle_json(), "linklevel couple=A,p\n", "couple= must be U,qu:V,qv",
+     "linklevel_couple_without_colon"),
+    (triangle_json(), "linklevel couple=A:B,p\n", "couple= must be U,qu:V,qv",
+     "linklevel_couple_side_without_comma"),
+    # step commands
+    (PATH3_NET, "step\n", "step needs an operator name", "step_without_operator"),
+    (PATH3_NET, "step node=A coinperm\n", "step operator name must come first",
+     "step_operator_not_first"),
+    (PATH3_NET, "step shift sideways\n", "step shift needs flipflop or identity",
+     "step_shift_unknown_mode"),
+    (PATH3_NET, "step frobnicate\n", "unknown step operator 'frobnicate'",
+     "step_unknown_operator"),
+    (PATH3_NET, "step coinperm node=A c1=0 c2=1 walker=0 extra\n",
+     "unexpected bare word 'extra'", "step_bare_word"),
+    (PATH3_NET, "step coinperm node=A c1=0 c2=1 walker=0 colour=red\n",
+     "unknown argument 'colour'", "step_unknown_argument"),
+    (PATH3_NET, "init A.a=+\n", "script contains no commands", "no_commands"),
+    # network file
+    ('{"nodes": ["A", 1]}', "linklevel\n", "node labels must be nonempty strings",
+     "node_label_not_string"),
+    ('{"nodes": ["A", "B"], "edges": [["A", "B", "A"]]}', "linklevel\n",
+     "edge entries must be [u, v] pairs", "edge_entry_not_pair"),
+    ('{"nodes": ["A", "B"], "edges": [["A", "B"], ["A", "B"], ["B", "A"]]}', "linklevel\n",
+     "duplicate edge ('A', 'B')", "edge_twice"),
+    ('{"nodes": ["A", "B"], "edges": [["A", "B"], ["B", "A"]], "data_qubits": {"A": [""]}}',
+     "linklevel\n", "bad qubit name '' at node 'A'", "qubit_name_empty"),
+]
+
+
 @pytest.mark.parametrize(
-    "network, commands",
-    [
-        ("{broken", "linklevel\n"),
-        ('{"nodes": ["A", "B"], "data_qubits": [1]}', "linklevel\n"),
-        ('{"nodes": ["A", "B"], "edges": 5}', "linklevel\n"),
-        ('{"nodes": ["A", "B"], "edges": [[["A"], "B"]]}', "linklevel\n"),
-        (PATH3_NET, "step coinperm node=A c1=x c2=1 walker=0\n"),
-        (PATH3_NET, CNOT_LINE.replace("gate=X", "gate=U[a,b]")),
-        (PATH3_NET, CNOT_LINE.replace("gate=X", "gate=U[1,0;0,0,1,0]")),
-        (PATH3_NET, "walkers 1\nplace 5 A\nstep coinperm node=u c1=1 c2=2 walker=0\n"),
-        (PATH3_NET, "step datactrl node=A controls=a string=1 swap=1 walker=0\n"),
-        (triangle_json(), "linklevel couple=A,p:B,p couple=B,q:A,q\n"),
-        # the gate is parsed before the script's walker count is refused
-        (PATH3_NET, "walkers 26\n" + CNOT_LINE.replace("gate=X", "gate=Q")),
-        (
-            line_json(["A", "B"], {"A": ["a"], "B": ["b"]}),
-            "init A.a=+\nstep measure a=A b=B qubit=a\n"
-            "step coinperm node=A c1=0 c2=1 walker=0\nstep shift flipflop\n",
-        ),
-        (
-            FORK_NET,
-            "multipath control=A.a control=A.c path=A,u,B target=B.b gate=X "
-            "path=A,w target=w.x gate=X\n",
-        ),
-        (FORK_NET, "tree control=A.a edges=A>u,u>B edges=A>w target=w.x gate=X\n"),
-        (FORK_NET, "tree control=A.a edges=A>u,u>B,A>w\n"),
-        # too deep a nesting for json.loads, more digits than int() converts
-        ("[" * 200_000 + "]" * 200_000, "linklevel\n"),
-        ('{"nodes": ["A", "B"], "edges": [], "n": ' + "1" * 5000 + "}", "linklevel\n"),
-        (PATH3_NET, f"walkers {'1' * 5000}\nstep shift identity\n"),
-        (PATH3_NET, f"walkers 1\nplace {'1' * 5000} A\nstep shift identity\n"),
-        # a repeated header line is refused, not an override of the first
-        (PATH3_NET, "init A.a=0\ninit A.a=1\n" + CNOT_LINE),
-        (PATH3_NET, "walkers 2\nplace 0 A 0\nplace 0 B 0\nstep shift identity\n"),
-        (PATH3_NET, "network net.json\n" + CNOT_LINE),
-        (PATH3_NET, "walkers 1\nwalkers 2\nstep shift identity\n"),
-    ],
-    ids=[
-        "broken_json",
-        "data_qubits_not_object",
-        "edges_not_list",
-        "edge_endpoint_not_label",
-        "step_int_not_integer",
-        "gate_entry_not_number",
-        "gate_columns_ragged",
-        "place_walker_out_of_range",
-        "step_swap_not_a_pair",
-        "linklevel_edge_coupled_twice",
-        "unknown_gate_with_oversized_layout",
-        "step_after_measure",
-        "multipath_control_twice",
-        "tree_edges_twice",
-        "tree_without_target",
-        "network_nested_too_deep",
-        "network_integer_too_long",
-        "walkers_too_many_digits",
-        "place_too_many_digits",
-        "init_twice",
-        "place_twice",
-        "network_twice",
-        "walkers_twice",
-    ],
+    "network, commands, message", [case[:3] for case in BAD_INPUTS],
+    ids=[case[3] for case in BAD_INPUTS],
 )
-def test_main_bad_input_exit_2(tmp_path, capsys, monkeypatch, network, commands):
+def test_main_bad_input_exit_2(tmp_path, capsys, monkeypatch, network, commands, message):
     # run from tmp_path, so that a relative `network net.json` names this network
     monkeypatch.chdir(tmp_path)
     net = write_script(tmp_path, network, name="net.json")
     script = write_script(tmp_path, f"network {net}\n{commands}")
     assert main(["run", str(script)]) == 2
     err = capsys.readouterr().err
-    assert "error" in err
+    assert err.startswith("error: ") and message in err, err
     # an overlong token is echoed cut short, not in full
     assert len(err) < 200 and err.count("\n") == 1, err
 

@@ -26,7 +26,7 @@ from qwcp import (
     walker_vertex_support,
 )
 from qwcp import protocols
-from qwcp.cli import execute, parse_script
+from qwcp.cli import _prepare, execute, parse_script
 from qwcp.walkops import Schedule
 
 import dense_reference as dense
@@ -159,23 +159,12 @@ def test_remote_cnot_measure_branches_agree(path3):
         assert msg["correction"] in (None, "Z")
 
 
-@pytest.mark.parametrize("path", [["n00", "n01", "n02", "n12"], ["n00", "n10", "n11", "n12"]])
-@pytest.mark.parametrize("gate", ["X", "H", "T"])
-def test_stacked_correction_matches_per_branch_apply_z(grid3, path, gate):
-    """A measure-separation run shaped like the benchmark's branch check
-    (remote_cu across the grid, every data qubit in |+>): the records and
-    branches of the trace, in order, and each branch bitwise, match the
-    per-branch reference: `measure_reference` on the state before the
-    measurement, then `apply_z` on each branch of odd outcome parity. Both
-    parities occur in the one stack. Each sample-mode run gives the
-    reference branch of the outcome it drew."""
-    req = gate_request(grid3, [(("n00", "a"), 1)], [("n12", "b")], GATE_LIBRARY[gate])
-    comp = schedule_remote_cu(grid3, req, PathSpec.in_graph(grid3, path), separation="measure")
-    plus = (2 ** -0.5, 2 ** -0.5)
-    di = {q: plus for q in comp.layout.data_order}
-    state = init_state(grid3, comp.layout, comp.walker_inits, di)
+def _apply_z_reference(graph, comp, state):
+    """{outcome: ((qubits, bases, probability), branch)} by the per-branch
+    reference: `measure_reference` on the state before the measurement,
+    then `apply_z` on each branch of odd outcome parity."""
     params = comp.schedule.measure.params
-    before, _ = run_schedule(state, Schedule(comp.schedule.timesteps), grid3)
+    before, _ = run_schedule(state, Schedule(comp.schedule.timesteps), graph)
     want = {}
     for (qubits, bases, outcome, p), (indices, amps) in measure_reference(
         before, tuple(params["qubits"]), params["bases"]
@@ -184,13 +173,21 @@ def test_stacked_correction_matches_per_branch_apply_z(grid3, path, gate):
         if sum(outcome[pos] for pos in params["parity_positions"]) % 2:
             branch = apply_z(branch, params["correct_bit"])
         want[outcome] = (qubits, bases, p), branch
+    return want
 
-    _, trace = run_schedule(state, comp.schedule, grid3)
+
+def _check_bitwise_against_apply_z(graph, comp, state):
+    """The records and branches of the trace, in order, and each branch
+    bitwise, match `_apply_z_reference`. Both parities occur in the one
+    stack. Each sample-mode run gives the reference branch of the outcome
+    it drew."""
+    want = _apply_z_reference(graph, comp, state)
+    _, trace = run_schedule(state, comp.schedule, graph)
     assert [r.outcome for r in trace.branches.records] == list(want)
     assert {m["parity"] for m in trace.classical_messages} == {0, 1}
     runs = list(trace.branches)
     for seed in range(4):
-        _, sampled = run_schedule(state, comp.schedule, grid3, np.random.default_rng(seed))
+        _, sampled = run_schedule(state, comp.schedule, graph, np.random.default_rng(seed))
         assert len(sampled.branches) == 1
         runs.append(sampled.branches[0])
     for record, branch in runs:
@@ -199,6 +196,81 @@ def test_stacked_correction_matches_per_branch_apply_z(grid3, path, gate):
         assert np.array_equal(branch.indices, expected.indices)
         assert np.array_equal(canonical_bits(branch.amplitudes),
                               canonical_bits(expected.amplitudes))
+
+
+LINE8 = [f"v{i}" for i in range(8)]
+
+
+@pytest.mark.parametrize("path", [
+    ["n00", "n01", "n02", "n12"], ["n00", "n10", "n11", "n12"], ["n00", "n01", "n02"], LINE8,
+])
+@pytest.mark.parametrize("gate", ["X", "H", "T"])
+def test_stacked_correction_matches_per_branch_apply_z(path, gate):
+    """A measure-separation run shaped like the benchmark's branch check
+    (remote_cu from control a to target b, every data qubit in |+>)
+    against the per-branch reference, at each parity width: the end ids
+    n00 and n02 differ in 1 bit, n00 and n12 in 2, v0 and v7 in 3."""
+    width = {"n02": 1, "n12": 2, "v7": 3}[path[-1]]
+    graph = load_network(
+        line_json(LINE8, {"v0": ["a"], "v7": ["b"]}) if path == LINE8 else grid3_json()
+    )
+    req = gate_request(graph, [((path[0], "a"), 1)], [(path[-1], "b")], GATE_LIBRARY[gate])
+    comp = schedule_remote_cu(graph, req, PathSpec.in_graph(graph, path), separation="measure")
+    assert len(comp.schedule.measure.params["parity_positions"]) == width
+    plus = (2 ** -0.5, 2 ** -0.5)
+    di = {q: plus for q in comp.layout.data_order}
+    state = init_state(graph, comp.layout, comp.walker_inits, di)
+    _check_bitwise_against_apply_z(graph, comp, state)
+
+
+def _step_script(tmp_path, lines):
+    """(graph, compiled protocol, data inits) of a step script on path3."""
+    net = tmp_path / "net.json"
+    net.write_text(line_json(["A", "u", "B"], {"A": ["a"], "B": ["b"]}))
+    return _prepare(parse_script(f"network {net}\n" + "\n".join(lines) + "\n"))
+
+
+def test_step_script_measure_of_walker_1_matches_per_branch_apply_z(tmp_path):
+    """Walker 1 carries a remote controlled-H from A.a to B.b while walker
+    0 idles at u; it is then measured and the Z correction is A.a's."""
+    graph, comp, di = _step_script(tmp_path, [
+        "init A.a=+", "init B.b=-", "place 0 u 0", "place 1 A 0",
+        "step datactrl node=A controls=a string=1 swap=0,1 walker=1",
+        "step shift flipflop",
+        "step coinperm node=u c1=1 c2=2 walker=1",
+        "step shift flipflop",
+        "step coinperm node=B c1=1 c2=0 walker=1",
+        "step coindata node=B qubits=b gate=H walker=1",
+        "step measure a=A b=B qubit=a walker=1",
+    ])
+    state = init_state(graph, comp.layout, comp.walker_inits, di)
+    _check_bitwise_against_apply_z(graph, comp, state)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_superposed_walker_measure_matches_per_branch_apply_z(tmp_path, seed):
+    """A walker at both ends for the same other bits: the Hadamard pairs
+    of the basis rotation hold two entries, where the correction before
+    the measurement and the Z after it may round apart in the last bits.
+    The outcomes are those of the reference, and the probabilities and
+    branches agree within 1e-15."""
+    graph, comp, _ = _step_script(tmp_path, [
+        "step datactrl node=A controls=a string=1 swap=0,1 walker=0",
+        "step coinblock node=A coins=0,1 gate=H walker=0",
+        "step shift flipflop",
+        "step coinperm node=u c1=1 c2=0 walker=0",
+        "step measure a=A b=u qubit=a",
+    ])
+    rng = np.random.default_rng(seed)
+    di = {q: random_qubit(rng) for q in comp.layout.data_order}
+    state = init_state(graph, comp.layout, comp.walker_inits, di)
+    want = _apply_z_reference(graph, comp, state)
+    _, trace = run_schedule(state, comp.schedule, graph)
+    assert [r.outcome for r in trace.branches.records] == list(want)
+    for record, branch in trace.branches:
+        (_, _, p), expected = want[record.outcome]
+        assert record.probability == pytest.approx(p, abs=1e-15)
+        assert np.abs(to_dense(branch) - to_dense(expected)).max() <= 1e-15
 
 
 def test_remote_cu_measure_sample_mode(path3):

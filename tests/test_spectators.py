@@ -44,7 +44,7 @@ from qwcp.cli import (
     parse_script,
     spectator_qubits,
 )
-from qwcp.statevec import dump_state, insert_qubits
+from qwcp.statevec import PermAction, dump_state, insert_qubits
 
 from conftest import line_json
 from instruments import dump_reference
@@ -250,9 +250,12 @@ def test_oracle_gate_qubits_are_not_spectators():
 
 
 def test_measured_and_corrected_bits_are_not_spectators():
+    # the correction is the measure op's action, here a walker swap where B.u is 1
     layout = RegisterLayout.for_network(load_network(NET), 1)
-    params = {"qubits": [layout.data_bit("A", "s")], "correct_bit": layout.data_bit("B", "u")}
-    measure = OperatorSpec("measure", params, layout)
+    swap = np.arange(1 << layout.walker_bits)[::-1]
+    correction = PermAction(0, swap, (((layout.data_bit("B", "u"),), 1),))
+    params = {"qubits": [layout.data_bit("A", "s")]}
+    measure = OperatorSpec("measure", params, layout, actions=(correction,))
     assert spectator_qubits(layout, Schedule([], measure), None) == [("A", "c"), ("B", "t")]
 
 
