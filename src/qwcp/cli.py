@@ -575,7 +575,9 @@ def execute(
     `measure`, `oracle_apply` and `compare` see core states, and so do
     `trace.branches`. One `compare` call checks every measured branch (or
     the final state of a run that measures nothing), and the report holds
-    the least fidelity and purity. The full final state is
+    the least fidelity and purity; its `measurement` states the measured
+    bits once, each kept outcome's probability and the one Z correction,
+    or is None. The full final state is
     `insert_qubits(core, factors)`; it is never built here:
     `dump_state` writes its dump from the two parts, and the report's
     `final_norm` is the core's norm times each factor's norm, in layout
@@ -606,8 +608,19 @@ def execute(
     for q in factors.values():
         final_norm *= float(np.linalg.norm(q))
 
+    measurement, measure_op = None, compiled.schedule.measure
+    if measure_op is not None:
+        params = measure_op.params
+        node, name = layout.data_order[layout.data_bit_positions().index(params["correct_bit"])]
+        measurement = {  # outcome keys have one length: sorted, they keep branch order
+            "qubits": list(params["qubits"]), "bases": params["bases"],
+            "probabilities": {"".join(map(str, r.outcome)): r.probability
+                              for r in trace.branches.records},
+            "correction": {"gate": "Z", "qubit": f"{node}.{name}",
+                           "parity_positions": list(params["parity_positions"])},
+        }
     report = {
-        "schema": 1,
+        "schema": 2,
         "protocol": compiled.name,
         "mode": mode,
         "seed": seed,
@@ -616,16 +629,7 @@ def execute(
         "fidelity_vs_oracle": comparison.data_fidelity if comparison else None,
         "walker_purity": comparison.walker_purity if comparison else None,
         "passed": comparison.passed if comparison else None,
-        "measurements": [
-            {
-                "qubits": list(r.qubits),
-                "bases": r.bases,
-                "outcome": list(r.outcome),
-                "probability": r.probability,
-            }
-            for r in (trace.branches.records if trace.branches is not None else ())
-        ],
-        "classical_messages": trace.classical_messages,
+        "measurement": measurement,
         "supports": {
             "initial": _support_json(trace.initial_support),
             "timesteps": [_support_json(s) for s in trace.supports],
@@ -723,11 +727,11 @@ def render_trace(report: dict) -> str:
     lines.append(f"t=0 (initial): {_fmt_support(report['supports']['initial'])}")
     for t, sup in enumerate(report["supports"]["timesteps"], start=1):
         lines.append(f"t={t}: {_fmt_support(sup)}")
-    for msg in report["classical_messages"]:
-        lines.append(
-            f"message to {msg['to']}: outcomes={msg['outcomes']} "
-            f"parity={msg['parity']} correction={msg['correction']}"
-        )
+    measured = report["measurement"]
+    if measured is not None:
+        lines += [f"outcome {bits}: p={p!r}" for bits, p in measured["probabilities"].items()]
+        lines.append("correction: {gate} on {qubit} where the outcome bits at "
+                     "{parity_positions} have odd parity".format(**measured["correction"]))
     return "\n".join(lines)
 
 

@@ -114,7 +114,6 @@ class RunTrace(NamedTuple):
     initial_support: dict
     supports: list
     branches: BranchStack | None
-    classical_messages: list
 
 
 class CompiledProtocol(NamedTuple):
@@ -534,7 +533,7 @@ def run_schedule(
     terminal measurement if present: its actions, the correction deferred
     to before the measurement, then `measure`, which samples one branch
     with `rng` and keeps them all without. Records per-step walker
-    supports, and one classical message per measured branch."""
+    supports and the measured branches."""
 
     def supports(s):
         return {
@@ -542,7 +541,7 @@ def run_schedule(
             for j, vertices in enumerate(walker_vertex_support(s))
         }
 
-    initial, steps, branches, messages = supports(state), [], None, []
+    initial, steps, branches = supports(state), [], None
     for ts in sched.timesteps:
         for op in ts.pre_ops:
             state = apply_operator(state, op)
@@ -560,15 +559,5 @@ def run_schedule(
             )
         branches = measure(apply_actions(state, sched.measure.actions),
                            params["qubits"], params["bases"], rng)
-        for record in branches.records:
-            parity = sum(record.outcome[pos] for pos in params["parity_positions"]) % 2
-            messages.append(
-                {
-                    "to": params["allowed_vertices"][1],
-                    "outcomes": list(record.outcome),
-                    "parity": parity,
-                    "correction": "Z" if parity else None,
-                }
-            )
         state = branches[0][1]
-    return state, RunTrace(initial, steps, branches, messages)
+    return state, RunTrace(initial, steps, branches)

@@ -418,5 +418,5 @@ def test_criterion_9_deterministic_reports(tmp_path):
         payloads.append(out.read_bytes())
     assert payloads[0] == payloads[1]
     report = json.loads(payloads[0])
-    assert report["schema"] == 1 and report["passed"] is True
+    assert report["schema"] == 2 and report["passed"] is True
     print("criterion 9: PASS - identical seed gives bitwise-identical reports")

@@ -136,7 +136,7 @@ def cnot_script(path3_file, extra="separation=reverse"):
 def test_execute_remote_cnot(path3_file):
     script = parse_script(cnot_script(path3_file))
     report, *_ = execute(script)
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["passed"] is True
     assert report["fidelity_vs_oracle"] >= 1 - 1e-9
     assert report["walker_purity"] >= 1 - 1e-9
@@ -147,9 +147,10 @@ def test_execute_remote_cnot(path3_file):
 def test_execute_measure_mode_branches(path3_file):
     script = parse_script(cnot_script(path3_file, "separation=measure"))
     report, *_ = execute(script, mode="branch")
-    assert len(report["measurements"]) >= 2
+    assert len(report["measurement"]["probabilities"]) >= 2
     assert report["passed"] is True
-    assert all(msg["to"] == "B" for msg in report["classical_messages"])
+    # the Z acts on the control qubit at the path start
+    assert report["measurement"]["correction"]["qubit"] == "A.a"
 
 
 def test_execute_rejects_unknown_mode(path3_file):
@@ -182,13 +183,60 @@ def test_step_measure_separates_the_named_walker(path3_file):
     report, _, _, trace = execute(script)
     assert report["schedule"]["measure"]["walker"] == 1
     walker1_bits = [4, 5, 6, 7]  # 4-bit walker registers on the 3-node path
-    assert [m["qubits"] for m in report["measurements"]] == [walker1_bits] * 2
+    assert report["measurement"]["qubits"] == walker1_bits
+    assert len(report["measurement"]["probabilities"]) == 2
+    assert report["measurement"]["correction"]["qubit"] == "A.a"
     graph = load_network(path3_file.read_text())
     bell = oracle_apply(
         init_state(graph, data_layout(graph), [], {("A", "a"): (SQRT1_2, SQRT1_2)}),
         [OracleGate(((("A", "a"), 1),), (("B", "b"),), GATE_LIBRARY["X"])],
     )
     assert all(compare(branch, bell).passed for _, branch in trace.branches)
+
+
+def outcome_bits(record):
+    return "".join(map(str, record.outcome))
+
+
+def test_measurement_block_projects_the_branch_records(path3_file):
+    """In branch mode the block's outcome keys, in order, are the records'
+    outcomes, and its probabilities the records' floats; the rendered
+    report keeps that order. Sample mode holds exactly the drawn outcome,
+    with the float branch mode gives it."""
+    script = parse_script(cnot_script(path3_file, "separation=measure"))
+    report, _, _, trace = execute(script)
+    block, records = report["measurement"], trace.branches.records
+    assert len(records) >= 2
+    assert list(block["probabilities"]) == [outcome_bits(r) for r in records]
+    assert [float.hex(p) for p in block["probabilities"].values()] == [
+        float.hex(r.probability) for r in records]
+    assert all((block["qubits"], block["bases"]) == (list(r.qubits), r.bases) for r in records)
+    rendered = json.loads(render_report(report))["measurement"]
+    assert list(rendered["probabilities"]) == list(block["probabilities"])
+    drawn = set()
+    for seed in range(8):
+        sampled, _, _, one = execute(script, seed=seed, mode="sample")
+        (record,) = one.branches.records
+        bits = outcome_bits(record)
+        assert sampled["measurement"]["probabilities"] == {bits: record.probability}
+        assert float.hex(record.probability) == float.hex(block["probabilities"][bits])
+        assert {k: v for k, v in sampled["measurement"].items() if k != "probabilities"} == {
+            k: v for k, v in block.items() if k != "probabilities"}
+        drawn.add(bits)
+    assert len(drawn) >= 2
+
+
+def test_trace_prints_each_outcome_and_the_correction_once(path3_file, tmp_path, capsys):
+    script = write_script(tmp_path, cnot_script(path3_file, "separation=measure"))
+    out = tmp_path / "report.json"
+    assert main(["run", str(script), "--out", str(out), "--trace"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    block = json.loads(out.read_text())["measurement"]
+    assert [line for line in lines if line.startswith("outcome ")] == [
+        f"outcome {bits}: p={p!r}" for bits, p in block["probabilities"].items()]
+    positions = block["correction"]["parity_positions"]
+    assert [line for line in lines if line.startswith("correction")] == [
+        f"correction: Z on A.a where the outcome bits at {positions} have odd parity"]
 
 
 def test_execute_unknown_qubit_is_script_error(path3_file):
@@ -782,14 +830,18 @@ def test_records_stay_read_only(path3_file):
 
 
 def test_compiles_and_runs_share_no_mutable_default(path3_file):
-    """Two step-script compiles get two `meta` dicts, and two runs two
-    `classical_messages` lists."""
+    """Two step-script compiles get two `meta` dicts, and two measuring
+    runs two `measurement` blocks, none of whose parts they share."""
     steps = parse_script(f"network {path3_file}\nwalkers 1\nstep shift flipflop\n")
     first, second = (cli._prepare(steps)[1] for _ in range(2))
     assert first.meta == second.meta == {} and first.meta is not second.meta
-    for script in (steps, parse_script(cnot_script(path3_file, "separation=measure"))):
-        one, two = (execute(script)[3].classical_messages for _ in range(2))
-        assert type(one) is list and one == two and one is not two
+    assert execute(steps)[0]["measurement"] is None
+    measuring = parse_script(cnot_script(path3_file, "separation=measure"))
+    one, two = (execute(measuring)[0]["measurement"] for _ in range(2))
+    assert type(one) is dict and one == two and one is not two
+    for key in ("qubits", "probabilities", "correction"):
+        assert one[key] is not two[key]
+    assert one["correction"]["parity_positions"] is not two["correction"]["parity_positions"]
 
 
 def test_main_memory_error_names_innermost_qwcp_frame(path3_file, tmp_path, monkeypatch, capsys):

@@ -61,6 +61,55 @@ def test_runs_line_counts_workload_runs_only(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "2 runs on each side, 2 differ"
 
 
+def test_measuring_jobs_replay_under_either_report_schema(tmp_path, monkeypatch, capsys):
+    """A branch-mode job is replayed in sample mode at every replay seed
+    when its report measured, by schema 1's `measurements` records or
+    schema 2's `measurement` block; otherwise it runs once."""
+    for side in ("old", "new"):
+        (tmp_path / side / "qwcp").mkdir(parents=True)
+        (tmp_path / side / "qwcp" / "cli.py").touch()
+    job = {"name": "job", "argv": ["run", "s.qw"], "mode": "branch"}
+    monkeypatch.setattr(parity.workloads, "WORKLOADS", ["w"])
+    monkeypatch.setattr(parity.workloads, "generate", lambda workload, seed, where: [job])
+    monkeypatch.setattr(parity, "compare_fuzz", lambda *args: (0, []))
+    argv = [str(tmp_path / "old"), str(tmp_path / "new"), "--seeds", "1"]
+    replayed = 1 + len(parity.REPLAY_SEEDS)
+    for report, runs in [
+        (b'{"measurements": [{"outcome": [0, 1]}]}', replayed),
+        (b'{"measurement": {"probabilities": {"01": 1.0}}, "schema": 2}', replayed),
+        (b'{"measurements": []}', 1),
+        (b'{"measurement": null, "schema": 2}', 1),
+        (b"not json", 1),
+        (None, 1),
+    ]:
+        monkeypatch.setattr(parity, "run_side",
+                            lambda src, argv, outdir: {"exit code": 0, "out": report})
+        assert parity.main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"{runs} runs on each side, 0 differ"
+
+
+def test_differing_report_names_its_changed_keys():
+    def report(**fields):
+        return json.dumps({"passed": True, **fields}, sort_keys=True, indent=2).encode()
+
+    old = {"exit code": 0, "out": report(schema=1, measurements=[], final_norm=1.0)}
+    new = {"exit code": 0, "out": report(schema=2, measurement=None, final_norm=1.0)}
+    assert parity.compare_runs("job", old, new, []) == [
+        "job: out differs, keys measurement, measurements, schema; "
+        """line 3: b'  "measurements": [],' != b'  "measurement": null,'"""]
+    floats: list = []
+    new = {"exit code": 0, "out": report(schema=1, measurements=[], final_norm=1 - 2**-53)}
+    (problem,) = parity.compare_runs("job", old, new, floats)
+    assert problem.startswith("job: out differs, keys final_norm; in floats only, 1 lines")
+    assert floats == [2**-53]
+    # other outputs, and reports that are not JSON objects, name no keys
+    old, new = {"stdout": old["out"], "out": b"[1]"}, {"stdout": new["out"], "out": b"[2]"}
+    assert parity.compare_runs("job", old, new, []) == [
+        "job: stdout differs, in floats only, 1 lines, largest difference 1.11e-16; "
+        "first line 2: b'  \"final_norm\": 1.0,' != b'  \"final_norm\": 0.9999999999999999,'",
+        "job: out differs, line 1: b'[1]' != b'[2]'"]
+
+
 def test_tests_line_counts_uncompared_new_calls(tmp_path, monkeypatch, capsys):
     for side in ("old", "new"):
         (tmp_path / side / "qwcp").mkdir(parents=True)

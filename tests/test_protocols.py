@@ -153,10 +153,12 @@ def test_remote_cnot_measure_branches_agree(path3):
     for record, branch in trace.branches:
         rep = compare(branch, oracle_out)
         assert rep.passed
-    assert len(trace.classical_messages) == len(trace.branches)
-    for msg in trace.classical_messages:
-        assert msg["to"] == "B"
-        assert msg["correction"] in (None, "Z")
+    # the correction is a Z on the control qubit at the path start, A.a:
+    # the measure op's one action, conditioned on that bit being 1
+    params = comp.schedule.measure.params
+    assert params["correct_bit"] == comp.layout.data_bit("A", "a")
+    (action,) = comp.schedule.measure.actions
+    assert action.conditions == (((params["correct_bit"],), 1),)
 
 
 def _apply_z_reference(graph, comp, state):
@@ -184,7 +186,8 @@ def _check_bitwise_against_apply_z(graph, comp, state):
     want = _apply_z_reference(graph, comp, state)
     _, trace = run_schedule(state, comp.schedule, graph)
     assert [r.outcome for r in trace.branches.records] == list(want)
-    assert {m["parity"] for m in trace.classical_messages} == {0, 1}
+    positions = comp.schedule.measure.params["parity_positions"]
+    assert {sum(r.outcome[pos] for pos in positions) % 2 for r in trace.branches.records} == {0, 1}
     runs = list(trace.branches)
     for seed in range(4):
         _, sampled = run_schedule(state, comp.schedule, graph, np.random.default_rng(seed))

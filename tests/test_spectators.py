@@ -66,13 +66,19 @@ def reference(script, mode, seed):
             "initial": _support_json(trace.initial_support),
             "timesteps": [_support_json(s) for s in trace.supports],
         },
-        "measurements": [
-            (list(r.qubits), r.bases, list(r.outcome), r.probability)
+        "records": [
+            (list(r.qubits), r.bases, "".join(map(str, r.outcome)), r.probability)
             for r in (trace.branches.records if trace.branches is not None else ())
         ],
-        "classical_messages": trace.classical_messages,
+        "correction": None,
         "passed": None, "fidelity_vs_oracle": None, "walker_purity": None,
     }
+    if compiled.schedule.measure is not None:
+        params = compiled.schedule.measure.params
+        (node, name), = [q for q in compiled.layout.data_order
+                         if compiled.layout.data_bit(*q) == params["correct_bit"]]
+        fields["correction"] = {"gate": "Z", "qubit": f"{node}.{name}",
+                                "parity_positions": params["parity_positions"]}
     if compiled.oracle_gates is not None:
         oracle_out = oracle_apply(
             init_state(graph, data_layout(graph), [], data_inits), compiled.oracle_gates
@@ -113,14 +119,17 @@ def check_against_reference(network: str, lines: list, mode: str, seed=None):
     spectators = spectator_qubits(compiled.layout, compiled.schedule, compiled.oracle_gates)
     event(f"accepted, spectators: {len(spectators) if len(spectators) < 3 else '3+'}")
     assert report["supports"] == want["supports"]
-    assert report["classical_messages"] == want["classical_messages"]
     assert report["passed"] == want["passed"]
-    got_measured = report["measurements"]
-    assert [(m["qubits"], m["bases"], m["outcome"]) for m in got_measured] == [
-        m[:3] for m in want["measurements"]
-    ]
-    for m, (*_, probability) in zip(got_measured, want["measurements"]):
-        assert m["probability"] == pytest.approx(probability, abs=TOL)
+    got = report["measurement"]
+    if got is None:
+        assert want["records"] == [] and want["correction"] is None
+    else:
+        assert got["correction"] == want["correction"]
+        assert [(got["qubits"], got["bases"], bits) for bits in got["probabilities"]] == [
+            m[:3] for m in want["records"]
+        ]
+        for p, (*_, probability) in zip(got["probabilities"].values(), want["records"]):
+            assert p == pytest.approx(probability, abs=TOL)
     for key in ("fidelity_vs_oracle", "walker_purity"):
         if want[key] is None:
             assert report[key] is None

@@ -12,7 +12,9 @@ bytes must match exactly; a changed signed zero in a dump counts as a
 difference. An output whose lines differ only in float literals is
 reported as such, with its largest absolute float difference, and the
 largest one over all runs is printed at the end; it still counts as a
-difference.
+difference. A differing report first names the top-level keys whose
+values differ, sorted. A job measures when its old report holds a
+`measurement` block (report schema 2) or measurement records (schema 1).
 
 The workload runs all exit 0, so a fixed corpus of 2,000 distinct cases
 of the grammar in `tests/test_cli_fuzz.py` is replayed as well, to cover
@@ -141,9 +143,22 @@ def float_difference(old: bytes, new: bytes) -> tuple[int, float] | None:
     return lines, largest
 
 
+def changed_keys(old: bytes, new: bytes) -> str:
+    """`keys K, ...; ` naming the sorted top-level keys whose values differ
+    between two JSON reports (a key on one side only included), or "" when
+    either side is not a JSON object."""
+    try:
+        a, b, missing = json.loads(old), json.loads(new), object()
+        keys = sorted(k for k in a.keys() | b.keys() if a.get(k, missing) != b.get(k, missing))
+    except (ValueError, AttributeError):
+        return ""
+    return f"keys {', '.join(keys)}; "
+
+
 def compare_runs(label: str, old: dict, new: dict, floats: list) -> list:
     """Problems of one run pair; the largest float-only difference of each
-    output goes to `floats`."""
+    output goes to `floats`. A differing report names its changed keys
+    first."""
     problems = []
     for key in old:
         a, b = old[key], new[key]
@@ -157,6 +172,8 @@ def compare_runs(label: str, old: dict, new: dict, floats: list) -> list:
                           f"{found[1]:.3g}; first {first_difference(a, b)}")
             else:
                 detail = first_difference(a, b)
+            if key == "out":
+                detail = changed_keys(a, b) + detail
         else:
             detail = f"{a!r} != {b!r}"
         problems.append(f"{label}: {key} differs, {detail}")
@@ -328,9 +345,12 @@ def compare_fuzz(old_src: Path, new_src: Path, tmp: Path, floats: list) -> tuple
 
 
 def measures(report: bytes | None) -> bool:
+    """Whether a report records a measurement: a `measurement` block
+    (schema 2) or a nonempty `measurements` list (schema 1)."""
     try:
-        return bool(json.loads(report)["measurements"])
-    except (TypeError, ValueError, KeyError):
+        found = json.loads(report)
+        return bool(found.get("measurement") or found.get("measurements"))
+    except (TypeError, ValueError, AttributeError):
         return False
 
 
